@@ -547,28 +547,6 @@ class Polynomial:
         return f"Polynomial({str(self)!r})"
 
 
-# spec-facing functional aliases
-
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def substitute(p: Polynomial, bindings: Mapping[VarSymbol, Polynomial | Coeff]) -> Polynomial:
-    return p.substitute(bindings)
-
-
-def evaluate_rational(p: Polynomial, point: Mapping[VarSymbol, Coeff]) -> Fraction:
-    return p.evaluate_rational(point)
-
-
-def kill_monomials(p: Polynomial, predicate: Callable[[Monomial], bool]) -> Polynomial:
-    return p.kill_monomials(predicate)
-
-
 # serialization
 
 def coeff_to_json(c: Coeff) -> dict:

@@ -3,7 +3,9 @@
 Output is canonical JSON by default or aligned text with `--format text`;
 identical invocations produce byte-identical stdout.  Exit codes: 0 on
 success, 1 when a verification-style command finds its check false, 2 on
-usage or domain errors, which are reported as a JSON object on stderr.
+usage or domain errors, 3 when an internal invariant breaks (a bug in
+dprkit, such as `InconsistentSolve`); errors are reported as a JSON object
+on stderr.
 """
 
 from __future__ import annotations
@@ -377,9 +379,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit:
         raise
     except (ValueError, KeyError, ArithmeticError, RuntimeError) as e:
-        detail = str(e.args[0]) if e.args else type(e).__name__
-        sys.stderr.write(canonical_json({"error": f"{type(e).__name__}: {detail}"}))
+        _report_error(e)
         return 2
+    except AssertionError as e:
+        # typed invariant errors subclass AssertionError; a broken invariant
+        # is a bug, not a false check, so it must not exit 1
+        _report_error(e)
+        return 3
+
+
+def _report_error(e: Exception) -> None:
+    detail = str(e.args[0]) if e.args else type(e).__name__
+    sys.stderr.write(canonical_json({"error": f"{type(e).__name__}: {detail}"}))
 
 
 if __name__ == "__main__":

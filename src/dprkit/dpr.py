@@ -18,6 +18,13 @@ array).  Indices past 8 switch the array dtype to object with plain Python
 int masks.  Swapping the two sides is then one shift pair, structural
 checks are vectorized popcounts, and the 4.7-million-term top acceptance
 case stays comfortably inside its time budget.
+
+Consumers that need only the value of a relation polynomial at a point do
+not expand it: `chain_values` and `relation_value` run the same recursion
+on values in any commutative ring, in O(n + m) ring operations.  The
+expanded form serves output, the structural checks, and as the slow oracle
+(`DprPolynomial.evaluate_rational`, `substitute_families`) the fast path is
+tested against.
 """
 
 from __future__ import annotations
@@ -38,6 +45,9 @@ __all__ = [
     "build_fy",
     "build_gx",
     "build_gy",
+    "chain_symbols",
+    "chain_values",
+    "relation_value",
     "swap_sides",
     "check_multilinear",
     "check_index_bounds",
@@ -554,6 +564,74 @@ def build_gy(n: int, m: int) -> DprPolynomial:
     return _concat_chunks(
         [_own_sum("Y", n), e_y, _product_disjoint(other, f_y)]
     )
+
+
+# recurrence-first evaluation -------------------------------------------------
+
+_MARKER_FAMILY = {"X": "U", "Y": "V"}
+
+
+def _marker_family(side: str) -> str:
+    if side not in _MARKER_FAMILY:
+        raise ValueError(f"side must be X or Y, got {side!r}")
+    return _MARKER_FAMILY[side]
+
+
+def chain_symbols(side: str, n: int) -> list[VarSymbol]:
+    """The generators of a chain of n classes on one side, in a fixed order:
+    classes 1..n, first markers 1..n-1, then second and third markers 2..n."""
+    marker = _marker_family(side)
+    syms = [VarSymbol(side, (i,)) for i in range(1, n + 1)]
+    syms += [VarSymbol(marker, (1, k)) for k in range(1, n)]
+    for p in (2, 3):
+        syms += [VarSymbol(marker, (p, k)) for k in range(2, n + 1)]
+    return syms
+
+
+def chain_values(side: str, n: int, value: Mapping[VarSymbol, object]) -> list[tuple]:
+    """[(T_1, F_1), ..., (T_n, F_n)] for one side's chain at `value`.
+
+    T_k = S_k + E_k is the class sum plus the excess polynomial and F_k the
+    correction polynomial of `_ef`, evaluated by the recursion itself:
+
+        T_1 = X_1,  F_1 = 0,
+        T_k = T_{k-1} + X_k - T_{k-1}*X_k*U1_{k-1} - X_k*F_{k-1},
+        F_k = F_{k-1} + T_{k-1}*X_k*(U2_k - U3_k).
+
+    `value` binds generators (Y and V on the Y side) to elements of any
+    commutative ring that mixes with int: ints, Fractions, Polynomials.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    marker = _marker_family(side)
+
+    def at(family: str, *indices: int):
+        sym = VarSymbol(family, indices)
+        if sym not in value:
+            raise UnboundVariable(str(sym))
+        return value[sym]
+
+    t, f = at(side, 1), 0
+    out = [(t, f)]
+    for k in range(2, n + 1):
+        x = at(side, k)
+        t, f = (
+            t + x - t * x * at(marker, 1, k - 1) - x * f,
+            f + t * x * (at(marker, 2, k) - at(marker, 3, k)),
+        )
+        out.append((t, f))
+    return out
+
+
+def relation_value(side: str, n: int, m: int, value: Mapping[VarSymbol, object]):
+    """Value of build_gx(n, m) (side "X") or build_gy(n, m) (side "Y") at
+    `value`: T_n + T'_m * F_n, where T'_m belongs to the other side's chain
+    of m classes."""
+    if n < 1 or m < 1:
+        raise ValueError("both counts must be >= 1")
+    t, f = chain_values(side, n, value)[-1]
+    t_other = chain_values("X" if side == "Y" else "Y", m, value)[-1][0]
+    return t + t_other * f
 
 
 def swap_sides(g: DprPolynomial) -> DprPolynomial:

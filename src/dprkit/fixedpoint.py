@@ -43,9 +43,10 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from .algebra import Polynomial, VarSymbol, poly_to_json
-from .dpr import DprPolynomial, build_gx, build_gy, mask_to_monomial
+from .dpr import DprPolynomial, build_gx, build_gy, chain_symbols, relation_value
 from .operators import (
     DegenerateSample,
+    InconsistentSolve,
     RelationSystem,
     ResampleLimitExceeded,
     VerificationReport,
@@ -58,6 +59,7 @@ __all__ = [
     "GoodnessContext",
     "UnknownDivisor",
     "IndexOutOfRange",
+    "ImpossibleGoodness",
     "make_context",
     "is_good",
     "impossible_case_guard",
@@ -86,6 +88,16 @@ class UnknownDivisor(KeyError):
 
 class IndexOutOfRange(ValueError):
     """A generator index is structurally invalid for the evaluation table."""
+
+
+class ImpossibleGoodness(AssertionError):
+    """Exactly one of (D, A, D + A) came out bad, which additive characters
+    rule out; the goodness model is broken."""
+
+
+def _check_not_exactly_one_bad(good: Sequence[bool], names) -> None:
+    if sum(good) == 2:
+        raise ImpossibleGoodness(f"exactly one bad divisor among {names}")
 
 
 @dataclass(frozen=True)
@@ -321,6 +333,7 @@ def fprime_of_var(var: VarSymbol, ctx: GoodnessContext) -> Polynomial:
             full = names[:k]
             base = 2 if kind == 2 else 1
             good_head, good_last, good_full = ctx.good(head), ctx.good(last), ctx.good(full)
+            _check_not_exactly_one_bad((good_head, good_last, good_full), (head, last, full))
             if good_head and good_last and good_full:
                 return _var(_tower_symbol(towers[kind - 2], k))
             if good_head:
@@ -330,9 +343,8 @@ def fprime_of_var(var: VarSymbol, ctx: GoodnessContext) -> Polynomial:
                 return _var(sigma_symbol(ctx.combo_name((last,)))) + base
             if good_full:
                 return _var(sigma_symbol(ctx.combo_name(full))) + base
-            # all three bad; exactly one good elsewhere is impossible since
-            # two trivial characters sum to a trivial one
-            assert not (good_head or good_last or good_full)
+            # exactly one bad is ruled out above, so each branch before this
+            # one has a single good member; here all three are bad
             return _const(4 if kind == 2 else 3)
         raise IndexOutOfRange(f"unknown marker kind {kind} in {var}")
     raise IndexOutOfRange(f"{var} is not a relation-ring generator")
@@ -405,12 +417,19 @@ def claim1_case_check(case: int) -> dict:
     return {"case": case, "lhs": _render(lhs), "rhs": _render(rhs), "equal": equal}
 
 
+def _family_key(sym: VarSymbol):
+    """Key of ALL_BAD_VALUES for a generator: "X", "Y", or (family, kind)."""
+    return sym.family if sym.family in ("X", "Y") else (sym.family, sym.indices[0])
+
+
 def all_bad_evaluation(n: int, m: int) -> dict:
     """Evaluate both sides with every divisor bad, where images are integers."""
     if n < 1 or m < 1:
         raise ValueError("class counts must be positive")
-    lhs = build_gx(n, m).substitute_families(ALL_BAD_VALUES)
-    rhs = build_gy(m, n).substitute_families(ALL_BAD_VALUES)
+    point = {sym: ALL_BAD_VALUES[_family_key(sym)]
+             for sym in chain_symbols("X", n) + chain_symbols("Y", m)}
+    lhs = relation_value("X", n, m, point)
+    rhs = relation_value("Y", m, n, point)
     return {"n": n, "m": m, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
 
@@ -456,7 +475,7 @@ def _start(ctx, names, val):
     return val(c_symbol(first)) if ctx.good(first) else Fraction(1)
 
 
-def _mixed_trial(rng, n, m, group, sample_range, g_x, g_y) -> bool:
+def _mixed_trial(rng, n, m, group, sample_range) -> bool:
     zero = Character.zero(group)
 
     def draw() -> Character:
@@ -509,7 +528,7 @@ def _mixed_trial(rng, n, m, group, sample_range, g_x, g_y) -> bool:
                     raise DegenerateSample("vanishing final-class denominator")
                 point[c_symbol(last)] = (t - t_y) / den
             else:
-                assert not good_head and not good_last
+                _check_not_exactly_one_bad((good_head, good_last, True), (head, last, y_names))
                 val(sigma_symbol(ctx.combo_name(y_names)))
         else:
             if good_head:
@@ -517,15 +536,14 @@ def _mixed_trial(rng, n, m, group, sample_range, g_x, g_y) -> bool:
             elif good_last:
                 val(c_symbol(last))
                 val(sigma_symbol(ctx.combo_name((last,))))
-            assert t == 1
+            if t != 1:
+                raise InconsistentSolve(
+                    f"first-family chain gave {t} where a bad total class pins it to 1"
+                )
 
-    def side_value(g: DprPolynomial) -> Fraction:
-        images = {}
-        for sym in mask_to_monomial(g.support).symbols():
-            images[sym] = fprime_of_var(sym, ctx).evaluate_rational(point)
-        return g.evaluate_rational(images)
-
-    return side_value(g_x) == side_value(g_y)
+    images = {sym: fprime_of_var(sym, ctx).evaluate_rational(point)
+              for sym in chain_symbols("X", n) + chain_symbols("Y", m)}
+    return relation_value("X", n, m, images) == relation_value("Y", m, n, images)
 
 
 def verify_mixed_contexts(
@@ -542,8 +560,6 @@ def verify_mixed_contexts(
         raise ValueError("class counts must be positive")
     system = RelationSystem(seed=seed, trials=trials,
                             sample_range=sample_range, resample_limit=resample_limit)
-    g_x = build_gx(n, m)
-    g_y = build_gy(m, n)
     resamples = 0
     passed = True
     for trial in range(trials):
@@ -552,7 +568,7 @@ def verify_mixed_contexts(
         for retry in range(resample_limit):
             rng = system.rng(trial, retry)
             try:
-                outcome = _mixed_trial(rng, n, m, group, sample_range, g_x, g_y)
+                outcome = _mixed_trial(rng, n, m, group, sample_range)
             except DegenerateSample:
                 resamples += 1
                 continue

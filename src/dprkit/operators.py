@@ -6,9 +6,10 @@ class sums: a two-class correction law (the H expression) and its n-class
 iteration.  Verification substitutes random rational values for the free
 generators, solves the side conditions exactly (every solve is affine
 because the polynomials are multilinear), and compares both sides as
-Fractions.  Nothing is approximate: a pass means bit-equal rationals, and a
-disagreement between the two admissible solve orders raises rather than
-passes silently.
+Fractions.  Values come from the recursion itself (`dpr.chain_values`), not
+from the expanded polynomials.  Nothing is approximate: a pass means
+bit-equal rationals, and a disagreement between the two admissible solve
+orders raises rather than passes silently.
 
 Sampling is deterministic per (seed, trial, retry), so reports are
 reproducible byte for byte.
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .algebra import Coeff, Polynomial, VarSymbol, ZZ
-from .dpr import DprPolynomial, build_ex, build_fx, build_ey, build_fy, build_gx, build_gy
+from .algebra import Coeff, Polynomial, VarSymbol
+from .dpr import DprPolynomial, chain_symbols, chain_values
 
 __all__ = [
     "DegenerateSample",
@@ -47,7 +48,7 @@ class ResampleLimitExceeded(RuntimeError):
 
 
 class InconsistentSolve(AssertionError):
-    """The two admissible solve orders disagreed; the builders are broken."""
+    """The two admissible solve orders disagreed; the relation evaluation is broken."""
 
 
 class MissingImage(KeyError):
@@ -128,23 +129,6 @@ class VerificationReport:
         }
 
 
-def _x_side_symbols(n: int) -> list[VarSymbol]:
-    syms = [VarSymbol("X", (i,)) for i in range(1, n + 1)]
-    syms += [VarSymbol("U", (1, k)) for k in range(1, n)]
-    for p in (2, 3):
-        syms += [VarSymbol("U", (p, k)) for k in range(2, n + 1)]
-    return syms
-
-
-def _y_side_symbols(m: int, with_last_class: bool) -> list[VarSymbol]:
-    top = m + 1 if with_last_class else m
-    syms = [VarSymbol("Y", (j,)) for j in range(1, top)]
-    syms += [VarSymbol("V", (1, l)) for l in range(1, m)]
-    for p in (2, 3):
-        syms += [VarSymbol("V", (p, l)) for l in range(2, m + 1)]
-    return syms
-
-
 def verify_step_identity(
     n: int,
     trials: int = 20,
@@ -159,14 +143,7 @@ def verify_step_identity(
     if n < 2:
         raise ValueError("the step identity needs n >= 2")
     system = RelationSystem(seed, trials, sample_range, resample_limit)
-    symbols = _x_side_symbols(n)
-    e_prev, f_prev = build_ex(n - 1), build_fx(n - 1)
-    e_n, f_n = build_ex(n), build_fx(n)
-    sum_prev = sum(
-        (Polynomial.variable(VarSymbol("X", (i,))) for i in range(1, n)),
-        Polynomial.zero(),
-    )
-    sum_n = sum_prev + Polynomial.variable(VarSymbol("X", (n,)))
+    symbols = chain_symbols("X", n)
 
     resamples = 0
     passed = True
@@ -174,41 +151,32 @@ def verify_step_identity(
         sample = None
         for retry in range(resample_limit):
             point = system.draw(system.rng(trial, retry), symbols)
+            chain = chain_values("X", n, point)
             try:
-                c_c = _solve_chain_value(point, sum_prev, e_prev, f_prev)
+                c_c = _solve_chain_value(*chain[-2])
                 c_b = _blow_up(point, c_c, n)
             except DegenerateSample:
                 resamples += 1
                 continue
-            sample = (point, c_b)
+            sample = (c_b, chain[-1])
             break
         if sample is None:
             raise ResampleLimitExceeded(f"trial {trial} of step n={n}")
-        point, c_b = sample
-        rhs = (
-            sum_n.evaluate_rational(point)
-            + e_n.evaluate_rational(point)
-            + c_b * f_n.evaluate_rational(point)
-        )
-        if c_b != rhs:
+        c_b, (t_n, f_n) = sample
+        if c_b != t_n + c_b * f_n:
             passed = False
     return VerificationReport(
         "step", n, None, trials, resamples, passed, seed, 2 * n - 1, sample_range
     )
 
 
-def _solve_chain_value(
-    point: Mapping[VarSymbol, Coeff],
-    class_sum: Polynomial,
-    excess: DprPolynomial,
-    correction: DprPolynomial,
-) -> Fraction:
-    """Value cC with  sum + excess + cC * correction = cC  at the point."""
-    denom = 1 - correction.evaluate_rational(point)
+def _solve_chain_value(t: Coeff, f: Coeff) -> Fraction:
+    """Value cC with  T + cC * F = cC, where T = S + E is the class sum plus
+    excess and F the correction of the chain at the point."""
+    denom = 1 - f
     if denom == 0:
         raise DegenerateSample("chain denominator vanished")
-    head = Fraction(class_sum.evaluate_rational(point)) + excess.evaluate_rational(point)
-    return head / denom
+    return Fraction(t) / denom
 
 
 def _blow_up(point: Mapping[VarSymbol, Coeff], c_c: Fraction, n: int) -> Fraction:
@@ -238,26 +206,14 @@ def verify_full_identity(
     second-family chain for the last class value (it enters affinely); then
     re-solve the second-family chain for cC — a mismatch there is an
     implementation bug and raises InconsistentSolve.  Finally both full
-    relation polynomials are evaluated and compared exactly.
+    relation polynomials, GX(n, m) = T^X_n + T^Y_m * F^X_n and its mirror
+    GY(m, n), are evaluated from the chain values and compared exactly.
     """
     if n < 1 or m < 1:
         raise ValueError("both class counts must be >= 1")
     system = RelationSystem(seed, trials, sample_range, resample_limit)
     last_y = VarSymbol("Y", (m,))
-    symbols = _x_side_symbols(n) + _y_side_symbols(m, with_last_class=False)
-
-    e_x, f_x = build_ex(n), build_fx(n)
-    e_y, f_y = build_ey(m), build_fy(m)
-    g_x = build_gx(n, m)
-    g_y = build_gy(m, n)
-    sum_x = sum(
-        (Polynomial.variable(VarSymbol("X", (i,))) for i in range(1, n + 1)),
-        Polynomial.zero(),
-    )
-    sum_y_prev = sum(
-        (Polynomial.variable(VarSymbol("Y", (j,))) for j in range(1, m)),
-        Polynomial.zero(),
-    )
+    symbols = chain_symbols("X", n) + [s for s in chain_symbols("Y", m) if s is not last_y]
 
     resamples = 0
     passed = True
@@ -266,62 +222,48 @@ def verify_full_identity(
         for retry in range(resample_limit):
             point = dict(system.draw(system.rng(trial, retry), symbols))
             try:
-                c_c = _solve_chain_value(point, sum_x, e_x, f_x)
-                point[last_y] = _solve_last_class(point, c_c, m, sum_y_prev, e_y, f_y)
-                y_corr = f_y.evaluate_rational(point)
-                if y_corr == 1:
+                t_x, f_x = chain_values("X", n, point)[-1]
+                c_c = _solve_chain_value(t_x, f_x)
+                point[last_y] = _solve_last_class(point, c_c, m)
+                t_y, f_y = chain_values("Y", m, point)[-1]
+                if f_y == 1:
                     raise DegenerateSample("second-family chain denominator vanished")
             except DegenerateSample:
                 resamples += 1
                 continue
-            sample = (point, c_c, y_corr)
+            sample = (c_c, t_x, f_x, t_y, f_y)
             break
         if sample is None:
             raise ResampleLimitExceeded(f"trial {trial} of full ({n},{m})")
-        point, c_c, y_corr = sample
+        c_c, t_x, f_x, t_y, f_y = sample
         # consistency: the second-family chain must now also produce cC
-        y_head = (
-            sum_y_prev.evaluate_rational(point)
-            + Fraction(point[last_y])
-            + e_y.evaluate_rational(point)
-        )
-        c_c_again = y_head / (1 - y_corr)
+        c_c_again = Fraction(t_y) / (1 - f_y)
         if c_c_again != c_c:
             raise InconsistentSolve(
                 f"first-family chain gave {c_c}, second-family chain gave {c_c_again}"
             )
-        if g_x.evaluate_rational(point) != g_y.evaluate_rational(point):
+        if t_x + t_y * f_x != t_y + t_x * f_y:
             passed = False
     return VerificationReport(
         "full", n, m, trials, resamples, passed, seed, 2 * (n + m) - 2, sample_range
     )
 
 
-def _solve_last_class(
-    point: Mapping[VarSymbol, Coeff],
-    c_c: Fraction,
-    m: int,
-    sum_y_prev: Polynomial,
-    e_y: DprPolynomial,
-    f_y: DprPolynomial,
-) -> Fraction:
+def _solve_last_class(point: Mapping[VarSymbol, Coeff], c_c: Fraction, m: int) -> Fraction:
     """Value of the last second-family class making its chain hit cC.
 
-    The chain relation  sum + excess + cC * correction = cC  is affine in the
-    last class because everything is multilinear.
+    The chain relation  T_m + cC * F_m = cC  is affine in the last class Y_m
+    because everything is multilinear; one recursion step gives
+
+        Y_m = (cC - T_{m-1} - cC*F_{m-1})
+              / (1 - T_{m-1}*V1_{m-1} - F_{m-1} + cC*T_{m-1}*(V2_m - V3_m)).
     """
     if m == 1:
         return c_c
-    last = VarSymbol("Y", (m,))
-    at0 = dict(point)
-    at0[last] = 0
-    at1 = dict(point)
-    at1[last] = 1
-    e0 = e_y.evaluate_rational(at0)
-    e_lin = e_y.evaluate_rational(at1) - e0
-    f0 = f_y.evaluate_rational(at0)
-    f_lin = f_y.evaluate_rational(at1) - f0
-    denom = 1 + e_lin + c_c * f_lin
+    t, f = chain_values("Y", m - 1, point)[-1]
+    v1 = point[VarSymbol("V", (1, m - 1))]
+    v23 = point[VarSymbol("V", (2, m))] - point[VarSymbol("V", (3, m))]
+    denom = 1 - t * v1 - f + c_c * t * v23
     if denom == 0:
         raise DegenerateSample("last-class coefficient vanished")
-    return (c_c - c_c * f0 - sum_y_prev.evaluate_rational(point) - e0) / denom
+    return (c_c - t - c_c * f) / denom

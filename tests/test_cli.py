@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from dprkit import cli
+from dprkit import cli, operators
 
 
 def run(argv):
@@ -106,6 +106,17 @@ def test_domain_error_exits_two(capsys):
     code, doc, err = run_json(capsys, ["gdpr", "build", "GX", "-n", "0", "-m", "1"])
     assert code == 2 and doc is None
     assert json.loads(err)["error"].startswith("ValueError")
+
+
+def test_inconsistent_solve_exits_three(capsys, monkeypatch):
+    # a broken invariant is a bug in dprkit, not a false check: exit 3
+    real = operators._solve_last_class
+    monkeypatch.setattr(
+        operators, "_solve_last_class", lambda point, c_c, m: real(point, c_c, m) + 1
+    )
+    code, doc, err = run_json(capsys, ["verify", "full", "-n", "2", "-m", "2", "--seed", "1"])
+    assert code == 3 and doc is None
+    assert json.loads(err)["error"].startswith("InconsistentSolve")
 
 
 def test_stray_m_rejected(capsys):

@@ -23,15 +23,19 @@ from dprkit.dpr import (
     build_fy,
     build_gx,
     build_gy,
+    chain_values,
     check_index_bounds,
     check_multilinear,
     dpr_to_json,
     from_polynomial,
     mirror_check,
     padding_check,
+    relation_value,
     swap_sides,
     weight_check,
 )
+from dprkit.algebra import UnboundVariable
+from dprkit.fixedpoint import ALL_BAD_VALUES, all_bad_evaluation
 
 
 def sym(family, *indices):
@@ -237,3 +241,94 @@ def test_family_substitution_matches_pointwise_evaluation():
     # wide-mask path
     wide = build_ex(9)
     assert wide.substitute_families(vals) == -9
+
+
+# recurrence-first evaluation against the expanded slow path ------------------
+
+
+BUILDERS = {"X": (build_ex, build_fx), "Y": (build_ey, build_fy)}
+MARKERS = {"X": "U", "Y": "V"}
+
+
+def rational_point(rng, top):
+    """Seeded rational values for every generator of both sides up to `top`."""
+    point = {}
+    for side, marker in MARKERS.items():
+        for i in range(1, top + 1):
+            point[sym(side, i)] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            for p in (1, 2, 3):
+                point[sym(marker, p, i)] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    return point
+
+
+def chain_mismatches(builders, top, points):
+    """(side, k) where chain_values disagrees with the expanded E_k/F_k."""
+    out = set()
+    for point in points:
+        for side, (build_e, build_f) in builders.items():
+            chain = chain_values(side, top, point)
+            for k, (t, f) in enumerate(chain, start=1):
+                s_k = sum(point[sym(side, i)] for i in range(1, k + 1))
+                if (t, f) != (s_k + build_e(k).evaluate_rational(point),
+                              build_f(k).evaluate_rational(point)):
+                    out.add((side, k))
+    return out
+
+
+def test_chain_values_match_expanded_builders():
+    rng = random.Random(5)
+    points = [rational_point(rng, 8) for _ in range(3)]
+    assert chain_mismatches(BUILDERS, 8, points) == set()
+
+
+def test_tampered_builder_fails_the_cross_check():
+    def tampered_fx(n):
+        poly = build_fx(n)
+        if n == 3:
+            return poly + from_polynomial(Polynomial.variable(X1))
+        return poly
+
+    rng = random.Random(5)
+    builders = {"X": (build_ex, tampered_fx), "Y": BUILDERS["Y"]}
+    assert chain_mismatches(builders, 4, [rational_point(rng, 4)]) == {("X", 3)}
+
+
+def test_relation_value_matches_expanded_relation():
+    rng = random.Random(7)
+    for n in range(1, 7):
+        for m in range(1, 7):
+            point = rational_point(rng, 6)
+            assert relation_value("X", n, m, point) == build_gx(n, m).evaluate_rational(point)
+            assert relation_value("Y", n, m, point) == build_gy(n, m).evaluate_rational(point)
+
+
+def test_chain_values_are_ring_generic():
+    # over polynomial images the recursion reproduces the expansion itself
+    images = {s: Polynomial.variable(s) for s in rational_point(random.Random(0), 4)}
+    for side, (build_e, build_f) in BUILDERS.items():
+        for k, (t, f) in enumerate(chain_values(side, 4, images), start=1):
+            s_k = sum((images[sym(side, i)] for i in range(1, k + 1)), Polynomial.zero())
+            assert t == s_k + build_e(k).to_polynomial()
+            assert f == build_f(k).to_polynomial()
+    g = relation_value("X", 3, 2, images)
+    assert g == build_gx(3, 2).to_polynomial()
+
+
+def test_all_bad_recurrence_matches_family_substitution():
+    for n in range(1, 9):
+        for m in range(1, 9):
+            report = all_bad_evaluation(n, m)
+            assert report["lhs"] == build_gx(n, m).substitute_families(ALL_BAD_VALUES), (n, m)
+            assert report["rhs"] == build_gy(m, n).substitute_families(ALL_BAD_VALUES), (n, m)
+
+
+def test_recurrence_argument_validation():
+    point = rational_point(random.Random(1), 2)
+    with pytest.raises(ValueError):
+        chain_values("Z", 1, point)
+    with pytest.raises(ValueError):
+        chain_values("X", 0, point)
+    with pytest.raises(ValueError):
+        relation_value("X", 1, 0, point)
+    with pytest.raises(UnboundVariable):
+        chain_values("X", 3, point)

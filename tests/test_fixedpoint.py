@@ -1,5 +1,8 @@
 """Goodness characters, the generator evaluation table, and its identities."""
 
+import time
+from fractions import Fraction
+
 import pytest
 
 from dprkit import fixedpoint
@@ -253,3 +256,37 @@ def test_mixed_contexts_catch_a_wrong_table_entry(monkeypatch):
     monkeypatch.setattr(fixedpoint, "fprime_of_var", tampered)
     report = verify_mixed_contexts(3, 3, trials=8, seed=42)
     assert not report.passed
+
+
+def test_large_counts_run_the_recursion_alone(no_expansion):
+    start = time.perf_counter()
+    report = verify_mixed_contexts(10, 10)
+    mixed_s = time.perf_counter() - start
+    assert report.passed and report.trials == 20
+    assert mixed_s < 1.0, mixed_s
+    start = time.perf_counter()
+    assert all_bad_evaluation(30, 30) == {"n": 30, "m": 30, "lhs": 0, "rhs": 0, "equal": True}
+    assert time.perf_counter() - start < 1.0
+
+
+def test_tower_images_check_the_goodness_guard(monkeypatch):
+    # a context where exactly one of (D, A, D + A) is bad cannot arise from
+    # characters; forcing one must raise, not pass or fail silently
+    monkeypatch.setattr(fixedpoint.GoodnessContext, "good", lambda self, combo: len(combo) != 2)
+    ctx = make_context((2,), ("A", "B"), ("C",), {"A": (0,), "B": (0,), "C": (0,)})
+    with pytest.raises(fixedpoint.ImpossibleGoodness):
+        fprime_of_var(VarSymbol("U", (2, 2)), ctx)
+
+
+def test_bad_total_class_pins_the_first_chain(monkeypatch):
+    # with the total class bad the first-family chain must end at 1; a chain
+    # step that gets it wrong is an inconsistent solve, not a silent pass
+    real = fixedpoint._advance
+
+    def tampered(*args):
+        real(*args)  # keeps the values the step samples
+        return Fraction(5)
+
+    monkeypatch.setattr(fixedpoint, "_advance", tampered)
+    with pytest.raises(fixedpoint.InconsistentSolve):
+        verify_mixed_contexts(3, 3, trials=20, seed=1)

@@ -1,12 +1,13 @@
 """Operator identity verification: the H expression, images, sampled checks."""
 
 import json
+import time
 
 import pytest
 
 from dprkit import operators
 from dprkit.algebra import Monomial, Polynomial, VarSymbol, ZZ, canonical_json
-from dprkit.dpr import build_gx, build_gy, build_fx, DprPolynomial, from_polynomial
+from dprkit.dpr import build_gx, build_gy
 from dprkit.operators import (
     MissingImage,
     VerificationReport,
@@ -102,20 +103,38 @@ def test_report_json_field_order():
 
 
 def test_broken_builder_is_caught(monkeypatch):
-    real = build_fx
+    # the verifier reads T_k and F_k from the recursion; a correction value
+    # F_3 that is off by X_1 must fail the step identity
+    real = operators.chain_values
 
-    def tampered(n):
-        poly = real(n)
-        if n == 3:
-            extra = from_polynomial(
-                Polynomial(ZZ, {Monomial({VarSymbol("X", (1,)): 1}): 1})
-            )
-            return poly + extra
-        return poly
+    def tampered(side, n, value):
+        chain = real(side, n, value)
+        if n >= 3:
+            t, f = chain[2]
+            chain[2] = (t, f + value[VarSymbol("X", (1,))])
+        return chain
 
-    monkeypatch.setattr(operators, "build_fx", tampered)
+    monkeypatch.setattr(operators, "chain_values", tampered)
     report = verify_step_identity(3, trials=3, seed=5)
     assert not report.passed
+
+
+def timed(call):
+    start = time.perf_counter()
+    result = call()
+    return result, time.perf_counter() - start
+
+
+def test_step_identity_at_large_n(no_expansion):
+    report, elapsed = timed(lambda: verify_step_identity(30))
+    assert report.passed and report.trials == 20
+    assert elapsed < 1.0, elapsed
+
+
+def test_full_identity_at_large_counts(no_expansion):
+    report, elapsed = timed(lambda: verify_full_identity(20, 20))
+    assert report.passed and report.trials == 20
+    assert elapsed < 1.0, elapsed
 
 
 def test_sampling_is_seed_stable():
