@@ -27,10 +27,6 @@ class UnboundVariable(KeyError):
     """Raised when evaluation meets a symbol with no assigned value."""
 
 
-class MissingWeight(KeyError):
-    """Raised when a weighted degree is requested for an unweighted symbol."""
-
-
 class CoeffRing:
     """Z with a chosen set of inverted integers, e.g. Z[1/2, 1/3].
 
@@ -263,20 +259,6 @@ class Monomial:
 UNIT = Monomial()
 
 
-def weighted_degree(mono: Monomial, weights: Mapping[VarSymbol, int] | Callable[[VarSymbol], int]) -> int:
-    """Total degree of `mono` with each symbol scaled by its weight."""
-    total = 0
-    for sym, exp in mono.pairs:
-        if callable(weights):
-            w = weights(sym)
-        else:
-            w = weights.get(sym)
-        if w is None:
-            raise MissingWeight(str(sym))
-        total += w * exp
-    return total
-
-
 def _normalize_coeff(c: Coeff) -> Coeff:
     if isinstance(c, Fraction):
         if c.denominator == 1:
@@ -351,12 +333,6 @@ class Polynomial:
         if len(self.terms) == 1 and UNIT in self.terms:
             return self.terms[UNIT]
         raise ValueError("polynomial is not constant")
-
-    def degree(self) -> int:
-        """Total degree; the zero polynomial reports -1."""
-        if not self.terms:
-            return -1
-        return max(m.degree for m in self.terms)
 
     def coefficient(self, mono: Monomial) -> Coeff:
         return self.terms.get(mono, 0)
@@ -503,12 +479,6 @@ class Polynomial:
                 acc *= Fraction(point[sym]) ** exp
             total += acc
         return total
-
-    def kill_monomials(self, predicate: Callable[[Monomial], bool]) -> "Polynomial":
-        """Drop every term whose monomial satisfies the predicate."""
-        return Polynomial._raw(
-            self.ring, {m: c for m, c in self.terms.items() if not predicate(m)}
-        )
 
     def map_symbols(self, mapping: Callable[[VarSymbol], VarSymbol]) -> "Polynomial":
         """Rename symbols; the map must stay injective on each monomial."""

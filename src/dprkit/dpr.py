@@ -12,12 +12,16 @@ asserted at every product.
 
 Representation: a term is a bitmask.  Index k owns the byte at bit
 8*(k-1), with bit offsets X=0, Y=1, U1=2, V1=3, U2=4, V2=5, U3=6, V3=7
-inside the byte, so masks for indices up to 8 fit in a uint64 and live in
-numpy arrays (coefficients, always small integers, ride along in an int64
-array).  Indices past 8 switch the array dtype to object with plain Python
-int masks.  Swapping the two sides is then one shift pair, structural
-checks are vectorized popcounts, and the 4.7-million-term top acceptance
-case stays comfortably inside its time budget.
+inside the byte.  Masks live in a numpy array whose dtype is chosen from
+the support: uint64 while every index is at most 8, object (plain Python
+ints) past that; coefficients, always small integers, ride along in an
+int64 array.  Every method has one code path for both dtypes, because the
+bitwise operators, `np.bitwise_count`, sorting and `np.unique` act on
+object arrays of Python ints too, and the per-family byte patterns are
+built as wide as the support and typed like the masks.  Swapping the two sides is then one
+shift pair, structural checks are vectorized popcounts, and the
+4.7-million-term top acceptance case stays comfortably inside its time
+budget.
 
 Consumers that need only the value of a relation polynomial at a point do
 not expand it: `chain_values` and `relation_value` run the same recursion
@@ -48,7 +52,6 @@ __all__ = [
     "chain_symbols",
     "chain_values",
     "relation_value",
-    "swap_sides",
     "check_multilinear",
     "check_index_bounds",
     "weight_check",
@@ -60,7 +63,6 @@ __all__ = [
 ]
 
 _BITS_PER_INDEX = 8
-_UINT64_MAX_INDEX = 8
 
 # bit offset of each family inside an index block
 _OFFSET = {
@@ -82,26 +84,19 @@ WEIGHTS = {"X": 1, "Y": 1, ("U", 1): -1, ("V", 1): -1,
 _XY_BYTE, _M1_BYTE, _M23_BYTE = 0x03, 0x0C, 0xF0
 _EVEN_BYTE, _ODD_BYTE = 0x55, 0xAA
 
-_XY64 = np.uint64(0x0303030303030303)
-_M164 = np.uint64(0x0C0C0C0C0C0C0C0C)
-_M2364 = np.uint64(0xF0F0F0F0F0F0F0F0)
-_EVEN64 = np.uint64(0x5555555555555555)
-_ODD64 = np.uint64(0xAAAAAAAAAAAAAAAA)
-_ONE64 = np.uint64(1)
-
 
 class NotMultilinear(ValueError):
     """A polynomial strayed outside the multilinear free ring."""
 
 
-def _rep_mask(byte: int, mask: int) -> int:
-    """Repeat a byte pattern across every index block touched by `mask`."""
-    out = 0
-    block = 0
-    while mask >> (block * _BITS_PER_INDEX):
-        out |= byte << (block * _BITS_PER_INDEX)
-        block += 1
-    return out
+def _rep_mask(byte: int, support: int) -> int:
+    """Repeat a byte pattern across every index block touched by `support`.
+
+    The result never exceeds the blocks of `support`, so it stays a valid
+    uint64 operand for masks that are.  0x0101...01 = (2^(8b) - 1) / 0xFF.
+    """
+    blocks = -(-support.bit_length() // _BITS_PER_INDEX)
+    return byte * ((1 << (_BITS_PER_INDEX * blocks)) - 1) // 0xFF
 
 
 def x_mask(i: int) -> int:
@@ -155,14 +150,6 @@ def mask_to_monomial(mask: int) -> Monomial:
         m >>= 1
         pos += 1
     return Monomial(pairs)
-
-
-def _mask_weight(mask: int) -> int:
-    m = int(mask)
-    xy = _rep_mask(_XY_BYTE, m)
-    m1 = _rep_mask(_M1_BYTE, m)
-    m23 = _rep_mask(_M23_BYTE, m)
-    return (m & xy).bit_count() - (m & m1).bit_count() - 2 * (m & m23).bit_count()
 
 
 class DprPolynomial:
@@ -235,11 +222,7 @@ class DprPolynomial:
         return len(self.masks) == 0
 
     def _key_sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.masks.dtype == object:
-            order = sorted(range(len(self.masks)), key=lambda i: int(self.masks[i]))
-            order = np.array(order, dtype=np.intp)
-        else:
-            order = np.argsort(self.masks, kind="stable")
+        order = np.argsort(self.masks, kind="stable")
         return self.masks[order], self.coeffs[order]
 
     def __eq__(self, other) -> bool:
@@ -250,17 +233,14 @@ class DprPolynomial:
         if len(self) == 0:
             return True
         # the builders emit both sides of a mirror pair in the same order,
-        # so try the cheap elementwise test before sorting
-        if self.masks.dtype == other.masks.dtype:
-            if bool((self.masks == other.masks).all()) and bool(
-                (self.coeffs == other.coeffs).all()
-            ):
-                return True
+        # so try the cheap elementwise test before sorting; numpy compares
+        # uint64 masks with object ones by value
+        if bool((self.masks == other.masks).all()) and bool(
+            (self.coeffs == other.coeffs).all()
+        ):
+            return True
         ma, ca = self._key_sorted()
         mb, cb = other._key_sorted()
-        if ma.dtype != mb.dtype:
-            ma = ma.astype(object)
-            mb = mb.astype(object)
         return bool((ma == mb).all()) and bool((ca == cb).all())
 
     def __hash__(self):
@@ -272,78 +252,24 @@ class DprPolynomial:
 
     # arithmetic ------------------------------------------------------------
 
-    def __add__(self, other: "DprPolynomial") -> "DprPolynomial":
-        if not isinstance(other, DprPolynomial):
-            return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        acc: dict[int, int] = {}
-        for m, c in self.terms():
-            acc[m] = c
-        for m, c in other.terms():
-            s = acc.get(m, 0) + c
-            if s == 0:
-                acc.pop(m, None)
-            else:
-                acc[m] = s
-        return DprPolynomial.from_terms(acc)
-
     def __neg__(self) -> "DprPolynomial":
         return DprPolynomial(self.masks, -self.coeffs, self.support)
 
-    def __sub__(self, other: "DprPolynomial") -> "DprPolynomial":
-        if not isinstance(other, DprPolynomial):
-            return NotImplemented
-        return self + (-other)
+    def _pattern(self, byte: int):
+        """`byte` repeated across the support, as a scalar of the masks' dtype.
 
-    def __mul__(self, other) -> "DprPolynomial":
-        if isinstance(other, int):
-            if other == 0:
-                return DprPolynomial.zero()
-            return DprPolynomial(self.masks, self.coeffs * other, self.support)
-        if not isinstance(other, DprPolynomial):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return DprPolynomial.zero()
-        if self.support & other.support:
-            return self._mul_overlapping(other)
-        return _product_disjoint(self, other)
-
-    __rmul__ = __mul__
-
-    def _mul_overlapping(self, other: "DprPolynomial") -> "DprPolynomial":
-        # supports share symbols: legal only if no term pair does
-        acc: dict[int, int] = {}
-        for ma, ca in self.terms():
-            for mb, cb in other.terms():
-                if ma & mb:
-                    raise NotMultilinear(
-                        "product would square a generator "
-                        f"({mask_to_monomial(ma & mb)})"
-                    )
-                m = ma | mb
-                s = acc.get(m, 0) + ca * cb
-                if s == 0:
-                    acc.pop(m, None)
-                else:
-                    acc[m] = s
-        return DprPolynomial.from_terms(acc)
+        Against a numpy scalar numpy reuses temporaries in place; against a
+        Python int it allocates, which doubles the cost of `swap_sides` on
+        the (8, 8) relation."""
+        return self.masks.dtype.type(_rep_mask(byte, self.support))
 
     def swap_sides(self) -> "DprPolynomial":
         """Exchange the two families: X <-> Y and U <-> V, coefficients kept."""
         if self.is_zero():
             return self
-        if self.masks.dtype == np.uint64:
-            swapped = ((self.masks & _EVEN64) << _ONE64) | ((self.masks & _ODD64) >> _ONE64)
-        else:
-            even = _rep_mask(_EVEN_BYTE, self.support)
-            odd = _rep_mask(_ODD_BYTE, self.support)
-            swapped = np.array(
-                [((int(m) & even) << 1) | ((int(m) & odd) >> 1) for m in self.masks],
-                dtype=object,
-            )
+        even, odd = self._pattern(_EVEN_BYTE), self._pattern(_ODD_BYTE)
+        one = self.masks.dtype.type(1)
+        swapped = ((self.masks & even) << one) | ((self.masks & odd) >> one)
         return DprPolynomial(swapped, self.coeffs.copy())
 
     # evaluation and export --------------------------------------------------
@@ -380,23 +306,11 @@ class DprPolynomial:
         fams = [(fam if sup is None else (fam, sup), off)
                 for (fam, sup), off in sorted(_OFFSET.items(), key=lambda kv: kv[1])]
         vals = [int(values[key]) for key, _ in fams]
-        if self.masks.dtype != np.uint64:
-            total = 0
-            blocks = self.max_index()
-            base = sum(1 << (_BITS_PER_INDEX * b) for b in range(blocks))
-            patterns = [base << off for _, off in fams]
-            for mask, c in self.terms():
-                prod = c
-                for v, pat in zip(vals, patterns):
-                    prod *= v ** (mask & pat).bit_count()
-                total += prod
-            return total
         # pack the eight per-family popcounts into one key, then group:
         # distinct exponent profiles are few even when terms run to millions
-        base64 = np.uint64(0x0101010101010101)
         keys = np.zeros(len(self.masks), dtype=np.int64)
         for slot, (_, off) in enumerate(fams):
-            counts = np.bitwise_count(self.masks & (base64 << np.uint64(off)))
+            counts = np.bitwise_count(self.masks & self._pattern(1 << off))
             keys |= counts.astype(np.int64) << np.int64(6 * slot)
         uniq, inverse = np.unique(keys, return_inverse=True)
         sums = np.zeros(len(uniq), dtype=np.int64)
@@ -410,17 +324,11 @@ class DprPolynomial:
         return total
 
     def weighted_degrees(self) -> set[int]:
-        if self.masks.dtype == np.uint64:
-            w = (
-                np.bitwise_count(self.masks & _XY64).astype(np.int64)
-                - np.bitwise_count(self.masks & _M164)
-                - 2 * np.bitwise_count(self.masks & _M2364)
-            )
-            return set(np.unique(w).tolist())
-        return {_mask_weight(m) for m in self.masks.tolist()}
+        def count(byte: int) -> np.ndarray:
+            return np.bitwise_count(self.masks & self._pattern(byte))
 
-    def max_index(self) -> int:
-        return (int(self.support).bit_length() + _BITS_PER_INDEX - 1) // _BITS_PER_INDEX
+        w = count(_XY_BYTE).astype(np.int64) - count(_M1_BYTE) - 2 * count(_M23_BYTE)
+        return set(np.unique(w).tolist())
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         pairs = [(mask_to_monomial(m), c) for m, c in self.terms()]
@@ -449,14 +357,12 @@ def _concat_chunks(chunks: list[DprPolynomial]) -> DprPolynomial:
         return DprPolynomial.zero()
     if len(chunks) == 1:
         return chunks[0]
-    if any(c.masks.dtype == object for c in chunks):
-        masks = np.concatenate([c.masks.astype(object) for c in chunks])
-    else:
-        masks = np.concatenate([c.masks for c in chunks])
-    coeffs = np.concatenate([c.coeffs for c in chunks])
     support = 0
     for c in chunks:
         support |= c.support
+    # a uint64 mask ORed or compared with an int >= 2^64 overflows: promote
+    masks = np.concatenate([c.masks for c in chunks], dtype=DprPolynomial._dtype_for(support))
+    coeffs = np.concatenate([c.coeffs for c in chunks])
     if len(masks) <= 100_000 and len(np.unique(masks)) != len(masks):
         raise AssertionError("chunk masks collided; recursion invariant broken")
     return DprPolynomial(masks, coeffs, support)
@@ -469,11 +375,11 @@ def _product_disjoint(a: DprPolynomial, b: DprPolynomial) -> DprPolynomial:
     peak_a = int(np.abs(a.coeffs).max(initial=0))
     peak_b = int(np.abs(b.coeffs).max(initial=0))
     if peak_a * peak_b >= (1 << 62):
-        return a._mul_overlapping(b)  # exact Python-int path
-    if a.masks.dtype == object or b.masks.dtype == object:
-        masks = np.bitwise_or.outer(a.masks.astype(object), b.masks.astype(object)).ravel()
-    else:
-        masks = np.bitwise_or.outer(a.masks, b.masks).ravel()
+        # disjoint factors never merge terms, so no sum could shrink it back
+        raise OverflowError("coefficient too large for the int64 backend")
+    dtype = DprPolynomial._dtype_for(a.support | b.support)
+    masks = np.bitwise_or.outer(a.masks.astype(dtype, copy=False),
+                                b.masks.astype(dtype, copy=False)).ravel()
     coeffs = np.multiply.outer(a.coeffs, b.coeffs).ravel()
     return DprPolynomial(masks, coeffs, a.support | b.support)
 
@@ -634,10 +540,6 @@ def relation_value(side: str, n: int, m: int, value: Mapping[VarSymbol, object])
     return t + t_other * f
 
 
-def swap_sides(g: DprPolynomial) -> DprPolynomial:
-    return g.swap_sides()
-
-
 # checks ----------------------------------------------------------------------
 
 
@@ -711,11 +613,8 @@ def padding_check(n: int, m: int, big_n: int, big_m: int) -> bool:
     if out == 0:
         kept = big
     else:
-        if big.masks.dtype == np.uint64:
-            keep = (big.masks & np.uint64(out)) == 0
-        else:
-            keep = np.array([(int(mm) & out) == 0 for mm in big.masks], dtype=bool)
-        kept = DprPolynomial(big.masks[keep].copy(), big.coeffs[keep].copy())
+        keep = (big.masks & out) == 0
+        kept = DprPolynomial(big.masks[keep], big.coeffs[keep])
     return kept == build_gx(n, m)
 
 

@@ -83,16 +83,6 @@ def _unpack(key: int) -> Monomial:
     return Monomial(pairs)
 
 
-def _pack_poly(p: Polynomial) -> Packed:
-    out: Packed = {}
-    for mono, c in p.terms.items():
-        key = 0
-        for sym, exp in mono.pairs:
-            key += _pack_symbol(sym, exp)
-        out[key] = out.get(key, 0) + c
-    return {k: c for k, c in out.items() if c != 0}
-
-
 def _unpack_poly(d: Packed, ring: CoeffRing) -> Polynomial:
     return Polynomial(ring, ((_unpack(k), c) for k, c in d.items()))
 
@@ -252,10 +242,6 @@ class TruncatedSeries:
             out.append((exp, _unpack_poly(self._coeffs[exp], self.ring)))
         return out
 
-    def constant_term(self) -> Polynomial:
-        zero = (0,) * len(self.vars)
-        return _unpack_poly(self._coeffs.get(zero, {}), self.ring)
-
     def is_zero(self) -> bool:
         return not self._coeffs
 
@@ -313,24 +299,6 @@ class TruncatedSeries:
                 if not acc:
                     del out[e]
         return TruncatedSeries(self.vars, self.order, ring, out)
-
-    def scale(self, c: Coeff) -> "TruncatedSeries":
-        c = _normalize_coeff(c)
-        self.ring.check_coeff(c)
-        if c == 0:
-            return TruncatedSeries.zero(self.vars, self.order, self.ring)
-        return TruncatedSeries(
-            self.vars, self.order, self.ring,
-            {e: _pscale(dict(d), c) for e, d in self._coeffs.items()},
-        )
-
-    def map_coeffs(self, fn) -> "TruncatedSeries":
-        out = {}
-        for e, d in self._coeffs.items():
-            nd = fn(e, d)
-            if nd:
-                out[e] = nd
-        return TruncatedSeries(self.vars, self.order, self.ring, out)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:

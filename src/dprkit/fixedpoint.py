@@ -61,7 +61,6 @@ __all__ = [
     "IndexOutOfRange",
     "ImpossibleGoodness",
     "make_context",
-    "is_good",
     "impossible_case_guard",
     "exhaustive_guard",
     "guard_report",
@@ -222,10 +221,6 @@ def make_context(
         (tuple(combo), target) for combo, target in (aliases or {}).items()
     )
     return GoodnessContext(orders, tuple(x_divisors), tuple(y_divisors), basic, alias_items)
-
-
-def is_good(ctx: GoodnessContext, combo: Union[str, Iterable[str]]) -> bool:
-    return ctx.good(combo)
 
 
 def impossible_case_guard(ctx: GoodnessContext, combo: Union[str, Sequence[str]], extra: str) -> bool:

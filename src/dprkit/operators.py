@@ -94,6 +94,14 @@ class RelationSystem:
     sample_range: int = 1000
     resample_limit: int = 50
 
+    def __post_init__(self):
+        # zero or negative counts would run no trial, or sample only the
+        # origin, and still report a pass
+        for name in ("trials", "sample_range", "resample_limit"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
     def rng(self, trial: int, retry: int) -> random.Random:
         # string seeding hashes with sha512 and so ignores PYTHONHASHSEED
         return random.Random(f"{self.seed}:{trial}:{retry}")

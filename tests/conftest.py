@@ -1,5 +1,8 @@
 """Shared fixtures."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from dprkit import dpr
@@ -16,3 +19,12 @@ def no_expansion(monkeypatch):
     monkeypatch.setattr(dpr, "_ef", refuse)
     monkeypatch.setattr(dpr.DprPolynomial, "evaluate_rational", refuse)
     monkeypatch.setattr(dpr.DprPolynomial, "substitute_families", refuse)
+
+
+@pytest.fixture
+def cli_env():
+    """Environment for a `python -m dprkit.cli` subprocess that imports the
+    same dprkit as this session, whether installed or found on `pythonpath`."""
+    src = str(Path(dpr.__file__).resolve().parents[1])
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, rest] if rest else [src])}

@@ -74,11 +74,11 @@ def test_criterion_7_dimension_truncated_evaluation():
     run_timed(7)
 
 
-def test_criterion_8_selftest_byte_determinism():
+def test_criterion_8_selftest_byte_determinism(cli_env):
     argv = [sys.executable, "-m", "dprkit.cli", "selftest"]
     start = time.perf_counter()
-    first = subprocess.run(argv, capture_output=True)
-    second = subprocess.run(argv, capture_output=True)
+    first = subprocess.run(argv, capture_output=True, env=cli_env)
+    second = subprocess.run(argv, capture_output=True, env=cli_env)
     elapsed = time.perf_counter() - start
     print(f"criterion 8: two selftest runs in {elapsed:.2f}s")
     assert first.returncode == 0 and second.returncode == 0

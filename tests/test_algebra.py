@@ -10,7 +10,6 @@ from dprkit.algebra import (
     CoeffRing,
     IncompatibleRings,
     Monomial,
-    MissingWeight,
     Polynomial,
     UnboundVariable,
     VarSymbol,
@@ -19,7 +18,6 @@ from dprkit.algebra import (
     poly_from_json,
     poly_to_json,
     symbol_from_str,
-    weighted_degree,
 )
 
 X1 = VarSymbol("X", (1,))
@@ -112,15 +110,6 @@ def test_monomial_graded_lex_order():
     assert Monomial({X2: 1}) < sq
 
 
-def test_weighted_degree_example():
-    m = Monomial({X1: 1, X2: 1, U11: 1})
-    weights = {X1: 1, X2: 1, U11: -1}
-    assert weighted_degree(m, weights) == 1
-    assert weighted_degree(m, lambda s: 1 if s.family == "X" else -1) == 1
-    with pytest.raises(MissingWeight):
-        weighted_degree(m, {X1: 1, X2: 1})
-
-
 def test_polynomial_normalization():
     p = Polynomial(ZZ, {Monomial({X1: 1}): Fraction(4, 2), UNIT: 0})
     assert p.terms == {Monomial({X1: 1}): 2}
@@ -192,16 +181,6 @@ def test_evaluate_requires_every_symbol():
     p = Polynomial.variable(X1) + Polynomial.variable(Y1)
     with pytest.raises(UnboundVariable):
         p.evaluate_rational({X1: 1})
-
-
-def test_kill_monomials():
-    p = (
-        Polynomial.variable(X1)
-        + Polynomial.variable(X2)
-        + Polynomial.variable(X1) * Polynomial.variable(X2)
-    )
-    q = p.kill_monomials(lambda m: m.exponent(X2) > 0)
-    assert q == Polynomial.variable(X1)
 
 
 def test_power_matches_repeated_product():

@@ -71,6 +71,14 @@ def test_verify_commands_report_pass(capsys):
     assert doc["identity"] == "full" and doc["sample_range"] == 50
 
 
+@pytest.mark.parametrize("extra", [["--trials", "0"], ["--trials", "-5"], ["--range", "0"]])
+def test_verify_rejects_checks_that_cannot_fail(capsys, extra):
+    # no trial at all, or samples only at the origin, would report a pass
+    code, doc, err = run_json(capsys, ["verify", "step", "-n", "3", "--seed", "1", *extra])
+    assert code == 2 and doc is None
+    assert json.loads(err)["error"].startswith("ValueError")
+
+
 def test_gdpr_checks_all_pass(capsys):
     for which in ("multilinear", "bounds", "weight", "mirror"):
         code, doc, _ = run_json(capsys, ["gdpr", "check", which, "-n", "3", "-m", "2"])
@@ -180,10 +188,10 @@ def test_repeat_runs_are_identical_in_process(capsys):
     assert (first, out1) == (second, out2) and first == 0
 
 
-def test_subprocess_output_is_byte_deterministic():
+def test_subprocess_output_is_byte_deterministic(cli_env):
     argv = [sys.executable, "-m", "dprkit.cli", "fgl", "show",
             "--mode", "universal", "--order", "4"]
-    runs = [subprocess.run(argv, capture_output=True) for _ in range(2)]
+    runs = [subprocess.run(argv, capture_output=True, env=cli_env) for _ in range(2)]
     assert runs[0].returncode == 0
     assert runs[0].stdout == runs[1].stdout and runs[0].stdout
     assert runs[0].stderr == b""

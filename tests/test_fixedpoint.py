@@ -20,7 +20,6 @@ from dprkit.fixedpoint import (
     fprime_of_var,
     guard_report,
     impossible_case_guard,
-    is_good,
     make_context,
     parse_group_spec,
     sigma_symbol,
@@ -74,18 +73,18 @@ def test_context_validation():
         make_context((2,), ("A", "B"), ("C",),
                      {"A": (1,), "B": (1,), "C": (1,)}, {("A", "B"): "C"})
     with pytest.raises(UnknownDivisor):
-        is_good(ALL_GOOD, ("A", "missing"))
+        ALL_GOOD.good(("A", "missing"))
 
 
 def test_goodness_of_combinations():
-    assert is_good(ALL_GOOD, "A")
-    assert not is_good(A_ONLY, "B")
-    assert not is_good(A_ONLY, ("A", "B"))
+    assert ALL_GOOD.good("A")
+    assert not A_ONLY.good("B")
+    assert not A_ONLY.good(("A", "B"))
     # characters cancel pairwise
-    assert is_good(C_ONLY, ("A", "B"))
+    assert C_ONLY.good(("A", "B"))
     ctx = make_context((4,), ("A", "B"), (), {"A": (1,), "B": (3,)})
-    assert is_good(ctx, ("A", "B"))
-    assert not is_good(ctx, ("A", "A"))
+    assert ctx.good(("A", "B"))
+    assert not ctx.good(("A", "A"))
 
 
 def test_combo_aliasing():

@@ -8,6 +8,7 @@ import pytest
 from dprkit import operators
 from dprkit.algebra import Monomial, Polynomial, VarSymbol, ZZ, canonical_json
 from dprkit.dpr import build_gx, build_gy
+from dprkit.fixedpoint import verify_mixed_contexts
 from dprkit.operators import (
     MissingImage,
     VerificationReport,
@@ -72,6 +73,16 @@ def test_step_identity_passes_and_is_deterministic():
 def test_step_identity_rejects_tiny_n():
     with pytest.raises(ValueError):
         verify_step_identity(1)
+
+
+def test_verifiers_reject_counts_below_one():
+    for bad in ({"trials": 0}, {"sample_range": 0}, {"resample_limit": 0}):
+        with pytest.raises(ValueError):
+            verify_step_identity(3, seed=1, **bad)
+        with pytest.raises(ValueError):
+            verify_full_identity(2, 2, seed=1, **bad)
+        with pytest.raises(ValueError):
+            verify_mixed_contexts(2, 2, seed=1, **bad)
 
 
 def test_full_identity_small_grid():
