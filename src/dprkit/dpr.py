@@ -29,14 +29,19 @@ on values in any commutative ring, in O(n + m) ring operations.  The
 expanded form serves output, the structural checks, and as the slow oracle
 (`DprPolynomial.evaluate_rational`, `substitute_families`) the fast path is
 tested against.
+
+numpy is loaded on demand: importing this module registers it without
+running it, and the first use of a mask array loads it.  Loading numpy
+costs more than the rest of a short dprkit command, and only the commands
+that expand a relation polynomial need it.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
-
-import numpy as np
 
 from .algebra import Coeff, Monomial, Polynomial, UnboundVariable, VarSymbol, ZZ, poly_to_json
 
@@ -61,6 +66,25 @@ __all__ = [
     "dpr_to_json",
     "WEIGHTS",
 ]
+
+
+def _import_on_first_use(name: str):
+    """`import name`, except that the module's code runs at its first
+    attribute access (the `importlib.util.LazyLoader` recipe)."""
+    if name in sys.modules:
+        # a second, lazy copy would load the module twice
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _import_on_first_use("numpy")
 
 _BITS_PER_INDEX = 8
 
@@ -267,10 +291,15 @@ class DprPolynomial:
         """Exchange the two families: X <-> Y and U <-> V, coefficients kept."""
         if self.is_zero():
             return self
-        even, odd = self._pattern(_EVEN_BYTE), self._pattern(_ODD_BYTE)
-        one = self.masks.dtype.type(1)
-        swapped = ((self.masks & even) << one) | ((self.masks & odd) >> one)
-        return DprPolynomial(swapped, self.coeffs.copy())
+
+        def swap(bits, even, odd, one):
+            return ((bits & even) << one) | ((bits & odd) >> one)
+
+        masks = swap(self.masks, self._pattern(_EVEN_BYTE), self._pattern(_ODD_BYTE),
+                     self.masks.dtype.type(1))
+        support = swap(self.support, _rep_mask(_EVEN_BYTE, self.support),
+                       _rep_mask(_ODD_BYTE, self.support), 1)
+        return DprPolynomial(masks, self.coeffs.copy(), support)
 
     # evaluation and export --------------------------------------------------
 
@@ -322,13 +351,6 @@ class DprPolynomial:
                 prod *= v ** ((key >> (6 * slot)) & 63)
             total += s * prod
         return total
-
-    def weighted_degrees(self) -> set[int]:
-        def count(byte: int) -> np.ndarray:
-            return np.bitwise_count(self.masks & self._pattern(byte))
-
-        w = count(_XY_BYTE).astype(np.int64) - count(_M1_BYTE) - 2 * count(_M23_BYTE)
-        return set(np.unique(w).tolist())
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         pairs = [(mask_to_monomial(m), c) for m, c in self.terms()]
@@ -591,7 +613,15 @@ def weight_check(g: Union[DprPolynomial, Polynomial], weight: int) -> bool:
         g = from_polynomial(g)
     if g.is_zero():
         return True
-    return g.weighted_degrees() == {weight}
+    # a term's weight lies in [-2k, k] for its k generators, and k is at most
+    # the support's bit length: int8 for uint64 masks
+    dtype = np.min_scalar_type(-2 * g.support.bit_length())
+
+    def count(byte: int) -> np.ndarray:
+        return np.bitwise_count(g.masks & g._pattern(byte)).astype(dtype)
+
+    w = count(_XY_BYTE) - count(_M1_BYTE) - 2 * count(_M23_BYTE)
+    return bool(w.min() == w.max() == weight)
 
 
 def mirror_check(n: int, m: int) -> bool:

@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from .algebra import Polynomial, VarSymbol, poly_to_json
-from .dpr import DprPolynomial, build_gx, build_gy, chain_symbols, relation_value
+from .dpr import DprPolynomial, chain_symbols, relation_value
 from .operators import (
     DegenerateSample,
     InconsistentSolve,
@@ -394,8 +394,13 @@ def claim1_case_check(case: int) -> dict:
         raise ValueError(f"case must be 1..5, got {case}")
     group, res_a, res_b = _CLAIM1_PATTERNS[case]
     ctx = _claim1_context(group, res_a, res_b)
-    lhs = fprime_eval(build_gx(2, 1), ctx)
-    rhs = fprime_eval(build_gy(1, 2), ctx)
+    # the table extends to a ring morphism, so running the recursion on the
+    # generators' images gives fprime_eval(build_gx(2, 1), ctx) and
+    # fprime_eval(build_gy(1, 2), ctx) without expanding either
+    images = {sym: fprime_of_var(sym, ctx)
+              for sym in chain_symbols("X", 2) + chain_symbols("Y", 1)}
+    lhs = relation_value("X", 2, 1, images)
+    rhs = relation_value("Y", 1, 2, images)
     if case == 1:
         renames = {
             VarSymbol("cL"): c_symbol("A"),

@@ -197,6 +197,45 @@ def test_subprocess_output_is_byte_deterministic(cli_env):
     assert runs[0].stderr == b""
 
 
+# runs one command the way `python -m dprkit.cli` does, then reports on
+# stderr whether numpy was loaded (`numpy` itself may be registered lazily)
+_MAIN_THEN_REPORT_NUMPY = """
+import sys
+import dprkit.cli
+code = dprkit.cli.main(sys.argv[1:])
+sys.stderr.write(repr("numpy._core" in sys.modules))
+raise SystemExit(code)
+"""
+
+
+def run_reporting_numpy(cli_env, argv):
+    return subprocess.run([sys.executable, "-c", _MAIN_THEN_REPORT_NUMPY, *argv],
+                          capture_output=True, env=cli_env)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fgl", "show", "--order", "4"],
+    ["verify", "step", "-n", "3", "--seed", "1"],
+    ["verify", "full", "-n", "2", "-m", "3", "--seed", "1"],
+    ["fixedpoint", "allbad", "-n", "3", "-m", "2"],
+    ["fixedpoint", "guard", "--group", "2x2"],
+    ["fixedpoint", "claim1", "--case", "1"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_commands_that_expand_nothing_leave_numpy_unloaded(cli_env, argv):
+    proc = run_reporting_numpy(cli_env, argv)
+    assert proc.returncode == 0 and proc.stdout
+    assert proc.stderr == b"False"
+
+
+def test_expanding_command_loads_numpy_on_demand(cli_env, capsys):
+    argv = ["gdpr", "build", "GX", "-n", "3", "-m", "2"]
+    proc = run_reporting_numpy(cli_env, argv)
+    assert proc.returncode == 0 and proc.stderr == b"True"
+    # and the same bytes as main() in this process
+    assert run(argv) == 0
+    assert proc.stdout.decode() == capsys.readouterr().out
+
+
 def test_mode_choices_cover_specializations(capsys):
     code, doc, _ = run_json(
         capsys, ["fgl", "show", "--mode", "additive", "--order", "5"])

@@ -132,6 +132,13 @@ def test_weights():
         assert weight_check(build_gy(n, m), 1)
     assert not weight_check(poly((1, [X1, X2])), 1)
     assert weight_check(poly((1, [X1, X2, U11])), 1)
+    # mixed weights with one term at the target, below it and above it:
+    # both the least and the greatest weight must match
+    assert not weight_check(poly((1, [X1]), (1, [X1, X2])), 1)
+    assert not weight_check(poly((1, [X1]), (1, [X1, U11])), 1)
+    # object masks past index 8
+    assert weight_check(build_gx(9, 2), 1)
+    assert not weight_check(poly((1, [X1]), (1, [X1, sym("X", 10)])), 1)
 
 
 def test_index_bounds():

@@ -210,6 +210,17 @@ def test_claim1_reports():
         claim1_case_check(6)
 
 
+@pytest.mark.parametrize("case, ctx", [
+    (1, ALL_GOOD), (2, A_ONLY), (3, B_ONLY), (4, C_ONLY), (5, ALL_BAD),
+], ids=[f"case{case}" for case in range(1, 6)])
+def test_claim1_recursion_matches_expanded_oracle(case, ctx):
+    # claim1_case_check runs the recursion on the generators' images;
+    # fprime_eval maps every term of the expanded relation polynomial
+    report = claim1_case_check(case)
+    assert report["lhs"] == fixedpoint._render(fprime_eval(build_gx(2, 1), ctx))
+    assert report["rhs"] == fixedpoint._render(fprime_eval(build_gy(1, 2), ctx))
+
+
 def test_all_bad_values_frozen():
     for n in range(1, 9):
         for m in range(1, 9):
