@@ -25,15 +25,17 @@ budget.
 
 Consumers that need only the value of a relation polynomial at a point do
 not expand it: `chain_values` and `relation_value` run the same recursion
-on values in any commutative ring, in O(n + m) ring operations.  The
-expanded form serves output, the structural checks, and as the slow oracle
-(`DprPolynomial.evaluate_rational`, `substitute_families`) the fast path is
-tested against.
+on values in any commutative ring, in O(n + m) ring operations.  Run on
+the generators themselves, as `relation_polynomial`, it expands a relation
+polynomial into a core `Polynomial` without masks and without numpy; that
+serves small relations.  The mask form serves the structural checks of
+large ones, and is the slow oracle (`DprPolynomial.evaluate_rational`,
+`substitute_families`) the fast path is tested against.
 
 numpy is loaded on demand: importing this module registers it without
 running it, and the first use of a mask array loads it.  Loading numpy
-costs more than the rest of a short dprkit command, and only the commands
-that expand a relation polynomial need it.
+costs more than the rest of a short dprkit command, and only the mask
+engine needs it.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ __all__ = [
     "chain_symbols",
     "chain_values",
     "relation_value",
+    "relation_polynomial",
     "check_multilinear",
     "check_index_bounds",
     "weight_check",
@@ -558,8 +561,43 @@ def relation_value(side: str, n: int, m: int, value: Mapping[VarSymbol, object])
     if n < 1 or m < 1:
         raise ValueError("both counts must be >= 1")
     t, f = chain_values(side, n, value)[-1]
-    t_other = chain_values("X" if side == "Y" else "Y", m, value)[-1][0]
+    t_other = chain_values(_other_side(side), m, value)[-1][0]
     return t + t_other * f
+
+
+def _other_side(side: str) -> str:
+    return "X" if side == "Y" else "Y"
+
+
+def _generators(*chains: tuple[str, int]) -> dict[VarSymbol, Polynomial]:
+    return {s: Polynomial.variable(s) for side, n in chains for s in chain_symbols(side, n)}
+
+
+def relation_polynomial(kind: str, n: int, m: int | None = None) -> Polynomial:
+    """`build_ex(n)` .. `build_gy(n, m)` (kind "EX" .. "GY") as a core
+    Polynomial, expanded by running the recursion on the generators.
+
+    It equals `to_polynomial()` of the mask engine's result and needs no
+    numpy.  It is the quicker route to a Polynomial at every size, since the
+    mask engine decodes each term bit by bit; for a structural check the mask
+    engine is quicker once numpy is loaded.
+    """
+    if kind not in ("EX", "FX", "EY", "FY", "GX", "GY"):
+        raise ValueError(f"unknown relation polynomial {kind!r}")
+    family, side = kind
+    if family == "G":
+        if n < 1 or m < 1:
+            raise ValueError("both counts must be >= 1")
+        return relation_value(side, n, m, _generators((side, n), (_other_side(side), m)))
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    gens = _generators((side, n))
+    t, f = chain_values(side, n, gens)[-1]
+    if family == "F":
+        return Polynomial.zero() + f  # F_1 is the int 0
+    for i in range(1, n + 1):
+        t = t - gens[VarSymbol(side, (i,))]
+    return t
 
 
 # checks ----------------------------------------------------------------------
@@ -602,15 +640,26 @@ def check_index_bounds(g: Union[DprPolynomial, Polynomial], n: int, m: int) -> b
     classes up to their count, first markers strictly below it, and
     second/third markers between 2 and the count."""
     if isinstance(g, Polynomial):
-        g = from_polynomial(g)
-    return (g.support & ~_allowed_support(n, m)) == 0
+        support = 0
+        for mask, _ in _term_masks(g):
+            support |= mask
+    else:
+        support = g.support
+    return (support & ~_allowed_support(n, m)) == 0
+
+
+def _mask_weight(mask: int) -> int:
+    def count(byte: int) -> int:
+        return (mask & _rep_mask(byte, mask)).bit_count()
+
+    return count(_XY_BYTE) - count(_M1_BYTE) - 2 * count(_M23_BYTE)
 
 
 def weight_check(g: Union[DprPolynomial, Polynomial], weight: int) -> bool:
     """True iff every term has the given total weight (classes +1,
     first markers -1, second/third markers -2)."""
     if isinstance(g, Polynomial):
-        g = from_polynomial(g)
+        return all(_mask_weight(mask) == weight for mask, _ in _term_masks(g))
     if g.is_zero():
         return True
     # a term's weight lies in [-2k, k] for its k generators, and k is at most
@@ -624,16 +673,39 @@ def weight_check(g: Union[DprPolynomial, Polynomial], weight: int) -> bool:
     return bool(w.min() == w.max() == weight)
 
 
-def mirror_check(n: int, m: int) -> bool:
-    """Swapping families in one relation polynomial gives the other."""
+_MIRROR_FAMILY = {"X": "Y", "Y": "X", "U": "V", "V": "U"}
+
+
+def _mirror_symbol(sym: VarSymbol) -> VarSymbol:
+    return VarSymbol(_MIRROR_FAMILY[sym.family], sym.indices)
+
+
+def mirror_check(n: int, m: int, *, by_recursion: bool = False) -> bool:
+    """Swapping families in one relation polynomial gives the other.
+
+    `by_recursion` expands both with `relation_polynomial` instead of the
+    mask engine."""
+    if by_recursion:
+        return (relation_polynomial("GX", n, m).map_symbols(_mirror_symbol)
+                == relation_polynomial("GY", n, m))
     return build_gx(n, m).swap_sides() == build_gy(n, m)
 
 
-def padding_check(n: int, m: int, big_n: int, big_m: int) -> bool:
+def padding_check(n: int, m: int, big_n: int, big_m: int, *, by_recursion: bool = False) -> bool:
     """The larger relation polynomial reduces to the smaller one when every
-    term mentioning an out-of-range class is killed."""
+    term mentioning an out-of-range class is killed.
+
+    `by_recursion` expands both with `relation_polynomial` instead of the
+    mask engine."""
     if not (1 <= n <= big_n and 1 <= m <= big_m):
         raise ValueError("padding requires n <= N and m <= M")
+    if by_recursion:
+        killed = {VarSymbol("X", (i,)) for i in range(n + 1, big_n + 1)}
+        killed |= {VarSymbol("Y", (j,)) for j in range(m + 1, big_m + 1)}
+        big = relation_polynomial("GX", big_n, big_m)
+        kept = Polynomial(ZZ, ((mono, c) for mono, c in big.terms.items()
+                               if killed.isdisjoint(mono.symbols())))
+        return kept == relation_polynomial("GX", n, m)
     out = 0
     for i in range(n + 1, big_n + 1):
         out |= x_mask(i)
@@ -651,8 +723,9 @@ def padding_check(n: int, m: int, big_n: int, big_m: int) -> bool:
 # interop ----------------------------------------------------------------------
 
 
-def from_polynomial(p: Polynomial) -> DprPolynomial:
-    """Exact conversion from a core polynomial over relation generators."""
+def _term_masks(p: Polynomial) -> list[tuple[int, int]]:
+    """The (mask, coefficient) terms of a core polynomial over relation
+    generators, as plain ints."""
     terms = []
     for mono, c in p.terms.items():
         if isinstance(c, Fraction):
@@ -663,7 +736,12 @@ def from_polynomial(p: Polynomial) -> DprPolynomial:
                 raise NotMultilinear(f"{sym} appears with exponent {exp}")
             mask |= symbol_mask(sym)
         terms.append((mask, c))
-    return DprPolynomial.from_terms(terms)
+    return terms
+
+
+def from_polynomial(p: Polynomial) -> DprPolynomial:
+    """Exact conversion from a core polynomial over relation generators."""
+    return DprPolynomial.from_terms(_term_masks(p))
 
 
 def dpr_to_json(g: DprPolynomial) -> dict:

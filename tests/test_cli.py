@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from dprkit import cli, operators
+from dprkit import cli, dpr, operators
+from dprkit.algebra import canonical_json
 
 
 def run(argv):
@@ -220,20 +221,44 @@ def run_reporting_numpy(cli_env, argv):
     ["fixedpoint", "allbad", "-n", "3", "-m", "2"],
     ["fixedpoint", "guard", "--group", "2x2"],
     ["fixedpoint", "claim1", "--case", "1"],
-], ids=lambda argv: " ".join(argv[:2]))
-def test_commands_that_expand_nothing_leave_numpy_unloaded(cli_env, argv):
+    ["gdpr", "build", "GX", "-n", "3", "-m", "2"],
+    ["gdpr", "build", "EX", "-n", "9"],
+    ["gdpr", "check", "mirror", "-n", "4", "-m", "4"],
+    ["gdpr", "check", "padding", "-n", "1", "-m", "2", "--big-n", "4", "--big-m", "4"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_commands_without_mask_engine_leave_numpy_unloaded(cli_env, argv):
     proc = run_reporting_numpy(cli_env, argv)
     assert proc.returncode == 0 and proc.stdout
     assert proc.stderr == b"False"
 
 
-def test_expanding_command_loads_numpy_on_demand(cli_env, capsys):
-    argv = ["gdpr", "build", "GX", "-n", "3", "-m", "2"]
+def test_build_prints_the_mask_engine_expansion(capsys):
+    for argv, poly in [(["GX", "-n", "3", "-m", "2"], dpr.build_gx(3, 2)),
+                       (["GY", "-n", "1", "-m", "4"], dpr.build_gy(1, 4)),
+                       (["FY", "-n", "4"], dpr.build_fy(4)),
+                       (["EX", "-n", "1"], dpr.build_ex(1))]:
+        assert run(["gdpr", "build", *argv]) == 0
+        assert capsys.readouterr().out == canonical_json(dpr.dpr_to_json(poly)), argv
+
+
+@pytest.mark.parametrize("which", ["multilinear", "bounds", "weight", "mirror"])
+def test_checks_past_the_cut_load_numpy_on_demand(cli_env, which):
+    argv = ["gdpr", "check", which, "-n", "5", "-m", "4"]
     proc = run_reporting_numpy(cli_env, argv)
     assert proc.returncode == 0 and proc.stderr == b"True"
-    # and the same bytes as main() in this process
-    assert run(argv) == 0
-    assert proc.stdout.decode() == capsys.readouterr().out
+    assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_checks_agree_on_both_sides_of_the_cut(capsys):
+    # up to 8 classes in all the checks run the recursion, past it the masks
+    for n, m in [(4, 4), (5, 4), (1, 7), (2, 7)]:
+        for which in ("multilinear", "bounds", "weight", "mirror"):
+            code, doc, _ = run_json(capsys, ["gdpr", "check", which, "-n", str(n), "-m", str(m)])
+            assert code == 0 and doc["pass"] is True, (which, n, m)
+    for big_n, big_m in [(4, 4), (5, 4)]:
+        code, doc, _ = run_json(capsys, ["gdpr", "check", "padding", "-n", "2", "-m", "3",
+                                         "--big-n", str(big_n), "--big-m", str(big_m)])
+        assert code == 0 and doc["pass"] is True, (big_n, big_m)
 
 
 def test_mode_choices_cover_specializations(capsys):

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dprkit import dpr
 from dprkit.algebra import Monomial, Polynomial, VarSymbol, ZZ
 from dprkit.dpr import (
     DprPolynomial,
@@ -31,6 +32,7 @@ from dprkit.dpr import (
     mirror_check,
     padding_check,
     _product_disjoint,
+    relation_polynomial,
     relation_value,
     weight_check,
     x_mask,
@@ -130,15 +132,17 @@ def test_weights():
     for n, m in [(1, 1), (2, 1), (3, 4), (5, 2)]:
         assert weight_check(build_gx(n, m), 1)
         assert weight_check(build_gy(n, m), 1)
-    assert not weight_check(poly((1, [X1, X2])), 1)
-    assert weight_check(poly((1, [X1, X2, U11])), 1)
-    # mixed weights with one term at the target, below it and above it:
-    # both the least and the greatest weight must match
-    assert not weight_check(poly((1, [X1]), (1, [X1, X2])), 1)
-    assert not weight_check(poly((1, [X1]), (1, [X1, U11])), 1)
-    # object masks past index 8
+    # each case as a core polynomial and as masks
+    for convert in (lambda p: p, from_polynomial):
+        assert not weight_check(convert(poly((1, [X1, X2]))), 1)
+        assert weight_check(convert(poly((1, [X1, X2, U11]))), 1)
+        # mixed weights with one term at the target, below it and above it:
+        # both the least and the greatest weight must match
+        assert not weight_check(convert(poly((1, [X1]), (1, [X1, X2]))), 1)
+        assert not weight_check(convert(poly((1, [X1]), (1, [X1, U11]))), 1)
+        # past index 8 (object masks)
+        assert not weight_check(convert(poly((1, [X1]), (1, [X1, sym("X", 10)]))), 1)
     assert weight_check(build_gx(9, 2), 1)
-    assert not weight_check(poly((1, [X1]), (1, [X1, sym("X", 10)])), 1)
 
 
 def test_index_bounds():
@@ -147,14 +151,18 @@ def test_index_bounds():
         # the mirror build swaps which side carries how many classes
         assert check_index_bounds(build_gy(n, m), m, n)
     # a marker with too high an index must be flagged
-    bad = poly((1, [X1, X2, sym("U", 1, 2)]))
-    assert not check_index_bounds(bad, 2, 1)
-    assert check_index_bounds(bad, 3, 1)
+    for bad in (poly((1, [X1, X2, sym("U", 1, 2)])),
+                from_polynomial(poly((1, [X1, X2, sym("U", 1, 2)])))):
+        assert not check_index_bounds(bad, 2, 1)
+        assert check_index_bounds(bad, 3, 1)
+    with pytest.raises(NotMultilinear):
+        check_index_bounds(Polynomial(ZZ, {Monomial({X1: 2}): 1}), 1, 1)
 
 
 def test_mirror():
     for n, m in [(1, 1), (1, 3), (2, 2), (4, 3)]:
         assert mirror_check(n, m)
+        assert mirror_check(n, m, by_recursion=True)
     assert build_ex(4).swap_sides() == build_ey(4)
     assert build_fy(5).swap_sides() == build_fx(5)
     g = build_gx(3, 2)
@@ -166,8 +174,24 @@ def test_padding():
     for n, m, big_n, big_m in [(1, 1, 3, 3), (2, 1, 4, 2), (2, 2, 2, 2), (3, 2, 5, 4),
                                (8, 1, 9, 1), (2, 2, 9, 2)]:
         assert padding_check(n, m, big_n, big_m)
-    with pytest.raises(ValueError):
-        padding_check(3, 1, 2, 1)
+    for n, m, big_n, big_m in [(1, 1, 3, 3), (2, 1, 4, 2), (2, 2, 2, 2), (1, 2, 4, 4)]:
+        assert padding_check(n, m, big_n, big_m, by_recursion=True)
+    for by_recursion in (False, True):
+        with pytest.raises(ValueError):
+            padding_check(3, 1, 2, 1, by_recursion=by_recursion)
+
+
+def test_recursion_checks_can_fail(monkeypatch):
+    # a mirror that swaps the classes but not their markers
+    monkeypatch.setitem(dpr._MIRROR_FAMILY, "U", "U")
+    monkeypatch.setitem(dpr._MIRROR_FAMILY, "V", "V")
+    assert not mirror_check(2, 2, by_recursion=True)
+    monkeypatch.undo()
+    # a smaller relation that is not the padded one's image
+    real = dpr.relation_polynomial
+    monkeypatch.setattr(dpr, "relation_polynomial",
+                        lambda kind, n, m=None: real(kind, n, m) + (n == 1))
+    assert not padding_check(1, 1, 2, 2, by_recursion=True)
 
 
 def test_product_guards_multilinearity():
@@ -230,6 +254,23 @@ def test_builder_argument_validation():
         build_gx(0, 1)
     with pytest.raises(ValueError):
         build_gy(1, 0)
+    for kind, n, m in [("EX", 0, None), ("FY", 0, None), ("GX", 0, 1), ("GY", 1, 0),
+                       ("GZ", 1, 1), ("ex", 1, None)]:
+        with pytest.raises(ValueError):
+            relation_polynomial(kind, n, m)
+
+
+def test_relation_polynomial_matches_the_mask_engine():
+    builders = {"EX": build_ex, "FX": build_fx, "EY": build_ey, "FY": build_fy}
+    for kind, build in builders.items():
+        for n in range(1, 7):
+            assert relation_polynomial(kind, n) == build(n).to_polynomial(), (kind, n)
+    # past index 8 the masks are Python ints
+    assert relation_polynomial("FX", 9) == build_fx(9).to_polynomial()
+    for n in range(1, 5):
+        for m in range(1, 5):
+            assert relation_polynomial("GX", n, m) == build_gx(n, m).to_polynomial(), (n, m)
+            assert relation_polynomial("GY", n, m) == build_gy(n, m).to_polynomial(), (n, m)
 
 
 def test_family_substitution_matches_pointwise_evaluation():
