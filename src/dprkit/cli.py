@@ -154,26 +154,11 @@ def _cmd_fgl_relations(args) -> int:
     return 0
 
 
-# GX(n, m) has 3^(n+m-2) terms.  Up to this many classes in all, running the
-# recursion on Polynomials expands it in less time than loading numpy takes:
-# `gdpr check weight` and `mirror` at (4, 4) took 45-60 ms that way and
-# 160-190 ms with numpy, at (5, 5) 420-490 ms against 155-170 ms
-_RECURSION_MAX_CLASSES = 8
-
 _BUILDERS = {"GX": build_gx, "GY": build_gy}
 
 
-def _expand(kind: str, n: int, m: int):
-    """GX or GY for a structural check, by the recursion up to the cut and
-    by the mask engine past it."""
-    if n + m <= _RECURSION_MAX_CLASSES:
-        return relation_polynomial(kind, n, m)
-    return _BUILDERS[kind](n, m)
-
-
 def _cmd_gdpr_build(args) -> int:
-    # printing needs a Polynomial, which the recursion builds more quickly
-    # than the mask engine at every size
+    # printing needs a Polynomial, which the recursion builds directly
     kind = args.kind
     if kind in ("GX", "GY"):
         if args.m is None:
@@ -193,11 +178,10 @@ def _cmd_gdpr_check(args) -> int:
         if args.big_n is None or args.big_m is None:
             _fail("padding needs --big-n and --big-m")
         payload["big_n"], payload["big_m"] = args.big_n, args.big_m
-        good = padding_check(n, m, args.big_n, args.big_m, by_recursion=(
-            args.big_n + args.big_m <= _RECURSION_MAX_CLASSES))
+        good = padding_check(n, m, args.big_n, args.big_m)
     else:
-        gx = _expand("GX", n, m)
-        gy = _expand("GY", m, n)
+        gx = _BUILDERS["GX"](n, m)
+        gy = _BUILDERS["GY"](m, n)
         if which == "multilinear":
             good = check_multilinear(gx) and check_multilinear(gy)
         elif which == "bounds":
@@ -205,7 +189,7 @@ def _cmd_gdpr_check(args) -> int:
         elif which == "weight":
             good = weight_check(gx, 1) and weight_check(gy, 1)
         else:
-            good = mirror_check(n, m, by_recursion=n + m <= _RECURSION_MAX_CLASSES)
+            good = mirror_check(n, m)
     payload["pass"] = good
     _emit(args, payload)
     return 0 if good else 1

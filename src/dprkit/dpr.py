@@ -2,54 +2,48 @@
 
 The free ring here has four symbol families: first-family classes X[i],
 second-family classes Y[j], and their excess/correction markers U[p][k] and
-V[p][l] with p in {1, 2, 3}.  The excess polynomials E and the correction
-polynomials F are built by a two-term recursion; the full relation
-polynomial G glues an X-side pair with a Y-side pair.  Every polynomial
-this module builds is multilinear in all generators: each recursion step
+V[p][l] with p in {1, 2, 3}.  Each side's chain runs a two-term recursion
+that builds T_n (the class sum plus the excess polynomial E_n) together with
+the correction polynomial F_n; the full relation polynomial glues the chains
+of the two sides, GX(n, m) = T^X_n + T^Y_m * F^X_n.  Every polynomial this
+module builds is multilinear in all generators: each recursion step
 multiplies previously built terms by brand-new symbols, so no exponent can
-ever reach 2.  That theorem is load-bearing for the representation and is
-asserted at every product.
+ever reach 2.
 
-Representation: a term is a bitmask.  Index k owns the byte at bit
-8*(k-1), with bit offsets X=0, Y=1, U1=2, V1=3, U2=4, V2=5, U3=6, V3=7
-inside the byte.  Masks live in a numpy array whose dtype is chosen from
-the support: uint64 while every index is at most 8, object (plain Python
-ints) past that; coefficients, always small integers, ride along in an
-int64 array.  Every method has one code path for both dtypes, because the
-bitwise operators, `np.bitwise_count`, sorting and `np.unique` act on
-object arrays of Python ints too, and the per-family byte patterns are
-built as wide as the support and typed like the masks.  Swapping the two sides is then one
-shift pair, structural checks are vectorized popcounts, and the
-4.7-million-term top acceptance case stays comfortably inside its time
-budget.
+Representation: a term is a bitmask, a plain Python int.  Index k owns the
+byte at bit 8*(k-1), with bit offsets X=0, Y=1, U1=2, V1=3, U2=4, V2=5,
+U3=6, V3=7 inside the byte, and Python ints have any width, so one code path
+serves every index.  A polynomial is a dict {mask: coeff} plus at most one
+product of two such dicts on disjoint generators, kept as its factors.  The
+relation polynomial GX(n, m) is stored as T^X_n plus the product of T^Y_m
+and F^X_n: 3^(n-1) + 3^(m-1) + 3^(n-1) - 1 stored terms for the
+3^(n+m-2) + 3^(n-1) - 3^(m-1) it stands for.  The structural checks run on
+the factors (a term count multiplies, supports OR, weight sets add, a mirror
+or a padding kill acts on each factor), and the product is multiplied out
+only for a caller that iterates every term (`terms`, `to_polynomial`,
+`sorted_terms`, `dpr_to_json`, or an equality test whose factors differ).
 
 Consumers that need only the value of a relation polynomial at a point do
 not expand it: `chain_values` and `relation_value` run the same recursion
 on values in any commutative ring, in O(n + m) ring operations.  Run on
 the generators themselves, as `relation_polynomial`, it expands a relation
-polynomial into a core `Polynomial` without masks and without numpy; that
-serves small relations.  The mask form serves the structural checks of
-large ones, and is the slow oracle (`DprPolynomial.evaluate_rational`,
+polynomial into a core `Polynomial`.  The mask form serves the structural
+checks, and is the slow oracle (`DprPolynomial.evaluate_rational`,
 `substitute_families`) the fast path is tested against.
-
-numpy is loaded on demand: importing this module registers it without
-running it, and the first use of a mask array loads it.  Loading numpy
-costs more than the rest of a short dprkit command, and only the mask
-engine needs it.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import sys
+from collections import defaultdict
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .algebra import Coeff, Monomial, Polynomial, UnboundVariable, VarSymbol, ZZ, poly_to_json
 
 __all__ = [
     "DprPolynomial",
     "NotMultilinear",
+    "TermCollision",
     "build_ex",
     "build_fx",
     "build_ey",
@@ -69,25 +63,6 @@ __all__ = [
     "dpr_to_json",
     "WEIGHTS",
 ]
-
-
-def _import_on_first_use(name: str):
-    """`import name`, except that the module's code runs at its first
-    attribute access (the `importlib.util.LazyLoader` recipe)."""
-    if name in sys.modules:
-        # a second, lazy copy would load the module twice
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    if spec is None:
-        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-np = _import_on_first_use("numpy")
 
 _BITS_PER_INDEX = 8
 
@@ -116,11 +91,14 @@ class NotMultilinear(ValueError):
     """A polynomial strayed outside the multilinear free ring."""
 
 
+class TermCollision(AssertionError):
+    """Two chunks the recursion keeps apart produced the same term."""
+
+
 def _rep_mask(byte: int, support: int) -> int:
     """Repeat a byte pattern across every index block touched by `support`.
 
-    The result never exceeds the blocks of `support`, so it stays a valid
-    uint64 operand for masks that are.  0x0101...01 = (2^(8b) - 1) / 0xFF.
+    0x0101...01 = (2^(8b) - 1) / 0xFF.
     """
     blocks = -(-support.bit_length() // _BITS_PER_INDEX)
     return byte * ((1 << (_BITS_PER_INDEX * blocks)) - 1) // 0xFF
@@ -167,37 +145,57 @@ def symbol_mask(sym: VarSymbol) -> int:
     raise NotMultilinear(f"{sym} is not a relation-ring generator")
 
 
-def mask_to_monomial(mask: int) -> Monomial:
-    pairs = []
-    pos = 0
-    m = int(mask)
-    while m:
-        if m & 1:
-            pairs.append((_symbol_of_bit(pos), 1))
-        m >>= 1
-        pos += 1
-    return Monomial(pairs)
+# the bit offsets in the order a Monomial sorts their generators:
+# X, Y, U1, U2, U3, V1, V2, V3
+_OFFSETS_IN_SYMBOL_ORDER = sorted(range(_BITS_PER_INDEX),
+                                  key=lambda off: _symbol_of_bit(off).sort_key)
+
+
+def _decoder(support: int):
+    """The function from each mask inside `support` to its Monomial."""
+    symbols = [_symbol_of_bit(pos) for pos in range(support.bit_length())]
+    patterns = [_rep_mask(1 << off, support) for off in _OFFSETS_IN_SYMBOL_ORDER]
+
+    def decode(mask: int) -> Monomial:
+        pairs = []
+        for pattern in patterns:
+            bits = mask & pattern
+            while bits:
+                low = bits & -bits
+                pairs.append((symbols[low.bit_length() - 1], 1))
+                bits ^= low
+        # the pairs come out in the Monomial's symbol order already
+        return Monomial._raw(tuple(pairs))
+
+    return decode
 
 
 class DprPolynomial:
     """An element of the multilinear relation ring over Z.
 
-    Terms are a parallel pair of arrays (bitmask, coefficient); every mask is
-    distinct and no coefficient is zero.  Treat instances as immutable: the
-    arrays are marked read-only.
+    `flat` maps each term's bitmask to its coefficient; no coefficient is
+    zero.  `factors` is None or a pair (a, b) of flat polynomials on
+    disjoint generators whose product belongs to the polynomial too, and no
+    mask of `flat` is a mask of that product.  So the polynomial has
+    len(flat) + len(a) * len(b) distinct terms.  Treat instances, and the
+    dicts they hold, as immutable: the builders share them through a cache.
     """
 
-    __slots__ = ("masks", "coeffs", "support")
+    __slots__ = ("flat", "factors", "support")
 
-    def __init__(self, masks: np.ndarray, coeffs: np.ndarray, support: int | None = None):
-        if masks.shape != coeffs.shape:
-            raise ValueError("mask and coefficient arrays differ in length")
-        masks.flags.writeable = False
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, flat: dict[int, int],
+                 factors: tuple[DprPolynomial, DprPolynomial] | None = None,
+                 support: int | None = None):
+        if factors is not None and (factors[0].is_zero() or factors[1].is_zero()):
+            factors = None  # a zero factor kills the whole product
         if support is None:
-            support = int(np.bitwise_or.reduce(masks)) if len(masks) else 0
+            support = 0
+            for mask in flat:
+                support |= mask
+            if factors is not None:
+                support |= factors[0].support | factors[1].support
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "support", support)
 
     def __setattr__(self, name, value):
@@ -205,13 +203,9 @@ class DprPolynomial:
 
     # construction ---------------------------------------------------------
 
-    @staticmethod
-    def _dtype_for(max_mask: int):
-        return np.uint64 if max_mask < (1 << 64) else object
-
     @classmethod
     def zero(cls) -> "DprPolynomial":
-        return cls(np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64), 0)
+        return cls({}, None, 0)
 
     @classmethod
     def from_terms(cls, terms: Mapping[int, int] | Iterable[tuple[int, int]]) -> "DprPolynomial":
@@ -226,15 +220,7 @@ class DprPolynomial:
                 acc.pop(mask, None)
             else:
                 acc[mask] = s
-        if not acc:
-            return cls.zero()
-        top = max(acc)
-        if any(abs(c) >= (1 << 62) for c in acc.values()):
-            raise OverflowError("coefficient too large for the int64 backend")
-        dtype = cls._dtype_for(top)
-        masks = np.array(list(acc.keys()), dtype=dtype)
-        coeffs = np.array(list(acc.values()), dtype=np.int64)
-        return cls(masks, coeffs)
+        return cls(acc)
 
     @classmethod
     def generator(cls, mask: int) -> "DprPolynomial":
@@ -243,66 +229,61 @@ class DprPolynomial:
     # queries ---------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.masks)
+        if self.factors is None:
+            return len(self.flat)
+        a, b = self.factors
+        return len(self.flat) + len(a) * len(b)
 
     def is_zero(self) -> bool:
-        return len(self.masks) == 0
+        return not self.flat and self.factors is None
 
-    def _key_sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        order = np.argsort(self.masks, kind="stable")
-        return self.masks[order], self.coeffs[order]
+    def coefficient(self, mask: int) -> int:
+        """The coefficient of one term, 0 if absent, without multiplying out."""
+        c = self.flat.get(mask)
+        if c is not None:
+            return c
+        if self.factors is None:
+            return 0
+        a, b = self.factors
+        if mask & ~(a.support | b.support):
+            return 0
+        return a.coefficient(mask & a.support) * b.coefficient(mask & b.support)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DprPolynomial):
             return NotImplemented
         if len(self) != len(other) or self.support != other.support:
             return False
-        if len(self) == 0:
-            return True
-        # the builders emit both sides of a mirror pair in the same order,
-        # so try the cheap elementwise test before sorting; numpy compares
-        # uint64 masks with object ones by value
-        if bool((self.masks == other.masks).all()) and bool(
-            (self.coeffs == other.coeffs).all()
-        ):
-            return True
-        ma, ca = self._key_sorted()
-        mb, cb = other._key_sorted()
-        return bool((ma == mb).all()) and bool((ca == cb).all())
+        if self.factors == other.factors:
+            # equal products, so the flat parts decide
+            return self.flat == other.flat
+        # as many terms on both sides: equal iff each of ours is theirs
+        return all(other.coefficient(mask) == c for mask, c in self.terms())
 
     def __hash__(self):
         raise TypeError("DprPolynomial is not hashable")
 
-    def terms(self) -> Iterable[tuple[int, int]]:
-        for m, c in zip(self.masks.tolist(), self.coeffs.tolist()):
-            yield int(m), int(c)
+    def terms(self) -> Iterator[tuple[int, int]]:
+        yield from self.flat.items()
+        if self.factors is not None:
+            yield from _product_terms(*self.factors)
 
     # arithmetic ------------------------------------------------------------
 
     def __neg__(self) -> "DprPolynomial":
-        return DprPolynomial(self.masks, -self.coeffs, self.support)
-
-    def _pattern(self, byte: int):
-        """`byte` repeated across the support, as a scalar of the masks' dtype.
-
-        Against a numpy scalar numpy reuses temporaries in place; against a
-        Python int it allocates, which doubles the cost of `swap_sides` on
-        the (8, 8) relation."""
-        return self.masks.dtype.type(_rep_mask(byte, self.support))
+        factors = None if self.factors is None else (-self.factors[0], self.factors[1])
+        return DprPolynomial({m: -c for m, c in self.flat.items()}, factors, self.support)
 
     def swap_sides(self) -> "DprPolynomial":
         """Exchange the two families: X <-> Y and U <-> V, coefficients kept."""
-        if self.is_zero():
-            return self
-
-        def swap(bits, even, odd, one):
-            return ((bits & even) << one) | ((bits & odd) >> one)
-
-        masks = swap(self.masks, self._pattern(_EVEN_BYTE), self._pattern(_ODD_BYTE),
-                     self.masks.dtype.type(1))
-        support = swap(self.support, _rep_mask(_EVEN_BYTE, self.support),
-                       _rep_mask(_ODD_BYTE, self.support), 1)
-        return DprPolynomial(masks, self.coeffs.copy(), support)
+        even = _rep_mask(_EVEN_BYTE, self.support)
+        odd = _rep_mask(_ODD_BYTE, self.support)
+        flat = {((m & even) << 1) | ((m & odd) >> 1): c for m, c in self.flat.items()}
+        factors = None
+        if self.factors is not None:
+            factors = (self.factors[0].swap_sides(), self.factors[1].swap_sides())
+        support = ((self.support & even) << 1) | ((self.support & odd) >> 1)
+        return DprPolynomial(flat, factors, support)
 
     # evaluation and export --------------------------------------------------
 
@@ -319,7 +300,7 @@ class DprPolynomial:
             sup >>= 1
             pos += 1
         total = Fraction(0)
-        for mask, c in self.terms():
+        for mask, c in self.flat.items():
             prod = Fraction(c)
             m = mask
             while m:
@@ -327,6 +308,9 @@ class DprPolynomial:
                 prod *= values[low.bit_length() - 1]
                 m ^= low
             total += prod
+        if self.factors is not None:
+            a, b = self.factors
+            total += a.evaluate_rational(point) * b.evaluate_rational(point)
         return total
 
     def substitute_families(self, values: Mapping[str | tuple[str, int], int]) -> int:
@@ -335,33 +319,37 @@ class DprPolynomial:
         `values` must bind all eight families, keyed like WEIGHTS: "X", "Y",
         and ("U", p) / ("V", p) for the marker kinds.
         """
-        fams = [(fam if sup is None else (fam, sup), off)
-                for (fam, sup), off in sorted(_OFFSET.items(), key=lambda kv: kv[1])]
-        vals = [int(values[key]) for key, _ in fams]
-        # pack the eight per-family popcounts into one key, then group:
-        # distinct exponent profiles are few even when terms run to millions
-        keys = np.zeros(len(self.masks), dtype=np.int64)
-        for slot, (_, off) in enumerate(fams):
-            counts = np.bitwise_count(self.masks & self._pattern(1 << off))
-            keys |= counts.astype(np.int64) << np.int64(6 * slot)
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        sums = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(sums, inverse, self.coeffs)
+        vals = []
+        patterns = []
+        for off in range(_BITS_PER_INDEX):
+            fam, sup = _FAMILY_AT_OFFSET[off]
+            vals.append(int(values[fam if sup is None else (fam, sup)]))
+            patterns.append(_rep_mask(1 << off, self.support))
+        # group the terms by their per-family generator counts: distinct
+        # exponent profiles are few even when terms are many
+        sums: dict[tuple[int, ...], int] = defaultdict(int)
+        for mask, c in self.flat.items():
+            sums[tuple((mask & p).bit_count() for p in patterns)] += c
         total = 0
-        for key, s in zip(uniq.tolist(), sums.tolist()):
-            prod = 1
-            for slot, v in enumerate(vals):
-                prod *= v ** ((key >> (6 * slot)) & 63)
-            total += s * prod
+        for profile, s in sums.items():
+            prod = s
+            for v, e in zip(vals, profile):
+                prod *= v ** e
+            total += prod
+        if self.factors is not None:
+            a, b = self.factors
+            total += a.substitute_families(values) * b.substitute_families(values)
         return total
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        pairs = [(mask_to_monomial(m), c) for m, c in self.terms()]
+        decode = _decoder(self.support)
+        pairs = [(decode(m), c) for m, c in self.terms()]
         pairs.sort(key=lambda t: t[0].sort_key())
         return pairs
 
     def to_polynomial(self) -> Polynomial:
-        return Polynomial(ZZ, ((mask_to_monomial(m), c) for m, c in self.terms()))
+        decode = _decoder(self.support)
+        return Polynomial(ZZ, ((decode(m), c) for m, c in self.terms()))
 
     def __str__(self) -> str:
         return str(self.to_polynomial())
@@ -370,48 +358,53 @@ class DprPolynomial:
         return f"DprPolynomial({len(self)} terms)"
 
 
-def _concat_chunks(chunks: list[DprPolynomial]) -> DprPolynomial:
-    """Sum chunks whose term masks are pairwise distinct by construction.
-
-    Each recursion step tags new terms with a generator the older chunks
-    cannot contain, so plain concatenation is the sum; small results are
-    re-verified for distinctness outright.
-    """
-    chunks = [c for c in chunks if not c.is_zero()]
-    if not chunks:
-        return DprPolynomial.zero()
-    if len(chunks) == 1:
-        return chunks[0]
-    support = 0
-    for c in chunks:
-        support |= c.support
-    # a uint64 mask ORed or compared with an int >= 2^64 overflows: promote
-    masks = np.concatenate([c.masks for c in chunks], dtype=DprPolynomial._dtype_for(support))
-    coeffs = np.concatenate([c.coeffs for c in chunks])
-    if len(masks) <= 100_000 and len(np.unique(masks)) != len(masks):
-        raise AssertionError("chunk masks collided; recursion invariant broken")
-    return DprPolynomial(masks, coeffs, support)
+def _product_terms(a: DprPolynomial, b: DprPolynomial) -> Iterator[tuple[int, int]]:
+    """Multiply out the product of two flat polynomials on disjoint generators."""
+    if a.support & b.support:
+        raise NotMultilinear("factors share generators")
+    right = list(b.flat.items())
+    for ma, ca in a.flat.items():
+        for mb, cb in right:
+            yield ma | mb, ca * cb
 
 
 def _product_disjoint(a: DprPolynomial, b: DprPolynomial) -> DprPolynomial:
-    """Outer product of two polynomials with disjoint symbol supports."""
+    """The product of two flat polynomials with disjoint symbol supports,
+    kept as its factors."""
+    if a.factors is not None or b.factors is not None:
+        raise ValueError("product factors must be flat")
     if a.support & b.support:
         raise NotMultilinear("factors share generators")
-    peak_a = int(np.abs(a.coeffs).max(initial=0))
-    peak_b = int(np.abs(b.coeffs).max(initial=0))
-    if peak_a * peak_b >= (1 << 62):
-        # disjoint factors never merge terms, so no sum could shrink it back
-        raise OverflowError("coefficient too large for the int64 backend")
-    dtype = DprPolynomial._dtype_for(a.support | b.support)
-    masks = np.bitwise_or.outer(a.masks.astype(dtype, copy=False),
-                                b.masks.astype(dtype, copy=False)).ravel()
-    coeffs = np.multiply.outer(a.coeffs, b.coeffs).ravel()
-    return DprPolynomial(masks, coeffs, a.support | b.support)
+    return DprPolynomial({}, (a, b))
+
+
+def _concat_chunks(chunks: Iterable[Mapping[int, int]]) -> dict[int, int]:
+    """Sum chunks whose term masks are pairwise distinct by construction.
+
+    Each recursion step tags new terms with a generator the older chunks
+    cannot contain, so merging the dicts is the sum; a merge that comes out
+    shorter than its chunks found a shared term, and raises.
+    """
+    out: dict[int, int] = {}
+    expected = 0
+    for chunk in chunks:
+        out.update(chunk)
+        expected += len(chunk)
+    if len(out) != expected:
+        raise TermCollision("chunk masks collided; recursion invariant broken")
+    return out
+
+
+def _times(p: DprPolynomial, mask: int, coeff: int) -> dict[int, int]:
+    """The terms of p times the monomial coeff * mask, on fresh generators."""
+    if p.support & mask:
+        raise NotMultilinear("factors share generators")
+    return {m | mask: c * coeff for m, c in p.flat.items()}
 
 
 # builders -------------------------------------------------------------------
 
-_EF_CACHE: dict[tuple[str, int], tuple[DprPolynomial, DprPolynomial]] = {}
+_CHAIN_CACHE: dict[tuple[str, int], tuple[DprPolynomial, DprPolynomial]] = {}
 
 
 def _class_mask(side: str, i: int) -> int:
@@ -422,79 +415,79 @@ def _marker_mask(side: str, p: int, k: int) -> int:
     return u_mask(p, k) if side == "X" else v_mask(p, k)
 
 
-def _ef(side: str, n: int) -> tuple[DprPolynomial, DprPolynomial]:
-    """Excess and correction polynomials for one family, built together."""
+def _chain(side: str, n: int) -> tuple[DprPolynomial, DprPolynomial]:
+    """(T_n, F_n) for one family: the class sum plus the excess polynomial,
+    and the correction polynomial, built together by the recursion
+
+        T_1 = X_1,  F_1 = 0,
+        T_k = T_{k-1} + X_k - T_{k-1}*X_k*U1_{k-1} - X_k*F_{k-1},
+        F_k = F_{k-1} + T_{k-1}*X_k*(U2_k - U3_k).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    got = _EF_CACHE.get((side, n))
+    got = _CHAIN_CACHE.get((side, n))
     if got is not None:
         return got
+    x_n = _class_mask(side, n)
     if n == 1:
-        pair = (DprPolynomial.zero(), DprPolynomial.zero())
+        pair = (DprPolynomial.generator(x_n), DprPolynomial.zero())
     else:
-        e_prev, f_prev = _ef(side, n - 1)
-        head = _concat_chunks(
-            [_own_sum(side, n - 1), e_prev]
-        )
-        x_n = DprPolynomial.generator(_class_mask(side, n))
-        excess_step = _product_disjoint(
-            head, DprPolynomial.generator(_class_mask(side, n) | _marker_mask(side, 1, n - 1))
-        )
-        e_n = _concat_chunks([e_prev, -excess_step, -_product_disjoint(x_n, f_prev)])
-        corr = DprPolynomial.from_terms(
-            {
-                _class_mask(side, n) | _marker_mask(side, 2, n): 1,
-                _class_mask(side, n) | _marker_mask(side, 3, n): -1,
-            }
-        )
-        f_n = _concat_chunks([f_prev, _product_disjoint(head, corr)])
-        pair = (e_n, f_n)
-    _EF_CACHE[(side, n)] = pair
+        t, f = _chain(side, n - 1)
+        t_n = _concat_chunks([t.flat, {x_n: 1},
+                              _times(t, x_n | _marker_mask(side, 1, n - 1), -1),
+                              _times(f, x_n, -1)])
+        f_n = _concat_chunks([f.flat,
+                              _times(t, x_n | _marker_mask(side, 2, n), 1),
+                              _times(t, x_n | _marker_mask(side, 3, n), -1)])
+        pair = (DprPolynomial(t_n), DprPolynomial(f_n))
+    _CHAIN_CACHE[(side, n)] = pair
     return pair
 
 
+def _excess(side: str, n: int) -> DprPolynomial:
+    classes = {_class_mask(side, i) for i in range(1, n + 1)}
+    return DprPolynomial({m: c for m, c in _chain(side, n)[0].flat.items() if m not in classes})
+
+
 def build_ex(n: int) -> DprPolynomial:
-    return _ef("X", n)[0]
+    return _excess("X", n)
 
 
 def build_fx(n: int) -> DprPolynomial:
-    return _ef("X", n)[1]
+    return _chain("X", n)[1]
 
 
 def build_ey(n: int) -> DprPolynomial:
-    return _ef("Y", n)[0]
+    return _excess("Y", n)
 
 
 def build_fy(n: int) -> DprPolynomial:
-    return _ef("Y", n)[1]
+    return _chain("Y", n)[1]
 
 
-def _own_sum(side: str, n: int) -> DprPolynomial:
-    return DprPolynomial.from_terms({_class_mask(side, i): 1 for i in range(1, n + 1)})
+def _glue(side: str, n: int, m: int) -> DprPolynomial:
+    """T_n + T'_m * F_n, with T_n, F_n on `side` and T'_m on the other side,
+    the product kept as its factors."""
+    if n < 1 or m < 1:
+        raise ValueError("both counts must be >= 1")
+    t, f = _chain(side, n)
+    t_other = _chain(_other_side(side), m)[0]
+    # a product term contains a term of T'_m; one without a constant term
+    # and on other generators than T_n can meet no term of T_n
+    if 0 in t_other.flat or t_other.support & t.support:
+        raise TermCollision("the glued product may share terms with the chain")
+    product = _product_disjoint(t_other, f)
+    return DprPolynomial(t.flat, product.factors, t.support | product.support)
 
 
 def build_gx(n: int, m: int) -> DprPolynomial:
     """Full relation polynomial with n first-family and m second-family classes."""
-    if n < 1 or m < 1:
-        raise ValueError("both counts must be >= 1")
-    e_x, f_x = _ef("X", n)
-    e_y = _ef("Y", m)[0]
-    other = _concat_chunks([_own_sum("Y", m), e_y])
-    return _concat_chunks(
-        [_own_sum("X", n), e_x, _product_disjoint(other, f_x)]
-    )
+    return _glue("X", n, m)
 
 
 def build_gy(n: int, m: int) -> DprPolynomial:
     """Mirror image: n second-family and m first-family classes."""
-    if n < 1 or m < 1:
-        raise ValueError("both counts must be >= 1")
-    e_y, f_y = _ef("Y", n)
-    e_x = _ef("X", m)[0]
-    other = _concat_chunks([_own_sum("X", m), e_x])
-    return _concat_chunks(
-        [_own_sum("Y", n), e_y, _product_disjoint(other, f_y)]
-    )
+    return _glue("Y", n, m)
 
 
 # recurrence-first evaluation -------------------------------------------------
@@ -523,7 +516,7 @@ def chain_values(side: str, n: int, value: Mapping[VarSymbol, object]) -> list[t
     """[(T_1, F_1), ..., (T_n, F_n)] for one side's chain at `value`.
 
     T_k = S_k + E_k is the class sum plus the excess polynomial and F_k the
-    correction polynomial of `_ef`, evaluated by the recursion itself:
+    correction polynomial of `_chain`, evaluated by the recursion itself:
 
         T_1 = X_1,  F_1 = 0,
         T_k = T_{k-1} + X_k - T_{k-1}*X_k*U1_{k-1} - X_k*F_{k-1},
@@ -577,10 +570,7 @@ def relation_polynomial(kind: str, n: int, m: int | None = None) -> Polynomial:
     """`build_ex(n)` .. `build_gy(n, m)` (kind "EX" .. "GY") as a core
     Polynomial, expanded by running the recursion on the generators.
 
-    It equals `to_polynomial()` of the mask engine's result and needs no
-    numpy.  It is the quicker route to a Polynomial at every size, since the
-    mask engine decodes each term bit by bit; for a structural check the mask
-    engine is quicker once numpy is loaded.
+    It equals `to_polynomial()` of the mask engine's result.
     """
     if kind not in ("EX", "FX", "EY", "FY", "GX", "GY"):
         raise ValueError(f"unknown relation polynomial {kind!r}")
@@ -606,11 +596,12 @@ def relation_polynomial(kind: str, n: int, m: int | None = None) -> Polynomial:
 def check_multilinear(g: Union[DprPolynomial, Polynomial]) -> bool:
     """No generator may appear squared in any term.
 
-    For the native representation this holds by construction (a bitmask
-    cannot hold an exponent of 2); plain polynomials are scanned.
+    A bitmask cannot hold an exponent of 2, so for the native representation
+    the one place a square can hide is a product whose factors share a
+    generator; plain polynomials are scanned.
     """
     if isinstance(g, DprPolynomial):
-        return True
+        return g.factors is None or not g.factors[0].support & g.factors[1].support
     for mono in g.terms:
         for _, exp in mono.pairs:
             if exp > 1:
@@ -640,92 +631,60 @@ def check_index_bounds(g: Union[DprPolynomial, Polynomial], n: int, m: int) -> b
     classes up to their count, first markers strictly below it, and
     second/third markers between 2 and the count."""
     if isinstance(g, Polynomial):
-        support = 0
-        for mask, _ in _term_masks(g):
-            support |= mask
-    else:
-        support = g.support
-    return (support & ~_allowed_support(n, m)) == 0
+        g = from_polynomial(g)
+    return (g.support & ~_allowed_support(n, m)) == 0
 
 
-def _mask_weight(mask: int) -> int:
-    def count(byte: int) -> int:
-        return (mask & _rep_mask(byte, mask)).bit_count()
-
-    return count(_XY_BYTE) - count(_M1_BYTE) - 2 * count(_M23_BYTE)
+def _weights(g: DprPolynomial) -> set[int]:
+    """The set of term weights, from the factors' sets for a product."""
+    xy, m1, m23 = (_rep_mask(byte, g.support) for byte in (_XY_BYTE, _M1_BYTE, _M23_BYTE))
+    out = {(m & xy).bit_count() - (m & m1).bit_count() - 2 * (m & m23).bit_count()
+           for m in g.flat}
+    if g.factors is not None:
+        left, right = (_weights(f) for f in g.factors)
+        out |= {a + b for a in left for b in right}
+    return out
 
 
 def weight_check(g: Union[DprPolynomial, Polynomial], weight: int) -> bool:
     """True iff every term has the given total weight (classes +1,
     first markers -1, second/third markers -2)."""
     if isinstance(g, Polynomial):
-        return all(_mask_weight(mask) == weight for mask, _ in _term_masks(g))
-    if g.is_zero():
-        return True
-    # a term's weight lies in [-2k, k] for its k generators, and k is at most
-    # the support's bit length: int8 for uint64 masks
-    dtype = np.min_scalar_type(-2 * g.support.bit_length())
-
-    def count(byte: int) -> np.ndarray:
-        return np.bitwise_count(g.masks & g._pattern(byte)).astype(dtype)
-
-    w = count(_XY_BYTE) - count(_M1_BYTE) - 2 * count(_M23_BYTE)
-    return bool(w.min() == w.max() == weight)
+        g = from_polynomial(g)
+    return _weights(g) <= {weight}
 
 
-_MIRROR_FAMILY = {"X": "Y", "Y": "X", "U": "V", "V": "U"}
-
-
-def _mirror_symbol(sym: VarSymbol) -> VarSymbol:
-    return VarSymbol(_MIRROR_FAMILY[sym.family], sym.indices)
-
-
-def mirror_check(n: int, m: int, *, by_recursion: bool = False) -> bool:
-    """Swapping families in one relation polynomial gives the other.
-
-    `by_recursion` expands both with `relation_polynomial` instead of the
-    mask engine."""
-    if by_recursion:
-        return (relation_polynomial("GX", n, m).map_symbols(_mirror_symbol)
-                == relation_polynomial("GY", n, m))
+def mirror_check(n: int, m: int) -> bool:
+    """Swapping families in one relation polynomial gives the other."""
     return build_gx(n, m).swap_sides() == build_gy(n, m)
 
 
-def padding_check(n: int, m: int, big_n: int, big_m: int, *, by_recursion: bool = False) -> bool:
-    """The larger relation polynomial reduces to the smaller one when every
-    term mentioning an out-of-range class is killed.
+def _kill(g: DprPolynomial, generators: int) -> DprPolynomial:
+    """g without every term that mentions one of `generators` (a mask)."""
+    flat = {mask: c for mask, c in g.flat.items() if not mask & generators}
+    if g.factors is None:
+        return DprPolynomial(flat)
+    return DprPolynomial(flat, (_kill(g.factors[0], generators), _kill(g.factors[1], generators)))
 
-    `by_recursion` expands both with `relation_polynomial` instead of the
-    mask engine."""
+
+def padding_check(n: int, m: int, big_n: int, big_m: int) -> bool:
+    """The larger relation polynomial reduces to the smaller one when every
+    term mentioning an out-of-range class is killed."""
     if not (1 <= n <= big_n and 1 <= m <= big_m):
         raise ValueError("padding requires n <= N and m <= M")
-    if by_recursion:
-        killed = {VarSymbol("X", (i,)) for i in range(n + 1, big_n + 1)}
-        killed |= {VarSymbol("Y", (j,)) for j in range(m + 1, big_m + 1)}
-        big = relation_polynomial("GX", big_n, big_m)
-        kept = Polynomial(ZZ, ((mono, c) for mono, c in big.terms.items()
-                               if killed.isdisjoint(mono.symbols())))
-        return kept == relation_polynomial("GX", n, m)
     out = 0
     for i in range(n + 1, big_n + 1):
         out |= x_mask(i)
     for j in range(m + 1, big_m + 1):
         out |= y_mask(j)
-    big = build_gx(big_n, big_m)
-    if out == 0:
-        kept = big
-    else:
-        keep = (big.masks & out) == 0
-        kept = DprPolynomial(big.masks[keep], big.coeffs[keep])
-    return kept == build_gx(n, m)
+    return _kill(build_gx(big_n, big_m), out) == build_gx(n, m)
 
 
 # interop ----------------------------------------------------------------------
 
 
-def _term_masks(p: Polynomial) -> list[tuple[int, int]]:
-    """The (mask, coefficient) terms of a core polynomial over relation
-    generators, as plain ints."""
+def from_polynomial(p: Polynomial) -> DprPolynomial:
+    """Exact conversion from a core polynomial over relation generators."""
     terms = []
     for mono, c in p.terms.items():
         if isinstance(c, Fraction):
@@ -736,12 +695,7 @@ def _term_masks(p: Polynomial) -> list[tuple[int, int]]:
                 raise NotMultilinear(f"{sym} appears with exponent {exp}")
             mask |= symbol_mask(sym)
         terms.append((mask, c))
-    return terms
-
-
-def from_polynomial(p: Polynomial) -> DprPolynomial:
-    """Exact conversion from a core polynomial over relation generators."""
-    return DprPolynomial.from_terms(_term_masks(p))
+    return DprPolynomial.from_terms(terms)
 
 
 def dpr_to_json(g: DprPolynomial) -> dict:

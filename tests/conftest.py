@@ -8,17 +8,24 @@ import pytest
 from dprkit import dpr
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("an expanded relation polynomial was used")
+
+
 @pytest.fixture
-def no_expansion(monkeypatch):
+def no_materialization(monkeypatch):
+    """Make multiplying out a factored product raise, so that a test shows
+    that a check runs on the factors alone."""
+    monkeypatch.setattr(dpr, "_product_terms", _refuse)
+
+
+@pytest.fixture
+def no_expansion(monkeypatch, no_materialization):
     """Make every use of the expanded relation polynomials raise, so that a
     test shows that a value-only path runs the recursion alone."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("an expanded relation polynomial was used")
-
-    monkeypatch.setattr(dpr, "_ef", refuse)
-    monkeypatch.setattr(dpr.DprPolynomial, "evaluate_rational", refuse)
-    monkeypatch.setattr(dpr.DprPolynomial, "substitute_families", refuse)
+    monkeypatch.setattr(dpr, "_chain", _refuse)
+    monkeypatch.setattr(dpr.DprPolynomial, "evaluate_rational", _refuse)
+    monkeypatch.setattr(dpr.DprPolynomial, "substitute_families", _refuse)
 
 
 @pytest.fixture

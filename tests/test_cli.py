@@ -198,13 +198,26 @@ def test_subprocess_output_is_byte_deterministic(cli_env):
     assert runs[0].stderr == b""
 
 
+def test_python_m_dprkit_runs_the_cli(cli_env):
+    args = ["fgl", "show", "--order", "3"]
+    package = subprocess.run([sys.executable, "-m", "dprkit", *args],
+                             capture_output=True, env=cli_env)
+    module = subprocess.run([sys.executable, "-m", "dprkit.cli", *args],
+                            capture_output=True, env=cli_env)
+    assert package.returncode == 0 and package.stderr == b""
+    assert package.stdout == module.stdout and package.stdout
+    usage = subprocess.run([sys.executable, "-m", "dprkit", "nosuch"],
+                           capture_output=True, env=cli_env)
+    assert usage.returncode == 2 and "error" in json.loads(usage.stderr)
+
+
 # runs one command the way `python -m dprkit.cli` does, then reports on
-# stderr whether numpy was loaded (`numpy` itself may be registered lazily)
+# stderr whether numpy was imported
 _MAIN_THEN_REPORT_NUMPY = """
 import sys
 import dprkit.cli
 code = dprkit.cli.main(sys.argv[1:])
-sys.stderr.write(repr("numpy._core" in sys.modules))
+sys.stderr.write(repr("numpy" in sys.modules))
 raise SystemExit(code)
 """
 
@@ -225,11 +238,19 @@ def run_reporting_numpy(cli_env, argv):
     ["gdpr", "build", "EX", "-n", "9"],
     ["gdpr", "check", "mirror", "-n", "4", "-m", "4"],
     ["gdpr", "check", "padding", "-n", "1", "-m", "2", "--big-n", "4", "--big-m", "4"],
+    # the structural checks run on int masks at every size
+    *[pytest.param(["gdpr", "check", which, "-n", "8", "-m", "8"],
+                   id=f"gdpr check {which} -n 8 -m 8")
+      for which in ("multilinear", "bounds", "weight", "mirror")],
+    pytest.param(["gdpr", "check", "padding", "-n", "2", "-m", "2", "--big-n", "9", "--big-m", "2"],
+                 id="gdpr check padding --big-n 9 --big-m 2"),
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_commands_without_mask_engine_leave_numpy_unloaded(cli_env, argv):
     proc = run_reporting_numpy(cli_env, argv)
     assert proc.returncode == 0 and proc.stdout
     assert proc.stderr == b"False"
+    if argv[:2] == ["gdpr", "check"]:
+        assert json.loads(proc.stdout)["pass"] is True
 
 
 def test_build_prints_the_mask_engine_expansion(capsys):
@@ -241,24 +262,24 @@ def test_build_prints_the_mask_engine_expansion(capsys):
         assert capsys.readouterr().out == canonical_json(dpr.dpr_to_json(poly)), argv
 
 
-@pytest.mark.parametrize("which", ["multilinear", "bounds", "weight", "mirror"])
-def test_checks_past_the_cut_load_numpy_on_demand(cli_env, which):
-    argv = ["gdpr", "check", which, "-n", "5", "-m", "4"]
-    proc = run_reporting_numpy(cli_env, argv)
-    assert proc.returncode == 0 and proc.stderr == b"True"
-    assert json.loads(proc.stdout)["pass"] is True
-
-
-def test_checks_agree_on_both_sides_of_the_cut(capsys):
-    # up to 8 classes in all the checks run the recursion, past it the masks
-    for n, m in [(4, 4), (5, 4), (1, 7), (2, 7)]:
+def test_checks_pass_at_every_size(capsys):
+    # one engine at every size: small, lopsided, and past index 8
+    for n, m in [(1, 1), (4, 4), (5, 4), (1, 7), (2, 7), (9, 2), (2, 9)]:
         for which in ("multilinear", "bounds", "weight", "mirror"):
             code, doc, _ = run_json(capsys, ["gdpr", "check", which, "-n", str(n), "-m", str(m)])
             assert code == 0 and doc["pass"] is True, (which, n, m)
-    for big_n, big_m in [(4, 4), (5, 4)]:
+    for big_n, big_m in [(4, 4), (5, 4), (9, 3)]:
         code, doc, _ = run_json(capsys, ["gdpr", "check", "padding", "-n", "2", "-m", "3",
                                          "--big-n", str(big_n), "--big-m", str(big_m)])
         assert code == 0 and doc["pass"] is True, (big_n, big_m)
+
+
+def test_failing_check_exits_one(capsys, monkeypatch):
+    # a mirror that forgets the markers: the check is false, not an error
+    monkeypatch.setattr(dpr, "_EVEN_BYTE", 0x01)
+    monkeypatch.setattr(dpr, "_ODD_BYTE", 0x02)
+    code, doc, err = run_json(capsys, ["gdpr", "check", "mirror", "-n", "3", "-m", "2"])
+    assert code == 1 and doc["pass"] is False and err == ""
 
 
 def test_mode_choices_cover_specializations(capsys):

@@ -4,13 +4,15 @@ Small cases are frozen against hand expansions of the recursion; the term
 counts come from the side recurrence t(E_n) = 2 t(E_{n-1}) + t(F_{n-1}) + n - 1,
 t(F_n) = t(F_{n-1}) + 2 (n - 1 + t(E_{n-1})), worked out on paper, which is
 valid because every recursion step multiplies by fresh generators and so
-never cancels or merges terms.
+never cancels or merges terms.  The same recursion over the counting semiring
+gives the closed forms |T_n| = 3^(n-1), |F_n| = 3^(n-1) - 1 and
+|GX(n, m)| = 3^(n+m-2) + 3^(n-1) - 3^(m-1).
 """
 
 import random
+import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from dprkit import dpr
@@ -18,6 +20,8 @@ from dprkit.algebra import Monomial, Polynomial, VarSymbol, ZZ
 from dprkit.dpr import (
     DprPolynomial,
     NotMultilinear,
+    TermCollision,
+    _concat_chunks,
     build_ex,
     build_ey,
     build_fx,
@@ -99,7 +103,7 @@ def test_full_relation_smallest_cases():
     assert build_gx(2, 1).to_polynomial() == expected_21
 
 
-def test_term_counts_match_recurrence():
+def test_term_counts_match_recurrence(monkeypatch, no_materialization):
     for n in range(1, 9):
         assert len(build_ex(n)) == E_COUNTS[n]
         assert len(build_fx(n)) == F_COUNTS[n]
@@ -107,13 +111,63 @@ def test_term_counts_match_recurrence():
     for n, m in [(1, 1), (2, 3), (4, 2), (5, 5)]:
         expect = n + E_COUNTS[n] + (m + E_COUNTS[m]) * F_COUNTS[n]
         assert len(build_gx(n, m)) == expect
+    # the closed forms, counted through len on the factors; a private cache
+    # lets the chains up to 12 go when the test ends
+    monkeypatch.setattr(dpr, "_CHAIN_CACHE", {})
+    for n in range(1, 13):
+        assert n + len(build_ex(n)) == 3 ** (n - 1)  # T_n = S_n + E_n
+        assert n + len(build_ey(n)) == 3 ** (n - 1)
+        assert len(build_fx(n)) == 3 ** (n - 1) - 1
+        assert len(build_fy(n)) == 3 ** (n - 1) - 1
+        for m in range(1, 13):
+            expect = 3 ** (n + m - 2) + 3 ** (n - 1) - 3 ** (m - 1)
+            assert len(build_gx(n, m)) == expect, (n, m)
+            assert len(build_gy(n, m)) == expect, (n, m)
 
 
 def test_top_case_term_count_and_distinctness():
     g = build_gx(8, 8)
     assert len(g) == 3**14  # = 8 + 2179 + (8 + 2179) * 2186
-    assert len(np.unique(g.masks)) == len(g)
-    assert set(np.unique(g.coeffs).tolist()) == {-1, 1}
+    masks, coeffs = set(), set()
+    for mask, c in g.terms():
+        masks.add(mask)
+        coeffs.add(c)
+    assert len(masks) == len(g)
+    assert coeffs == {-1, 1}
+
+
+def test_concat_chunks_rejects_colliding_chunks():
+    x1, x2 = x_mask(1), x_mask(2)
+    assert _concat_chunks([{x1: 1}, {x2: -1}]) == {x1: 1, x2: -1}
+    with pytest.raises(TermCollision):
+        _concat_chunks([{x1: 1, x2: 1}, {x2: 1}])
+    # even with coefficients that would cancel, a shared term is a collision
+    with pytest.raises(TermCollision):
+        _concat_chunks([{x1: 1}, {x1: -1}])
+
+
+def test_glue_rejects_a_product_that_may_meet_the_chain(monkeypatch):
+    # a second chain with a constant term would put T^X_n's own terms into
+    # the product, and the term count would no longer add up
+    y_chain = DprPolynomial.from_terms({0: 1, dpr.y_mask(1): 1})
+    monkeypatch.setitem(dpr._CHAIN_CACHE, ("Y", 1), (y_chain, DprPolynomial.zero()))
+    with pytest.raises(TermCollision):
+        build_gx(2, 1)
+
+
+def test_checks_run_on_the_factors(no_materialization):
+    # every structural check at the top grid cell and past index 8, without
+    # multiplying out a product (4,782,969 and 6,561 terms)
+    start = time.perf_counter()
+    for n, m in [(8, 8), (9, 2)]:
+        gx, gy = build_gx(n, m), build_gy(m, n)
+        assert check_multilinear(gx) and check_multilinear(gy)
+        assert check_index_bounds(gx, n, m) and check_index_bounds(gy, n, m)
+        assert weight_check(gx, 1) and weight_check(gy, 1)
+        assert mirror_check(n, m)
+    assert padding_check(2, 2, 9, 2) and padding_check(8, 1, 8, 8)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, elapsed
 
 
 def test_multilinearity():
@@ -121,6 +175,19 @@ def test_multilinearity():
         assert check_multilinear(build_gx(n, m))
     squared = Polynomial(ZZ, {Monomial({X1: 2}): 1})
     assert not check_multilinear(squared)
+
+
+def test_multilinear_check_fails_on_factors_that_share_a_generator():
+    # a product kept as factors on X1 + X2 and X2 * U11 holds X2^2
+    left = from_polynomial(poly((1, [X1]), (1, [X2])))
+    right = from_polynomial(poly((1, [X2, U11])))
+    tampered = DprPolynomial({}, (left, right))
+    assert not check_multilinear(tampered)
+    with pytest.raises(NotMultilinear):
+        list(tampered.terms())
+    with pytest.raises(NotMultilinear):
+        _product_disjoint(left, right)
+    assert check_multilinear(DprPolynomial({}, (left, from_polynomial(poly((1, [Y1]))))))
 
 
 def test_weights():
@@ -140,9 +207,15 @@ def test_weights():
         # both the least and the greatest weight must match
         assert not weight_check(convert(poly((1, [X1]), (1, [X1, X2]))), 1)
         assert not weight_check(convert(poly((1, [X1]), (1, [X1, U11]))), 1)
-        # past index 8 (object masks)
+        # past index 8 (masks wider than 64 bits)
         assert not weight_check(convert(poly((1, [X1]), (1, [X1, sym("X", 10)]))), 1)
     assert weight_check(build_gx(9, 2), 1)
+    # a product's weights are the sums of its factors' weights
+    y1, x2 = from_polynomial(poly((1, [Y1]))), from_polynomial(poly((1, [X2])))
+    x2_u11 = from_polynomial(poly((1, [X2, U11])))
+    assert weight_check(DprPolynomial({}, (y1, x2_u11)), 1)
+    assert not weight_check(DprPolynomial({}, (y1, x2)), 1)
+    assert not weight_check(DprPolynomial(x2_u11.flat, (y1, x2_u11)), 1)
 
 
 def test_index_bounds():
@@ -160,9 +233,8 @@ def test_index_bounds():
 
 
 def test_mirror():
-    for n, m in [(1, 1), (1, 3), (2, 2), (4, 3)]:
+    for n, m in [(1, 1), (1, 3), (2, 2), (4, 3), (2, 9)]:
         assert mirror_check(n, m)
-        assert mirror_check(n, m, by_recursion=True)
     assert build_ex(4).swap_sides() == build_ey(4)
     assert build_fy(5).swap_sides() == build_fx(5)
     g = build_gx(3, 2)
@@ -170,28 +242,28 @@ def test_mirror():
 
 
 def test_padding():
-    # the last two compare a wide (object) kept part with a uint64 small one
+    # the last two kill classes past index 8, in masks wider than 64 bits
     for n, m, big_n, big_m in [(1, 1, 3, 3), (2, 1, 4, 2), (2, 2, 2, 2), (3, 2, 5, 4),
-                               (8, 1, 9, 1), (2, 2, 9, 2)]:
+                               (1, 2, 4, 4), (8, 1, 9, 1), (2, 2, 9, 2)]:
         assert padding_check(n, m, big_n, big_m)
-    for n, m, big_n, big_m in [(1, 1, 3, 3), (2, 1, 4, 2), (2, 2, 2, 2), (1, 2, 4, 4)]:
-        assert padding_check(n, m, big_n, big_m, by_recursion=True)
-    for by_recursion in (False, True):
-        with pytest.raises(ValueError):
-            padding_check(3, 1, 2, 1, by_recursion=by_recursion)
+    with pytest.raises(ValueError):
+        padding_check(3, 1, 2, 1)
 
 
 def test_recursion_checks_can_fail(monkeypatch):
-    # a mirror that swaps the classes but not their markers
-    monkeypatch.setitem(dpr._MIRROR_FAMILY, "U", "U")
-    monkeypatch.setitem(dpr._MIRROR_FAMILY, "V", "V")
-    assert not mirror_check(2, 2, by_recursion=True)
+    # a mirror that swaps the classes but not their markers: the factors
+    # differ, so the comparison falls back to the terms and finds them apart
+    monkeypatch.setattr(dpr, "_EVEN_BYTE", 0x01)
+    monkeypatch.setattr(dpr, "_ODD_BYTE", 0x02)
+    assert not mirror_check(2, 2)
+    assert not mirror_check(3, 2)
     monkeypatch.undo()
-    # a smaller relation that is not the padded one's image
-    real = dpr.relation_polynomial
-    monkeypatch.setattr(dpr, "relation_polynomial",
-                        lambda kind, n, m=None: real(kind, n, m) + (n == 1))
-    assert not padding_check(1, 1, 2, 2, by_recursion=True)
+    # a smaller relation that is not the padded one's image: its flat part
+    # differs (n = 1) or its product's factors do (n = 2)
+    real = dpr.build_gx
+    monkeypatch.setattr(dpr, "build_gx", lambda n, m: -real(n, m) if n < 3 else real(n, m))
+    assert not padding_check(1, 1, 3, 2)
+    assert not padding_check(2, 2, 3, 3)
 
 
 def test_product_guards_multilinearity():
@@ -201,13 +273,11 @@ def test_product_guards_multilinearity():
     mixed = from_polynomial(poly((1, [X1]), (1, [X2])))
     with pytest.raises(NotMultilinear):
         _product_disjoint(mixed, mixed)
-    # coefficient products must stay below 2^62 for the int64 backend
+    # coefficients are Python ints, so products stay exact at any size
     a = DprPolynomial.from_terms({x_mask(1): 1 << 31})
-    b = DprPolynomial.from_terms({x_mask(2): (1 << 31) - 1})
+    b = DprPolynomial.from_terms({x_mask(2): -(1 << 80) - 1})
     (term,) = _product_disjoint(a, b).terms()
-    assert term == (x_mask(1) | x_mask(2), (1 << 62) - (1 << 31))
-    with pytest.raises(OverflowError):
-        _product_disjoint(a, DprPolynomial.from_terms({x_mask(2): -(1 << 31)}))
+    assert term == (x_mask(1) | x_mask(2), -(1 << 111) - (1 << 31))
 
 
 def test_roundtrip_through_core_polynomial():
@@ -229,8 +299,8 @@ def test_evaluation_agrees_with_core_engine():
 
 
 def test_high_indices_fall_back_to_wide_masks():
-    e = build_ex(10)  # past the uint64 block capacity
-    assert e.masks.dtype == object
+    e = build_ex(10)  # past the 64 bits of eight index blocks
+    assert e.support.bit_length() > 64
     e9 = 2 * E_COUNTS[8] + F_COUNTS[8] + 8
     f9 = F_COUNTS[8] + 2 * (8 + E_COUNTS[8])
     assert len(e) == 2 * e9 + f9 + 9
@@ -265,7 +335,7 @@ def test_relation_polynomial_matches_the_mask_engine():
     for kind, build in builders.items():
         for n in range(1, 7):
             assert relation_polynomial(kind, n) == build(n).to_polynomial(), (kind, n)
-    # past index 8 the masks are Python ints
+    # past index 8 the masks are wider than 64 bits
     assert relation_polynomial("FX", 9) == build_fx(9).to_polynomial()
     for n in range(1, 5):
         for m in range(1, 5):
@@ -288,7 +358,7 @@ def test_family_substitution_matches_pointwise_evaluation():
     for g in (build_gx(3, 2), build_ex(4), build_fx(4), build_gy(2, 3)):
         assert g.substitute_families(vals) == pointwise(g)
     assert build_gx(1, 1).substitute_families(vals) == 1
-    # wide-mask path
+    # masks wider than 64 bits
     wide = build_ex(9)
     assert wide.substitute_families(vals) == -9
 
