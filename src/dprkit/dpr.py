@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
 from .algebra import Coeff, Monomial, Polynomial, UnboundVariable, VarSymbol, ZZ, poly_to_json
@@ -177,15 +178,17 @@ class DprPolynomial:
     zero.  `factors` is None or a pair (a, b) of flat polynomials on
     disjoint generators whose product belongs to the polynomial too, and no
     mask of `flat` is a mask of that product.  So the polynomial has
-    len(flat) + len(a) * len(b) distinct terms.  Treat instances, and the
-    dicts they hold, as immutable: the builders share them through a cache.
+    len(flat) + len(a) * len(b) distinct terms.  Instances are immutable,
+    and `flat` is a read-only view: the builders share it through a cache.
     """
 
     __slots__ = ("flat", "factors", "support")
 
-    def __init__(self, flat: dict[int, int],
+    def __init__(self, flat: Mapping[int, int],
                  factors: tuple[DprPolynomial, DprPolynomial] | None = None,
                  support: int | None = None):
+        if not isinstance(flat, MappingProxyType):
+            flat = MappingProxyType(flat)
         if factors is not None and (factors[0].is_zero() or factors[1].is_zero()):
             factors = None  # a zero factor kills the whole product
         if support is None:

@@ -280,6 +280,16 @@ def test_product_guards_multilinearity():
     assert term == (x_mask(1) | x_mask(2), -(1 << 111) - (1 << 31))
 
 
+def test_cached_terms_are_read_only():
+    # the builders hand out the same chain dicts to every caller
+    f = build_fx(3)
+    with pytest.raises(TypeError):
+        f.flat[x_mask(1)] = 1
+    with pytest.raises(AttributeError):
+        f.support = 0
+    assert x_mask(1) not in build_fx(3).flat
+
+
 def test_roundtrip_through_core_polynomial():
     g = build_gx(3, 2)
     assert from_polynomial(g.to_polynomial()) == g
