@@ -238,12 +238,6 @@ class Monomial:
         out.extend(b[j:])
         return Monomial._raw(tuple(out))
 
-    def exponent(self, sym: VarSymbol) -> int:
-        for s, e in self.pairs:
-            if s is sym:
-                return e
-        return 0
-
     def symbols(self) -> Iterator[VarSymbol]:
         return (s for s, _ in self.pairs)
 
@@ -333,9 +327,6 @@ class Polynomial:
         if len(self.terms) == 1 and UNIT in self.terms:
             return self.terms[UNIT]
         raise ValueError("polynomial is not constant")
-
-    def coefficient(self, mono: Monomial) -> Coeff:
-        return self.terms.get(mono, 0)
 
     def symbols(self) -> set[VarSymbol]:
         out: set[VarSymbol] = set()

@@ -13,17 +13,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from .acceptance import selftest_output
 from .algebra import Polynomial, canonical_json, poly_to_json
 from .dpr import (
+    build_ex,
+    build_ey,
+    build_fx,
+    build_fy,
     build_gx,
     build_gy,
     check_index_bounds,
     check_multilinear,
     mirror_check,
     padding_check,
-    relation_polynomial,
     weight_check,
 )
 from .fgl import (
@@ -61,9 +65,11 @@ def _fail(message: str):
     raise SystemExit(2)
 
 
-def _emit(args, payload, text: str | None = None) -> None:
+def _emit(args, payload, render: Callable[[], str] | None = None) -> None:
+    """Write the payload as JSON; under --format text write what `render`
+    returns, called only then, or else the payload as key-value lines."""
     if args.format == "text":
-        sys.stdout.write(text if text is not None else _kv_text(payload))
+        sys.stdout.write(render() if render is not None else _kv_text(payload))
     else:
         sys.stdout.write(canonical_json(payload))
 
@@ -109,19 +115,19 @@ def _mode(args):
 
 def _cmd_fgl_show(args) -> int:
     series = law_series(_mode(args), args.order)
-    _emit(args, series_to_json(series), _series_text(series))
+    _emit(args, series_to_json(series), lambda: _series_text(series))
     return 0
 
 
 def _cmd_fgl_inverse(args) -> int:
     series = inverse_series(_mode(args), args.order)
-    _emit(args, series_to_json(series), _series_text(series))
+    _emit(args, series_to_json(series), lambda: _series_text(series))
     return 0
 
 
 def _cmd_fgl_nfold(args) -> int:
     series = n_fold_sum(_mode(args), args.n, args.order)
-    _emit(args, series_to_json(series), _series_text(series))
+    _emit(args, series_to_json(series), lambda: _series_text(series))
     return 0
 
 
@@ -135,7 +141,7 @@ def _cmd_fgl_divide(args) -> int:
         }
         _emit(args, payload)
     else:
-        _emit(args, series_to_json(series), _series_text(series))
+        _emit(args, series_to_json(series), lambda: _series_text(series))
     return 0
 
 
@@ -147,26 +153,27 @@ def _cmd_fgl_relations(args) -> int:
         "count": len(rels),
         "relations": [{"exp": list(e), "poly": poly_to_json(rels[e])} for e in ordered],
     }
-    text = "\n".join(
-        f"({e[0]},{e[1]},{e[2]})  {rels[e]}" for e in ordered
-    ) + ("\n" if ordered else "none\n")
-    _emit(args, payload, text)
+    _emit(args, payload, lambda: "".join(
+        f"({e[0]},{e[1]},{e[2]})  {rels[e]}\n" for e in ordered) or "none\n")
     return 0
 
 
-_BUILDERS = {"GX": build_gx, "GY": build_gy}
+_BUILDERS = {"EX": build_ex, "FX": build_fx, "EY": build_ey, "FY": build_fy,
+             "GX": build_gx, "GY": build_gy}
 
 
 def _cmd_gdpr_build(args) -> int:
-    # printing needs a Polynomial, which the recursion builds directly
     kind = args.kind
     if kind in ("GX", "GY"):
         if args.m is None:
             _fail(f"{kind} needs both -n and -m")
+        counts = (args.n, args.m)
     elif args.m is not None:
         _fail(f"-m does not apply to {kind}")
-    poly = relation_polynomial(kind, args.n, args.m)
-    _emit(args, poly_to_json(poly), _poly_text(poly))
+    else:
+        counts = (args.n,)
+    poly = _BUILDERS[kind](*counts).to_polynomial()
+    _emit(args, poly_to_json(poly), lambda: _poly_text(poly))
     return 0
 
 
@@ -180,6 +187,9 @@ def _cmd_gdpr_check(args) -> int:
         payload["big_n"], payload["big_m"] = args.big_n, args.big_m
         good = padding_check(n, m, args.big_n, args.big_m)
     else:
+        for flag, value in (("--big-n", args.big_n), ("--big-m", args.big_m)):
+            if value is not None:
+                _fail(f"{flag} does not apply to {which}")
         gx = _BUILDERS["GX"](n, m)
         gy = _BUILDERS["GY"](m, n)
         if which == "multilinear":

@@ -25,11 +25,11 @@ only for a caller that iterates every term (`terms`, `to_polynomial`,
 
 Consumers that need only the value of a relation polynomial at a point do
 not expand it: `chain_values` and `relation_value` run the same recursion
-on values in any commutative ring, in O(n + m) ring operations.  Run on
-the generators themselves, as `relation_polynomial`, it expands a relation
-polynomial into a core `Polynomial`.  The mask form serves the structural
-checks, and is the slow oracle (`DprPolynomial.evaluate_rational`,
-`substitute_families`) the fast path is tested against.
+on values in any commutative ring, in O(n + m) ring operations.  The mask
+form is the one expansion: `gdpr build` prints it, decoded once by
+`to_polynomial`, the structural checks run on it, and it is the slow oracle
+(`DprPolynomial.evaluate_rational`, `substitute_families`) the fast path is
+tested against.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
 from .algebra import Coeff, Monomial, Polynomial, UnboundVariable, VarSymbol, ZZ, poly_to_json
 
@@ -54,7 +54,6 @@ __all__ = [
     "chain_symbols",
     "chain_values",
     "relation_value",
-    "relation_polynomial",
     "check_multilinear",
     "check_index_bounds",
     "weight_check",
@@ -565,76 +564,29 @@ def _other_side(side: str) -> str:
     return "X" if side == "Y" else "Y"
 
 
-def _generators(*chains: tuple[str, int]) -> dict[VarSymbol, Polynomial]:
-    return {s: Polynomial.variable(s) for side, n in chains for s in chain_symbols(side, n)}
-
-
-def relation_polynomial(kind: str, n: int, m: int | None = None) -> Polynomial:
-    """`build_ex(n)` .. `build_gy(n, m)` (kind "EX" .. "GY") as a core
-    Polynomial, expanded by running the recursion on the generators.
-
-    It equals `to_polynomial()` of the mask engine's result.
-    """
-    if kind not in ("EX", "FX", "EY", "FY", "GX", "GY"):
-        raise ValueError(f"unknown relation polynomial {kind!r}")
-    family, side = kind
-    if family == "G":
-        if n < 1 or m < 1:
-            raise ValueError("both counts must be >= 1")
-        return relation_value(side, n, m, _generators((side, n), (_other_side(side), m)))
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    gens = _generators((side, n))
-    t, f = chain_values(side, n, gens)[-1]
-    if family == "F":
-        return Polynomial.zero() + f  # F_1 is the int 0
-    for i in range(1, n + 1):
-        t = t - gens[VarSymbol(side, (i,))]
-    return t
-
-
 # checks ----------------------------------------------------------------------
 
 
-def check_multilinear(g: Union[DprPolynomial, Polynomial]) -> bool:
+def check_multilinear(g: DprPolynomial) -> bool:
     """No generator may appear squared in any term.
 
-    A bitmask cannot hold an exponent of 2, so for the native representation
-    the one place a square can hide is a product whose factors share a
-    generator; plain polynomials are scanned.
+    A bitmask cannot hold an exponent of 2, so the one place a square can
+    hide is a product whose factors share a generator.
     """
-    if isinstance(g, DprPolynomial):
-        return g.factors is None or not g.factors[0].support & g.factors[1].support
-    for mono in g.terms:
-        for _, exp in mono.pairs:
-            if exp > 1:
-                return False
-    return True
+    return g.factors is None or not g.factors[0].support & g.factors[1].support
 
 
 def _allowed_support(n: int, m: int) -> int:
     allowed = 0
-    for i in range(1, n + 1):
-        allowed |= x_mask(i)
-    for k in range(1, n):
-        allowed |= u_mask(1, k)
-    for k in range(2, n + 1):
-        allowed |= u_mask(2, k) | u_mask(3, k)
-    for j in range(1, m + 1):
-        allowed |= y_mask(j)
-    for l in range(1, m):
-        allowed |= v_mask(1, l)
-    for l in range(2, m + 1):
-        allowed |= v_mask(2, l) | v_mask(3, l)
+    for s in chain_symbols("X", n) + chain_symbols("Y", m):
+        allowed |= symbol_mask(s)
     return allowed
 
 
-def check_index_bounds(g: Union[DprPolynomial, Polynomial], n: int, m: int) -> bool:
+def check_index_bounds(g: DprPolynomial, n: int, m: int) -> bool:
     """Indices stay inside the ranges the recursion can produce:
     classes up to their count, first markers strictly below it, and
     second/third markers between 2 and the count."""
-    if isinstance(g, Polynomial):
-        g = from_polynomial(g)
     return (g.support & ~_allowed_support(n, m)) == 0
 
 
@@ -649,11 +601,9 @@ def _weights(g: DprPolynomial) -> set[int]:
     return out
 
 
-def weight_check(g: Union[DprPolynomial, Polynomial], weight: int) -> bool:
+def weight_check(g: DprPolynomial, weight: int) -> bool:
     """True iff every term has the given total weight (classes +1,
     first markers -1, second/third markers -2)."""
-    if isinstance(g, Polynomial):
-        g = from_polynomial(g)
     return _weights(g) <= {weight}
 
 

@@ -142,10 +142,6 @@ class FglMode:
     kind: str
     beta: Union[int, Fraction, None] = None
     table: tuple = ()
-    inverted: frozenset = frozenset()
-
-    def ring(self) -> CoeffRing:
-        return CoeffRing(self.inverted)
 
     def coefficient(self, i: int, j: int) -> "Packed":
         """Packed coefficient of u^i v^j, for i, j >= 1."""
@@ -175,7 +171,7 @@ def multiplicative_mode(beta: Union[int, Fraction, None] = None) -> FglMode:
     return FglMode("multiplicative", beta=beta)
 
 
-def custom_mode(table: Mapping[tuple[int, int], Coeff], inverted: Iterable[int] = ()) -> FglMode:
+def custom_mode(table: Mapping[tuple[int, int], Coeff]) -> FglMode:
     entries = {}
     for (i, j), c in table.items():
         if i < 1 or j < 1:
@@ -184,7 +180,7 @@ def custom_mode(table: Mapping[tuple[int, int], Coeff], inverted: Iterable[int] 
         if key in entries and entries[key] != c:
             raise ValueError(f"asymmetric custom table at {key}")
         entries[key] = _normalize_coeff(c)
-    return FglMode("custom", table=tuple(sorted(entries.items())), inverted=frozenset(inverted))
+    return FglMode("custom", table=tuple(sorted(entries.items())))
 
 
 MODE_NAMES = {
@@ -428,22 +424,21 @@ def law_series(mode: FglMode, order: int, vars: tuple[str, str] = ("u", "v")) ->
             d = mode.coefficient(i, j)
             if d:
                 coeffs[(i, j)] = d
-    return TruncatedSeries(vars, order, mode.ring(), coeffs)
+    return TruncatedSeries(vars, order, ZZ, coeffs)
 
 
 @lru_cache(maxsize=None)
 def inverse_series(mode: FglMode, order: int) -> TruncatedSeries:
     """The series g with F(u, g(u)) = 0, solved degree by degree."""
     law = law_series(mode, order)
-    ring = mode.ring()
     gamma: dict = {(1,): {0: -1}}
     for k in range(2, order + 1):
-        partial = TruncatedSeries(("u",), k, ring, {e: d for e, d in gamma.items() if e[0] <= k})
+        partial = TruncatedSeries(("u",), k, ZZ, {e: d for e, d in gamma.items() if e[0] <= k})
         residue = compose(law.truncate(k), "v", partial)
         top = residue._coeffs.get((k,))
         if top:
             gamma[(k,)] = {key: -c for key, c in top.items()}
-    result = TruncatedSeries(("u",), order, ring, gamma)
+    result = TruncatedSeries(("u",), order, ZZ, gamma)
     check = compose(law, "v", result)
     if not check.is_zero():
         raise ArithmeticError("inverse series failed to cancel the law")
@@ -462,7 +457,7 @@ def n_fold_sum(mode: FglMode, n: int, order: int) -> TruncatedSeries:
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
-        return TruncatedSeries.variable("u", ("u",), order, mode.ring())
+        return TruncatedSeries.variable("u", ("u",), order)
     inner = n_fold_sum(mode, n - 1, order)
     return compose(law_series(mode, order), "v", inner)
 
@@ -472,7 +467,7 @@ def division_series(n: int, mode: FglMode, order: int) -> TruncatedSeries:
     if n < 2:
         raise ValueError("division needs n >= 2")
     a = n_fold_sum(mode, n, order)
-    ring = mode.ring().join(CoeffRing([n]))
+    ring = CoeffRing([n])
     # triangular solve for b_i from sum_k b_k * A(u)^k = u
     apow = a
     apow_coeffs: list[dict] = [dict(a._coeffs)]  # A^1, A^2, ...
@@ -500,9 +495,8 @@ def associativity_relations(mode: FglMode, order: int) -> dict[tuple[int, int, i
     """Nonzero coefficients of F(F(u,v),w) - F(u,F(v,w)), keyed by exponent."""
     law = law_series(mode, order)
     uvw = ("u", "v", "w")
-    ring = mode.ring()
-    u3 = TruncatedSeries.variable("u", uvw, order, ring)
-    w3 = TruncatedSeries.variable("w", uvw, order, ring)
+    u3 = TruncatedSeries.variable("u", uvw, order)
+    w3 = TruncatedSeries.variable("w", uvw, order)
     f_uv = law.lift(uvw)
     f_vw = law.rename_variable("v", "w").rename_variable("u", "v").lift(uvw)
     left = series_apply(law, [f_uv, w3])

@@ -47,6 +47,7 @@ from .dpr import DprPolynomial, chain_symbols, relation_value
 from .operators import (
     DegenerateSample,
     InconsistentSolve,
+    RESAMPLE_LIMIT,
     RelationSystem,
     ResampleLimitExceeded,
     VerificationReport,
@@ -552,20 +553,17 @@ def verify_mixed_contexts(
     trials: int = 20,
     seed: int = 0,
     sample_range: int = 1000,
-    resample_limit: int = 50,
-    groups: Sequence[tuple[int, ...]] = DEFAULT_GUARD_GROUPS,
 ) -> VerificationReport:
     """Sample random goodness patterns and compare both sides exactly."""
     if n < 1 or m < 1:
         raise ValueError("class counts must be positive")
-    system = RelationSystem(seed=seed, trials=trials,
-                            sample_range=sample_range, resample_limit=resample_limit)
+    system = RelationSystem(seed=seed, trials=trials, sample_range=sample_range)
     resamples = 0
     passed = True
     for trial in range(trials):
-        group = tuple(groups[trial % len(groups)])
+        group = DEFAULT_GUARD_GROUPS[trial % len(DEFAULT_GUARD_GROUPS)]
         outcome = None
-        for retry in range(resample_limit):
+        for retry in range(RESAMPLE_LIMIT):
             rng = system.rng(trial, retry)
             try:
                 outcome = _mixed_trial(rng, n, m, group, sample_range)
@@ -575,7 +573,7 @@ def verify_mixed_contexts(
             break
         if outcome is None:
             raise ResampleLimitExceeded(
-                f"no usable sample for trial {trial} after {resample_limit} tries"
+                f"no usable sample for trial {trial} after {RESAMPLE_LIMIT} tries"
             )
         if not outcome:
             passed = False

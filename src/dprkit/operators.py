@@ -30,6 +30,7 @@ __all__ = [
     "ResampleLimitExceeded",
     "InconsistentSolve",
     "MissingImage",
+    "RESAMPLE_LIMIT",
     "RelationSystem",
     "VerificationReport",
     "h_expression",
@@ -37,6 +38,10 @@ __all__ = [
     "verify_step_identity",
     "verify_full_identity",
 ]
+
+
+# degenerate draws a trial may discard before it gives up
+RESAMPLE_LIMIT = 50
 
 
 class DegenerateSample(ArithmeticError):
@@ -92,12 +97,11 @@ class RelationSystem:
     seed: int
     trials: int = 20
     sample_range: int = 1000
-    resample_limit: int = 50
 
     def __post_init__(self):
         # zero or negative counts would run no trial, or sample only the
         # origin, and still report a pass
-        for name in ("trials", "sample_range", "resample_limit"):
+        for name in ("trials", "sample_range"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
@@ -142,7 +146,6 @@ def verify_step_identity(
     trials: int = 20,
     seed: int = 0,
     sample_range: int = 1000,
-    resample_limit: int = 50,
 ) -> VerificationReport:
     """One induction step: given the class value cC solving the (n-1)-stage
     relation, the blown-up value cB from the two-class law must solve the
@@ -150,14 +153,14 @@ def verify_step_identity(
     """
     if n < 2:
         raise ValueError("the step identity needs n >= 2")
-    system = RelationSystem(seed, trials, sample_range, resample_limit)
+    system = RelationSystem(seed, trials, sample_range)
     symbols = chain_symbols("X", n)
 
     resamples = 0
     passed = True
     for trial in range(trials):
         sample = None
-        for retry in range(resample_limit):
+        for retry in range(RESAMPLE_LIMIT):
             point = system.draw(system.rng(trial, retry), symbols)
             chain = chain_values("X", n, point)
             try:
@@ -204,7 +207,6 @@ def verify_full_identity(
     trials: int = 20,
     seed: int = 0,
     sample_range: int = 1000,
-    resample_limit: int = 50,
 ) -> VerificationReport:
     """Both relation polynomials must agree once the two one-sided chains are
     solved consistently.
@@ -219,7 +221,7 @@ def verify_full_identity(
     """
     if n < 1 or m < 1:
         raise ValueError("both class counts must be >= 1")
-    system = RelationSystem(seed, trials, sample_range, resample_limit)
+    system = RelationSystem(seed, trials, sample_range)
     last_y = VarSymbol("Y", (m,))
     symbols = chain_symbols("X", n) + [s for s in chain_symbols("Y", m) if s is not last_y]
 
@@ -227,7 +229,7 @@ def verify_full_identity(
     passed = True
     for trial in range(trials):
         sample = None
-        for retry in range(resample_limit):
+        for retry in range(RESAMPLE_LIMIT):
             point = dict(system.draw(system.rng(trial, retry), symbols))
             try:
                 t_x, f_x = chain_values("X", n, point)[-1]

@@ -9,10 +9,12 @@ F_n = [n >= 2], so the common value is 1 when min(n, m) = 1 and 0 otherwise.
 A tampered table must turn the criterion red, and `dprkit selftest` exits 0.
 """
 
+import ast
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -86,3 +88,18 @@ def test_criterion_8_selftest_byte_determinism(cli_env):
     doc = json.loads(first.stdout)
     assert [c["number"] for c in doc["criteria"]] == list(range(1, 8))
     assert doc["pass"] is True
+
+
+def test_invariants_are_typed_errors_not_asserts(cli_env):
+    # `python -O` strips assert statements, so a check written as one would
+    # silently vanish; the selftest must print the same bytes either way
+    runs = [subprocess.run([sys.executable, *flags, "-m", "dprkit", "selftest"],
+                           capture_output=True, env=cli_env) for flags in ([], ["-O"])]
+    assert [r.returncode for r in runs] == [0, 0] and runs[0].stdout
+    assert runs[0].stdout == runs[1].stdout and runs[0].stderr == runs[1].stderr == b""
+    package = Path(fixedpoint.__file__).parent
+    asserts = [f"{path.name}:{node.lineno}"
+               for path in sorted(package.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []

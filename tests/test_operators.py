@@ -76,7 +76,7 @@ def test_step_identity_rejects_tiny_n():
 
 
 def test_verifiers_reject_counts_below_one():
-    for bad in ({"trials": 0}, {"sample_range": 0}, {"resample_limit": 0}):
+    for bad in ({"trials": 0}, {"sample_range": 0}):
         with pytest.raises(ValueError):
             verify_step_identity(3, seed=1, **bad)
         with pytest.raises(ValueError):
