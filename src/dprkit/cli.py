@@ -65,13 +65,16 @@ def _fail(message: str):
     raise SystemExit(2)
 
 
-def _emit(args, payload, render: Callable[[], str] | None = None) -> None:
-    """Write the payload as JSON; under --format text write what `render`
-    returns, called only then, or else the payload as key-value lines."""
-    if args.format == "text":
-        sys.stdout.write(render() if render is not None else _kv_text(payload))
+def _emit(args, payload: Callable[[], dict], render: Callable[[], str] | None = None) -> None:
+    """Write what `payload` returns as JSON; under --format text write what
+    `render` returns, or else the payload as key-value lines.  Each callable
+    runs only when its rendering is the one written."""
+    if args.format == "json":
+        sys.stdout.write(canonical_json(payload()))
+    elif render is not None:
+        sys.stdout.write(render())
     else:
-        sys.stdout.write(canonical_json(payload))
+        sys.stdout.write(_kv_text(payload()))
 
 
 def _kv_text(payload: dict) -> str:
@@ -115,19 +118,19 @@ def _mode(args):
 
 def _cmd_fgl_show(args) -> int:
     series = law_series(_mode(args), args.order)
-    _emit(args, series_to_json(series), lambda: _series_text(series))
+    _emit(args, lambda: series_to_json(series), lambda: _series_text(series))
     return 0
 
 
 def _cmd_fgl_inverse(args) -> int:
     series = inverse_series(_mode(args), args.order)
-    _emit(args, series_to_json(series), lambda: _series_text(series))
+    _emit(args, lambda: series_to_json(series), lambda: _series_text(series))
     return 0
 
 
 def _cmd_fgl_nfold(args) -> int:
     series = n_fold_sum(_mode(args), args.n, args.order)
-    _emit(args, series_to_json(series), lambda: _series_text(series))
+    _emit(args, lambda: series_to_json(series), lambda: _series_text(series))
     return 0
 
 
@@ -139,21 +142,20 @@ def _cmd_fgl_divide(args) -> int:
             "order": args.order,
             "profile": [[i, k] for i, k in denominator_profile(series)],
         }
-        _emit(args, payload)
+        _emit(args, lambda: payload)
     else:
-        _emit(args, series_to_json(series), lambda: _series_text(series))
+        _emit(args, lambda: series_to_json(series), lambda: _series_text(series))
     return 0
 
 
 def _cmd_fgl_relations(args) -> int:
     rels = associativity_relations(universal_mode(), args.order)
     ordered = sorted(rels, key=lambda e: (sum(e), e))
-    payload = {
+    _emit(args, lambda: {
         "order": args.order,
         "count": len(rels),
         "relations": [{"exp": list(e), "poly": poly_to_json(rels[e])} for e in ordered],
-    }
-    _emit(args, payload, lambda: "".join(
+    }, lambda: "".join(
         f"({e[0]},{e[1]},{e[2]})  {rels[e]}\n" for e in ordered) or "none\n")
     return 0
 
@@ -173,7 +175,7 @@ def _cmd_gdpr_build(args) -> int:
     else:
         counts = (args.n,)
     poly = _BUILDERS[kind](*counts).to_polynomial()
-    _emit(args, poly_to_json(poly), lambda: _poly_text(poly))
+    _emit(args, lambda: poly_to_json(poly), lambda: _poly_text(poly))
     return 0
 
 
@@ -201,7 +203,7 @@ def _cmd_gdpr_check(args) -> int:
         else:
             good = mirror_check(n, m)
     payload["pass"] = good
-    _emit(args, payload)
+    _emit(args, lambda: payload)
     return 0 if good else 1
 
 
@@ -214,25 +216,25 @@ def _cmd_verify(args) -> int:
         report = verify_full_identity(
             args.n, args.m, trials=args.trials, seed=args.seed, sample_range=args.range
         )
-    _emit(args, report.to_json())
+    _emit(args, report.to_json)
     return 0 if report.passed else 1
 
 
 def _cmd_fixedpoint_claim1(args) -> int:
     report = claim1_case_check(args.case)
-    _emit(args, report)
+    _emit(args, lambda: report)
     return 0 if report["equal"] else 1
 
 
 def _cmd_fixedpoint_allbad(args) -> int:
     report = all_bad_evaluation(args.n, args.m)
-    _emit(args, report)
+    _emit(args, lambda: report)
     return 0 if report["equal"] else 1
 
 
 def _cmd_fixedpoint_guard(args) -> int:
     report = guard_report(parse_group_spec(args.group))
-    _emit(args, report)
+    _emit(args, lambda: report)
     return 0 if report["holds"] else 1
 
 

@@ -61,7 +61,6 @@ __all__ = [
     "padding_check",
     "from_polynomial",
     "dpr_to_json",
-    "WEIGHTS",
 ]
 
 _BITS_PER_INDEX = 8
@@ -78,10 +77,6 @@ _OFFSET = {
     ("V", 3): 7,
 }
 _FAMILY_AT_OFFSET = {off: fam for fam, off in _OFFSET.items()}
-
-# per-generator weights: classes +1, first markers -1, second/third markers -2
-WEIGHTS = {"X": 1, "Y": 1, ("U", 1): -1, ("V", 1): -1,
-           ("U", 2): -2, ("V", 2): -2, ("U", 3): -2, ("V", 3): -2}
 
 _XY_BYTE, _M1_BYTE, _M23_BYTE = 0x03, 0x0C, 0xF0
 _EVEN_BYTE, _ODD_BYTE = 0x55, 0xAA
@@ -318,8 +313,8 @@ class DprPolynomial:
     def substitute_families(self, values: Mapping[str | tuple[str, int], int]) -> int:
         """Exact integer value when every generator of a family gets one value.
 
-        `values` must bind all eight families, keyed like WEIGHTS: "X", "Y",
-        and ("U", p) / ("V", p) for the marker kinds.
+        `values` must bind all eight families, keyed "X", "Y", and
+        ("U", p) / ("V", p) for the marker kinds.
         """
         vals = []
         patterns = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .algebra import (
     CoeffRing,
@@ -134,13 +134,12 @@ class FglMode:
     """Which group law the series ops should expand.
 
     kind is one of "universal", "additive", "multiplicative", "custom".
-    For multiplicative, beta is the coefficient of the uv cross term (a free
-    symbol by default).  For custom, table maps (i, j) with i <= j to the
-    numeric coefficient of u^i v^j.
+    For multiplicative, the free symbol beta is the coefficient of the uv
+    cross term.  For custom, table maps (i, j) with i <= j to the numeric
+    coefficient of u^i v^j.
     """
 
     kind: str
-    beta: Union[int, Fraction, None] = None
     table: tuple = ()
 
     def coefficient(self, i: int, j: int) -> "Packed":
@@ -150,11 +149,7 @@ class FglMode:
         if self.kind == "additive":
             return {}
         if self.kind == "multiplicative":
-            if i == j == 1:
-                if self.beta is None:
-                    return {_pack_symbol(BETA): 1}
-                return {0: self.beta} if self.beta != 0 else {}
-            return {}
+            return {_pack_symbol(BETA): 1} if i == j == 1 else {}
         got = dict(self.table).get((min(i, j), max(i, j)), 0)
         return {0: _normalize_coeff(got)} if got != 0 else {}
 
@@ -167,8 +162,8 @@ def additive_mode() -> FglMode:
     return FglMode("additive")
 
 
-def multiplicative_mode(beta: Union[int, Fraction, None] = None) -> FglMode:
-    return FglMode("multiplicative", beta=beta)
+def multiplicative_mode() -> FglMode:
+    return FglMode("multiplicative")
 
 
 def custom_mode(table: Mapping[tuple[int, int], Coeff]) -> FglMode:

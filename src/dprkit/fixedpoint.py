@@ -47,11 +47,10 @@ from .dpr import DprPolynomial, chain_symbols, relation_value
 from .operators import (
     DegenerateSample,
     InconsistentSolve,
-    RESAMPLE_LIMIT,
     RelationSystem,
-    ResampleLimitExceeded,
     VerificationReport,
     apply_G,
+    blow_up,
     h_expression,
 )
 
@@ -454,10 +453,7 @@ def _advance(ctx, names, k, t_prev, val, fresh, towers):
         c = val(c_symbol(last))
         p2 = val(_tower_symbol(towers[0], k))
         p3 = val(_tower_symbol(towers[1], k))
-        den = 1 - t_prev * c * (p2 - p3)
-        if den == 0:
-            raise DegenerateSample("vanishing blow-up denominator")
-        return (t_prev + c - t_prev * c * s1) / den
+        return blow_up(t_prev, c, s1, p2 - p3)
     if good_head:
         val(sigma_symbol(ctx.combo_name(head)))
         return Fraction(1)
@@ -557,34 +553,10 @@ def verify_mixed_contexts(
     """Sample random goodness patterns and compare both sides exactly."""
     if n < 1 or m < 1:
         raise ValueError("class counts must be positive")
-    system = RelationSystem(seed=seed, trials=trials, sample_range=sample_range)
-    resamples = 0
-    passed = True
-    for trial in range(trials):
-        group = DEFAULT_GUARD_GROUPS[trial % len(DEFAULT_GUARD_GROUPS)]
-        outcome = None
-        for retry in range(RESAMPLE_LIMIT):
-            rng = system.rng(trial, retry)
-            try:
-                outcome = _mixed_trial(rng, n, m, group, sample_range)
-            except DegenerateSample:
-                resamples += 1
-                continue
-            break
-        if outcome is None:
-            raise ResampleLimitExceeded(
-                f"no usable sample for trial {trial} after {RESAMPLE_LIMIT} tries"
-            )
-        if not outcome:
-            passed = False
-    return VerificationReport(
-        identity="mixed",
-        n=n,
-        m=m,
-        trials=trials,
-        resamples=resamples,
-        passed=passed,
-        seed=seed,
-        degree_bound=None,
-        sample_range=sample_range,
-    )
+    system = RelationSystem(seed, trials, sample_range)
+
+    def trial(number, rng) -> bool:
+        group = DEFAULT_GUARD_GROUPS[number % len(DEFAULT_GUARD_GROUPS)]
+        return _mixed_trial(rng, n, m, group, sample_range)
+
+    return system.run("mixed", n, m, None, trial)

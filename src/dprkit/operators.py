@@ -11,8 +11,10 @@ from the expanded polynomials.  Nothing is approximate: a pass means
 bit-equal rationals, and a disagreement between the two admissible solve
 orders raises rather than passes silently.
 
-Sampling is deterministic per (seed, trial, retry), so reports are
-reproducible byte for byte.
+`RelationSystem.run` is the one trial loop: it seeds every draw per
+(seed, trial, retry), so reports are reproducible byte for byte, retries a
+degenerate draw up to `RESAMPLE_LIMIT` times, counts the resamples and
+builds the report.  Each verifier supplies only the trial itself.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .algebra import Coeff, Polynomial, VarSymbol
 from .dpr import DprPolynomial, chain_symbols, chain_values
@@ -34,6 +36,7 @@ __all__ = [
     "RelationSystem",
     "VerificationReport",
     "h_expression",
+    "blow_up",
     "apply_G",
     "verify_step_identity",
     "verify_full_identity",
@@ -114,6 +117,38 @@ class RelationSystem:
         r = self.sample_range
         return {s: rng.randint(-r, r) for s in symbols}
 
+    def run(
+        self,
+        identity: str,
+        n: int,
+        m: int | None,
+        degree_bound: int | None,
+        trial: Callable[[int, random.Random], bool],
+    ) -> VerificationReport:
+        """Run every trial and report whether all of them held.
+
+        `trial(number, rng)` checks the identity at one draw and raises
+        DegenerateSample when a solve denominator vanishes there; the draw is
+        then retried with the next rng, up to RESAMPLE_LIMIT draws per trial.
+        """
+        resamples = 0
+        passed = True
+        for number in range(self.trials):
+            for retry in range(RESAMPLE_LIMIT):
+                try:
+                    held = trial(number, self.rng(number, retry))
+                except DegenerateSample:
+                    resamples += 1
+                    continue
+                break
+            else:
+                counts = f"n={n}" if m is None else f"({n},{m})"
+                raise ResampleLimitExceeded(f"trial {number} of {identity} {counts}")
+            if not held:
+                passed = False
+        return VerificationReport(identity, n, m, self.trials, resamples, passed,
+                                  self.seed, degree_bound, self.sample_range)
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -155,30 +190,18 @@ def verify_step_identity(
         raise ValueError("the step identity needs n >= 2")
     system = RelationSystem(seed, trials, sample_range)
     symbols = chain_symbols("X", n)
+    x_n, u1 = VarSymbol("X", (n,)), VarSymbol("U", (1, n - 1))
+    u2, u3 = VarSymbol("U", (2, n)), VarSymbol("U", (3, n))
 
-    resamples = 0
-    passed = True
-    for trial in range(trials):
-        sample = None
-        for retry in range(RESAMPLE_LIMIT):
-            point = system.draw(system.rng(trial, retry), symbols)
-            chain = chain_values("X", n, point)
-            try:
-                c_c = _solve_chain_value(*chain[-2])
-                c_b = _blow_up(point, c_c, n)
-            except DegenerateSample:
-                resamples += 1
-                continue
-            sample = (c_b, chain[-1])
-            break
-        if sample is None:
-            raise ResampleLimitExceeded(f"trial {trial} of step n={n}")
-        c_b, (t_n, f_n) = sample
-        if c_b != t_n + c_b * f_n:
-            passed = False
-    return VerificationReport(
-        "step", n, None, trials, resamples, passed, seed, 2 * n - 1, sample_range
-    )
+    def trial(number: int, rng: random.Random) -> bool:
+        point = system.draw(rng, symbols)
+        chain = chain_values("X", n, point)
+        c_c = _solve_chain_value(*chain[-2])
+        c_b = blow_up(c_c, point[x_n], point[u1], point[u2] - point[u3])
+        t_n, f_n = chain[-1]
+        return c_b == t_n + c_b * f_n
+
+    return system.run("step", n, None, 2 * n - 1, trial)
 
 
 def _solve_chain_value(t: Coeff, f: Coeff) -> Fraction:
@@ -190,15 +213,13 @@ def _solve_chain_value(t: Coeff, f: Coeff) -> Fraction:
     return Fraction(t) / denom
 
 
-def _blow_up(point: Mapping[VarSymbol, Coeff], c_c: Fraction, n: int) -> Fraction:
-    """Two-class law solved for the blown-up value after joining class n."""
-    x_n = Fraction(point[VarSymbol("X", (n,))])
-    s1 = Fraction(point[VarSymbol("U", (1, n - 1))])
-    s23 = Fraction(point[VarSymbol("U", (2, n))]) - Fraction(point[VarSymbol("U", (3, n))])
-    denom = 1 - c_c * x_n * s23
+def blow_up(c_l: Coeff, c_m: Coeff, s1: Coeff, s23: Coeff) -> Fraction:
+    """Value cLM of the blown-up class: `h_expression` solved for cLM, with
+    s23 = sigma2 - sigma3."""
+    denom = 1 - c_l * c_m * s23
     if denom == 0:
         raise DegenerateSample("blow-up denominator vanished")
-    return (c_c + x_n - c_c * x_n * s1) / denom
+    return Fraction(c_l + c_m - c_l * c_m * s1) / denom
 
 
 def verify_full_identity(
@@ -225,38 +246,21 @@ def verify_full_identity(
     last_y = VarSymbol("Y", (m,))
     symbols = chain_symbols("X", n) + [s for s in chain_symbols("Y", m) if s is not last_y]
 
-    resamples = 0
-    passed = True
-    for trial in range(trials):
-        sample = None
-        for retry in range(RESAMPLE_LIMIT):
-            point = dict(system.draw(system.rng(trial, retry), symbols))
-            try:
-                t_x, f_x = chain_values("X", n, point)[-1]
-                c_c = _solve_chain_value(t_x, f_x)
-                point[last_y] = _solve_last_class(point, c_c, m)
-                t_y, f_y = chain_values("Y", m, point)[-1]
-                if f_y == 1:
-                    raise DegenerateSample("second-family chain denominator vanished")
-            except DegenerateSample:
-                resamples += 1
-                continue
-            sample = (c_c, t_x, f_x, t_y, f_y)
-            break
-        if sample is None:
-            raise ResampleLimitExceeded(f"trial {trial} of full ({n},{m})")
-        c_c, t_x, f_x, t_y, f_y = sample
+    def trial(number: int, rng: random.Random) -> bool:
+        point = system.draw(rng, symbols)
+        t_x, f_x = chain_values("X", n, point)[-1]
+        c_c = _solve_chain_value(t_x, f_x)
+        point[last_y] = _solve_last_class(point, c_c, m)
+        t_y, f_y = chain_values("Y", m, point)[-1]
         # consistency: the second-family chain must now also produce cC
-        c_c_again = Fraction(t_y) / (1 - f_y)
+        c_c_again = _solve_chain_value(t_y, f_y)
         if c_c_again != c_c:
             raise InconsistentSolve(
                 f"first-family chain gave {c_c}, second-family chain gave {c_c_again}"
             )
-        if t_x + t_y * f_x != t_y + t_x * f_y:
-            passed = False
-    return VerificationReport(
-        "full", n, m, trials, resamples, passed, seed, 2 * (n + m) - 2, sample_range
-    )
+        return t_x + t_y * f_x == t_y + t_x * f_y
+
+    return system.run("full", n, m, 2 * (n + m) - 2, trial)
 
 
 def _solve_last_class(point: Mapping[VarSymbol, Coeff], c_c: Fraction, m: int) -> Fraction:

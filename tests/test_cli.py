@@ -298,6 +298,18 @@ def test_failing_check_exits_one(capsys, monkeypatch):
     assert code == 1 and doc["pass"] is False and err == ""
 
 
+def test_resample_limit_exits_two(capsys, monkeypatch):
+    # a trial whose every draw is degenerate is a domain error, not a fail
+    def degenerate(t, f):
+        raise operators.DegenerateSample("forced")
+
+    monkeypatch.setattr(operators, "_solve_chain_value", degenerate)
+    code = run(["verify", "step", "-n", "3", "--seed", "1"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == canonical_json({"error": "ResampleLimitExceeded: trial 0 of step n=3"})
+
+
 def test_mode_choices_cover_specializations(capsys):
     code, doc, _ = run_json(
         capsys, ["fgl", "show", "--mode", "additive", "--order", "5"])

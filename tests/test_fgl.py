@@ -59,7 +59,7 @@ def test_law_series_additive_and_multiplicative():
     f = law_series(multiplicative_mode(), 4)
     assert f.coefficient((1, 1)) == Polynomial.variable(BETA)
     assert f.coefficient((1, 2)).is_zero()
-    g = law_series(multiplicative_mode(-1), 4)
+    g = law_series(custom_mode({(1, 1): -1}), 4)
     assert g.coefficient((1, 1)) == const(-1)
 
 
@@ -130,7 +130,7 @@ def test_n_fold_additive_and_multiplicative():
     # with beta = 1 the n-fold sum is (1+u)^n - 1
     from math import comb
 
-    f = n_fold_sum(multiplicative_mode(1), 4, 6)
+    f = n_fold_sum(custom_mode({(1, 1): 1}), 4, 6)
     for k in range(1, 7):
         assert f.coefficient((k,)) == const(comb(4, k))
 
@@ -163,7 +163,7 @@ def test_division_series_additive():
 
 def test_division_series_multiplicative_is_binomial():
     # (1+u)^(1/2) - 1 has coefficients C(1/2, k)
-    b = division_series(2, multiplicative_mode(1), 4)
+    b = division_series(2, custom_mode({(1, 1): 1}), 4)
     assert b.coefficient((1,)) == const(Fraction(1, 2), b.ring)
     assert b.coefficient((2,)) == const(Fraction(-1, 8), b.ring)
     assert b.coefficient((3,)) == const(Fraction(1, 16), b.ring)
@@ -199,7 +199,7 @@ def test_associativity_residues():
 def test_associativity_vanishes_for_special_modes():
     assert associativity_relations(additive_mode(), 6) == {}
     assert associativity_relations(multiplicative_mode(), 6) == {}
-    assert associativity_relations(multiplicative_mode(7), 5) == {}
+    assert associativity_relations(custom_mode({(1, 1): 7}), 5) == {}
     assert associativity_relations(custom_mode({(1, 1): 3}), 5) == {}
 
 

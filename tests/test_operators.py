@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from dprkit import operators
+from dprkit import fixedpoint, operators
 from dprkit.algebra import Monomial, Polynomial, VarSymbol, ZZ, canonical_json
 from dprkit.dpr import build_gx, build_gy
 from dprkit.fixedpoint import verify_mixed_contexts
@@ -153,3 +153,47 @@ def test_sampling_is_seed_stable():
     b = verify_full_identity(2, 2, trials=5, seed=99)
     assert a == b
     assert a.resamples == b.resamples
+
+
+def _degenerate(*args):
+    raise operators.DegenerateSample("forced")
+
+
+@pytest.mark.parametrize("target, call, where", [
+    (operators, lambda: verify_step_identity(3, seed=1), "step n=3"),
+    (operators, lambda: verify_full_identity(2, 3, seed=1), "full (2,3)"),
+    (fixedpoint, lambda: verify_mixed_contexts(2, 3, seed=1), "mixed (2,3)"),
+], ids=["step", "full", "mixed"])
+def test_resample_limit_ends_a_trial_of_degenerate_draws(monkeypatch, target, call, where):
+    # every draw degenerate: the first trial gives up after exactly
+    # RESAMPLE_LIMIT draws, each from its own (trial, retry) rng
+    draws = []
+    real_rng = operators.RelationSystem.rng
+
+    def counted(self, trial, retry):
+        draws.append((trial, retry))
+        return real_rng(self, trial, retry)
+
+    monkeypatch.setattr(operators.RelationSystem, "rng", counted)
+    name = "_mixed_trial" if target is fixedpoint else "_solve_chain_value"
+    monkeypatch.setattr(target, name, _degenerate)
+    with pytest.raises(operators.ResampleLimitExceeded) as err:
+        call()
+    assert str(err.value) == f"trial 0 of {where}"
+    assert draws == [(0, retry) for retry in range(operators.RESAMPLE_LIMIT)]
+
+
+def test_resample_totals_freeze_the_draw_order():
+    # a small range makes degenerate draws common; the totals pin which rng
+    # each trial and retry consumes, and in what order
+    seeds = range(6)
+    small = [(n, m) for n in range(1, 5) for m in range(1, 5)]
+    step = [verify_step_identity(n, trials=5, seed=s, sample_range=2)
+            for s in seeds for n in range(2, 7)]
+    full = [verify_full_identity(n, m, trials=4, seed=s, sample_range=2)
+            for s in seeds for n, m in small]
+    mixed = [verify_mixed_contexts(n, m, trials=4, seed=s, sample_range=2)
+             for s in seeds for n, m in small]
+    for reports, total in ((step, 6), (full, 30), (mixed, 5)):
+        assert all(r.passed for r in reports)
+        assert sum(r.resamples for r in reports) == total
