@@ -5,12 +5,16 @@ sampling) reduces to the small kernel in this module: interned variable
 symbols with a deterministic total order, immutable monomials, and
 polynomials whose coefficients are ints or Fractions with denominators
 controlled by the coefficient ring.  All arithmetic is exact; nothing here
-ever rounds.
+ever rounds.  Coefficients are whatever exact arithmetic returns, so an
+integral value may be held as an int or as a Fraction; the two compare and
+hash alike, so equal polynomials have equal term dicts.  Inexact input (a
+float, a Decimal) raises TypeError where it comes in.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import re
 from fractions import Fraction
 from math import gcd
@@ -40,7 +44,7 @@ class CoeffRing:
     _cache: dict[frozenset[int], "CoeffRing"] = {}
 
     def __new__(cls, inverted: Iterable[int] = ()) -> "CoeffRing":
-        key = frozenset(int(n) for n in inverted)
+        key = frozenset(operator.index(n) for n in inverted)
         for n in key:
             if n <= 1:
                 raise ValueError(f"cannot invert {n}")
@@ -86,9 +90,20 @@ class CoeffRing:
                     stripped = True
         return den == 1
 
-    def check_coeff(self, c: Coeff) -> None:
-        if isinstance(c, Fraction) and not self.admits_denominator(c.denominator):
-            raise IncompatibleRings(f"denominator {c.denominator} not invertible in {self!r}")
+    def check_coeff(self, c: Coeff) -> Coeff:
+        """The one admission rule for outside coefficients.
+
+        An int passes, and a Fraction passes when this ring inverts its
+        denominator.  Any other integer (a bool, an object with __index__)
+        comes back as a plain int; anything inexact raises TypeError.
+        """
+        if type(c) is int:
+            return c
+        if isinstance(c, Fraction):
+            if not self.admits_denominator(c.denominator):
+                raise IncompatibleRings(f"denominator {c.denominator} not invertible in {self!r}")
+            return c
+        return operator.index(c)
 
 
 ZZ = CoeffRing()
@@ -114,7 +129,7 @@ class VarSymbol:
     _cache: dict[tuple[str, tuple[int, ...]], "VarSymbol"] = {}
 
     def __new__(cls, family: str, indices: Iterable[int] = ()) -> "VarSymbol":
-        idx = tuple(int(i) for i in indices)
+        idx = tuple(operator.index(i) for i in indices)
         cached = cls._cache.get((family, idx))
         if cached is None:
             if not family:
@@ -176,7 +191,7 @@ class Monomial:
         items = exponents.items() if isinstance(exponents, Mapping) else exponents
         pairs = []
         for sym, exp in items:
-            exp = int(exp)
+            exp = operator.index(exp)
             if exp == 0:
                 continue
             if exp < 0:
@@ -253,21 +268,15 @@ class Monomial:
 UNIT = Monomial()
 
 
-def _normalize_coeff(c: Coeff) -> Coeff:
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return int(c)
-        return c
-    return int(c)
-
-
 class Polynomial:
     """A finite sum of coefficient*monomial terms over a CoeffRing.
 
     Terms live in a dict keyed by Monomial; zero coefficients are never
-    stored, and integer-valued Fractions are demoted to int, so equal
-    polynomials have identical term dicts.  Binary operations join the two
-    rings and fail loudly when the rings are not nested.
+    stored.  An integral coefficient may be an int or a Fraction, which
+    compare and hash alike, so equal polynomials have equal term dicts.
+    Coefficients from outside pass `CoeffRing.check_coeff`: inexact ones
+    raise TypeError.  Binary operations join the two rings and fail loudly
+    when the rings are not nested.
     """
 
     __slots__ = ("ring", "terms")
@@ -276,12 +285,11 @@ class Polynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Monomial, Coeff] = {}
         for mono, c in items:
-            c = _normalize_coeff(c)
+            c = ring.check_coeff(c)
             if c == 0:
                 continue
-            ring.check_coeff(c)
             if mono in clean:
-                c = _normalize_coeff(clean[mono] + c)
+                c = clean[mono] + c
                 if c == 0:
                     del clean[mono]
                     continue
@@ -305,10 +313,9 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c: Coeff, ring: CoeffRing = ZZ) -> "Polynomial":
-        c = _normalize_coeff(c)
+        c = ring.check_coeff(c)
         if c == 0:
             return cls._raw(ring, {})
-        ring.check_coeff(c)
         return cls._raw(ring, {UNIT: c})
 
     @classmethod
@@ -363,7 +370,7 @@ class Polynomial:
             return other if other.ring is ring else Polynomial._raw(ring, dict(other.terms))
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            acc = _normalize_coeff(out.get(mono, 0) + c)
+            acc = out.get(mono, 0) + c
             if acc == 0:
                 out.pop(mono, None)
             else:
@@ -389,15 +396,12 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            other = _normalize_coeff(other)
+            other = self.ring.check_coeff(other)
             if other == 0:
                 return Polynomial._raw(self.ring, {})
-            self.ring.check_coeff(other)
             if other == 1:
                 return self
-            return Polynomial._raw(
-                self.ring, {m: _normalize_coeff(c * other) for m, c in self.terms.items()}
-            )
+            return Polynomial._raw(self.ring, {m: c * other for m, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         ring = self.ring.join(other.ring)
@@ -409,7 +413,7 @@ class Polynomial:
         for ma, ca in a.items():
             for mb, cb in b.items():
                 mono = ma * mb
-                acc = _normalize_coeff(out.get(mono, 0) + ca * cb)
+                acc = out.get(mono, 0) + ca * cb
                 if acc == 0:
                     out.pop(mono, None)
                 else:
@@ -476,7 +480,7 @@ class Polynomial:
         out: dict[Monomial, Coeff] = {}
         for mono, c in self.terms.items():
             renamed = Monomial((mapping(s), e) for s, e in mono.pairs)
-            acc = _normalize_coeff(out.get(renamed, 0) + c)
+            acc = out.get(renamed, 0) + c
             if acc == 0:
                 out.pop(renamed, None)
             else:
@@ -516,7 +520,7 @@ def coeff_to_json(c: Coeff) -> dict:
 
 
 def coeff_from_json(obj: Mapping) -> Coeff:
-    return _normalize_coeff(Fraction(int(obj["num"]), int(obj["den"])))
+    return Fraction(int(obj["num"]), int(obj["den"]))
 
 
 def poly_to_json(p: Polynomial) -> dict:

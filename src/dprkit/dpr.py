@@ -34,6 +34,7 @@ tested against.
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from fractions import Fraction
 from types import MappingProxyType
@@ -209,10 +210,10 @@ class DprPolynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[int, int] = {}
         for mask, c in items:
-            mask = int(mask)
+            mask = operator.index(mask)
             if mask < 0:
                 raise ValueError("negative mask")
-            s = acc.get(mask, 0) + int(c)
+            s = acc.get(mask, 0) + int(ZZ.check_coeff(c))
             if s == 0:
                 acc.pop(mask, None)
             else:
@@ -320,7 +321,7 @@ class DprPolynomial:
         patterns = []
         for off in range(_BITS_PER_INDEX):
             fam, sup = _FAMILY_AT_OFFSET[off]
-            vals.append(int(values[fam if sup is None else (fam, sup)]))
+            vals.append(operator.index(values[fam if sup is None else (fam, sup)]))
             patterns.append(_rep_mask(1 << off, self.support))
         # group the terms by their per-family generator counts: distinct
         # exponent profiles are few even when terms are many
@@ -632,11 +633,13 @@ def padding_check(n: int, m: int, big_n: int, big_m: int) -> bool:
 
 
 def from_polynomial(p: Polynomial) -> DprPolynomial:
-    """Exact conversion from a core polynomial over relation generators."""
+    """Exact conversion from a core polynomial over relation generators.
+
+    Coefficients pass `from_terms`, so a proper Fraction raises
+    IncompatibleRings.
+    """
     terms = []
     for mono, c in p.terms.items():
-        if isinstance(c, Fraction):
-            raise NotMultilinear("relation polynomials live over plain Z")
         mask = 0
         for sym, exp in mono.pairs:
             if exp != 1:

@@ -12,7 +12,8 @@ then integer addition, which is what makes order-10 n-fold sums and division
 round trips cheap.  Exponents never overflow their fields because a
 coefficient of u^k has total symbol degree below k, and orders are capped
 well under the field size.  Packed keys never leave this module; public
-surfaces speak `algebra.Polynomial`.
+surfaces speak `algebra.Polynomial`.  Packed coefficients are the ints and
+Fractions that exact arithmetic returns; they are never rewritten.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .algebra import (
     Polynomial,
     VarSymbol,
     ZZ,
-    _normalize_coeff,
     poly_to_json,
 )
 
@@ -89,7 +89,7 @@ def _unpack_poly(d: Packed, ring: CoeffRing) -> Polynomial:
 
 def _padd_into(acc: Packed, d: Packed) -> None:
     for k, c in d.items():
-        s = _normalize_coeff(acc.get(k, 0) + c)
+        s = acc.get(k, 0) + c
         if s == 0:
             acc.pop(k, None)
         else:
@@ -101,7 +101,7 @@ def _pscale(d: Packed, c: Coeff) -> Packed:
         return {}
     if c == 1:
         return d
-    return {k: _normalize_coeff(v * c) for k, v in d.items()}
+    return {k: v * c for k, v in d.items()}
 
 
 def _pmul(d1: Packed, d2: Packed) -> Packed:
@@ -119,10 +119,6 @@ def _pmul(d1: Packed, d2: Packed) -> Packed:
                 out.pop(k, None)
             else:
                 out[k] = s
-    for k, c in list(out.items()):
-        n = _normalize_coeff(c)
-        if n is not c:
-            out[k] = n
     return out
 
 
@@ -151,7 +147,7 @@ class FglMode:
         if self.kind == "multiplicative":
             return {_pack_symbol(BETA): 1} if i == j == 1 else {}
         got = dict(self.table).get((min(i, j), max(i, j)), 0)
-        return {0: _normalize_coeff(got)} if got != 0 else {}
+        return {0: got} if got != 0 else {}
 
 
 def universal_mode() -> FglMode:
@@ -167,14 +163,18 @@ def multiplicative_mode() -> FglMode:
 
 
 def custom_mode(table: Mapping[tuple[int, int], Coeff]) -> FglMode:
+    """A law with integer coefficients: the table entries pass ZZ's
+    admission rule, so a float raises TypeError and a proper Fraction
+    raises IncompatibleRings."""
     entries = {}
     for (i, j), c in table.items():
         if i < 1 or j < 1:
             raise ValueError("custom table indexes start at (1, 1)")
+        c = ZZ.check_coeff(c)
         key = (min(i, j), max(i, j))
         if key in entries and entries[key] != c:
             raise ValueError(f"asymmetric custom table at {key}")
-        entries[key] = _normalize_coeff(c)
+        entries[key] = c
     return FglMode("custom", table=tuple(sorted(entries.items())))
 
 
@@ -322,20 +322,6 @@ class TruncatedSeries:
         reorder = sorted(range(len(names)), key=lambda i: VAR_CANON.index(names[i]))
         out = {tuple(e[i] for i in reorder): dict(d) for e, d in self._coeffs.items()}
         return TruncatedSeries(tuple(sorted(names, key=VAR_CANON.index)), self.order, self.ring, out)
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        bits = []
-        for exp, poly in self.coefficients():
-            mono = "*".join(
-                f"{v}^{e}" if e > 1 else v for v, e in zip(self.vars, exp) if e
-            )
-            body = str(poly)
-            if len(poly.terms) > 1 or (body.startswith("-") and mono):
-                body = f"({body})"
-            bits.append(f"{body}*{mono}" if mono else body)
-        return " + ".join(bits) + f" + O(deg {self.order + 1})"
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.vars}, order={self.order})"

@@ -58,6 +58,14 @@ def test_ring_rejects_silly_units():
         CoeffRing([0])
 
 
+def test_ring_units_must_be_integers():
+    # a truncating int() would read 2.5 as 2 and accept the text "3"
+    with pytest.raises(TypeError):
+        CoeffRing([2.5])
+    with pytest.raises(TypeError):
+        CoeffRing(["3"])
+
+
 def test_symbol_interning_and_str():
     assert VarSymbol("X", (1,)) is X1
     assert str(U11) == "U[1][1]"
@@ -81,6 +89,11 @@ def test_symbol_from_str_splits_only_integer_suffixes():
     assert sym.indices == (3,)
 
 
+def test_symbol_indices_must_be_integers():
+    with pytest.raises(TypeError):
+        VarSymbol("X", (1.7,))
+
+
 def test_symbol_order_puts_relation_families_first():
     order = sorted([A11, V21, X2, U11, Y1, X1])
     assert order == [X1, X2, Y1, U11, V21, A11]
@@ -94,6 +107,12 @@ def test_monomial_normalization():
         Monomial([(X1, -1)])
     with pytest.raises(ValueError):
         Monomial([(X1, 1), (X1, 1)])
+
+
+def test_monomial_exponents_must_be_integers():
+    for exp in (1.5, 2.9):
+        with pytest.raises(TypeError):
+            Monomial({X1: exp})
 
 
 def test_monomial_product_merges_sorted():
@@ -113,10 +132,22 @@ def test_monomial_graded_lex_order():
 def test_polynomial_normalization():
     p = Polynomial(ZZ, {Monomial({X1: 1}): Fraction(4, 2), UNIT: 0})
     assert p.terms == {Monomial({X1: 1}): 2}
-    assert isinstance(p.terms[Monomial({X1: 1})], int)
+    plain = Polynomial(ZZ, {Monomial({X1: 1}): 2})
+    assert p == plain and hash(p) == hash(plain)
+    assert str(p) == str(plain)
+    assert poly_to_json(p) == poly_to_json(plain)
     with pytest.raises(IncompatibleRings):
         Polynomial(ZZ, {UNIT: Fraction(1, 2)})
     assert Polynomial(CoeffRing([2]), {UNIT: Fraction(1, 2)}).constant_value() == Fraction(1, 2)
+
+
+def test_inexact_coefficients_are_rejected():
+    # a truncating int() would read these as 0, 0 and 2
+    for c in (0.5, 0.0):
+        with pytest.raises(TypeError):
+            Polynomial.constant(c)
+    with pytest.raises(TypeError):
+        Polynomial(ZZ, {Monomial({X1: 1}): 2.7})
 
 
 def _random_poly(rng, ring=ZZ, pool=None, max_terms=4):

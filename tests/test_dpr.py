@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from dprkit import dpr
-from dprkit.algebra import Monomial, Polynomial, VarSymbol, ZZ
+from dprkit.algebra import IncompatibleRings, Monomial, Polynomial, VarSymbol, ZZ
 from dprkit.dpr import (
     DprPolynomial,
     NotMultilinear,
@@ -272,6 +272,16 @@ def test_product_guards_multilinearity():
     assert term == (x_mask(1) | x_mask(2), -(1 << 111) - (1 << 31))
 
 
+def test_from_terms_admits_only_integers():
+    with pytest.raises(IncompatibleRings):
+        DprPolynomial.from_terms({1: Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        DprPolynomial.from_terms({1.5: 1})
+    # an integral Fraction is admitted and stored as an int
+    (term,) = DprPolynomial.from_terms({x_mask(1): Fraction(6, 2)}).terms()
+    assert term == (x_mask(1), 3) and type(term[1]) is int
+
+
 def test_cached_terms_are_read_only():
     # the builders hand out the same chain dicts to every caller
     f = build_fx(3)
@@ -346,6 +356,13 @@ def test_family_substitution_matches_pointwise_evaluation():
     # masks wider than 64 bits
     wide = build_ex(9)
     assert wide.substitute_families(vals) == -9
+
+
+def test_family_substitution_admits_only_integers():
+    vals = {"X": 1.5, "Y": 1, ("U", 1): 2, ("V", 1): 2,
+            ("U", 2): 4, ("V", 2): 4, ("U", 3): 3, ("V", 3): 3}
+    with pytest.raises(TypeError):
+        build_ex(2).substitute_families(vals)
 
 
 # recurrence-first evaluation against the expanded slow path ------------------

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from dprkit.algebra import CoeffRing, Monomial, Polynomial, VarSymbol, ZZ
+from dprkit.algebra import CoeffRing, IncompatibleRings, Monomial, Polynomial, VarSymbol, ZZ
 from dprkit.fgl import (
     BETA,
     NonzeroConstantTerm,
@@ -68,6 +68,16 @@ def test_custom_mode_symmetry():
     assert law_series(m, 4).coefficient((2, 1)) == const(5)
     with pytest.raises(ValueError):
         custom_mode({(1, 2): 5, (2, 1): 7})
+
+
+def test_custom_mode_admits_only_integers():
+    # 0.5 must not become 0 (the additive law), and 1/2 must fail here
+    # rather than when the series is exported
+    with pytest.raises(TypeError):
+        custom_mode({(1, 1): 0.5})
+    with pytest.raises(IncompatibleRings):
+        custom_mode({(1, 1): Fraction(1, 2)})
+    assert custom_mode({(1, 1): Fraction(4, 2)}) == custom_mode({(1, 1): 2})
 
 
 def test_inverse_series_frozen_coefficients():
