@@ -7,13 +7,17 @@ modulo total degree > order, with series coefficients held as polynomials in
 the c_ij alphabet.
 
 Internally coefficient polynomials are dicts keyed by a packed integer: each
-registered symbol owns a 6-bit exponent field.  Monomial multiplication is
-then integer addition, which is what makes order-10 n-fold sums and division
-round trips cheap.  Exponents never overflow their fields because a
+registered symbol owns a 6-bit exponent field, so monomial multiplication is
+integer addition.  Exponents never overflow their fields because a
 coefficient of u^k has total symbol degree below k, and orders are capped
 well under the field size.  Packed keys never leave this module; public
 surfaces speak `algebra.Polynomial`.  Packed coefficients are the ints and
 Fractions that exact arithmetic returns; they are never rewritten.
+
+The inverse and the division series are fixed points s = s_1 x - sum of
+c x^i s^j, solved one degree at a time from cached powers of the partial
+solution (online multiplication).  The inverse solves F(u, g) = 0 and
+division A(B(u)) = u, in ints; each is checked by an independent route.
 """
 
 from __future__ import annotations
@@ -94,14 +98,6 @@ def _padd_into(acc: Packed, d: Packed) -> None:
             acc.pop(k, None)
         else:
             acc[k] = s
-
-
-def _pscale(d: Packed, c: Coeff) -> Packed:
-    if c == 0:
-        return {}
-    if c == 1:
-        return d
-    return {k: v * c for k, v in d.items()}
 
 
 def _pmul(d1: Packed, d2: Packed) -> Packed:
@@ -213,10 +209,6 @@ class TruncatedSeries:
         raise AttributeError("TruncatedSeries is immutable")
 
     @classmethod
-    def zero(cls, vars: Iterable[str], order: int, ring: CoeffRing = ZZ) -> "TruncatedSeries":
-        return cls(tuple(vars), order, ring, {})
-
-    @classmethod
     def variable(cls, name: str, vars: Iterable[str], order: int, ring: CoeffRing = ZZ) -> "TruncatedSeries":
         vars = _canon_vars(vars)
         exp = tuple(1 if v == name else 0 for v in vars)
@@ -228,10 +220,8 @@ class TruncatedSeries:
         return _unpack_poly(self._coeffs.get(tuple(exp), {}), self.ring)
 
     def coefficients(self) -> list[tuple[tuple[int, ...], Polynomial]]:
-        out = []
-        for exp in sorted(self._coeffs, key=lambda e: (sum(e), e)):
-            out.append((exp, _unpack_poly(self._coeffs[exp], self.ring)))
-        return out
+        return [(exp, _unpack_poly(self._coeffs[exp], self.ring))
+                for exp in sorted(self._coeffs, key=lambda e: (sum(e), e))]
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -244,9 +234,6 @@ class TruncatedSeries:
             and self.order == other.order
             and self._coeffs == other._coeffs
         )
-
-    def __hash__(self):
-        raise TypeError("TruncatedSeries is not hashable")
 
     def _compat(self, other: "TruncatedSeries") -> CoeffRing:
         if self.vars != other.vars or self.order != other.order:
@@ -290,14 +277,6 @@ class TruncatedSeries:
                 if not acc:
                     del out[e]
         return TruncatedSeries(self.vars, self.order, ring, out)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(
-            self.vars, order, self.ring,
-            {e: dict(d) for e, d in self._coeffs.items() if sum(e) <= order},
-        )
 
     def lift(self, vars: Iterable[str]) -> "TruncatedSeries":
         """Reinterpret over a larger variable set."""
@@ -394,34 +373,63 @@ def compose(outer: TruncatedSeries, var: str, inner: TruncatedSeries) -> Truncat
 # the laws themselves --------------------------------------------------------
 
 
-def law_series(mode: FglMode, order: int, vars: tuple[str, str] = ("u", "v")) -> TruncatedSeries:
+def law_series(mode: FglMode, order: int) -> TruncatedSeries:
     """The group law F(u, v) itself, truncated at total degree `order`."""
-    vars = _canon_vars(vars)
-    if len(vars) != 2:
-        raise ValueError("a law takes exactly two variables")
     coeffs: dict = {(1, 0): {0: 1}, (0, 1): {0: 1}}
     for i in range(1, order):
         for j in range(1, order - i + 1):
             d = mode.coefficient(i, j)
             if d:
                 coeffs[(i, j)] = d
-    return TruncatedSeries(vars, order, ZZ, coeffs)
+    return TruncatedSeries(("u", "v"), order, ZZ, coeffs)
+
+
+class _Powers(dict):
+    """[x^m] s^j keyed (j, m), for s = s[1] x + s[2] x^2 + ... held in a list
+    that may grow one degree at a time: entry (j, m) with j >= 2 reads s_t
+    only for t <= m - j + 1.  Each entry is computed once, as the sum over t
+    of s_t * [x^(m-t)] s^(j-1)."""
+
+    def __init__(self, s: list):
+        self.s = s
+
+    def __missing__(self, key: tuple[int, int]) -> Packed:
+        j, m = key
+        if j == 1:
+            return self.s[m]
+        got = self[key] = {}
+        for t in range(1, m - j + 2):
+            _padd_into(got, _pmul(self.s[t], self[j - 1, m - t]))
+        return got
+
+
+def _dot(terms: list, powers: _Powers, k: int) -> Packed:
+    """[x^k] of the sum of c x^i s^j over (i, j, c) in terms."""
+    acc: Packed = {}
+    for i, j, c in terms:
+        if i + j <= k:
+            _padd_into(acc, _pmul(c, powers[j, k - i]))
+    return acc
+
+
+def _fixed_point(first: Coeff, terms: list, order: int) -> list:
+    """s[0..order] for s = first x - sum of c x^i s^j, solved degree by
+    degree: each term has i + j >= 2, so [x^k] of the sum reads s_t, t < k."""
+    s: list = [{}, {0: first}]
+    powers = _Powers(s)
+    for k in range(2, order + 1):
+        s.append({key: -c for key, c in _dot(terms, powers, k).items()})
+    return s
 
 
 @lru_cache(maxsize=None)
 def inverse_series(mode: FglMode, order: int) -> TruncatedSeries:
-    """The series g with F(u, g(u)) = 0, solved degree by degree."""
+    """The series g with F(u, g(u)) = 0, solved from g = -u - sum over
+    i, j >= 1 of c_ij u^i g^j and checked by composing the law with it."""
     law = law_series(mode, order)
-    gamma: dict = {(1,): {0: -1}}
-    for k in range(2, order + 1):
-        partial = TruncatedSeries(("u",), k, ZZ, {e: d for e, d in gamma.items() if e[0] <= k})
-        residue = compose(law.truncate(k), "v", partial)
-        top = residue._coeffs.get((k,))
-        if top:
-            gamma[(k,)] = {key: -c for key, c in top.items()}
-    result = TruncatedSeries(("u",), order, ZZ, gamma)
-    check = compose(law, "v", result)
-    if not check.is_zero():
+    g = _fixed_point(-1, [(i, j, c) for (i, j), c in law._coeffs.items() if i and j], order)
+    result = TruncatedSeries(("u",), order, ZZ, {(k,): d for k, d in enumerate(g) if d})
+    if not compose(law, "v", result).is_zero():
         raise ArithmeticError("inverse series failed to cancel the law")
     return result
 
@@ -433,73 +441,65 @@ def f_minus(mode: FglMode, order: int) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=None)
+def _n_fold_sums(mode: FglMode, order: int) -> list[TruncatedSeries]:
+    """[1](u), [2](u), ... as far as n_fold_sum has extended the list."""
+    return [TruncatedSeries.variable("u", ("u",), order)]
+
+
+@lru_cache(maxsize=None)
 def n_fold_sum(mode: FglMode, n: int, order: int) -> TruncatedSeries:
-    """u added to itself n times under the law, bracketed as F(u, F(u, ...))."""
+    """u added to itself n times under the law, bracketed as F(u, F(u, ...)):
+    the law need not be associative, so [k](u) = F(u, [k-1](u)), in a loop."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return TruncatedSeries.variable("u", ("u",), order)
-    inner = n_fold_sum(mode, n - 1, order)
-    return compose(law_series(mode, order), "v", inner)
+    sums = _n_fold_sums(mode, order)
+    law = law_series(mode, order) if len(sums) < n else None
+    while len(sums) < n:
+        sums.append(compose(law, "v", sums[-1]))
+    return sums[n - 1]
 
 
 def division_series(n: int, mode: FglMode, order: int) -> TruncatedSeries:
-    """The series B over Z[1/n] with B(nfold(u)) = u; checks nfold(B(u)) = u too."""
+    """The series B over Z[1/n] with A(B(u)) = u, for A = [n](u) = sum a_j u^j.
+
+    B(u) = n beta(u/n^2) turns A(B(u)) = u into the integral recursion
+    beta = w - sum over j >= 2 of n^(j-2) a_j beta^j, solved in ints, so
+    b_i = beta_i / n^(2i-1) has a denominator dividing n^(2i-1).  The check
+    is the other direction, B(A(u)) = u times n^(2K-1) with K = order:
+    sum of n^(2(K-i)) beta_i A^i = n^(2K-1) u, also in ints.
+    """
     if n < 2:
         raise ValueError("division needs n >= 2")
-    a = n_fold_sum(mode, n, order)
-    ring = CoeffRing([n])
-    # triangular solve for b_i from sum_k b_k * A(u)^k = u
-    apow = a
-    apow_coeffs: list[dict] = [dict(a._coeffs)]  # A^1, A^2, ...
-    b: dict[int, Packed] = {1: {0: Fraction(1, n)}}
-    for i in range(2, order + 1):
-        while len(apow_coeffs) < i:
-            apow = apow * a
-            apow_coeffs.append(dict(apow._coeffs))
-        acc: Packed = {}
-        for k in range(1, i):
-            piece = apow_coeffs[k - 1].get((i,))
-            if piece:
-                _padd_into(acc, _pmul(b[k], piece))
-        b[i] = _pscale({key: -c for key, c in acc.items()}, Fraction(1, n**i))
-    series = TruncatedSeries(
-        ("u",), order, ring, {(i,): d for i, d in b.items() if d}
-    )
-    back = series_apply(a, [series])
-    if back != TruncatedSeries.variable("u", ("u",), order, ring):
-        raise ArithmeticError("division series failed the return round trip")
-    return series
+    nfold = n_fold_sum(mode, n, order)._coeffs
+    a = [nfold.get((j,), {}) for j in range(order + 1)]
+    terms = [(0, j, {k: c * n ** (j - 2) for k, c in a[j].items()}) for j in range(2, order + 1)]
+    beta = _fixed_point(1, terms, order)
+    back = [(0, i, {k: c * n ** (2 * (order - i)) for k, c in beta[i].items()})
+            for i in range(1, order + 1)]
+    a_powers = _Powers(a)
+    for m in range(1, order + 1):
+        if _dot(back, a_powers, m) != ({0: n ** (2 * order - 1)} if m == 1 else {}):
+            raise ArithmeticError("division series failed the return round trip")
+    return TruncatedSeries(("u",), order, CoeffRing([n]), {
+        (i,): {key: Fraction(c, n ** (2 * i - 1)) for key, c in d.items()}
+        for i, d in enumerate(beta) if d})
 
 
 def associativity_relations(mode: FglMode, order: int) -> dict[tuple[int, int, int], Polynomial]:
     """Nonzero coefficients of F(F(u,v),w) - F(u,F(v,w)), keyed by exponent."""
     law = law_series(mode, order)
     uvw = ("u", "v", "w")
-    u3 = TruncatedSeries.variable("u", uvw, order)
-    w3 = TruncatedSeries.variable("w", uvw, order)
-    f_uv = law.lift(uvw)
     f_vw = law.rename_variable("v", "w").rename_variable("u", "v").lift(uvw)
-    left = series_apply(law, [f_uv, w3])
-    right = series_apply(law, [u3, f_vw])
-    diff = left - right
-    return {
-        exp: poly
-        for exp, poly in diff.coefficients()
-    }
+    left = series_apply(law, [law.lift(uvw), TruncatedSeries.variable("w", uvw, order)])
+    right = series_apply(law, [TruncatedSeries.variable("u", uvw, order), f_vw])
+    return dict((left - right).coefficients())
 
 
 def eval_dim_truncated(series: TruncatedSeries, syms, dim: int) -> Polynomial:
-    """Evaluate the series at first-degree symbols, one per variable, on a
-    space of the given dimension: any product of total degree above `dim`
-    is killed.
-
-    Accepts a single VarSymbol for one-variable series or a sequence of
-    them matching the series variables.
-    """
-    if isinstance(syms, VarSymbol):
-        syms = [syms]
-    syms = list(syms)
+    """Evaluate the series at first-degree symbols, one per variable (a single
+    VarSymbol for a one-variable series), on a space of the given dimension:
+    any product of total degree above `dim` is killed."""
+    syms = [syms] if isinstance(syms, VarSymbol) else list(syms)
     if len(syms) != len(series.vars):
         raise ValueError("need one symbol per series variable")
     if dim < 0:

@@ -171,6 +171,18 @@ def test_nfold_scales_the_linear_coefficient(capsys):
     assert term == {"coeff": {"num": "3", "den": "1"}, "monomial": {}}
 
 
+@pytest.mark.parametrize("argv", [
+    ["fgl", "nfold", "-n", "600", "--order", "3"],
+    ["fgl", "divide", "-n", "600", "--order", "2"],
+])
+def test_many_summands_do_not_overflow_the_stack(capsys, argv):
+    code, doc, err = run_json(capsys, argv)
+    assert code == 0 and err == ""
+    (term,) = doc["coeffs"][0]["poly"]["terms"]
+    assert term["coeff"] == ({"num": "600", "den": "1"} if argv[1] == "nfold"
+                             else {"num": "1", "den": "600"})
+
+
 def test_denominator_profile_shape(capsys):
     code, doc, _ = run_json(
         capsys, ["fgl", "divide", "-n", "2", "--order", "4",

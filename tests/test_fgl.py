@@ -6,10 +6,12 @@ mode doubles as an independent numeric oracle since there the n-fold sum is
 (1+u)^n - 1 and division is the binomial series for (1+u)^(1/n) - 1.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from dprkit import fgl
 from dprkit.algebra import CoeffRing, IncompatibleRings, Monomial, Polynomial, VarSymbol, ZZ
 from dprkit.fgl import (
     BETA,
@@ -248,3 +250,66 @@ def test_series_json_is_deterministic():
     first = series_to_json(f)["coeffs"][0]
     assert first["exp"] == [1]
     assert first["poly"]["terms"][0]["coeff"] == {"num": "3", "den": "1"}
+
+
+def test_n_fold_sum_is_a_loop_over_cached_sums():
+    # 600 summands overflowed the stack when [n] recursed into [n-1]
+    from math import comb
+
+    f = n_fold_sum(custom_mode({(1, 1): 1}), 600, 3)
+    assert [poly for _, poly in f.coefficients()] == [const(comb(600, k)) for k in (1, 2, 3)]
+
+
+def _clear_solve_caches():
+    inverse_series.cache_clear()
+    n_fold_sum.cache_clear()
+    fgl._n_fold_sums.cache_clear()
+
+
+def _bump_degree_three(solve):
+    def tampered(first, terms, order):
+        s = solve(first, terms, order)
+        s[3] = {**s[3], 0: s[3].get(0, 0) + 1}
+        return s
+    return tampered
+
+
+def _drop_a_term(missing):
+    def tampered(self, key):
+        got = missing(self, key)
+        if key == (2, 3):
+            got.clear()
+        return got
+    return tampered
+
+
+@pytest.mark.parametrize("tamper", ["coefficient", "powers"])
+@pytest.mark.parametrize("mode", [U, custom_mode({(1, 1): 2, (1, 2): -1})], ids=["universal", "custom"])
+def test_each_solve_check_can_fail(monkeypatch, tamper, mode):
+    if tamper == "coefficient":
+        monkeypatch.setattr(fgl, "_fixed_point", _bump_degree_three(fgl._fixed_point))
+    else:
+        monkeypatch.setattr(fgl._Powers, "__missing__", _drop_a_term(fgl._Powers.__missing__))
+    _clear_solve_caches()
+    try:
+        with pytest.raises(ArithmeticError, match="inverse"):
+            inverse_series(mode, 5)
+        with pytest.raises(ArithmeticError, match="division"):
+            division_series(3, mode, 5)
+    finally:
+        _clear_solve_caches()
+
+
+def _custom_table(seed, order):
+    rng = random.Random(seed)
+    return {(i, j): rng.randint(-3, 3) for i in range(1, order) for j in range(i, order - i + 1)}
+
+
+@pytest.mark.parametrize("mode, order", [
+    (U, 8), (multiplicative_mode(), 16), (custom_mode(_custom_table(7, 16)), 16),
+], ids=["universal", "multiplicative", "custom"])
+def test_division_denominators_divide_n_to_the_2i_minus_1(mode, order):
+    # B(u) = n beta(u/n^2) with beta integral gives b_i in n^-(2i-1) Z
+    for n in range(2, 10):
+        for i, k in denominator_profile(division_series(n, mode, order)):
+            assert k <= 2 * i - 1, (n, i, k)

@@ -4,6 +4,8 @@ For seeded integer custom laws, the inverse and division series are
 recomputed by fixed-point iteration in `sympy.polys.rings` over QQ and
 compared coefficient by coefficient with `fgl`.  Each iteration of the
 fixed point fixes one more degree, so ORDER iterations reach the answer.
+`compose` is checked against sympy's own substitution of a seeded series
+into the law as a polynomial in u and v.
 """
 
 import random
@@ -14,7 +16,10 @@ import pytest
 sympy_rings = pytest.importorskip("sympy.polys.rings")
 from sympy import QQ  # noqa: E402
 
-from dprkit.fgl import custom_mode, division_series, inverse_series  # noqa: E402
+from dprkit.algebra import ZZ  # noqa: E402
+from dprkit.fgl import (  # noqa: E402
+    TruncatedSeries, compose, custom_mode, division_series, inverse_series, law_series,
+)
 
 ORDER = 8
 
@@ -88,3 +93,20 @@ def test_inverse_and_division_match_a_sympy_fixed_point(seed):
     assert _coeffs(inverse_series(mode, ORDER)) == _oracle_coeffs(inverse())
     for n in (2, 3, 5):
         assert _coeffs(division_series(n, mode, ORDER)) == _oracle_coeffs(division(n)), n
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_compose_matches_sympy_substitution(seed):
+    table = _table(seed)
+    rng = random.Random(100 + seed)
+    inner = {k: rng.randint(-4, 4) for k in range(1, ORDER + 1)}
+    ring, u, v = sympy_rings.ring("u,v", QQ)
+    law = u + v
+    for (i, j), c in table.items():
+        law += c * u**i * v**j + (c * u**j * v**i if i != j else 0)
+    substituted = law.compose(v, sum(c * u**k for k, c in inner.items()))
+    expected = {m[0]: Fraction(int(c.numerator), int(c.denominator))
+                for m, c in substituted.items() if m[0] <= ORDER}
+    s = TruncatedSeries(("u",), ORDER, ZZ, {(k,): {0: c} for k, c in inner.items() if c})
+    got = compose(law_series(custom_mode(table), ORDER), "v", s)
+    assert _coeffs(got) == expected
