@@ -2,8 +2,9 @@
 
 Every criterion is exact (integer or rational arithmetic, no tolerances) and
 deterministic, so the rendered report is byte-stable across runs.  The
-functions return structured results; rendering to JSON or aligned text lives
-here too so the command-line selftest and the test suite share one source.
+functions return structured results, and `report_json`/`report_text` turn
+them into the JSON payload and the aligned text that `dprkit selftest`
+prints through `cli._emit`.
 
 Criterion 6 checks the all-bad row of the fixed-point table against the
 relation it must respect.  Write T_n = S_n + E_n for a chain of n classes
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fixedpoint
-from .algebra import Polynomial, VarSymbol, canonical_json
+from .algebra import Polynomial, VarSymbol
 from .dpr import (
     build_ex,
     build_ey,
@@ -56,7 +57,7 @@ from .fixedpoint import (
     DEFAULT_GUARD_GROUPS,
     all_bad_evaluation,
     claim1_case_check,
-    exhaustive_guard,
+    guard_report,
 )
 from .operators import verify_full_identity, verify_step_identity
 
@@ -66,7 +67,6 @@ __all__ = [
     "run_all",
     "report_json",
     "report_text",
-    "selftest_output",
     "CRITERIA",
 ]
 
@@ -309,7 +309,7 @@ def run_criterion_6() -> CriterionResult:
             f"{len(off_identity)} of 64 pairs; first (n, m) = ({n}, {m}) gives {value}"
         )
 
-    guard_ok = all(exhaustive_guard(group) for group in DEFAULT_GUARD_GROUPS)
+    guard_ok = all(guard_report(group)["holds"] for group in DEFAULT_GUARD_GROUPS)
     ok &= guard_ok
     details.append(
         f"{'ok' if guard_ok else 'FAIL'}: never exactly one bad divisor, "
@@ -400,11 +400,3 @@ def report_text(results: list[CriterionResult]) -> str:
     lines.append(f"overall      {'PASS' if overall else 'FAIL'}")
     return "\n".join(lines) + "\n"
 
-
-def selftest_output(fmt: str = "json") -> tuple[str, bool]:
-    """Render the whole suite; the string is byte-stable across runs."""
-    results = run_all()
-    overall = all(r.passed for r in results)
-    if fmt == "text":
-        return report_text(results), overall
-    return canonical_json(report_json(results)), overall

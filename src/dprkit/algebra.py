@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import operator
-import re
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping, Union
@@ -113,8 +112,6 @@ ZZ = CoeffRing()
 _FAMILY_RANK = {"X": 0, "Y": 1, "U": 2, "V": 3}
 _LATE_RANK = len(_FAMILY_RANK)
 
-_INDEX_SUFFIX = re.compile(r"^(.*)\[(\d+)\]$")
-
 
 class VarSymbol:
     """An interned variable: a family tag plus integer indices.
@@ -161,20 +158,6 @@ class VarSymbol:
 
     def __str__(self) -> str:
         return self.family + "".join(f"[{i}]" for i in self.indices)
-
-
-def symbol_from_str(text: str) -> VarSymbol:
-    """Inverse of str(VarSymbol): trailing [int] groups become indices."""
-    indices: list[int] = []
-    while True:
-        m = _INDEX_SUFFIX.match(text)
-        if m is None:
-            break
-        text = m.group(1)
-        indices.append(int(m.group(2)))
-    if not text:
-        raise ValueError("empty symbol family")
-    return VarSymbol(text, reversed(indices))
 
 
 class Monomial:
@@ -519,10 +502,6 @@ def coeff_to_json(c: Coeff) -> dict:
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
 
-def coeff_from_json(obj: Mapping) -> Coeff:
-    return Fraction(int(obj["num"]), int(obj["den"]))
-
-
 def poly_to_json(p: Polynomial) -> dict:
     terms = []
     for mono, c in p.sorted_terms():
@@ -533,15 +512,6 @@ def poly_to_json(p: Polynomial) -> dict:
             }
         )
     return {"ring": {"inverted": sorted(p.ring.inverted)}, "terms": terms}
-
-
-def poly_from_json(obj: Mapping) -> Polynomial:
-    ring = CoeffRing(obj["ring"]["inverted"])
-    terms: dict[Monomial, Coeff] = {}
-    for entry in obj["terms"]:
-        mono = Monomial((symbol_from_str(k), e) for k, e in entry["monomial"].items())
-        terms[mono] = coeff_from_json(entry["coeff"])
-    return Polynomial(ring, terms)
 
 
 def canonical_json(obj) -> str:

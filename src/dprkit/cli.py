@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Callable
 
-from .acceptance import selftest_output
+from .acceptance import report_json, report_text, run_all
 from .algebra import Polynomial, canonical_json, poly_to_json
 from .dpr import (
     build_ex,
@@ -239,9 +239,9 @@ def _cmd_fixedpoint_guard(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    out, ok = selftest_output(args.format)
-    sys.stdout.write(out)
-    return 0 if ok else 1
+    results = run_all()
+    _emit(args, lambda: report_json(results), lambda: report_text(results))
+    return 0 if all(r.passed for r in results) else 1
 
 
 # parser ----------------------------------------------------------------------

@@ -340,10 +340,7 @@ class DprPolynomial:
         return total
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        decode = _decoder(self.support)
-        pairs = [(decode(m), c) for m, c in self.terms()]
-        pairs.sort(key=lambda t: t[0].sort_key())
-        return pairs
+        return self.to_polynomial().sorted_terms()
 
     def to_polynomial(self) -> Polynomial:
         decode = _decoder(self.support)

@@ -6,7 +6,10 @@ goodness of any combination is decided by the basic assignments alone.  One
 consequence is structural: among the triple (D, A, D + A) it is impossible
 for exactly one member to be bad, since any two trivial characters force the
 third to be trivial.  `impossible_case_guard` exposes that fact as an
-executable check and `exhaustive_guard` brute-forces it over a whole group.
+executable check and `guard_report` brute-forces it over a whole group.
+`_step_goodness` decides the five cases below in one place for the table,
+the chain steps and the final class of the mixed verifier, and raises
+`ImpossibleGoodness` should exactly one member ever come out bad.
 
 `fprime_of_var` sends each relation-ring generator to a small polynomial in
 first-class symbols c[D], sigma1[D], and opaque tower composites p2/p3 (or
@@ -49,7 +52,6 @@ from .operators import (
     InconsistentSolve,
     RelationSystem,
     VerificationReport,
-    apply_G,
     blow_up,
     h_expression,
 )
@@ -62,7 +64,6 @@ __all__ = [
     "ImpossibleGoodness",
     "make_context",
     "impossible_case_guard",
-    "exhaustive_guard",
     "guard_report",
     "parse_group_spec",
     "c_symbol",
@@ -92,11 +93,6 @@ class IndexOutOfRange(ValueError):
 class ImpossibleGoodness(AssertionError):
     """Exactly one of (D, A, D + A) came out bad, which additive characters
     rule out; the goodness model is broken."""
-
-
-def _check_not_exactly_one_bad(good: Sequence[bool], names) -> None:
-    if sum(good) == 2:
-        raise ImpossibleGoodness(f"exactly one bad divisor among {names}")
 
 
 @dataclass(frozen=True)
@@ -235,12 +231,8 @@ def impossible_case_guard(ctx: GoodnessContext, combo: Union[str, Sequence[str]]
     return bad != 1
 
 
-def exhaustive_guard(group: Sequence[int]) -> bool:
-    """Check the guard over every character assignment to a two-and-one alphabet."""
-    return guard_report(group)["holds"]
-
-
 def guard_report(group: Sequence[int]) -> dict:
+    """Check the guard over every character assignment to a two-and-one alphabet."""
     orders = tuple(group)
     residue_space = list(itertools.product(*(range(o) for o in orders)))
     contexts = 0
@@ -289,6 +281,28 @@ def _var(sym: VarSymbol) -> Polynomial:
     return Polynomial.variable(sym)
 
 
+def _step_goodness(ctx: GoodnessContext, names: Sequence[str], k: int) -> tuple[str, VarSymbol | None]:
+    """Goodness of step k of a chain: the triple (D, A_k, D + A_k) with
+    D = A_1 + .. + A_{k-1}.
+
+    Returns the case and the sigma1 symbol it uses.  The case is "all" when
+    all three are good (sigma1 of D), "head", "last" or "full" when only D,
+    A_k or D + A_k is (sigma1 of that member), and "none" when all are bad
+    (no symbol).  Exactly one bad member cannot come from characters and
+    raises ImpossibleGoodness.
+    """
+    head, last, full = names[:k - 1], names[k - 1], names[:k]
+    good = (ctx.good(head), ctx.good(last), ctx.good(full))
+    if sum(good) == 2:
+        raise ImpossibleGoodness(f"exactly one bad divisor among {(head, last, full)}")
+    if all(good):
+        return "all", sigma_symbol(ctx.combo_name(head))
+    for case, combo, is_good in zip(("head", "last", "full"), (head, (last,), full), good):
+        if is_good:
+            return case, sigma_symbol(ctx.combo_name(combo))
+    return "none", None
+
+
 def fprime_of_var(var: VarSymbol, ctx: GoodnessContext) -> Polynomial:
     """Image of one relation-ring generator under the goodness table."""
     fam = var.family
@@ -323,24 +337,14 @@ def fprime_of_var(var: VarSymbol, ctx: GoodnessContext) -> Polynomial:
                 raise IndexOutOfRange(f"tower marker needs index >= 2: {var}")
             if k > len(names):
                 return Polynomial.zero()
-            head = names[:k - 1]
-            last = names[k - 1]
-            full = names[:k]
-            base = 2 if kind == 2 else 1
-            good_head, good_last, good_full = ctx.good(head), ctx.good(last), ctx.good(full)
-            _check_not_exactly_one_bad((good_head, good_last, good_full), (head, last, full))
-            if good_head and good_last and good_full:
+            case, sigma = _step_goodness(ctx, names, k)
+            if case == "all":
                 return _var(_tower_symbol(towers[kind - 2], k))
-            if good_head:
-                s = _var(sigma_symbol(ctx.combo_name(head)))
-                return s * 2 if kind == 2 else s + 1
-            if good_last:
-                return _var(sigma_symbol(ctx.combo_name((last,)))) + base
-            if good_full:
-                return _var(sigma_symbol(ctx.combo_name(full))) + base
-            # exactly one bad is ruled out above, so each branch before this
-            # one has a single good member; here all three are bad
-            return _const(4 if kind == 2 else 3)
+            if case == "none":
+                return _const(4 if kind == 2 else 3)
+            if case == "head" and kind == 2:
+                return _var(sigma) * 2
+            return _var(sigma) + (2 if kind == 2 else 1)
         raise IndexOutOfRange(f"unknown marker kind {kind} in {var}")
     raise IndexOutOfRange(f"{var} is not a relation-ring generator")
 
@@ -348,8 +352,7 @@ def fprime_of_var(var: VarSymbol, ctx: GoodnessContext) -> Polynomial:
 def fprime_eval(g: Union[DprPolynomial, Polynomial], ctx: GoodnessContext) -> Polynomial:
     """Homomorphic extension of the table to a whole relation polynomial."""
     poly = g.to_polynomial() if isinstance(g, DprPolynomial) else g
-    images = {s: fprime_of_var(s, ctx) for s in poly.symbols()}
-    return apply_G(poly, images)
+    return poly.substitute({s: fprime_of_var(s, ctx) for s in poly.symbols()})
 
 
 # the five base goodness patterns -------------------------------------------
@@ -436,6 +439,15 @@ def all_bad_evaluation(n: int, m: int) -> dict:
 # sampled mixed-goodness identity -------------------------------------------
 
 
+def _sample_degenerate(case, sigma, last, val) -> None:
+    """Sample what the images of a step that is not all good use: the last
+    class when it alone is good, then the sigma1 of the good member."""
+    if case == "last":
+        val(c_symbol(last))
+    if sigma is not None:
+        val(sigma)
+
+
 def _advance(ctx, names, k, t_prev, val, fresh, towers):
     """Push the chain value one class forward, sampling what the step needs.
 
@@ -444,27 +456,15 @@ def _advance(ctx, names, k, t_prev, val, fresh, towers):
     the value to 1, and when only the combined class is good the relation is
     vacuous so the value is free.
     """
-    head = names[:k - 1]
-    last = names[k - 1]
-    full = names[:k]
-    good_head, good_last, good_full = ctx.good(head), ctx.good(last), ctx.good(full)
-    if good_head and good_last and good_full:
-        s1 = val(sigma_symbol(ctx.combo_name(head)))
-        c = val(c_symbol(last))
+    case, sigma = _step_goodness(ctx, names, k)
+    if case == "all":
+        s1 = val(sigma)
+        c = val(c_symbol(names[k - 1]))
         p2 = val(_tower_symbol(towers[0], k))
         p3 = val(_tower_symbol(towers[1], k))
         return blow_up(t_prev, c, s1, p2 - p3)
-    if good_head:
-        val(sigma_symbol(ctx.combo_name(head)))
-        return Fraction(1)
-    if good_last:
-        val(c_symbol(last))
-        val(sigma_symbol(ctx.combo_name((last,))))
-        return Fraction(1)
-    if good_full:
-        val(sigma_symbol(ctx.combo_name(full)))
-        return fresh()
-    return Fraction(1)
+    _sample_degenerate(case, sigma, names[k - 1], val)
+    return fresh() if case == "full" else Fraction(1)
 
 
 def _start(ctx, names, val):
@@ -510,30 +510,22 @@ def _mixed_trial(rng, n, m, group, sample_range) -> bool:
         t_y = _start(ctx, y_names, val)
         for l in range(2, m):
             t_y = _advance(ctx, y_names, l, t_y, val, fresh, ("q2", "q3"))
-        head = y_names[:m - 1]
+        case, sigma = _step_goodness(ctx, y_names, m)
         last = y_names[m - 1]
-        good_head, good_last = ctx.good(head), ctx.good(last)
-        if ctx.good(y_names):
-            if good_head and good_last:
-                # solve the final class value so both chains meet at the
-                # shared total class
-                s1 = val(sigma_symbol(ctx.combo_name(head)))
-                q2 = val(_tower_symbol("q2", m))
-                q3 = val(_tower_symbol("q3", m))
-                den = 1 - t_y * s1 + t_y * t * (q2 - q3)
-                if den == 0:
-                    raise DegenerateSample("vanishing final-class denominator")
-                point[c_symbol(last)] = (t - t_y) / den
-            else:
-                _check_not_exactly_one_bad((good_head, good_last, True), (head, last, y_names))
-                val(sigma_symbol(ctx.combo_name(y_names)))
+        if case == "all":
+            # solve the final class value so both chains meet at the
+            # shared total class
+            s1 = val(sigma)
+            q2 = val(_tower_symbol("q2", m))
+            q3 = val(_tower_symbol("q3", m))
+            den = 1 - t_y * s1 + t_y * t * (q2 - q3)
+            if den == 0:
+                raise DegenerateSample("vanishing final-class denominator")
+            point[c_symbol(last)] = (t - t_y) / den
         else:
-            if good_head:
-                val(sigma_symbol(ctx.combo_name(head)))
-            elif good_last:
-                val(c_symbol(last))
-                val(sigma_symbol(ctx.combo_name((last,))))
-            if t != 1:
+            _sample_degenerate(case, sigma, last, val)
+            # past "all" only "full" has a good total class; a bad one pins t to 1
+            if case != "full" and t != 1:
                 raise InconsistentSolve(
                     f"first-family chain gave {t} where a bad total class pins it to 1"
                 )

@@ -22,22 +22,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping
 
 from .algebra import Coeff, Polynomial, VarSymbol
-from .dpr import DprPolynomial, chain_symbols, chain_values
+from .dpr import chain_symbols, chain_values
 
 __all__ = [
     "DegenerateSample",
     "ResampleLimitExceeded",
     "InconsistentSolve",
-    "MissingImage",
     "RESAMPLE_LIMIT",
     "RelationSystem",
     "VerificationReport",
     "h_expression",
     "blow_up",
-    "apply_G",
     "verify_step_identity",
     "verify_full_identity",
 ]
@@ -59,10 +57,6 @@ class InconsistentSolve(AssertionError):
     """The two admissible solve orders disagreed; the relation evaluation is broken."""
 
 
-class MissingImage(KeyError):
-    """apply_G met a generator with no assigned image."""
-
-
 def h_expression() -> Polynomial:
     """The two-class correction law
     cL + cM - cL cM sigma1 + cL cM cLM (sigma2 - sigma3) - cLM.
@@ -74,23 +68,6 @@ def h_expression() -> Polynomial:
     s2 = Polynomial.variable(VarSymbol("sigma2"))
     s3 = Polynomial.variable(VarSymbol("sigma3"))
     return cl + cm - cl * cm * s1 + cl * cm * clm * (s2 - s3) - clm
-
-
-def apply_G(
-    g: Union[DprPolynomial, Polynomial],
-    images: Mapping[VarSymbol, Union[Polynomial, Coeff]],
-) -> Polynomial:
-    """Push a relation polynomial through a symbol-to-expression assignment.
-
-    Every generator of `g` must have an image; the map is applied as a ring
-    morphism.
-    """
-    if isinstance(g, DprPolynomial):
-        g = g.to_polynomial()
-    missing = [s for s in g.symbols() if s not in images]
-    if missing:
-        raise MissingImage(", ".join(str(s) for s in sorted(missing)))
-    return g.substitute(images)
 
 
 @dataclass(frozen=True)

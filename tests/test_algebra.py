@@ -1,7 +1,9 @@
 """Core polynomial kernel: rings, symbols, monomials, arithmetic, JSON."""
 
 import random
+import re
 from fractions import Fraction
+from typing import Mapping
 
 import pytest
 
@@ -15,9 +17,7 @@ from dprkit.algebra import (
     VarSymbol,
     ZZ,
     canonical_json,
-    poly_from_json,
     poly_to_json,
-    symbol_from_str,
 )
 
 X1 = VarSymbol("X", (1,))
@@ -26,6 +26,37 @@ Y1 = VarSymbol("Y", (1,))
 U11 = VarSymbol("U", (1, 1))
 V21 = VarSymbol("V", (2, 1))
 A11 = VarSymbol("a", (1, 1))
+
+
+# a reader for the JSON that poly_to_json writes; dprkit itself only writes
+_INDEX_SUFFIX = re.compile(r"^(.*)\[(\d+)\]$")
+
+
+def symbol_from_str(text: str) -> VarSymbol:
+    """Inverse of str(VarSymbol): trailing [int] groups become indices."""
+    indices: list[int] = []
+    while True:
+        m = _INDEX_SUFFIX.match(text)
+        if m is None:
+            break
+        text = m.group(1)
+        indices.append(int(m.group(2)))
+    if not text:
+        raise ValueError("empty symbol family")
+    return VarSymbol(text, reversed(indices))
+
+
+def coeff_from_json(obj: Mapping) -> Fraction:
+    return Fraction(int(obj["num"]), int(obj["den"]))
+
+
+def poly_from_json(obj: Mapping) -> Polynomial:
+    ring = CoeffRing(obj["ring"]["inverted"])
+    terms: dict[Monomial, Fraction] = {}
+    for entry in obj["terms"]:
+        mono = Monomial((symbol_from_str(k), e) for k, e in entry["monomial"].items())
+        terms[mono] = coeff_from_json(entry["coeff"])
+    return Polynomial(ring, terms)
 
 
 def test_ring_join_by_containment():

@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from dprkit import cli, dpr, operators
+from dprkit import cli, dpr, fixedpoint, operators
+from dprkit.acceptance import report_json, report_text, run_all
 from dprkit.algebra import canonical_json
 
 
@@ -270,10 +271,10 @@ def run_reporting_imports(cli_env, argv):
       for which in ("multilinear", "bounds", "weight", "mirror")],
     pytest.param(["gdpr", "check", "padding", "-n", "2", "-m", "2", "--big-n", "9", "--big-m", "2"],
                  id="gdpr check padding --big-n 9 --big-m 2"),
+    ["selftest"],
 ], ids=lambda argv: " ".join(argv[:3]))
-def test_commands_without_mask_engine_leave_numpy_unloaded(cli_env, argv):
-    # the README contract: dprkit imports nothing outside the standard
-    # library (the old name is kept so that the case ids stay stable)
+def test_commands_import_only_the_standard_library(cli_env, argv):
+    # the README contract: dprkit imports nothing outside the standard library
     proc = run_reporting_imports(cli_env, argv)
     assert proc.returncode == 0 and proc.stdout
     assert proc.stderr == b"['dprkit']"
@@ -308,6 +309,25 @@ def test_failing_check_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(dpr, "_ODD_BYTE", 0x02)
     code, doc, err = run_json(capsys, ["gdpr", "check", "mirror", "-n", "3", "-m", "2"])
     assert code == 1 and doc["pass"] is False and err == ""
+
+
+def test_selftest_prints_the_report_in_both_formats(capsys, monkeypatch):
+    results = run_all()
+    assert run(["selftest"]) == 0
+    assert capsys.readouterr().out == canonical_json(report_json(results))
+    assert run(["selftest", "--format", "text"]) == 0
+    assert capsys.readouterr().out == report_text(results)
+    # a wrong all-bad table turns criterion 6 red and the command exits 1
+    table = dict(fixedpoint.ALL_BAD_VALUES)
+    table["U", 1] = table["V", 1] = 3
+    monkeypatch.setattr(fixedpoint, "ALL_BAD_VALUES", table)
+    code = run(["selftest"])
+    out = capsys.readouterr()
+    assert code == 1 and out.err == ""
+    assert '"pass": false' in out.out
+    doc = json.loads(out.out)
+    assert doc["pass"] is False
+    assert [c["number"] for c in doc["criteria"] if not c["pass"]] == [6]
 
 
 def test_resample_limit_exits_two(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Goodness characters, the generator evaluation table, and its identities."""
 
+import itertools
 import time
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ from dprkit.fixedpoint import (
     all_bad_evaluation,
     c_symbol,
     claim1_case_check,
-    exhaustive_guard,
     fprime_eval,
     fprime_of_var,
     guard_report,
@@ -103,7 +103,7 @@ def test_impossible_case_guard_examples():
 
 def test_guard_exhaustive_over_small_groups():
     for group in ((2,), (3,), (2, 2), (6,), (2, 3)):
-        assert exhaustive_guard(group)
+        assert guard_report(group)["holds"]
     report = guard_report((2, 3))
     assert report == {"group": [2, 3], "contexts": 36, "holds": True}
 
@@ -282,10 +282,39 @@ def test_large_counts_run_the_recursion_alone(no_expansion):
 def test_tower_images_check_the_goodness_guard(monkeypatch):
     # a context where exactly one of (D, A, D + A) is bad cannot arise from
     # characters; forcing one must raise, not pass or fail silently
-    monkeypatch.setattr(fixedpoint.GoodnessContext, "good", lambda self, combo: len(combo) != 2)
     ctx = make_context((2,), ("A", "B"), ("C",), {"A": (0,), "B": (0,), "C": (0,)})
-    with pytest.raises(fixedpoint.ImpossibleGoodness):
-        fprime_of_var(VarSymbol("U", (2, 2)), ctx)
+    pattern = {}
+
+    def forced(self, combo):
+        return pattern[(combo,) if isinstance(combo, str) else tuple(combo)]
+
+    monkeypatch.setattr(fixedpoint.GoodnessContext, "good", forced)
+    # the classifier over all eight goodness triples of step 2 of the chain
+    # (A, B), where D is A and A_2 is B: five cases, and a raise wherever
+    # exactly one is bad
+    expected = {
+        (True, True, True): ("all", sigma_symbol("A")),
+        (True, False, False): ("head", sigma_symbol("A")),
+        (False, True, False): ("last", sigma_symbol("B")),
+        (False, False, True): ("full", sigma_symbol("A+B")),
+        (False, False, False): ("none", None),
+    }
+    for triple in itertools.product((True, False), repeat=3):
+        pattern.update(zip([("A",), ("B",), ("A", "B")], triple))
+        if sum(triple) == 2:
+            with pytest.raises(fixedpoint.ImpossibleGoodness):
+                fixedpoint._step_goodness(ctx, ("A", "B"), 2)
+            with pytest.raises(fixedpoint.ImpossibleGoodness):
+                fprime_of_var(VarSymbol("U", (2, 2)), ctx)
+        else:
+            assert fixedpoint._step_goodness(ctx, ("A", "B"), 2) == expected[triple], triple
+    # every two-class sum bad and everything else good: the mixed verifier
+    # meets it in a chain step at (3, 3) and in the final class at (1, 2)
+    monkeypatch.setattr(fixedpoint.GoodnessContext, "good",
+                        lambda self, combo: isinstance(combo, str) or len(combo) != 2)
+    for n, m in ((3, 3), (1, 2)):
+        with pytest.raises(fixedpoint.ImpossibleGoodness):
+            verify_mixed_contexts(n, m, trials=4, seed=1)
 
 
 def test_bad_total_class_pins_the_first_chain(monkeypatch):

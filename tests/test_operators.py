@@ -6,13 +6,11 @@ import time
 import pytest
 
 from dprkit import fixedpoint, operators
-from dprkit.algebra import Monomial, Polynomial, VarSymbol, ZZ, canonical_json
+from dprkit.algebra import Polynomial, VarSymbol, canonical_json
 from dprkit.dpr import build_gx, build_gy
 from dprkit.fixedpoint import verify_mixed_contexts
 from dprkit.operators import (
-    MissingImage,
     VerificationReport,
-    apply_G,
     h_expression,
     verify_full_identity,
     verify_step_identity,
@@ -45,20 +43,9 @@ def test_two_one_relation_is_the_h_expression():
         VarSymbol("U", (2, 2)): V("sigma2"),
         VarSymbol("U", (3, 2)): V("sigma3"),
     }
-    lhs = apply_G(build_gx(2, 1), images)
-    rhs = apply_G(build_gy(1, 2), images)
+    lhs = build_gx(2, 1).to_polynomial().substitute(images)
+    rhs = build_gy(1, 2).to_polynomial().substitute(images)
     assert lhs - rhs == h_expression()
-
-
-def test_apply_g_requires_every_image():
-    with pytest.raises(MissingImage):
-        apply_G(build_gx(2, 1), {VarSymbol("X", (1,)): 1})
-
-
-def test_apply_g_accepts_plain_polynomials_and_numbers():
-    p = Polynomial(ZZ, {Monomial({VarSymbol("X", (1,)): 1, VarSymbol("X", (2,)): 1}): 3})
-    out = apply_G(p, {VarSymbol("X", (1,)): 2, VarSymbol("X", (2,)): V("cL")})
-    assert out == V("cL") * 6
 
 
 def test_step_identity_passes_and_is_deterministic():
