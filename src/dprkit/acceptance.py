@@ -79,35 +79,45 @@ class CriterionResult:
     details: tuple[str, ...]
 
 
+class _Checks:
+    """The detail lines of one criterion and whether all its checks hold."""
+
+    def __init__(self, ok: bool = True):
+        self.ok = ok
+        self.details: list[str] = []
+
+    def __call__(self, label: str, good: bool, failure: str | None = None) -> None:
+        """Record one check as `ok: label`, or as `FAIL: ` and the failure
+        text (the label unless one is given)."""
+        self.ok &= good
+        self.details.append(f"ok: {label}" if good else f"FAIL: {failure or label}")
+
+    def result(self, number: int, name: str) -> CriterionResult:
+        return CriterionResult(number, name, self.ok, tuple(self.details))
+
+
 def _var(family: str, *indices: int) -> Polynomial:
     return Polynomial.variable(VarSymbol(family, indices))
 
 
 def run_criterion_1() -> CriterionResult:
     """Base-case relation polynomials match their explicit forms."""
-    details = []
-    ok = True
-
+    check = _Checks()
     x1, x2, y1 = _var("X", 1), _var("X", 2), _var("Y", 1)
     u11, u22, u32 = _var("U", 1, 1), _var("U", 2, 2), _var("U", 3, 2)
 
-    checks = [
-        ("first-level corrections vanish",
-         len(build_ex(1)) == 0 and len(build_fx(1)) == 0
-         and len(build_ey(1)) == 0 and len(build_fy(1)) == 0),
-        ("two-class excess", build_ex(2) == from_polynomial(-(x1 * x2 * u11))),
-        ("two-class tower correction",
-         build_fx(2) == from_polynomial(x1 * x2 * u22 - x1 * x2 * u32)),
-        ("two-and-one combined form",
-         build_gx(2, 1) == from_polynomial(
-             x1 + x2 - x1 * x2 * u11
-             + y1 * x1 * x2 * u22 - y1 * x1 * x2 * u32)),
-        ("one-and-two mirrored form", build_gy(1, 2) == from_polynomial(y1)),
-    ]
-    for label, good in checks:
-        ok &= good
-        details.append(f"{'ok' if good else 'FAIL'}: {label}")
-    return CriterionResult(1, "base-case relation polynomials", ok, tuple(details))
+    check("first-level corrections vanish",
+          len(build_ex(1)) == 0 and len(build_fx(1)) == 0
+          and len(build_ey(1)) == 0 and len(build_fy(1)) == 0)
+    check("two-class excess", build_ex(2) == from_polynomial(-(x1 * x2 * u11)))
+    check("two-class tower correction",
+          build_fx(2) == from_polynomial(x1 * x2 * u22 - x1 * x2 * u32))
+    check("two-and-one combined form",
+          build_gx(2, 1) == from_polynomial(
+              x1 + x2 - x1 * x2 * u11
+              + y1 * x1 * x2 * u22 - y1 * x1 * x2 * u32))
+    check("one-and-two mirrored form", build_gy(1, 2) == from_polynomial(y1))
+    return check.result(1, "base-case relation polynomials")
 
 
 def run_criterion_2() -> CriterionResult:
@@ -147,64 +157,49 @@ def run_criterion_3() -> CriterionResult:
     """Formal group law arithmetic at order 10, exact equality throughout."""
     order = 10
     mode = universal_mode()
-    details = []
-    ok = True
+    check = _Checks()
 
     law = law_series(mode, order)
-    unit = all(
+    check("unit law", all(
         (poly == (1 if sum(exp) == 1 else 0))
         for exp, poly in law.coefficients()
         if 0 in exp
-    )
-    comm = all(
+    ))
+    check("commutativity", all(
         law.coefficient((j, i)) == poly
         for (i, j), poly in law.coefficients()
-    )
-    ok &= unit and comm
-    details.append(f"{'ok' if unit else 'FAIL'}: unit law")
-    details.append(f"{'ok' if comm else 'FAIL'}: commutativity")
+    ))
 
     u = TruncatedSeries.variable("u", ("u",), order)
     gamma = inverse_series(mode, order)
-    cancels = series_apply(law, [u, gamma]).is_zero()
-    minus_diag = series_apply(f_minus(mode, order), [u, u]).is_zero()
-    ok &= cancels and minus_diag
-    details.append(f"{'ok' if cancels else 'FAIL'}: inverse cancels")
-    details.append(f"{'ok' if minus_diag else 'FAIL'}: difference law vanishes on the diagonal")
+    check("inverse cancels", series_apply(law, [u, gamma]).is_zero())
+    check("difference law vanishes on the diagonal",
+          series_apply(f_minus(mode, order), [u, u]).is_zero())
 
     for n in (2, 3, 5):
         nf = n_fold_sum(mode, n, order)
         div = division_series(n, mode, order)
-        round_trip = (
+        check(f"division by {n} round-trips", (
             series_apply(div, [nf]) == TruncatedSeries.variable("u", ("u",), order, div.ring)
             and series_apply(nf, [div]) == TruncatedSeries.variable("u", ("u",), order, div.ring)
-        )
-        first = div.coefficient((1,)) == Fraction(1, n)
-        ok &= round_trip and first
-        details.append(f"{'ok' if round_trip else 'FAIL'}: division by {n} round-trips")
-        details.append(f"{'ok' if first else 'FAIL'}: first division coefficient is 1/{n}")
+        ))
+        check(f"first division coefficient is 1/{n}", div.coefficient((1,)) == Fraction(1, n))
 
-    leading = all(
+    check("n-fold sums lead with n", all(
         n_fold_sum(mode, n, order).coefficient((1,)) == n for n in range(1, 8)
-    )
-    ok &= leading
-    details.append(f"{'ok' if leading else 'FAIL'}: n-fold sums lead with n")
+    ))
 
     for n in (2, 3):
         profile = denominator_profile(division_series(n, mode, order))
-        bound = all(k <= i * (i + 1) // 2 for i, k in profile if i <= 8)
-        ok &= bound
-        details.append(
-            f"{'ok' if bound else 'FAIL'}: 1/{n} denominators stay within the triangular bound"
-        )
-    return CriterionResult(3, "formal group law arithmetic", ok, tuple(details))
+        check(f"1/{n} denominators stay within the triangular bound",
+              all(k <= i * (i + 1) // 2 for i, k in profile if i <= 8))
+    return check.result(3, "formal group law arithmetic")
 
 
 def run_criterion_4() -> CriterionResult:
     """Associativity residues appear late and die under both special laws."""
     rels = associativity_relations(universal_mode(), 6)
     low = [exp for exp in rels if sum(exp) <= 2]
-    ok = not low
     a11 = VarSymbol("a", (1, 1))
     beta = Polynomial.variable(BETA)
     additive_dead = True
@@ -215,14 +210,12 @@ def run_criterion_4() -> CriterionResult:
         multiplicative_dead &= rel.substitute(
             {s: (beta if s == a11 else 0) for s in syms}
         ).is_zero()
-    ok &= additive_dead and multiplicative_dead
-    details = (
-        f"{len(rels)} residues at order 6, lowest degree "
-        f"{min((sum(e) for e in rels), default=0)}",
-        f"{'ok' if additive_dead else 'FAIL'}: additive specialization vanishes",
-        f"{'ok' if multiplicative_dead else 'FAIL'}: multiplicative specialization vanishes",
-    )
-    return CriterionResult(4, "associativity residues", ok, details)
+    check = _Checks(ok=not low)
+    check.details.append(f"{len(rels)} residues at order 6, lowest degree "
+                         f"{min((sum(e) for e in rels), default=0)}")
+    check("additive specialization vanishes", additive_dead)
+    check("multiplicative specialization vanishes", multiplicative_dead)
+    return check.result(4, "associativity residues")
 
 
 def run_criterion_5() -> CriterionResult:
@@ -250,12 +243,9 @@ def run_criterion_5() -> CriterionResult:
 
 def run_criterion_6() -> CriterionResult:
     """Fixed-point evaluation table: base cases, all-bad values, the guard."""
-    details = []
-    ok = True
-
-    cases_ok = all(claim1_case_check(case)["equal"] for case in range(1, 6))
-    ok &= cases_ok
-    details.append(f"{'ok' if cases_ok else 'FAIL'}: five base goodness patterns agree")
+    check = _Checks()
+    check("five base goodness patterns agree",
+          all(claim1_case_check(case)["equal"] for case in range(1, 6)))
 
     # A bad total class maps to 1; T and F are the closed forms the all-bad
     # table must produce for a chain of n classes on either side.
@@ -271,19 +261,14 @@ def run_criterion_6() -> CriterionResult:
             f = build_f(n).substitute_families(table)
             if t != closed_t[n] or f != closed_f[n] or t + c * f != c:
                 off_chain.append((side, n, t, f))
-    chain_ok = not off_chain
-    ok &= chain_ok
-    if chain_ok:
-        details.append(
-            "ok: all-bad table solves both chains at c = 1 for n <= 8: "
-            "S_n + E_n = [n = 1], F_n = [n >= 2], S_n + E_n + c*F_n = c"
-        )
-    else:
+    failure = None
+    if off_chain:
         side, n, t, f = off_chain[0]
-        details.append(
-            f"FAIL: all-bad table misses the chain closed form on {len(off_chain)} "
-            f"of 16 chains; first {side}{n}: S_n + E_n = {t}, F_n = {f}"
-        )
+        failure = (f"all-bad table misses the chain closed form on {len(off_chain)} "
+                   f"of 16 chains; first {side}{n}: S_n + E_n = {t}, F_n = {f}")
+    check("all-bad table solves both chains at c = 1 for n <= 8: "
+          "S_n + E_n = [n = 1], F_n = [n >= 2], S_n + E_n + c*F_n = c",
+          not off_chain, failure)
 
     mismatched = []
     off_identity = []
@@ -294,43 +279,30 @@ def run_criterion_6() -> CriterionResult:
                 mismatched.append((n, m))
             if report["lhs"] != c * (1 - closed_f[n] * closed_f[m]):
                 off_identity.append((n, m, report["lhs"]))
-    sides_ok = not mismatched
-    identity_ok = not off_identity
-    ok &= sides_ok and identity_ok
-    details.append(
-        f"{'ok' if sides_ok else 'FAIL'}: all-bad evaluation, sides agree on all 64 pairs"
-    )
-    if identity_ok:
-        details.append("ok: all-bad common value is c*(1 - F^X_n*F^Y_m) at c = 1 on all 64 pairs")
-    else:
+    check("all-bad evaluation, sides agree on all 64 pairs", not mismatched)
+    failure = None
+    if off_identity:
         n, m, value = off_identity[0]
-        details.append(
-            f"FAIL: all-bad common value misses c*(1 - F^X_n*F^Y_m) at c = 1 on "
-            f"{len(off_identity)} of 64 pairs; first (n, m) = ({n}, {m}) gives {value}"
-        )
+        failure = (f"all-bad common value misses c*(1 - F^X_n*F^Y_m) at c = 1 on "
+                   f"{len(off_identity)} of 64 pairs; first (n, m) = ({n}, {m}) gives {value}")
+    check("all-bad common value is c*(1 - F^X_n*F^Y_m) at c = 1 on all 64 pairs",
+          not off_identity, failure)
 
-    guard_ok = all(guard_report(group)["holds"] for group in DEFAULT_GUARD_GROUPS)
-    ok &= guard_ok
-    details.append(
-        f"{'ok' if guard_ok else 'FAIL'}: never exactly one bad divisor, "
-        f"exhaustive over {len(DEFAULT_GUARD_GROUPS)} groups"
-    )
-    return CriterionResult(6, "fixed-point evaluation table", ok, tuple(details))
+    check(f"never exactly one bad divisor, exhaustive over {len(DEFAULT_GUARD_GROUPS)} groups",
+          all(guard_report(group)["holds"] for group in DEFAULT_GUARD_GROUPS))
+    return check.result(6, "fixed-point evaluation table")
 
 
 def run_criterion_7() -> CriterionResult:
     """Dimension-truncated evaluation collapses to first Chern class facts."""
-    ok = True
-    details = []
+    check = _Checks()
     c = VarSymbol("c")
     mode = universal_mode()
 
-    linear = all(
+    check("p-fold sums restrict to p*c on a curve", all(
         eval_dim_truncated(n_fold_sum(mode, p, 8), c, 1) == Polynomial.variable(c) * p
         for p in range(1, 8)
-    )
-    ok &= linear
-    details.append(f"{'ok' if linear else 'FAIL'}: p-fold sums restrict to p*c on a curve")
+    ))
 
     killed = True
     for d in range(0, 5):
@@ -339,19 +311,16 @@ def run_criterion_7() -> CriterionResult:
             power = power * TruncatedSeries.variable("u", ("u",), 8)
             if r > d:
                 killed &= eval_dim_truncated(power, c, d).is_zero()
-    ok &= killed
-    details.append(f"{'ok' if killed else 'FAIL'}: high powers die past the dimension")
+    check("high powers die past the dimension", killed)
 
     c1, c2 = VarSymbol("c", (1,)), VarSymbol("c", (2,))
     law = law_series(additive_mode(), 6)
-    additive = all(
+    check("additive law sums the classes", all(
         eval_dim_truncated(law, [c1, c2], d)
         == Polynomial.variable(c1) + Polynomial.variable(c2)
         for d in (1, 4)
-    )
-    ok &= additive
-    details.append(f"{'ok' if additive else 'FAIL'}: additive law sums the classes")
-    return CriterionResult(7, "dimension-truncated evaluation", ok, tuple(details))
+    ))
+    return check.result(7, "dimension-truncated evaluation")
 
 
 CRITERIA = {

@@ -6,6 +6,15 @@ success, 1 when a verification-style command finds its check false, 2 on
 usage or domain errors, 3 when an internal invariant breaks (a bug in
 dprkit, such as `InconsistentSolve`); errors are reported as a JSON object
 on stderr.
+
+A subcommand is declared by one `_leaf` call in `build_parser`: its group,
+name, help, handler and argument specs in order (the shared ones are
+`_MODE`, `_ORDER`, `_N`, `_M` and `_SAMPLING`); `_leaf` adds `--format` to
+each.  The handlers read tables keyed by the subcommand's name: `_SERIES`
+for the series an `fgl` command prints, `_REPORTS` for the report of each
+`verify` and `fixedpoint` command and the key that sets its exit code, and
+`_CHECKS` for the checks `gdpr check` runs on GX and GY; its names and
+padding are that command's choices.
 """
 
 from __future__ import annotations
@@ -109,34 +118,21 @@ def _poly_text(poly: Polynomial) -> str:
     return "\n".join(f"{c:<{width}}  {mono}" for c, mono in rows) + "\n"
 
 
-def _mode(args):
-    return MODE_NAMES[args.mode]()
-
-
 # command handlers -----------------------------------------------------------
 
 
-def _cmd_fgl_show(args) -> int:
-    series = law_series(_mode(args), args.order)
-    _emit(args, lambda: series_to_json(series), lambda: _series_text(series))
-    return 0
+# the series each `fgl` command other than `relations` prints
+_SERIES = {
+    "show": lambda a, mode: law_series(mode, a.order),
+    "inverse": lambda a, mode: inverse_series(mode, a.order),
+    "nfold": lambda a, mode: n_fold_sum(mode, a.n, a.order),
+    "divide": lambda a, mode: division_series(a.n, mode, a.order),
+}
 
 
-def _cmd_fgl_inverse(args) -> int:
-    series = inverse_series(_mode(args), args.order)
-    _emit(args, lambda: series_to_json(series), lambda: _series_text(series))
-    return 0
-
-
-def _cmd_fgl_nfold(args) -> int:
-    series = n_fold_sum(_mode(args), args.n, args.order)
-    _emit(args, lambda: series_to_json(series), lambda: _series_text(series))
-    return 0
-
-
-def _cmd_fgl_divide(args) -> int:
-    series = division_series(args.n, _mode(args), args.order)
-    if args.denominator_profile:
+def _cmd_series(args) -> int:
+    series = _SERIES[args.what](args, MODE_NAMES[args.mode]())
+    if args.what == "divide" and args.denominator_profile:
         payload = {
             "n": args.n,
             "order": args.order,
@@ -179,6 +175,15 @@ def _cmd_gdpr_build(args) -> int:
     return 0
 
 
+# each `gdpr check` other than padding, on GX(n, m) and GY(m, n)
+_CHECKS = {
+    "multilinear": lambda gx, gy, n, m: check_multilinear(gx) and check_multilinear(gy),
+    "bounds": lambda gx, gy, n, m: check_index_bounds(gx, n, m) and check_index_bounds(gy, n, m),
+    "weight": lambda gx, gy, n, m: weight_check(gx, 1) and weight_check(gy, 1),
+    "mirror": lambda gx, gy, n, m: mirror_check(n, m),
+}
+
+
 def _cmd_gdpr_check(args) -> int:
     n, m = args.n, args.m
     which = args.which
@@ -192,50 +197,30 @@ def _cmd_gdpr_check(args) -> int:
         for flag, value in (("--big-n", args.big_n), ("--big-m", args.big_m)):
             if value is not None:
                 _fail(f"{flag} does not apply to {which}")
-        gx = _BUILDERS["GX"](n, m)
-        gy = _BUILDERS["GY"](m, n)
-        if which == "multilinear":
-            good = check_multilinear(gx) and check_multilinear(gy)
-        elif which == "bounds":
-            good = check_index_bounds(gx, n, m) and check_index_bounds(gy, n, m)
-        elif which == "weight":
-            good = weight_check(gx, 1) and weight_check(gy, 1)
-        else:
-            good = mirror_check(n, m)
+        good = _CHECKS[which](_BUILDERS["GX"](n, m), _BUILDERS["GY"](m, n), n, m)
     payload["pass"] = good
     _emit(args, lambda: payload)
     return 0 if good else 1
 
 
-def _cmd_verify(args) -> int:
-    if args.what == "step":
-        report = verify_step_identity(
-            args.n, trials=args.trials, seed=args.seed, sample_range=args.range
-        )
-    else:
-        report = verify_full_identity(
-            args.n, args.m, trials=args.trials, seed=args.seed, sample_range=args.range
-        )
-    _emit(args, report.to_json)
-    return 0 if report.passed else 1
+# each `verify` and `fixedpoint` command: its report, and the key whose
+# truth makes the exit code 0 rather than 1
+_REPORTS = {
+    "step": (lambda a: verify_step_identity(
+        a.n, trials=a.trials, seed=a.seed, sample_range=a.range).to_json(), "pass"),
+    "full": (lambda a: verify_full_identity(
+        a.n, a.m, trials=a.trials, seed=a.seed, sample_range=a.range).to_json(), "pass"),
+    "claim1": (lambda a: claim1_case_check(a.case), "equal"),
+    "allbad": (lambda a: all_bad_evaluation(a.n, a.m), "equal"),
+    "guard": (lambda a: guard_report(parse_group_spec(a.group)), "holds"),
+}
 
 
-def _cmd_fixedpoint_claim1(args) -> int:
-    report = claim1_case_check(args.case)
+def _cmd_report(args) -> int:
+    make, key = _REPORTS[args.what]
+    report = make(args)
     _emit(args, lambda: report)
-    return 0 if report["equal"] else 1
-
-
-def _cmd_fixedpoint_allbad(args) -> int:
-    report = all_bad_evaluation(args.n, args.m)
-    _emit(args, lambda: report)
-    return 0 if report["equal"] else 1
-
-
-def _cmd_fixedpoint_guard(args) -> int:
-    report = guard_report(parse_group_spec(args.group))
-    _emit(args, lambda: report)
-    return 0 if report["holds"] else 1
+    return 0 if report[key] else 1
 
 
 def _cmd_selftest(args) -> int:
@@ -247,130 +232,74 @@ def _cmd_selftest(args) -> int:
 # parser ----------------------------------------------------------------------
 
 
-def _add_format(p) -> None:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_MODE = _arg("--mode", choices=sorted(MODE_NAMES), default="universal",
+             help="coefficient specialization (default universal)")
+_ORDER = _arg("--order", type=int, required=True)
+_N = _arg("-n", type=int, required=True)
+_M = _arg("-m", type=int, required=True)
+_SAMPLING = (_arg("--trials", type=int, default=20),
+             _arg("--seed", type=int, required=True),
+             _arg("--range", type=int, default=1000))
+
+
+def _group(top, name: str, help: str):
+    return top.add_parser(name, help=help).add_subparsers(
+        dest="what", required=True, parser_class=_Parser)
+
+
+def _leaf(group, name: str, help: str, handler, *arguments) -> None:
+    """Declare one subcommand: its arguments in order, then --format."""
+    p = group.add_parser(name, help=help)
+    for flags, kwargs in arguments:
+        p.add_argument(*flags, **kwargs)
     p.add_argument("--format", choices=("json", "text"), default="json",
                    help="output rendering (default json)")
-
-
-def _add_mode(p) -> None:
-    p.add_argument("--mode", choices=sorted(MODE_NAMES), default="universal",
-                   help="coefficient specialization (default universal)")
+    p.set_defaults(func=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dprkit", description=__doc__.splitlines()[0])
     top = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    fgl = top.add_parser("fgl", help="formal group law series")
-    fgl_sub = fgl.add_subparsers(dest="what", required=True, parser_class=_Parser)
+    fgl = _group(top, "fgl", "formal group law series")
+    _leaf(fgl, "show", "the two-variable law", _cmd_series, _MODE, _ORDER)
+    _leaf(fgl, "inverse", "the negation series", _cmd_series, _MODE, _ORDER)
+    _leaf(fgl, "nfold", "the n-fold sum", _cmd_series, _MODE, _N, _ORDER)
+    _leaf(fgl, "divide", "the division series", _cmd_series, _MODE, _N, _ORDER,
+          _arg("--denominator-profile", action="store_true",
+               help="emit the least k with n^k clearing each coefficient"))
+    _leaf(fgl, "relations", "associativity residues of the generic law",
+          _cmd_fgl_relations, _ORDER)
 
-    p = fgl_sub.add_parser("show", help="the two-variable law")
-    _add_mode(p)
-    p.add_argument("--order", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_fgl_show)
+    gdpr = _group(top, "gdpr", "relation polynomial builders and checks")
+    _leaf(gdpr, "build", "emit one polynomial", _cmd_gdpr_build,
+          _arg("kind", type=str.upper, choices=tuple(_BUILDERS)),
+          _arg("-n", type=int, required=True, help="own-side class count"),
+          _arg("-m", type=int, default=None, help="opposite-side class count (GX/GY only)"))
+    _leaf(gdpr, "check", "structural checks", _cmd_gdpr_check,
+          _arg("which", choices=(*_CHECKS, "padding")), _N, _M,
+          _arg("--big-n", type=int, default=None,
+               help="embedding class count on the first side (padding)"),
+          _arg("--big-m", type=int, default=None,
+               help="embedding class count on the second side (padding)"))
 
-    p = fgl_sub.add_parser("inverse", help="the negation series")
-    _add_mode(p)
-    p.add_argument("--order", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_fgl_inverse)
+    verify = _group(top, "verify", "sampled exact-rational identity checks")
+    _leaf(verify, "step", "one chain extension step", _cmd_report, _N, *_SAMPLING)
+    _leaf(verify, "full", "the two-sided relation identity", _cmd_report, _N, _M, *_SAMPLING)
 
-    p = fgl_sub.add_parser("nfold", help="the n-fold sum")
-    _add_mode(p)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_fgl_nfold)
+    fp = _group(top, "fixedpoint", "goodness-table evaluations")
+    _leaf(fp, "claim1", "one base goodness pattern", _cmd_report,
+          _arg("--case", type=int, required=True))
+    _leaf(fp, "allbad", "integer evaluation with every divisor bad", _cmd_report, _N, _M)
+    _leaf(fp, "guard", "exhaustive never-exactly-one-bad check", _cmd_report,
+          _arg("--group", type=str, required=True,
+               help='finite abelian group spec, e.g. "2", "2x2", "2x3"'))
 
-    p = fgl_sub.add_parser("divide", help="the division series")
-    _add_mode(p)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--denominator-profile", action="store_true",
-                   help="emit the least k with n^k clearing each coefficient")
-    _add_format(p)
-    p.set_defaults(func=_cmd_fgl_divide)
-
-    p = fgl_sub.add_parser(
-        "relations", help="associativity residues of the generic law")
-    p.add_argument("--order", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_fgl_relations)
-
-    gdpr = top.add_parser(
-        "gdpr", help="relation polynomial builders and checks")
-    gdpr_sub = gdpr.add_subparsers(dest="what", required=True, parser_class=_Parser)
-
-    p = gdpr_sub.add_parser("build", help="emit one polynomial")
-    p.add_argument("kind", type=str.upper,
-                   choices=("EX", "FX", "EY", "FY", "GX", "GY"))
-    p.add_argument("-n", type=int, required=True,
-                   help="own-side class count")
-    p.add_argument("-m", type=int, default=None,
-                   help="opposite-side class count (GX/GY only)")
-    _add_format(p)
-    p.set_defaults(func=_cmd_gdpr_build)
-
-    p = gdpr_sub.add_parser("check", help="structural checks")
-    p.add_argument("which",
-                   choices=("multilinear", "bounds", "weight", "mirror", "padding"))
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--big-n", type=int, default=None,
-                   help="embedding class count on the first side (padding)")
-    p.add_argument("--big-m", type=int, default=None,
-                   help="embedding class count on the second side (padding)")
-    _add_format(p)
-    p.set_defaults(func=_cmd_gdpr_check)
-
-    verify = top.add_parser(
-        "verify", help="sampled exact-rational identity checks")
-    verify_sub = verify.add_subparsers(dest="what", required=True, parser_class=_Parser)
-
-    p = verify_sub.add_parser("step", help="one chain extension step")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--range", type=int, default=1000)
-    _add_format(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = verify_sub.add_parser("full", help="the two-sided relation identity")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--range", type=int, default=1000)
-    _add_format(p)
-    p.set_defaults(func=_cmd_verify)
-
-    fp = top.add_parser("fixedpoint", help="goodness-table evaluations")
-    fp_sub = fp.add_subparsers(dest="what", required=True, parser_class=_Parser)
-
-    p = fp_sub.add_parser("claim1", help="one base goodness pattern")
-    p.add_argument("--case", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_fixedpoint_claim1)
-
-    p = fp_sub.add_parser(
-        "allbad", help="integer evaluation with every divisor bad")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-m", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_fixedpoint_allbad)
-
-    p = fp_sub.add_parser(
-        "guard", help="exhaustive never-exactly-one-bad check")
-    p.add_argument("--group", type=str, required=True,
-                   help='finite abelian group spec, e.g. "2", "2x2", "2x3"')
-    _add_format(p)
-    p.set_defaults(func=_cmd_fixedpoint_guard)
-
-    p = top.add_parser("selftest", help="run the whole acceptance suite")
-    _add_format(p)
-    p.set_defaults(func=_cmd_selftest)
-
+    _leaf(top, "selftest", "run the whole acceptance suite", _cmd_selftest)
     return parser
 
 

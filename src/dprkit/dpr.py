@@ -268,10 +268,6 @@ class DprPolynomial:
 
     # arithmetic ------------------------------------------------------------
 
-    def __neg__(self) -> "DprPolynomial":
-        factors = None if self.factors is None else (-self.factors[0], self.factors[1])
-        return DprPolynomial({m: -c for m, c in self.flat.items()}, factors, self.support)
-
     def swap_sides(self) -> "DprPolynomial":
         """Exchange the two families: X <-> Y and U <-> V, coefficients kept."""
         even = _rep_mask(_EVEN_BYTE, self.support)

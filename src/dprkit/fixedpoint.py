@@ -5,11 +5,10 @@ when that character is trivial.  Characters add along formal sums, so the
 goodness of any combination is decided by the basic assignments alone.  One
 consequence is structural: among the triple (D, A, D + A) it is impossible
 for exactly one member to be bad, since any two trivial characters force the
-third to be trivial.  `impossible_case_guard` exposes that fact as an
-executable check and `guard_report` brute-forces it over a whole group.
-`_step_goodness` decides the five cases below in one place for the table,
-the chain steps and the final class of the mixed verifier, and raises
-`ImpossibleGoodness` should exactly one member ever come out bad.
+third to be trivial.  `_step_goodness` decides the five cases below in
+one place for the table, the chain steps and the final class of the mixed
+verifier, and raises `ImpossibleGoodness` should exactly one member ever
+come out bad; `guard_report` brute-forces that fact over a whole group.
 
 `fprime_of_var` sends each relation-ring generator to a small polynomial in
 first-class symbols c[D], sigma1[D], and opaque tower composites p2/p3 (or
@@ -63,7 +62,6 @@ __all__ = [
     "IndexOutOfRange",
     "ImpossibleGoodness",
     "make_context",
-    "impossible_case_guard",
     "guard_report",
     "parse_group_spec",
     "c_symbol",
@@ -219,31 +217,17 @@ def make_context(
     return GoodnessContext(orders, tuple(x_divisors), tuple(y_divisors), basic, alias_items)
 
 
-def impossible_case_guard(ctx: GoodnessContext, combo: Union[str, Sequence[str]], extra: str) -> bool:
-    """True iff NOT exactly one of (combo, extra, combo+extra) is bad."""
-    if isinstance(combo, str):
-        combo = (combo,)
-    bad = sum((
-        not ctx.good(combo),
-        not ctx.good(extra),
-        not ctx.good(tuple(combo) + (extra,)),
-    ))
-    return bad != 1
-
-
 def guard_report(group: Sequence[int]) -> dict:
     """Check the guard over every character assignment to a two-and-one alphabet."""
     orders = tuple(group)
     residue_space = list(itertools.product(*(range(o) for o in orders)))
-    contexts = 0
     holds = True
-    for res_a in residue_space:
-        for res_b in residue_space:
-            ctx = _claim1_context(orders, res_a, res_b)
-            contexts += 1
-            if not impossible_case_guard(ctx, ("A",), "B"):
-                holds = False
-    return {"group": list(orders), "contexts": contexts, "holds": holds}
+    for res_a, res_b in itertools.product(residue_space, repeat=2):
+        try:
+            _step_goodness(_claim1_context(orders, res_a, res_b), ("A", "B"), 2)
+        except ImpossibleGoodness:
+            holds = False
+    return {"group": list(orders), "contexts": len(residue_space) ** 2, "holds": holds}
 
 
 def parse_group_spec(text: str) -> tuple[int, ...]:

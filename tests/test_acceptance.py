@@ -18,8 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from dprkit import fixedpoint
+from dprkit import acceptance, dpr, fgl, fixedpoint
 from dprkit.acceptance import run_criterion
+from dprkit.algebra import Polynomial, VarSymbol
 
 BUDGETS = {1: 1.0, 2: 10.0, 3: 30.0, 4: 10.0, 5: 60.0, 6: 10.0, 7: 2.0}
 
@@ -74,6 +75,29 @@ def test_criterion_6_fails_on_a_tampered_table(monkeypatch, marker, value):
 
 def test_criterion_7_dimension_truncated_evaluation():
     run_timed(7)
+
+
+# criterion, the name it reads, a wrong stand-in, the one FAIL line expected
+TAMPERED_INPUTS = [
+    (1, "build_gy", lambda m, n: dpr.build_gx(m, n), "FAIL: one-and-two mirrored form"),
+    (3, "inverse_series", lambda mode, order: fgl.n_fold_sum(mode, 2, order),
+     "FAIL: inverse cancels"),
+    # a residue a11 survives the multiplicative law (a11 -> beta) only
+    (4, "associativity_relations",
+     lambda mode, order: {**fgl.associativity_relations(mode, order),
+                          (2, 2, 2): Polynomial.variable(VarSymbol("a", (1, 1)))},
+     "FAIL: multiplicative specialization vanishes"),
+    (7, "additive_mode", fgl.universal_mode, "FAIL: additive law sums the classes"),
+]
+
+
+@pytest.mark.parametrize("number, name, tampered, line", TAMPERED_INPUTS,
+                         ids=[f"{t[0]}-{t[1]}" for t in TAMPERED_INPUTS])
+def test_criterion_fails_on_a_tampered_input(monkeypatch, number, name, tampered, line):
+    monkeypatch.setattr(acceptance, name, tampered)
+    result = run_criterion(number)
+    assert result.passed is False
+    assert [d for d in result.details if d.startswith("FAIL")] == [line], result.details
 
 
 def test_criterion_8_selftest_byte_determinism(cli_env):

@@ -105,6 +105,17 @@ def test_guard_group_specs(capsys):
     assert code == 2 and "banana" in json.loads(err)["error"]
 
 
+def test_guard_reports_an_exactly_one_bad_context(capsys, monkeypatch):
+    # A + B reads bad even when A and B are good: exactly one bad member
+    real = fixedpoint.GoodnessContext.good
+    monkeypatch.setattr(fixedpoint.GoodnessContext, "good",
+                        lambda ctx, combo: real(ctx, combo) and tuple(combo) != ("A", "B"))
+    code = run(["fixedpoint", "guard", "--group", "2"])
+    out = capsys.readouterr()
+    assert code == 1 and out.err == ""
+    assert json.loads(out.out) == {"group": [2], "contexts": 4, "holds": False}
+
+
 def test_allbad_equality_and_values(capsys):
     code, doc, _ = run_json(capsys, ["fixedpoint", "allbad", "-n", "2", "-m", "1"])
     assert code == 0 and doc["equal"] is True and doc["lhs"] == 1

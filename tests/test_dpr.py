@@ -253,7 +253,12 @@ def test_recursion_checks_can_fail(monkeypatch):
     # a smaller relation that is not the padded one's image: its flat part
     # differs (n = 1) or its product's factors do (n = 2)
     real = dpr.build_gx
-    monkeypatch.setattr(dpr, "build_gx", lambda n, m: -real(n, m) if n < 3 else real(n, m))
+
+    def negated(p):
+        factors = None if p.factors is None else (negated(p.factors[0]), p.factors[1])
+        return DprPolynomial({mask: -c for mask, c in p.flat.items()}, factors, p.support)
+
+    monkeypatch.setattr(dpr, "build_gx", lambda n, m: negated(real(n, m)) if n < 3 else real(n, m))
     assert not padding_check(1, 1, 3, 2)
     assert not padding_check(2, 2, 3, 3)
 

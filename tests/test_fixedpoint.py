@@ -19,7 +19,6 @@ from dprkit.fixedpoint import (
     fprime_eval,
     fprime_of_var,
     guard_report,
-    impossible_case_guard,
     make_context,
     parse_group_spec,
     sigma_symbol,
@@ -94,11 +93,14 @@ def test_combo_aliasing():
     assert ctx.combo_name(("A", "B")) == "A+B"
 
 
-def test_impossible_case_guard_examples():
-    assert impossible_case_guard(ALL_GOOD, ("A",), "B")
+def test_guard_examples():
+    # the triple (A, B, A + B) that guard_report decides for each context
+    assert fixedpoint._step_goodness(ALL_GOOD, ("A", "B"), 2)[0] == "all"
     # one nontrivial character forces a second bad member
-    assert impossible_case_guard(A_ONLY, ("A",), "B")
-    assert impossible_case_guard(ALL_BAD, ("A",), "B")
+    assert fixedpoint._step_goodness(A_ONLY, ("A", "B"), 2)[0] == "head"
+    assert fixedpoint._step_goodness(ALL_BAD, ("A", "B"), 2)[0] == "none"
+    # guard_report runs the first two contexts over Z/2, the third over Z/3
+    assert guard_report((2,))["holds"] and guard_report((3,))["holds"]
 
 
 def test_guard_exhaustive_over_small_groups():
