@@ -3,7 +3,7 @@
 The package has five working layers:
 
 - ``algebra``: sparse exact polynomials over localized integer rings;
-- ``fgl``: truncated one/two/three-variable series for a universal,
+- ``fgl``: truncated one- and two-variable series for a universal,
   additive, or multiplicative group law, with inverses, n-fold sums,
   division series, and associativity residues;
 - ``dpr``: the recursive excess/correction relation polynomials and their

@@ -146,13 +146,12 @@ def _cmd_series(args) -> int:
 
 def _cmd_fgl_relations(args) -> int:
     rels = associativity_relations(universal_mode(), args.order)
-    ordered = sorted(rels, key=lambda e: (sum(e), e))
     _emit(args, lambda: {
         "order": args.order,
         "count": len(rels),
-        "relations": [{"exp": list(e), "poly": poly_to_json(rels[e])} for e in ordered],
+        "relations": [{"exp": list(e), "poly": poly_to_json(p)} for e, p in rels.items()],
     }, lambda: "".join(
-        f"({e[0]},{e[1]},{e[2]})  {rels[e]}\n" for e in ordered) or "none\n")
+        f"({e[0]},{e[1]},{e[2]})  {p}\n" for e, p in rels.items()) or "none\n")
     return 0
 
 

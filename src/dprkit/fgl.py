@@ -2,9 +2,11 @@
 
 A law is a two-variable series u + v + sum of c_ij u^i v^j with c_ij = c_ji.
 In universal mode the c_ij are free symbols a[i][j] (stored with i <= j); the
-additive and multiplicative modes specialize them.  Everything is computed
-modulo total degree > order, with series coefficients held as polynomials in
-the c_ij alphabet.
+additive and multiplicative modes specialize them.  A series has one or two
+variables, u and v; everything is computed modulo total degree > order, with
+series coefficients held as polynomials in the c_ij alphabet.  The
+associativity residues, coefficients of a three-variable difference, are
+read off the powers of F(u, v) without building a series in three variables.
 
 Internally coefficient polynomials are dicts keyed by a packed integer: each
 registered symbol owns a 6-bit exponent field, so monomial multiplication is
@@ -40,7 +42,7 @@ from .algebra import (
 
 MAX_ORDER = 32
 
-VAR_CANON = ("u", "v", "w")
+VAR_CANON = ("u", "v")
 
 BETA = VarSymbol("beta")
 
@@ -193,7 +195,7 @@ def _canon_vars(names: Iterable[str]) -> tuple[str, ...]:
 
 
 class TruncatedSeries:
-    """A series in up to three variables, exact modulo total degree > order."""
+    """A series in u, v or both, exact modulo total degree > order."""
 
     __slots__ = ("vars", "order", "ring", "_coeffs")
 
@@ -235,32 +237,10 @@ class TruncatedSeries:
             and self._coeffs == other._coeffs
         )
 
-    def _compat(self, other: "TruncatedSeries") -> CoeffRing:
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if self.vars != other.vars or self.order != other.order:
             raise ValueError("series shapes differ")
-        return self.ring.join(other.ring)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        ring = self._compat(other)
-        out = {e: dict(d) for e, d in self._coeffs.items()}
-        for e, d in other._coeffs.items():
-            acc = out.setdefault(e, {})
-            _padd_into(acc, d)
-            if not acc:
-                del out[e]
-        return TruncatedSeries(self.vars, self.order, ring, out)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.vars, self.order, self.ring,
-            {e: {k: -c for k, c in d.items()} for e, d in self._coeffs.items()},
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        ring = self._compat(other)
+        ring = self.ring.join(other.ring)
         order = self.order
         out: dict = {}
         for e1, d1 in self._coeffs.items():
@@ -277,30 +257,6 @@ class TruncatedSeries:
                 if not acc:
                     del out[e]
         return TruncatedSeries(self.vars, self.order, ring, out)
-
-    def lift(self, vars: Iterable[str]) -> "TruncatedSeries":
-        """Reinterpret over a larger variable set."""
-        vars = _canon_vars(vars)
-        if not set(self.vars) <= set(vars):
-            raise ValueError("lift target must contain current variables")
-        slot = {v: vars.index(v) for v in self.vars}
-        out = {}
-        for e, d in self._coeffs.items():
-            ne = [0] * len(vars)
-            for v, x in zip(self.vars, e):
-                ne[slot[v]] = x
-            out[tuple(ne)] = dict(d)
-        return TruncatedSeries(vars, self.order, self.ring, out)
-
-    def rename_variable(self, old: str, new: str) -> "TruncatedSeries":
-        if old not in self.vars:
-            raise ValueError(f"{old!r} not present")
-        names = [new if v == old else v for v in self.vars]
-        if len(set(names)) != len(names):
-            raise ValueError("rename collides with an existing variable")
-        reorder = sorted(range(len(names)), key=lambda i: VAR_CANON.index(names[i]))
-        out = {tuple(e[i] for i in reorder): dict(d) for e, d in self._coeffs.items()}
-        return TruncatedSeries(tuple(sorted(names, key=VAR_CANON.index)), self.order, self.ring, out)
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.vars}, order={self.order})"
@@ -356,18 +312,14 @@ def series_apply(outer: TruncatedSeries, args: list[TruncatedSeries]) -> Truncat
 
 
 def compose(outer: TruncatedSeries, var: str, inner: TruncatedSeries) -> TruncatedSeries:
-    """Substitute `inner` for one variable of `outer`, keeping the others."""
+    """Substitute `inner` for one variable of `outer`; each other variable of
+    `outer` must be one of `inner`'s, and stays itself."""
     if var not in outer.vars:
         raise ValueError(f"{var!r} is not a variable of the outer series")
-    target = _canon_vars(set(outer.vars) - {var} | set(inner.vars))
     ring = outer.ring.join(inner.ring)
-    args = []
-    for v in outer.vars:
-        if v == var:
-            args.append(inner.lift(target))
-        else:
-            args.append(TruncatedSeries.variable(v, target, outer.order, ring))
-    return series_apply(outer, args)
+    return series_apply(outer, [
+        inner if v == var else TruncatedSeries.variable(v, inner.vars, outer.order, ring)
+        for v in outer.vars])
 
 
 # the laws themselves --------------------------------------------------------
@@ -436,7 +388,8 @@ def inverse_series(mode: FglMode, order: int) -> TruncatedSeries:
 
 def f_minus(mode: FglMode, order: int) -> TruncatedSeries:
     """F(u, g(v)): the formal difference of the two variables."""
-    gamma_v = inverse_series(mode, order).rename_variable("u", "v")
+    gamma_v = TruncatedSeries(("u", "v"), order, ZZ, {
+        (0, k): d for (k,), d in inverse_series(mode, order)._coeffs.items()})
     return compose(law_series(mode, order), "v", gamma_v)
 
 
@@ -486,13 +439,30 @@ def division_series(n: int, mode: FglMode, order: int) -> TruncatedSeries:
 
 
 def associativity_relations(mode: FglMode, order: int) -> dict[tuple[int, int, int], Polynomial]:
-    """Nonzero coefficients of F(F(u,v),w) - F(u,F(v,w)), keyed by exponent."""
+    """Nonzero coefficients of F(F(u,v),w) - F(u,F(v,w)) up to total degree
+    `order`, keyed by the exponent (a, b, k) of u^a v^b w^k in (sum(e), e)
+    order.
+
+    With P = F(u, v) and the law's c_xy (c_10 = c_01 = 1), F(P, w) is the
+    sum of c_xy P^x w^y and F(u, F(v, w)) the sum of c_xy u^x Q^y, where
+    Q^y is P^y with (u, v) renamed (v, w); so one list of powers of P gives
+    both sides, with no three-variable product.
+    """
     law = law_series(mode, order)
-    uvw = ("u", "v", "w")
-    f_vw = law.rename_variable("v", "w").rename_variable("u", "v").lift(uvw)
-    left = series_apply(law, [law.lift(uvw), TruncatedSeries.variable("w", uvw, order)])
-    right = series_apply(law, [TruncatedSeries.variable("u", uvw, order), f_vw])
-    return dict((left - right).coefficients())
+    powers = [TruncatedSeries(law.vars, order, law.ring, {(0, 0): {0: 1}})]
+    while len(powers) <= order:
+        powers.append(powers[-1] * law)
+    total: dict = {}
+    for (x, y), c in law._coeffs.items():
+        minus_c = {key: -v for key, v in c.items()}
+        for (a, b), d in powers[x]._coeffs.items():  # c_xy P^x w^y
+            if a + b + y <= order:
+                _padd_into(total.setdefault((a, b, y), {}), _pmul(c, d))
+        for (b, k), d in powers[y]._coeffs.items():  # c_xy u^x Q^y
+            if x + b + k <= order:
+                _padd_into(total.setdefault((x, b, k), {}), _pmul(minus_c, d))
+    return {e: _unpack_poly(total[e], law.ring)
+            for e in sorted(total, key=lambda e: (sum(e), e)) if total[e]}
 
 
 def eval_dim_truncated(series: TruncatedSeries, syms, dim: int) -> Polynomial:

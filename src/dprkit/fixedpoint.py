@@ -25,7 +25,9 @@ the relevant divisors go bad:
 where for U2_k and U3_k the combination D is A_1 + .. + A_{k-1} and the five
 cases are: all of (D, A_k, D+A_k) good; only D good; only A_k good; only
 D+A_k good; all bad.  Y and V generators mirror the table with the B-side
-divisor list.  Indices past the declared class counts map to zero.
+divisor list.  Indices past the declared class counts map to zero.  The
+fixed integers are read from `ALL_BAD_VALUES`, the same values that
+`all_bad_evaluation` substitutes.
 
 `claim1_case_check` runs the two-and-one base identity through every
 goodness pattern: with all three divisors good the difference of the two
@@ -300,7 +302,7 @@ def fprime_of_var(var: VarSymbol, ctx: GoodnessContext) -> Polynomial:
         if i > len(names):
             return Polynomial.zero()
         name = names[i - 1]
-        return _var(c_symbol(name)) if ctx.good(name) else _const(1)
+        return _var(c_symbol(name)) if ctx.good(name) else _const(ALL_BAD_VALUES[fam])
     if fam in ("U", "V"):
         if len(var.indices) != 2:
             raise IndexOutOfRange(f"malformed marker symbol {var}")
@@ -315,7 +317,7 @@ def fprime_of_var(var: VarSymbol, ctx: GoodnessContext) -> Polynomial:
             combo = names[:k]
             if ctx.good(combo):
                 return _var(sigma_symbol(ctx.combo_name(combo)))
-            return _const(2)
+            return _const(ALL_BAD_VALUES[fam, kind])
         if kind in (2, 3):
             if k < 2:
                 raise IndexOutOfRange(f"tower marker needs index >= 2: {var}")
@@ -325,7 +327,7 @@ def fprime_of_var(var: VarSymbol, ctx: GoodnessContext) -> Polynomial:
             if case == "all":
                 return _var(_tower_symbol(towers[kind - 2], k))
             if case == "none":
-                return _const(4 if kind == 2 else 3)
+                return _const(ALL_BAD_VALUES[fam, kind])
             if case == "head" and kind == 2:
                 return _var(sigma) * 2
             return _var(sigma) + (2 if kind == 2 else 1)

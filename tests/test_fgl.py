@@ -94,6 +94,10 @@ def test_inverse_series_cancels_the_law():
     for order in (4, 8):
         g = inverse_series(U, order)
         assert compose(law_series(U, order), "v", g).is_zero()
+    # the outer variables left in place must be variables of the inner
+    # series: g is a series in u alone, so F(g, v) has no v to keep
+    with pytest.raises(ValueError, match="'v' is not among"):
+        compose(law_series(U, 4), "u", inverse_series(U, 4))
 
 
 def test_inverse_series_special_modes():
@@ -208,6 +212,16 @@ def test_associativity_residues():
     assert rels[(1, 1, 2)] == -expected
 
 
+def test_universal_associativity_residues_are_antisymmetric():
+    # for a commutative law A(u,v,w) = -A(w,v,u), so the residue at (i,j,k)
+    # is minus the one at (k,j,i) and none sits at i == k
+    for order in range(1, 11):
+        rels = associativity_relations(U, order)
+        for (i, j, k), poly in rels.items():
+            assert i != k, (order, i, j, k)
+            assert rels.get((k, j, i)) == -poly, (order, i, j, k)
+
+
 def test_associativity_vanishes_for_special_modes():
     assert associativity_relations(additive_mode(), 6) == {}
     assert associativity_relations(multiplicative_mode(), 6) == {}
@@ -220,7 +234,7 @@ def test_series_apply_rejects_constant_terms():
     bad = TruncatedSeries(("u",), 3, ZZ, {(0,): {0: 1}, (1,): {0: 1}})
     u = TruncatedSeries.variable("u", ("u",), 3)
     with pytest.raises(NonzeroConstantTerm):
-        series_apply(f, [bad.lift(("u",)), u])
+        series_apply(f, [bad, u])
 
 
 def test_eval_dim_truncated_single_class():

@@ -236,6 +236,15 @@ def test_all_bad_values_frozen():
         all_bad_evaluation(0, 1)
 
 
+def test_claim1_reads_the_all_bad_table(monkeypatch):
+    # the table sends bad generators to ALL_BAD_VALUES, the values criterion
+    # 6 checks, so a wrong entry there reaches the all-bad base case too
+    table = dict(fixedpoint.ALL_BAD_VALUES)
+    table["U", 2] = table["V", 2] = 5
+    monkeypatch.setattr(fixedpoint, "ALL_BAD_VALUES", table)
+    assert claim1_case_check(5) == {"case": 5, "lhs": 2, "rhs": 1, "equal": False}
+
+
 def test_all_bad_chain_closed_form():
     # every divisor bad: S_n + E_n = [n = 1] and F_n = [n >= 2] on both
     # sides, so each chain satisfies S_n + E_n + c*F_n = c at c = 1

@@ -2,7 +2,9 @@
 
 The inverse of a symmetric law is an involution, g(g(u)) = u, and the
 division series is a two-sided inverse of the n-fold sum.  Both identities
-are checked with `series_apply`, which neither solve uses.
+are checked with `series_apply`, which neither solve uses.  The
+associativity residues of a symmetric law are antisymmetric under swapping
+u and w.
 """
 
 import pytest
@@ -12,13 +14,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from dprkit.algebra import ZZ  # noqa: E402
 from dprkit.fgl import (  # noqa: E402
-    TruncatedSeries, custom_mode, division_series, inverse_series, n_fold_sum, series_apply,
+    TruncatedSeries, associativity_relations, custom_mode, division_series, inverse_series,
+    n_fold_sum, series_apply,
 )
 
 
 @st.composite
-def laws(draw):
-    order = draw(st.integers(min_value=1, max_value=8))
+def laws(draw, min_order=1, max_order=8):
+    order = draw(st.integers(min_value=min_order, max_value=max_order))
     table = {(i, j): draw(st.integers(min_value=-5, max_value=5))
              for i in range(1, order) for j in range(i, order - i + 1)}
     return custom_mode(table), order
@@ -44,3 +47,16 @@ def test_division_inverts_the_n_fold_sum_on_both_sides(law, n):
     a = n_fold_sum(mode, n, order)
     assert series_apply(b, [a]) == _u(order, b.ring)
     assert series_apply(a, [b]) == _u(order, b.ring)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(law=laws(min_order=12, max_order=12))
+def test_associativity_residues_are_antisymmetric(law):
+    # A(u,v,w) = F(F(u,v),w) - F(u,F(v,w)) has A(w,v,u) = -A(u,v,w) when F
+    # is symmetric, so the residue at (i,j,k) is minus the one at (k,j,i)
+    # and none sits at i == k
+    mode, order = law
+    rels = associativity_relations(mode, order)
+    for (i, j, k), poly in rels.items():
+        assert i != k, (i, j, k)
+        assert rels.get((k, j, i)) == -poly, (i, j, k)

@@ -5,7 +5,9 @@ recomputed by fixed-point iteration in `sympy.polys.rings` over QQ and
 compared coefficient by coefficient with `fgl`.  Each iteration of the
 fixed point fixes one more degree, so ORDER iterations reach the answer.
 `compose` is checked against sympy's own substitution of a seeded series
-into the law as a polynomial in u and v.
+into the law as a polynomial in u and v.  The associativity residues are
+checked against F(F(u,v),w) - F(u,F(v,w)) with each side expanded on its
+own in sympy, over u, v, w and the law's free coefficients.
 """
 
 import random
@@ -16,18 +18,19 @@ import pytest
 sympy_rings = pytest.importorskip("sympy.polys.rings")
 from sympy import QQ  # noqa: E402
 
-from dprkit.algebra import ZZ  # noqa: E402
+from dprkit.algebra import ZZ, VarSymbol  # noqa: E402
 from dprkit.fgl import (  # noqa: E402
-    TruncatedSeries, compose, custom_mode, division_series, inverse_series, law_series,
+    BETA, TruncatedSeries, associativity_relations, compose, custom_mode, division_series,
+    inverse_series, law_series, multiplicative_mode, universal_mode,
 )
 
 ORDER = 8
 
 
-def _table(seed):
+def _table(seed, order=ORDER):
     rng = random.Random(seed)
     return {(i, j): rng.randint(-3, 3)
-            for i in range(1, ORDER) for j in range(i, ORDER - i + 1)}
+            for i in range(1, order) for j in range(i, order - i + 1)}
 
 
 def _oracle(table):
@@ -110,3 +113,72 @@ def test_compose_matches_sympy_substitution(seed):
     s = TruncatedSeries(("u",), ORDER, ZZ, {(k,): {0: c} for k, c in inner.items() if c})
     got = compose(law_series(custom_mode(table), ORDER), "v", s)
     assert _coeffs(got) == expected
+
+
+def _oracle_residues(order, table):
+    """F(F(u,v),w) - F(u,F(v,w)) modulo total degree > order in u, v, w, for
+    the law whose c_ij (i <= j) are the values of `table`: ints, or
+    VarSymbols that become ring generators.  Returns the symbols and
+    {(a, b, k): {exponents of the symbols: coefficient}}."""
+    symbols = sorted({c for c in table.values() if isinstance(c, VarSymbol)}, key=str)
+    ring, u, v, w, *gens = sympy_rings.ring(["u", "v", "w"] + [str(s) for s in symbols], QQ)
+    coeffs = {key: gens[symbols.index(c)] if isinstance(c, VarSymbol) else c
+              for key, c in table.items()}
+
+    def trunc(p):
+        return ring({m: c for m, c in p.items() if sum(m[:3]) <= order})
+
+    def powers(p):
+        out = [ring.one]
+        for _ in range(order):
+            out.append(trunc(out[-1] * p))
+        return out
+
+    def law(x, y):
+        xs, ys = powers(x), powers(y)
+        total = x + y
+        for (i, j), c in coeffs.items():
+            total += c * trunc(xs[i] * ys[j])
+            if i != j:
+                total += c * trunc(xs[j] * ys[i])
+        return trunc(total)
+
+    out: dict = {}
+    for m, c in (law(law(u, v), w) - law(u, law(v, w))).items():
+        out.setdefault(m[:3], {})[m[3:]] = Fraction(int(c.numerator), int(c.denominator))
+    return symbols, out
+
+
+def _residues(rels, symbols):
+    """The same shape for associativity_relations' output."""
+    out: dict = {}
+    for exp, poly in rels.items():
+        for mono, c in poly.terms.items():
+            key = [0] * len(symbols)
+            for sym, e in mono.pairs:
+                key[symbols.index(sym)] = e
+            out.setdefault(exp, {})[tuple(key)] = Fraction(c)
+    return out
+
+
+def _check_associativity(mode, order, table):
+    rels = associativity_relations(mode, order)
+    assert list(rels) == sorted(rels, key=lambda e: (sum(e), e))
+    symbols, expected = _oracle_residues(order, table)
+    assert _residues(rels, symbols) == expected
+    return rels
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_custom_associativity_matches_a_sympy_expansion(seed):
+    table = _table(seed, 12)
+    assert _check_associativity(custom_mode(table), 12, table)
+
+
+def test_universal_associativity_matches_a_sympy_expansion():
+    table = {(i, j): VarSymbol("a", (i, j)) for i in range(1, 8) for j in range(i, 9 - i)}
+    assert _check_associativity(universal_mode(), 8, table)
+
+
+def test_multiplicative_associativity_matches_a_sympy_expansion():
+    assert _check_associativity(multiplicative_mode(), 12, {(1, 1): BETA}) == {}
