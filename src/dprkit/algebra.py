@@ -122,7 +122,7 @@ class VarSymbol:
     makes equality an identity check and lets monomials share sort keys.
     """
 
-    __slots__ = ("family", "indices", "sort_key", "_hash")
+    __slots__ = ("family", "indices", "sort_key", "_hash", "_name")
     _cache: dict[tuple[str, tuple[int, ...]], "VarSymbol"] = {}
 
     def __new__(cls, family: str, indices: Iterable[int] = ()) -> "VarSymbol":
@@ -138,6 +138,7 @@ class VarSymbol:
                 cached, "sort_key", (_FAMILY_RANK.get(family, _LATE_RANK), family, idx)
             )
             object.__setattr__(cached, "_hash", hash((family, idx)))
+            object.__setattr__(cached, "_name", family + "".join(f"[{i}]" for i in idx))
             cls._cache[(family, idx)] = cached
         return cached
 
@@ -157,7 +158,7 @@ class VarSymbol:
         return f"VarSymbol({str(self)!r})"
 
     def __str__(self) -> str:
-        return self.family + "".join(f"[{i}]" for i in self.indices)
+        return self._name
 
 
 class Monomial:

@@ -13,8 +13,10 @@ registered symbol owns a 6-bit exponent field, so monomial multiplication is
 integer addition.  Exponents never overflow their fields because a
 coefficient of u^k has total symbol degree below k, and orders are capped
 well under the field size.  Packed keys never leave this module; public
-surfaces speak `algebra.Polynomial`.  Packed coefficients are the ints and
-Fractions that exact arithmetic returns; they are never rewritten.
+surfaces speak `algebra.Polynomial`.  Symbols are only ever appended to the
+registry, so each packed key decodes to its `Monomial` once per process.
+Packed coefficients are the ints and Fractions that exact arithmetic
+returns; they are never rewritten.
 
 The inverse and the division series are fixed points s = s_1 x - sum of
 c x^i s^j, solved one degree at a time from cached powers of the partial
@@ -56,8 +58,11 @@ class NonzeroConstantTerm(ValueError):
 _FIELD_BITS = 6
 _FIELD_MAX = (1 << _FIELD_BITS) - 1
 
+# The registry only appends, so a key's meaning never changes: decoded keys
+# are kept for the life of the process, like VarSymbol's interning table.
 _pos: dict[VarSymbol, int] = {}
 _syms: list[VarSymbol] = []
+_decoded: dict[int, Monomial] = {}
 
 Packed = dict  # packed-key -> Coeff
 
@@ -78,19 +83,27 @@ def _pack_symbol(sym: VarSymbol, exp: int = 1) -> int:
 
 
 def _unpack(key: int) -> Monomial:
-    pairs = []
-    pos = 0
-    while key:
-        e = key & _FIELD_MAX
-        if e:
-            pairs.append((_syms[pos], e))
-        key >>= _FIELD_BITS
-        pos += 1
-    return Monomial(pairs)
+    mono = _decoded.get(key)
+    if mono is None:
+        pairs = []
+        pos = 0
+        rest = key
+        while rest:
+            e = rest & _FIELD_MAX
+            if e:
+                pairs.append((_syms[pos], e))
+            rest >>= _FIELD_BITS
+            pos += 1
+        pairs.sort(key=lambda p: p[0].sort_key)
+        mono = _decoded[key] = Monomial._raw(tuple(pairs))
+    return mono
 
 
 def _unpack_poly(d: Packed, ring: CoeffRing) -> Polynomial:
-    return Polynomial(ring, ((_unpack(k), c) for k, c in d.items()))
+    # Distinct keys decode to distinct monomials and packed dicts hold no
+    # zeros, so only the ring's admission rule is left to run.
+    check = ring.check_coeff
+    return Polynomial._raw(ring, {_unpack(k): check(c) for k, c in d.items()})
 
 
 def _padd_into(acc: Packed, d: Packed) -> None:

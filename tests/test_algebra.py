@@ -111,6 +111,16 @@ def test_symbol_str_round_trip(text):
     assert str(symbol_from_str(text)) == text
 
 
+@pytest.mark.parametrize(
+    "family, indices",
+    [("X", (1,)), ("U", (2, 4)), ("beta", ()), ("sigma1[A]", ()), ("c[A1+A2]", (3, 1))],
+)
+def test_symbol_name_is_family_then_bracketed_indices(family, indices):
+    sym = VarSymbol(family, indices)
+    assert str(sym) == family + "".join(f"[{i}]" for i in indices)
+    assert str(sym) is str(sym)  # rendered once, when interned
+
+
 def test_symbol_from_str_splits_only_integer_suffixes():
     sym = symbol_from_str("sigma1[A1+A2]")
     assert sym.family == "sigma1[A1+A2]"

@@ -327,3 +327,55 @@ def test_division_denominators_divide_n_to_the_2i_minus_1(mode, order):
     for n in range(2, 10):
         for i, k in denominator_profile(division_series(n, mode, order)):
             assert k <= 2 * i - 1, (n, i, k)
+
+
+def _validated(key):
+    """A packed key read field by field into the validating constructor."""
+    width = fgl._FIELD_BITS
+    return Monomial((fgl._syms[pos], (key >> width * pos) & fgl._FIELD_MAX)
+                    for pos in range(-(-key.bit_length() // width)))
+
+
+def _assert_decodes_like_the_constructor(keys):
+    for key in keys:
+        got, want = fgl._unpack(key), _validated(key)
+        assert got == want and hash(got) == hash(want), (key, got, want)
+        assert fgl._unpack(key) is got  # decoded once, then read back
+
+
+def _repacked(mono):
+    return sum(fgl._pack_symbol(sym, e) for sym, e in mono.pairs)
+
+
+def _out_of_registry_order(key):
+    positions = [fgl._pos[sym] for sym, _ in _validated(key).pairs]
+    return positions != sorted(positions)
+
+
+def test_packed_keys_decode_to_the_validated_monomial():
+    for order in range(1, 11):
+        keys = {k for series in (law_series(U, order), inverse_series(U, order))
+                for d in series._coeffs.values() for k in d}
+        keys.update(_repacked(mono) for poly in associativity_relations(U, order).values()
+                    for mono in poly.terms)
+        _assert_decodes_like_the_constructor(keys)
+
+
+def test_keys_decode_alike_after_new_symbols_are_registered():
+    # beta and a[2][2] first, then a_ij of an order no other test reaches:
+    # a new a[1][j] sits after both in the registry but sorts before them,
+    # so keys holding both decode right only if the pairs are sorted
+    older = [fgl._pack_symbol(BETA), fgl._pack_symbol(VarSymbol("a", (2, 2)))]
+    fresh = {k for d in law_series(U, 24)._coeffs.values() for k in d}
+    keys = fresh | {k + old for k in fresh for old in older}
+    assert any(_out_of_registry_order(k) for k in keys)
+    _assert_decodes_like_the_constructor(keys)
+    _assert_decodes_like_the_constructor(list(fgl._decoded))
+
+
+def test_decoded_coefficients_still_pass_the_ring_admission_rule():
+    assert fgl._unpack_poly({0: Fraction(1, 2)}, CoeffRing([2])) == const(Fraction(1, 2), CoeffRing([2]))
+    with pytest.raises(IncompatibleRings):
+        fgl._unpack_poly({0: Fraction(1, 3)}, CoeffRing([2]))
+    with pytest.raises(TypeError):
+        fgl._unpack_poly({0: 0.5}, ZZ)
