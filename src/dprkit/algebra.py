@@ -13,9 +13,9 @@ float, a Decimal) raises TypeError where it comes in.
 
 from __future__ import annotations
 
-import json
 import operator
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
@@ -169,7 +169,8 @@ class Monomial:
     first, and within a degree a higher power of an earlier symbol first.
     """
 
-    __slots__ = ("pairs", "degree", "_hash")
+    # _key is the sort key, set by the first `sort_key` call only
+    __slots__ = ("pairs", "degree", "_hash", "_key")
 
     def __init__(self, exponents: Mapping[VarSymbol, int] | Iterable[tuple[VarSymbol, int]] = ()):
         items = exponents.items() if isinstance(exponents, Mapping) else exponents
@@ -207,7 +208,12 @@ class Monomial:
         return isinstance(other, Monomial) and self.pairs == other.pairs
 
     def sort_key(self):
-        return (self.degree, tuple((s.sort_key, -e) for s, e in self.pairs))
+        try:
+            return self._key
+        except AttributeError:
+            key = (self.degree, tuple((s.sort_key, -e) for s, e in self.pairs))
+            object.__setattr__(self, "_key", key)
+            return key
 
     def __lt__(self, other: "Monomial") -> bool:
         return self.sort_key() < other.sort_key()
@@ -499,6 +505,8 @@ class Polynomial:
 # serialization
 
 def coeff_to_json(c: Coeff) -> dict:
+    if type(c) is int:
+        return {"num": str(c), "den": "1"}
     f = Fraction(c)
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
@@ -516,5 +524,47 @@ def poly_to_json(p: Polynomial) -> dict:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic rendering used for every machine-readable output."""
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    """Deterministic rendering used for every machine-readable output.
+
+    The text equals ``json.dumps(obj, indent=2, allow_nan=False) + "\\n"``
+    byte for byte: keys in insertion order, every item on a line of its
+    own indented two spaces per level, "," ending each item but the last,
+    ": " after each key, "{}" and "[]" for empty containers, and text
+    outside ASCII written as \\u escapes.  It covers dicts with str keys,
+    lists, tuples, str, int, bool and None.  Any other value, a float or a
+    Fraction included, and any key that is not a str raise TypeError.
+    """
+    return _json_text(obj, "\n") + "\n"
+
+
+def _json_text(obj, newline: str) -> str:
+    """The text of `obj`; `newline` is a newline plus the indentation of
+    the line `obj` starts on.  A str or int inside a container is written
+    in place, without a call of its own: most values are one of the two."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        # _json_str raises TypeError for a key that is not a str
+        return "{" + inner + ("," + inner).join([
+            _json_str(k) + ": "
+            + (_json_str(v) if type(v) is str else str(v) if type(v) is int else _json_text(v, inner))
+            for k, v in obj.items()]) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([
+            _json_str(v) if type(v) is str else str(v) if type(v) is int else _json_text(v, inner)
+            for v in obj]) + newline + "]"
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

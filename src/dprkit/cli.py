@@ -35,6 +35,7 @@ from .dpr import (
     build_gy,
     check_index_bounds,
     check_multilinear,
+    dpr_to_json,
     mirror_check,
     padding_check,
     weight_check,
@@ -169,8 +170,8 @@ def _cmd_gdpr_build(args) -> int:
         _fail(f"-m does not apply to {kind}")
     else:
         counts = (args.n,)
-    poly = _BUILDERS[kind](*counts).to_polynomial()
-    _emit(args, lambda: poly_to_json(poly), lambda: _poly_text(poly))
+    g = _BUILDERS[kind](*counts)
+    _emit(args, lambda: dpr_to_json(g), lambda: _poly_text(g.to_polynomial()))
     return 0
 
 

@@ -26,10 +26,13 @@ only for a caller that iterates every term (`terms`, `to_polynomial`,
 Consumers that need only the value of a relation polynomial at a point do
 not expand it: `chain_values` and `relation_value` run the same recursion
 on values in any commutative ring, in O(n + m) ring operations.  The mask
-form is the one expansion: `gdpr build` prints it, decoded once by
-`to_polynomial`, the structural checks run on it, and it is the slow oracle
-(`DprPolynomial.evaluate_rational`, `substitute_families`) the fast path is
-tested against.
+form is the one expansion: `gdpr build` prints it, the structural checks run
+on it, and it is the slow oracle (`DprPolynomial.evaluate_rational`,
+`substitute_families`) the fast path is tested against.  Its JSON is written
+straight from the masks by `dpr_to_json`, with no Monomial made;
+`to_polynomial` decodes the masks to Monomials for text output and for the
+oracles (`poly_to_json` of its result is what `dpr_to_json` is tested
+against).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .algebra import Coeff, Monomial, Polynomial, UnboundVariable, VarSymbol, ZZ, poly_to_json
+from .algebra import Coeff, Monomial, Polynomial, UnboundVariable, VarSymbol, ZZ, coeff_to_json
 
 __all__ = [
     "DprPolynomial",
@@ -643,4 +646,31 @@ def from_polynomial(p: Polynomial) -> DprPolynomial:
 
 
 def dpr_to_json(g: DprPolynomial) -> dict:
-    return poly_to_json(g.to_polynomial())
+    """`poly_to_json(g.to_polynomial())`, built straight from the masks.
+
+    No Monomial or Polynomial is made, and each generator's name is
+    rendered once.  A term's key is its generators' ranks in Monomial
+    symbol order, ascending, after their count: every exponent is 1, so
+    that is the Monomials' graded lexicographic order.
+    """
+    blocks = -(-g.support.bit_length() // _BITS_PER_INDEX)
+    order = [pos for off in _OFFSETS_IN_SYMBOL_ORDER
+             for pos in range(off, _BITS_PER_INDEX * blocks, _BITS_PER_INDEX)
+             if g.support >> pos & 1]
+    names = [str(_symbol_of_bit(pos)) for pos in order]
+    rank_of_bit = {pos: rank for rank, pos in enumerate(order)}
+    keyed = []
+    for mask, c in g.terms():
+        ranks = []
+        while mask:
+            low = mask & -mask
+            ranks.append(rank_of_bit[low.bit_length() - 1])
+            mask ^= low
+        ranks.sort()
+        keyed.append((len(ranks), ranks, c))
+    keyed.sort()  # masks are distinct, so no two keys tie and no c is compared
+    return {
+        "ring": {"inverted": []},
+        "terms": [{"coeff": coeff_to_json(c), "monomial": {names[r]: 1 for r in ranks}}
+                  for _, ranks, c in keyed],
+    }

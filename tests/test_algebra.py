@@ -1,5 +1,6 @@
 """Core polynomial kernel: rings, symbols, monomials, arithmetic, JSON."""
 
+import json
 import random
 import re
 from fractions import Fraction
@@ -168,6 +169,8 @@ def test_monomial_graded_lex_order():
     mixed = Monomial({X1: 1, X2: 1})
     assert sq < mixed
     assert Monomial({X2: 1}) < sq
+    # the key is built on first use and then kept
+    assert sq.sort_key() is sq.sort_key()
 
 
 def test_polynomial_normalization():
@@ -300,3 +303,45 @@ def test_json_terms_are_graded_lex_sorted():
 def test_str_rendering():
     p = Polynomial(ZZ, {UNIT: -1, Monomial({X1: 1}): 1, Monomial({X1: 1, U11: 2}): -3})
     assert str(p) == "-1 + X[1] - 3*X[1]*U[1][1]^2"
+
+
+def _json_oracle(obj) -> str:
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+def test_canonical_json_matches_json_dumps():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # quotes, backslashes and control characters, and any code point at all
+    # (lone surrogates too)
+    awkward = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", " ", "a", "["])
+    text = st.text(alphabet=awkward | st.integers(0, 0x10FFFF).map(chr), max_size=6)
+    scalars = (st.none() | st.booleans() | st.integers()
+               | st.integers(min_value=-(1 << 200), max_value=1 << 200) | text)
+    values = st.recursive(scalars, lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(text, children, max_size=4)), max_leaves=12)
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=150)
+    @hypothesis.given(values)
+    def check(obj):
+        assert canonical_json(obj) == _json_oracle(obj)
+
+    check()
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), "", 0, True, None, {"a": {}, "b": []}, [[[]]], (1, (2,), [3]),
+    {"k": [-1, 1 << 100, False, None, "x"]}, "caf\u00e9 \"q\" \\ \x01",
+])
+def test_canonical_json_matches_json_dumps_on_edges(obj):
+    assert canonical_json(obj) == _json_oracle(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    1.5, Fraction(1, 2), {1, 2}, {1: "a"}, {"a": [0.5]}, [Fraction(1, 3)], {"a": {None: 1}},
+])
+def test_canonical_json_rejects_what_it_does_not_cover(obj):
+    with pytest.raises(TypeError):
+        canonical_json(obj)

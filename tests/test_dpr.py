@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from dprkit import dpr
-from dprkit.algebra import IncompatibleRings, Monomial, Polynomial, VarSymbol, ZZ
+from dprkit.algebra import IncompatibleRings, Monomial, Polynomial, VarSymbol, ZZ, poly_to_json
 from dprkit.dpr import (
     DprPolynomial,
     NotMultilinear,
@@ -332,6 +332,25 @@ def test_json_is_graded_lex():
     assert keys[1] == ["X[2]"]
     assert keys[2] == ["X[1]", "X[2]", "U[1][1]"]
     assert blob["ring"] == {"inverted": []}
+
+
+_JSON_CASES = [
+    *((build, (n,)) for build in (build_ex, build_fx, build_ey, build_fy) for n in range(1, 5)),
+    *((build, (n, m)) for build in (build_gx, build_gy) for n in range(1, 5) for m in range(1, 5)),
+    (build_gx, (5, 5)),
+]
+
+
+@pytest.mark.parametrize("build, counts", [
+    pytest.param(build, counts, id=f"{build.__name__}{counts}") for build, counts in _JSON_CASES])
+def test_json_from_masks_matches_the_decoded_polynomial(build, counts):
+    def ordered(blob):
+        # dict equality would not see the order of the keys, which the text shows
+        return list(blob), blob["ring"], [
+            (list(t), list(t["coeff"].items()), list(t["monomial"].items())) for t in blob["terms"]]
+
+    g = build(*counts)
+    assert ordered(dpr_to_json(g)) == ordered(poly_to_json(g.to_polynomial()))
 
 
 def test_builder_argument_validation():
