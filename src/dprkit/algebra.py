@@ -507,8 +507,7 @@ class Polynomial:
 def coeff_to_json(c: Coeff) -> dict:
     if type(c) is int:
         return {"num": str(c), "den": "1"}
-    f = Fraction(c)
-    return {"num": str(f.numerator), "den": str(f.denominator)}
+    return {"num": str(c.numerator), "den": str(c.denominator)}
 
 
 def poly_to_json(p: Polynomial) -> dict:

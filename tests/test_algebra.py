@@ -18,6 +18,7 @@ from dprkit.algebra import (
     VarSymbol,
     ZZ,
     canonical_json,
+    coeff_to_json,
     poly_to_json,
 )
 
@@ -345,3 +346,11 @@ def test_canonical_json_matches_json_dumps_on_edges(obj):
 def test_canonical_json_rejects_what_it_does_not_cover(obj):
     with pytest.raises(TypeError):
         canonical_json(obj)
+
+
+@pytest.mark.parametrize("c, num, den", [
+    (7, "7", "1"), (-12, "-12", "1"), (0, "0", "1"), (Fraction(3, 4), "3", "4"),
+    (Fraction(-5, 6), "-5", "6"), (Fraction(4, 2), "2", "1"),
+])
+def test_coeff_to_json(c, num, den):
+    assert coeff_to_json(c) == {"num": num, "den": den}

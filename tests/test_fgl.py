@@ -7,6 +7,8 @@ mode doubles as an independent numeric oracle since there the n-fold sum is
 """
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from dprkit import fgl
 from dprkit.algebra import CoeffRing, IncompatibleRings, Monomial, Polynomial, VarSymbol, ZZ
 from dprkit.fgl import (
     BETA,
+    AliasedAccumulator,
     NonzeroConstantTerm,
     TruncatedSeries,
     additive_mode,
@@ -237,6 +240,15 @@ def test_series_apply_rejects_constant_terms():
         series_apply(f, [bad, u])
 
 
+def test_series_apply_keeps_the_outer_constant_term():
+    # 3 + u + u^2 at u = 2u - u^2 is 3 + 2u + 3u^2 - 4u^3 + u^4
+    outer = TruncatedSeries(("u",), 4, ZZ, {(0,): {0: 3}, (1,): {0: 1}, (2,): {0: 1}})
+    arg = TruncatedSeries(("u",), 4, ZZ, {(1,): {0: 2}, (2,): {0: -1}})
+    got = series_apply(outer, [arg])
+    assert got.coefficients() == [
+        ((0,), const(3)), ((1,), const(2)), ((2,), const(3)), ((3,), const(-4)), ((4,), const(1))]
+
+
 def test_eval_dim_truncated_single_class():
     c = VarSymbol("c")
     cp = Polynomial.variable(c)
@@ -379,3 +391,141 @@ def test_decoded_coefficients_still_pass_the_ring_admission_rule():
         fgl._unpack_poly({0: Fraction(1, 3)}, CoeffRing([2]))
     with pytest.raises(TypeError):
         fgl._unpack_poly({0: 0.5}, ZZ)
+
+
+# the fused multiply-accumulate kernel --------------------------------------
+
+
+def _product_then_add(acc, d1, d2):
+    """acc + d1 * d2 the slow way: the whole product first, then the sum."""
+    product = {}
+    for k1, c1 in d1.items():
+        for k2, c2 in d2.items():
+            product[k1 + k2] = product.get(k1 + k2, 0) + c1 * c2
+    total = dict(acc)
+    for k, c in product.items():
+        total[k] = total.get(k, 0) + c
+    return {k: c for k, c in total.items() if c != 0}
+
+
+def _assert_kernel_matches(acc, d1, d2):
+    want = _product_then_add(acc, d1, d2)
+    before = (dict(d1), dict(d2))
+    got = dict(acc)
+    fgl._pmul_into(got, d1, d2)
+    assert got == want
+    assert all(c != 0 for c in got.values())
+    assert (d1, d2) == before  # the factors are only read
+
+
+def test_pmul_into_matches_product_then_add():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # few keys and small coefficients, so terms collide and sums cancel
+    coeffs = (st.integers(-3, 3) | st.fractions(min_value=-2, max_value=2, max_denominator=4)).filter(bool)
+    packed = st.dictionaries(st.integers(0, 6), coeffs, max_size=5)
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @hypothesis.given(packed, packed, packed)
+    def check(acc, d1, d2):
+        _assert_kernel_matches({}, d1, d2)
+        _assert_kernel_matches(acc, d1, d2)
+
+    check()
+
+
+@pytest.mark.parametrize("acc, d1, d2", [
+    ({}, {0: 1, 1: 1}, {0: 1, 1: -1}),  # (1 + x)(1 - x): the x terms cancel
+    ({0: -1, 2: 1}, {0: 1, 1: 1}, {0: 1, 1: -1}),  # and the rest cancels acc
+    ({3: Fraction(1, 2)}, {1: Fraction(-1, 4)}, {2: 2}),
+    ({5: 7}, {}, {0: 1}),
+])
+def test_pmul_into_cancels_to_no_zero_entries(acc, d1, d2):
+    _assert_kernel_matches(acc, d1, d2)
+
+
+def test_pmul_into_refuses_to_accumulate_into_a_factor():
+    d, e = {0: 1, 1: 2}, {1: 3}
+    with pytest.raises(AliasedAccumulator):
+        fgl._pmul_into(d, d, e)
+    with pytest.raises(AliasedAccumulator):
+        fgl._pmul_into(e, d, e)
+    assert (d, e) == ({0: 1, 1: 2}, {1: 3})
+
+
+def test_pmul_into_aliasing_check_survives_optimisation(cli_env):
+    # an assert would vanish under python -O; the typed error must not
+    script = ("from dprkit import fgl\n"
+              "d = {0: 1}\n"
+              "try:\n"
+              "    fgl._pmul_into(d, d, {0: 1})\n"
+              "except fgl.AliasedAccumulator:\n"
+              "    print('refused')\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                         check=True, env=cli_env)
+    assert out.stdout == "refused\n"
+
+
+# n-fold sums against the compose loop --------------------------------------
+
+
+def _n_fold_sums_by_compose(mode, n, order):
+    """[1](u), ..., [n](u) with [k](u) = compose(law, "v", [k-1](u))."""
+    law = law_series(mode, order)
+    sums = [TruncatedSeries.variable("u", ("u",), order)]
+    while len(sums) < n:
+        sums.append(compose(law, "v", sums[-1]))
+    return sums
+
+
+@pytest.mark.parametrize("mode", [
+    U, additive_mode(), multiplicative_mode(), custom_mode(_custom_table(11, 12)),
+], ids=["universal", "additive", "multiplicative", "custom"])
+def test_n_fold_sum_matches_the_compose_loop(mode):
+    _clear_solve_caches()
+    for order in range(1, 13):
+        for k, want in enumerate(_n_fold_sums_by_compose(mode, 9, order), start=1):
+            assert n_fold_sum(mode, k, order) == want, (k, order)
+
+
+# the solves and their checks take different routes -------------------------
+
+
+def test_inverse_check_is_made_by_compose(monkeypatch):
+    # a compose that never cancels must make the inverse's own check fail
+    law = law_series(U, 5)
+    monkeypatch.setattr(fgl, "compose", lambda outer, var, inner: law)
+    _clear_solve_caches()
+    try:
+        with pytest.raises(ArithmeticError, match="inverse"):
+            inverse_series(U, 5)
+    finally:
+        _clear_solve_caches()
+
+
+def test_n_fold_sum_uses_no_series_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("n_fold_sum went through the series path")
+
+    monkeypatch.setattr(fgl, "compose", refuse)
+    monkeypatch.setattr(fgl, "series_apply", refuse)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", refuse)
+    _clear_solve_caches()
+    try:
+        f2 = n_fold_sum(U, 2, 4)
+        n_fold_sum(U, 9, 4)
+    finally:
+        _clear_solve_caches()
+    assert f2.coefficient((3,)) == const(2) * a(1, 2)
+    assert f2.coefficient((4,)) == const(2) * a(1, 3) + a(2, 2)
+
+
+def test_compose_uses_no_solve_kernel(monkeypatch):
+    g = inverse_series(U, 6)
+
+    def refuse(*args):
+        raise AssertionError("compose went through the solve kernel")
+
+    monkeypatch.setattr(fgl, "_Powers", refuse)
+    monkeypatch.setattr(fgl, "_dot", refuse)
+    assert compose(law_series(U, 6), "v", g).is_zero()

@@ -1,8 +1,9 @@
 """Properties of the solved series over seeded integer custom laws.
 
-The inverse of a symmetric law is an involution, g(g(u)) = u, and the
-division series is a two-sided inverse of the n-fold sum.  Both identities
-are checked with `series_apply`, which neither solve uses.  The
+The inverse of a symmetric law is an involution, g(g(u)) = u, the
+division series is a two-sided inverse of the n-fold sum, and the n-fold
+sums are the loop [k](u) = F(u, [k-1](u)) of `compose` calls.  These are
+checked with `series_apply` and `compose`, which no solve uses.  The
 associativity residues of a symmetric law are antisymmetric under swapping
 u and w.
 """
@@ -14,8 +15,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from dprkit.algebra import ZZ  # noqa: E402
 from dprkit.fgl import (  # noqa: E402
-    TruncatedSeries, associativity_relations, custom_mode, division_series, inverse_series,
-    n_fold_sum, series_apply,
+    TruncatedSeries, associativity_relations, compose, custom_mode, division_series,
+    inverse_series, law_series, n_fold_sum, series_apply,
 )
 
 
@@ -47,6 +48,17 @@ def test_division_inverts_the_n_fold_sum_on_both_sides(law, n):
     a = n_fold_sum(mode, n, order)
     assert series_apply(b, [a]) == _u(order, b.ring)
     assert series_apply(a, [b]) == _u(order, b.ring)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(law=laws(max_order=12), n=st.integers(min_value=2, max_value=9))
+def test_n_fold_sums_equal_the_compose_loop(law, n):
+    mode, order = law
+    f = law_series(mode, order)
+    s = _u(order)
+    for k in range(2, n + 1):
+        s = compose(f, "v", s)
+        assert n_fold_sum(mode, k, order) == s, k
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
