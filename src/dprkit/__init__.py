@@ -18,6 +18,23 @@ The package has five working layers:
 ``cli`` exposes all of it as the ``dprkit`` command.
 """
 
+import sys
+
 __version__ = "0.1.0"
 
 __all__ = ["__version__"]
+
+
+def __getattr__(name: str):
+    """A layer that `dprkit.cli` put in `sys.modules` to execute on first use,
+    executed and bound here as a first import of it would have been.
+
+    So `import dprkit.fgl; dprkit.fgl.law_series` works, and `from dprkit
+    import fgl` executes fgl there rather than at its first use after it.
+    """
+    module = sys.modules.get(f"{__name__}.{name}")
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    vars(module)  # reading any attribute of a lazy module executes it
+    globals()[name] = module
+    return module

@@ -15,16 +15,21 @@ for the series an `fgl` command prints, `_REPORTS` for the report of each
 `verify` and `fixedpoint` command and the key that sets its exit code, and
 `_CHECKS` for the checks `gdpr check` runs on GX and GY; its names and
 padding are that command's choices.
+
+Only `algebra` and `dpr` are imported up front; `fgl`, `operators`,
+`fixedpoint` and `acceptance` are registered by `_lazy` and execute on the
+first attribute a handler reads, so each command runs only the layers it
+calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from typing import Callable
 
-from .acceptance import report_json, report_text, run_all
 from .algebra import Polynomial, canonical_json, poly_to_json
 from .dpr import (
     build_ex,
@@ -40,25 +45,27 @@ from .dpr import (
     padding_check,
     weight_check,
 )
-from .fgl import (
-    MODE_NAMES,
-    TruncatedSeries,
-    associativity_relations,
-    denominator_profile,
-    division_series,
-    inverse_series,
-    law_series,
-    n_fold_sum,
-    series_to_json,
-    universal_mode,
-)
-from .fixedpoint import (
-    all_bad_evaluation,
-    claim1_case_check,
-    guard_report,
-    parse_group_spec,
-)
-from .operators import verify_full_identity, verify_step_identity
+
+
+def _lazy(name: str):
+    """The dprkit module `name`, put in `sys.modules` to execute on its first
+    attribute access; one already imported is returned as it is.  The
+    package binds it when first asked for it (see `dprkit.__getattr__`)."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+fgl = _lazy("fgl")
+operators = _lazy("operators")
+fixedpoint = _lazy("fixedpoint")
+acceptance = _lazy("acceptance")
 
 __all__ = ["main", "build_parser"]
 
@@ -102,7 +109,7 @@ def _exp_label(exp, names) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _series_text(series: TruncatedSeries) -> str:
+def _series_text(series: fgl.TruncatedSeries) -> str:
     rows = [(_exp_label(exp, series.vars), str(poly))
             for exp, poly in series.coefficients()]
     if not rows:
@@ -124,29 +131,29 @@ def _poly_text(poly: Polynomial) -> str:
 
 # the series each `fgl` command other than `relations` prints
 _SERIES = {
-    "show": lambda a, mode: law_series(mode, a.order),
-    "inverse": lambda a, mode: inverse_series(mode, a.order),
-    "nfold": lambda a, mode: n_fold_sum(mode, a.n, a.order),
-    "divide": lambda a, mode: division_series(a.n, mode, a.order),
+    "show": lambda a, mode: fgl.law_series(mode, a.order),
+    "inverse": lambda a, mode: fgl.inverse_series(mode, a.order),
+    "nfold": lambda a, mode: fgl.n_fold_sum(mode, a.n, a.order),
+    "divide": lambda a, mode: fgl.division_series(a.n, mode, a.order),
 }
 
 
 def _cmd_series(args) -> int:
-    series = _SERIES[args.what](args, MODE_NAMES[args.mode]())
+    series = _SERIES[args.what](args, fgl.MODE_NAMES[args.mode]())
     if args.what == "divide" and args.denominator_profile:
         payload = {
             "n": args.n,
             "order": args.order,
-            "profile": [[i, k] for i, k in denominator_profile(series)],
+            "profile": [[i, k] for i, k in fgl.denominator_profile(series)],
         }
         _emit(args, lambda: payload)
     else:
-        _emit(args, lambda: series_to_json(series), lambda: _series_text(series))
+        _emit(args, lambda: fgl.series_to_json(series), lambda: _series_text(series))
     return 0
 
 
 def _cmd_fgl_relations(args) -> int:
-    rels = associativity_relations(universal_mode(), args.order)
+    rels = fgl.associativity_relations(fgl.universal_mode(), args.order)
     _emit(args, lambda: {
         "order": args.order,
         "count": len(rels),
@@ -206,13 +213,13 @@ def _cmd_gdpr_check(args) -> int:
 # each `verify` and `fixedpoint` command: its report, and the key whose
 # truth makes the exit code 0 rather than 1
 _REPORTS = {
-    "step": (lambda a: verify_step_identity(
+    "step": (lambda a: operators.verify_step_identity(
         a.n, trials=a.trials, seed=a.seed, sample_range=a.range).to_json(), "pass"),
-    "full": (lambda a: verify_full_identity(
+    "full": (lambda a: operators.verify_full_identity(
         a.n, a.m, trials=a.trials, seed=a.seed, sample_range=a.range).to_json(), "pass"),
-    "claim1": (lambda a: claim1_case_check(a.case), "equal"),
-    "allbad": (lambda a: all_bad_evaluation(a.n, a.m), "equal"),
-    "guard": (lambda a: guard_report(parse_group_spec(a.group)), "holds"),
+    "claim1": (lambda a: fixedpoint.claim1_case_check(a.case), "equal"),
+    "allbad": (lambda a: fixedpoint.all_bad_evaluation(a.n, a.m), "equal"),
+    "guard": (lambda a: fixedpoint.guard_report(fixedpoint.parse_group_spec(a.group)), "holds"),
 }
 
 
@@ -224,8 +231,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    results = run_all()
-    _emit(args, lambda: report_json(results), lambda: report_text(results))
+    results = acceptance.run_all()
+    _emit(args, lambda: acceptance.report_json(results),
+          lambda: acceptance.report_text(results))
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -236,8 +244,10 @@ def _arg(*flags, **kwargs):
     return flags, kwargs
 
 
-_MODE = _arg("--mode", choices=sorted(MODE_NAMES), default="universal",
-             help="coefficient specialization (default universal)")
+# the names of fgl.MODE_NAMES, spelled out so that building the parser
+# does not execute fgl
+_MODE = _arg("--mode", choices=("additive", "multiplicative", "universal"),
+             default="universal", help="coefficient specialization (default universal)")
 _ORDER = _arg("--order", type=int, required=True)
 _N = _arg("-n", type=int, required=True)
 _M = _arg("-m", type=int, required=True)
@@ -265,14 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dprkit", description=__doc__.splitlines()[0])
     top = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    fgl = _group(top, "fgl", "formal group law series")
-    _leaf(fgl, "show", "the two-variable law", _cmd_series, _MODE, _ORDER)
-    _leaf(fgl, "inverse", "the negation series", _cmd_series, _MODE, _ORDER)
-    _leaf(fgl, "nfold", "the n-fold sum", _cmd_series, _MODE, _N, _ORDER)
-    _leaf(fgl, "divide", "the division series", _cmd_series, _MODE, _N, _ORDER,
+    fg = _group(top, "fgl", "formal group law series")
+    _leaf(fg, "show", "the two-variable law", _cmd_series, _MODE, _ORDER)
+    _leaf(fg, "inverse", "the negation series", _cmd_series, _MODE, _ORDER)
+    _leaf(fg, "nfold", "the n-fold sum", _cmd_series, _MODE, _N, _ORDER)
+    _leaf(fg, "divide", "the division series", _cmd_series, _MODE, _N, _ORDER,
           _arg("--denominator-profile", action="store_true",
                help="emit the least k with n^k clearing each coefficient"))
-    _leaf(fgl, "relations", "associativity residues of the generic law",
+    _leaf(fg, "relations", "associativity residues of the generic law",
           _cmd_fgl_relations, _ORDER)
 
     gdpr = _group(top, "gdpr", "relation polynomial builders and checks")

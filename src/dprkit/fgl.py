@@ -516,7 +516,7 @@ def denominator_profile(series: TruncatedSeries) -> list[tuple[int, int]]:
     for (i,), d in sorted(series._coeffs.items()):
         worst = 0
         for c in d.values():
-            den = Fraction(c).denominator
+            den = c.denominator
             k = 0
             while den > 1:
                 g = gcd(den, n)

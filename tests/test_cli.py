@@ -4,13 +4,15 @@ Most tests drive main() in process and parse the captured JSON; a couple go
 through a real subprocess to pin down byte determinism of stdout.
 """
 
+import ast
+import importlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from dprkit import cli, dpr, fixedpoint, operators
+from dprkit import cli, dpr, fgl, fixedpoint, operators
 from dprkit.acceptance import report_json, report_text, run_all
 from dprkit.algebra import canonical_json
 
@@ -247,17 +249,31 @@ def test_python_m_dprkit_runs_the_cli(cli_env):
 
 # runs one command the way `python -m dprkit.cli` does, then reports on
 # stderr the top-level packages outside the standard library that it
-# imported; site .pth files may load some before dprkit, so only the
-# modules new since the start count
+# imported (site .pth files may load some before dprkit, so only the
+# modules new since the start count) and the dprkit modules it executed: a
+# layer the command never used is still a lazy stub, not a plain module
 _MAIN_THEN_REPORT_IMPORTS = """
-import sys
+import sys, types
 before = set(sys.modules)
 import dprkit.cli
 code = dprkit.cli.main(sys.argv[1:])
 roots = {name.partition(".")[0] for name in set(sys.modules) - before}
-sys.stderr.write(repr(sorted(roots - sys.stdlib_module_names)))
+executed = {name for name, module in sys.modules.items()
+            if name.startswith("dprkit.") and type(module) is types.ModuleType}
+sys.stderr.write(repr((sorted(roots - sys.stdlib_module_names), sorted(executed))))
 raise SystemExit(code)
 """
+
+# the dprkit modules each command group executes; cli imports these three
+_EAGER = {"dprkit.cli", "dprkit.algebra", "dprkit.dpr"}
+_EXECUTED = {
+    "fgl": _EAGER | {"dprkit.fgl"},
+    "gdpr": _EAGER,
+    "verify": _EAGER | {"dprkit.operators"},
+    "fixedpoint": _EAGER | {"dprkit.operators", "dprkit.fixedpoint"},
+    "selftest": _EAGER | {"dprkit.fgl", "dprkit.operators", "dprkit.fixedpoint",
+                      "dprkit.acceptance"},
+}
 
 
 def run_reporting_imports(cli_env, argv):
@@ -267,6 +283,8 @@ def run_reporting_imports(cli_env, argv):
 
 @pytest.mark.parametrize("argv", [
     ["fgl", "show", "--order", "4"],
+    ["fgl", "divide", "-n", "3", "--order", "4", "--denominator-profile"],
+    ["fgl", "relations", "--order", "4"],
     ["verify", "step", "-n", "3", "--seed", "1"],
     ["verify", "full", "-n", "2", "-m", "3", "--seed", "1"],
     ["fixedpoint", "allbad", "-n", "3", "-m", "2"],
@@ -285,10 +303,13 @@ def run_reporting_imports(cli_env, argv):
     ["selftest"],
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_commands_import_only_the_standard_library(cli_env, argv):
-    # the README contract: dprkit imports nothing outside the standard library
+    # the README contract: dprkit imports nothing outside the standard
+    # library, and a command executes only the layers it calls
     proc = run_reporting_imports(cli_env, argv)
     assert proc.returncode == 0 and proc.stdout
-    assert proc.stderr == b"['dprkit']"
+    roots, executed = ast.literal_eval(proc.stderr.decode())
+    assert roots == ["dprkit"]
+    assert set(executed) == _EXECUTED[argv[0]]
     if argv[:2] == ["gdpr", "check"]:
         assert json.loads(proc.stdout)["pass"] is True
 
@@ -365,3 +386,43 @@ def test_mode_choices_cover_specializations(capsys):
     cross = [c for c in doc["coeffs"] if c["exp"] == [1, 1]]
     (term,) = cross[0]["poly"]["terms"]
     assert term["monomial"] == {"beta": 1}
+
+
+def test_mode_choices_are_the_law_names():
+    # spelled out in cli so that building the parser does not execute fgl
+    _, kwargs = cli._MODE
+    assert kwargs["choices"] == tuple(sorted(fgl.MODE_NAMES))
+
+
+# one entry point of each layer that dprkit.cli executes on first use
+_LAZY_LAYERS = {"fgl": "law_series", "operators": "verify_step_identity",
+                "fixedpoint": "all_bad_evaluation", "acceptance": "run_all"}
+
+
+@pytest.mark.parametrize("form", [("import dprkit.{0}", "dprkit.{0}.{1}"),
+                                  ("from dprkit import {0}", "{0}.{1}")],
+                         ids=["import", "from"])
+@pytest.mark.parametrize("name", _LAZY_LAYERS)
+def test_lazy_layers_import_through_the_package(cli_env, name, form):
+    # once dprkit.cli has put the layer in sys.modules unexecuted, either
+    # import form executes it, as a first import would, and binds it on the
+    # package; the benchmark's worker loads its layers this way
+    statement, entry = (part.format(name, _LAZY_LAYERS[name]) for part in form)
+    script = "\n".join([
+        "import sys, types",
+        "import dprkit.cli",
+        f"module = sys.modules['dprkit.{name}']",
+        "assert type(module) is not types.ModuleType",
+        statement,
+        "assert type(module) is types.ModuleType",
+        f"assert dprkit.{name} is module",
+        f"assert {entry} is vars(module)['{_LAZY_LAYERS[name]}']",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=cli_env)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_lazy_returns_an_imported_module_unchanged():
+    for name in _LAZY_LAYERS:
+        module = importlib.import_module(f"dprkit.{name}")
+        assert cli._lazy(name) is module
