@@ -23,6 +23,18 @@ or a padding kill acts on each factor), and the product is multiplied out
 only for a caller that iterates every term (`terms`, `to_polynomial`,
 `sorted_terms`, `dpr_to_json`, or an equality test whose factors differ).
 
+What depends on one chain polynomial alone is derived from its terms once
+per process, on first use, and held on the chain object in `_CHAIN_CACHE`
+(see `_flat_derived`), so it lives exactly as long as the cache: the set of
+its term weights, its mirror image, and each term's generator keys in
+Monomial symbol order.  GX(n, m) holds T_n itself as its flat part, so its
+weight set is W(T_n) together with W(T'_m) + W(F_n), its mirror is
+assembled from the three chains' mirrors (and `mirror_check` still compares
+that with an independently built GY, term by term), and its JSON merges the
+factors' key lists per product term.  Polynomials that are not chains
+(`from_polynomial`, `_kill`, the excess polynomials, hand-built ones) derive
+the same data from their own terms on every call.
+
 Consumers that need only the value of a relation polynomial at a point do
 not expand it: `chain_values` and `relation_value` run the same recursion
 on values in any commutative ring, in O(n + m) ring operations.  The mask
@@ -94,13 +106,17 @@ class TermCollision(AssertionError):
     """Two chunks the recursion keeps apart produced the same term."""
 
 
-def _rep_mask(byte: int, support: int) -> int:
-    """Repeat a byte pattern across every index block touched by `support`.
+def _repeat(byte: int, blocks: int) -> int:
+    """A byte pattern in each of the first `blocks` index blocks.
 
     0x0101...01 = (2^(8b) - 1) / 0xFF.
     """
-    blocks = -(-support.bit_length() // _BITS_PER_INDEX)
-    return byte * ((1 << (_BITS_PER_INDEX * blocks)) - 1) // 0xFF
+    return byte * ((1 << (_BITS_PER_INDEX * max(blocks, 0))) - 1) // 0xFF
+
+
+def _rep_mask(byte: int, support: int) -> int:
+    """Repeat a byte pattern across every index block touched by `support`."""
+    return _repeat(byte, -(-support.bit_length() // _BITS_PER_INDEX))
 
 
 def x_mask(i: int) -> int:
@@ -148,6 +164,15 @@ def symbol_mask(sym: VarSymbol) -> int:
 # X, Y, U1, U2, U3, V1, V2, V3
 _OFFSETS_IN_SYMBOL_ORDER = sorted(range(_BITS_PER_INDEX),
                                   key=lambda off: _symbol_of_bit(off).sort_key)
+_RANK_AT_OFFSET = [_OFFSETS_IN_SYMBOL_ORDER.index(off) for off in range(_BITS_PER_INDEX)]
+
+
+def _bit_key(pos: int) -> int:
+    """An int that sorts the generator at bit `pos` in Monomial symbol order,
+    whatever the polynomial: its rank (family and marker kind) above its
+    index block, which has 32 bits, far more than any mask can reach."""
+    block, off = divmod(pos, _BITS_PER_INDEX)
+    return _RANK_AT_OFFSET[off] << 32 | block
 
 
 def _decoder(support: int):
@@ -178,14 +203,24 @@ class DprPolynomial:
     mask of `flat` is a mask of that product.  So the polynomial has
     len(flat) + len(a) * len(b) distinct terms.  Instances are immutable,
     and `flat` is a read-only view: the builders share it through a cache.
+
+    `flat` may also be given as a flat DprPolynomial, which is then kept as
+    `_base`: a relation polynomial glued from chains reaches its T_n that
+    way.  `_derived` is None, or, on a chain the builders cache, the dict of
+    what `_flat_derived` has computed from its terms so far.
     """
 
-    __slots__ = ("flat", "factors", "support")
+    __slots__ = ("flat", "factors", "support", "_base", "_derived")
 
-    def __init__(self, flat: Mapping[int, int],
+    def __init__(self, flat: Mapping[int, int] | DprPolynomial,
                  factors: tuple[DprPolynomial, DprPolynomial] | None = None,
                  support: int | None = None):
-        if not isinstance(flat, MappingProxyType):
+        base = None
+        if isinstance(flat, DprPolynomial):
+            if flat.factors is not None:
+                raise ValueError("a flat part must be flat")
+            base, flat = flat, flat.flat
+        elif not isinstance(flat, MappingProxyType):
             flat = MappingProxyType(flat)
         if factors is not None and (factors[0].is_zero() or factors[1].is_zero()):
             factors = None  # a zero factor kills the whole product
@@ -198,6 +233,8 @@ class DprPolynomial:
         object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "support", support)
+        object.__setattr__(self, "_base", base)
+        object.__setattr__(self, "_derived", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DprPolynomial is immutable")
@@ -273,14 +310,11 @@ class DprPolynomial:
 
     def swap_sides(self) -> "DprPolynomial":
         """Exchange the two families: X <-> Y and U <-> V, coefficients kept."""
-        even = _rep_mask(_EVEN_BYTE, self.support)
-        odd = _rep_mask(_ODD_BYTE, self.support)
-        flat = {((m & even) << 1) | ((m & odd) >> 1): c for m, c in self.flat.items()}
-        factors = None
-        if self.factors is not None:
-            factors = (self.factors[0].swap_sides(), self.factors[1].swap_sides())
-        support = ((self.support & even) << 1) | ((self.support & odd) >> 1)
-        return DprPolynomial(flat, factors, support)
+        flat = _flat_derived(self, "mirror", _flat_mirror)
+        if self.factors is None:
+            return flat
+        factors = (self.factors[0].swap_sides(), self.factors[1].swap_sides())
+        return DprPolynomial(flat, factors, _swap_families(self.support))
 
     # evaluation and export --------------------------------------------------
 
@@ -350,6 +384,45 @@ class DprPolynomial:
 
     def __repr__(self) -> str:
         return f"DprPolynomial({len(self)} terms)"
+
+
+def _flat_derived(g: DprPolynomial, name: str, compute):
+    """compute(p) for the polynomial p of g's flat terms.
+
+    p is g, or the chain g was glued from.  On a chain the result is
+    computed once and held there under `name`, so it lives as long as the
+    chain cache does; on any other polynomial it is computed afresh.
+    `compute` reads `p.flat` alone (and `p.support` for block patterns, to
+    which a wider support does no harm), so a product without a base passes
+    itself.
+    """
+    p = g if g._base is None else g._base
+    held = p._derived
+    if held is None:
+        return compute(p)
+    if name not in held:
+        held[name] = compute(p)
+    return held[name]
+
+
+def _as_chain(p: DprPolynomial) -> DprPolynomial:
+    """Mark a cached chain polynomial, so that what is derived from its
+    terms is kept with it."""
+    object.__setattr__(p, "_derived", {})
+    return p
+
+
+def _swap_families(support: int) -> int:
+    """A support with the two families exchanged."""
+    even, odd = _rep_mask(_EVEN_BYTE, support), _rep_mask(_ODD_BYTE, support)
+    return ((support & even) << 1) | ((support & odd) >> 1)
+
+
+def _flat_mirror(p: DprPolynomial) -> DprPolynomial:
+    """The flat terms of p with the two families exchanged."""
+    even, odd = _rep_mask(_EVEN_BYTE, p.support), _rep_mask(_ODD_BYTE, p.support)
+    flat = {((m & even) << 1) | ((m & odd) >> 1): c for m, c in p.flat.items()}
+    return DprPolynomial(flat, None, None if p.factors else _swap_families(p.support))
 
 
 def _product_terms(a: DprPolynomial, b: DprPolynomial) -> Iterator[tuple[int, int]]:
@@ -424,7 +497,7 @@ def _chain(side: str, n: int) -> tuple[DprPolynomial, DprPolynomial]:
         return got
     x_n = _class_mask(side, n)
     if n == 1:
-        pair = (DprPolynomial.generator(x_n), DprPolynomial.zero())
+        pair = (_as_chain(DprPolynomial.generator(x_n)), _as_chain(DprPolynomial.zero()))
     else:
         t, f = _chain(side, n - 1)
         t_n = _concat_chunks([t.flat, {x_n: 1},
@@ -433,7 +506,7 @@ def _chain(side: str, n: int) -> tuple[DprPolynomial, DprPolynomial]:
         f_n = _concat_chunks([f.flat,
                               _times(t, x_n | _marker_mask(side, 2, n), 1),
                               _times(t, x_n | _marker_mask(side, 3, n), -1)])
-        pair = (DprPolynomial(t_n), DprPolynomial(f_n))
+        pair = (_as_chain(DprPolynomial(t_n)), _as_chain(DprPolynomial(f_n)))
     _CHAIN_CACHE[(side, n)] = pair
     return pair
 
@@ -471,7 +544,7 @@ def _glue(side: str, n: int, m: int) -> DprPolynomial:
     if 0 in t_other.flat or t_other.support & t.support:
         raise TermCollision("the glued product may share terms with the chain")
     product = _product_disjoint(t_other, f)
-    return DprPolynomial(t.flat, product.factors, t.support | product.support)
+    return DprPolynomial(t, product.factors, t.support | product.support)
 
 
 def build_gx(n: int, m: int) -> DprPolynomial:
@@ -569,9 +642,12 @@ def check_multilinear(g: DprPolynomial) -> bool:
 
 
 def _allowed_support(n: int, m: int) -> int:
+    """The mask of `chain_symbols("X", n) + chain_symbols("Y", m)`: per side,
+    classes 1..count, first markers 1..count-1, second/third markers 2..count."""
     allowed = 0
-    for s in chain_symbols("X", n) + chain_symbols("Y", m):
-        allowed |= symbol_mask(s)
+    for side, count in ((_EVEN_BYTE, n), (_ODD_BYTE, m)):
+        allowed |= (_repeat(_XY_BYTE & side, count) | _repeat(_M1_BYTE & side, count - 1)
+                    | _repeat(_M23_BYTE & side, count - 1) << _BITS_PER_INDEX)
     return allowed
 
 
@@ -582,14 +658,18 @@ def check_index_bounds(g: DprPolynomial, n: int, m: int) -> bool:
     return (g.support & ~_allowed_support(n, m)) == 0
 
 
+def _flat_weights(p: DprPolynomial) -> set[int]:
+    xy, m1, m23 = (_rep_mask(byte, p.support) for byte in (_XY_BYTE, _M1_BYTE, _M23_BYTE))
+    return {(m & xy).bit_count() - (m & m1).bit_count() - 2 * (m & m23).bit_count()
+            for m in p.flat}
+
+
 def _weights(g: DprPolynomial) -> set[int]:
     """The set of term weights, from the factors' sets for a product."""
-    xy, m1, m23 = (_rep_mask(byte, g.support) for byte in (_XY_BYTE, _M1_BYTE, _M23_BYTE))
-    out = {(m & xy).bit_count() - (m & m1).bit_count() - 2 * (m & m23).bit_count()
-           for m in g.flat}
+    out = _flat_derived(g, "weights", _flat_weights)
     if g.factors is not None:
         left, right = (_weights(f) for f in g.factors)
-        out |= {a + b for a in left for b in right}
+        out = out | {a + b for a in left for b in right}
     return out
 
 
@@ -645,32 +725,58 @@ def from_polynomial(p: Polynomial) -> DprPolynomial:
     return DprPolynomial.from_terms(terms)
 
 
+def _flat_keys(p: DprPolynomial) -> list[list[int]]:
+    """Each flat term's generator keys (see `_bit_key`), ascending, in the
+    order of `p.flat`."""
+    key_of = [_bit_key(pos) for pos in range(p.support.bit_length())]
+    out = []
+    for mask in p.flat:
+        keys = []
+        while mask:
+            low = mask & -mask
+            keys.append(key_of[low.bit_length() - 1])
+            mask ^= low
+        keys.sort()
+        out.append(keys)
+    return out
+
+
 def dpr_to_json(g: DprPolynomial) -> dict:
     """`poly_to_json(g.to_polynomial())`, built straight from the masks.
 
-    No Monomial or Polynomial is made, and each generator's name is
-    rendered once.  A term's key is its generators' ranks in Monomial
-    symbol order, ascending, after their count: every exponent is 1, so
-    that is the Monomials' graded lexicographic order.
+    No Monomial or Polynomial is made, each generator's name and each
+    distinct coefficient is rendered once, and a product term's keys are
+    the merge of its factors' keys, which a chain holds from its first
+    export on.  Terms sort on their generators' keys, ascending, after
+    their count: every exponent is 1, so that is the Monomials' graded
+    lexicographic order.
     """
-    blocks = -(-g.support.bit_length() // _BITS_PER_INDEX)
-    order = [pos for off in _OFFSETS_IN_SYMBOL_ORDER
-             for pos in range(off, _BITS_PER_INDEX * blocks, _BITS_PER_INDEX)
-             if g.support >> pos & 1]
-    names = [str(_symbol_of_bit(pos)) for pos in order]
-    rank_of_bit = {pos: rank for rank, pos in enumerate(order)}
-    keyed = []
-    for mask, c in g.terms():
-        ranks = []
-        while mask:
-            low = mask & -mask
-            ranks.append(rank_of_bit[low.bit_length() - 1])
-            mask ^= low
-        ranks.sort()
-        keyed.append((len(ranks), ranks, c))
+    names = {}
+    sup = g.support
+    while sup:
+        low = sup & -sup
+        pos = low.bit_length() - 1
+        names[_bit_key(pos)] = str(_symbol_of_bit(pos))
+        sup ^= low
+    keyed = [(len(keys), keys, c)
+             for keys, c in zip(_flat_derived(g, "keys", _flat_keys), g.flat.values())]
+    if g.factors is not None:
+        a, b = g.factors
+        if a.support & b.support:
+            raise NotMultilinear("factors share generators")
+        right = list(zip(_flat_derived(b, "keys", _flat_keys), b.flat.values()))
+        for left_keys, ca in zip(_flat_derived(a, "keys", _flat_keys), a.flat.values()):
+            for right_keys, cb in right:
+                keys = left_keys + right_keys
+                keys.sort()
+                keyed.append((len(keys), keys, ca * cb))
     keyed.sort()  # masks are distinct, so no two keys tie and no c is compared
-    return {
-        "ring": {"inverted": []},
-        "terms": [{"coeff": coeff_to_json(c), "monomial": {names[r]: 1 for r in ranks}}
-                  for _, ranks, c in keyed],
-    }
+    rendered: dict = {}
+    name = names.__getitem__
+    terms = []
+    for _, keys, c in keyed:
+        coeff = rendered.get(c)
+        if coeff is None:
+            coeff = rendered[c] = coeff_to_json(c)
+        terms.append({"coeff": coeff.copy(), "monomial": dict.fromkeys(map(name, keys), 1)})
+    return {"ring": {"inverted": []}, "terms": terms}

@@ -216,6 +216,12 @@ def verify_full_identity(
     implementation bug and raises InconsistentSolve.  Finally both full
     relation polynomials, GX(n, m) = T^X_n + T^Y_m * F^X_n and its mirror
     GY(m, n), are evaluated from the chain values and compared exactly.
+
+    That final comparison cannot fail: once both chains are solved to the
+    same c, T_x + c*F_x = c and T_y + c*F_y = c, so both sides equal
+    c*(1 - F_x*F_y) identically.  A fault in the recursion shows only as
+    an InconsistentSolve from the re-solve; a check of the full relation
+    that does not run the recursion is still open.
     """
     if n < 1 or m < 1:
         raise ValueError("both class counts must be >= 1")

@@ -28,6 +28,7 @@ from dprkit.dpr import (
     build_fy,
     build_gx,
     build_gy,
+    chain_symbols,
     chain_values,
     check_index_bounds,
     check_multilinear,
@@ -224,6 +225,17 @@ def test_index_bounds():
     assert check_index_bounds(bad, 3, 1)
 
 
+def test_allowed_support_is_the_chain_generators():
+    # the mask built by arithmetic against the fold over the generator list;
+    # past n = 8 the masks are wider than 64 bits
+    for n in range(1, 13):
+        for m in range(1, 13):
+            folded = 0
+            for s in chain_symbols("X", n) + chain_symbols("Y", m):
+                folded |= dpr.symbol_mask(s)
+            assert dpr._allowed_support(n, m) == folded, (n, m)
+
+
 def test_mirror():
     for n, m in [(1, 1), (1, 3), (2, 2), (4, 3), (2, 9)]:
         assert mirror_check(n, m)
@@ -243,12 +255,25 @@ def test_padding():
 
 
 def test_recursion_checks_can_fail(monkeypatch):
+    # a chain holds its mirror once made, so the untampered check warms the
+    # cache first and the tampered one runs on a fresh cache: the red result
+    # comes from the tamper, not from what a chain held before it
+    assert mirror_check(2, 2)
+    monkeypatch.setattr(dpr, "_CHAIN_CACHE", {})
     # a mirror that swaps the classes but not their markers: the factors
     # differ, so the comparison falls back to the terms and finds them apart
     monkeypatch.setattr(dpr, "_EVEN_BYTE", 0x01)
     monkeypatch.setattr(dpr, "_ODD_BYTE", 0x02)
     assert not mirror_check(2, 2)
     assert not mirror_check(3, 2)
+    monkeypatch.undo()
+    # likewise for the weight sets: a weight that forgets the second
+    # family's first markers
+    assert weight_check(build_gx(2, 2), 1) and weight_check(build_gy(2, 2), 1)
+    monkeypatch.setattr(dpr, "_CHAIN_CACHE", {})
+    monkeypatch.setattr(dpr, "_M1_BYTE", 0x04)
+    assert not weight_check(build_gx(2, 2), 1)
+    assert not weight_check(build_gy(2, 2), 1)
     monkeypatch.undo()
     # a smaller relation that is not the padded one's image: its flat part
     # differs (n = 1) or its product's factors do (n = 2)
@@ -334,10 +359,24 @@ def test_json_is_graded_lex():
     assert blob["ring"] == {"inverted": []}
 
 
+def hand_built():
+    """A product whose factors are no chains, with coefficients 2 and -3,
+    past index 9 on one side."""
+    a = DprPolynomial.from_terms({dpr.y_mask(1): 2, dpr.y_mask(10) | dpr.v_mask(1, 9): 2})
+    b = DprPolynomial.from_terms({x_mask(2) | dpr.u_mask(2, 2): -3, x_mask(9) | x_mask(10): -3})
+    return DprPolynomial({x_mask(1): 1, x_mask(10): 5}, (a, b))
+
+
 _JSON_CASES = [
     *((build, (n,)) for build in (build_ex, build_fx, build_ey, build_fy) for n in range(1, 5)),
     *((build, (n, m)) for build in (build_gx, build_gy) for n in range(1, 5) for m in range(1, 5)),
     (build_gx, (5, 5)),
+    # past index 8, where the key order crosses blocks 9 and 10
+    (build_gx, (9, 1)),
+    (build_gy, (1, 9)),
+    (build_gx, (2, 9)),
+    (build_ex, (10,)),
+    (hand_built, ()),
 ]
 
 
@@ -351,6 +390,43 @@ def test_json_from_masks_matches_the_decoded_polynomial(build, counts):
 
     g = build(*counts)
     assert ordered(dpr_to_json(g)) == ordered(poly_to_json(g.to_polynomial()))
+
+
+def _held():
+    """What each cached chain holds: the derived data by name, as objects."""
+    return {(key, i): {name: id(value) for name, value in p._derived.items()}
+            for key, pair in dpr._CHAIN_CACHE.items() for i, p in enumerate(pair)}
+
+
+def test_derived_data_is_made_once_per_chain(monkeypatch):
+    monkeypatch.setattr(dpr, "_CHAIN_CACHE", {})
+
+    def sweep():
+        for n in range(1, 9):
+            for m in range(1, 9):
+                gx, gy = build_gx(n, m), build_gy(m, n)
+                assert check_index_bounds(gx, n, m) and check_index_bounds(gy, n, m)
+                assert weight_check(gx, 1) and weight_check(gy, 1)
+                assert mirror_check(n, m)
+                if n <= 5 and m <= 5:
+                    dpr_to_json(gx)
+                    dpr_to_json(gy)
+
+    sweep()
+    held = _held()
+    # F_1 = 0 is the one chain no check reads: a zero factor drops the product
+    assert len(held) == 32
+    assert all("weights" in held[key, i] for key, i in held if (key[1], i) != (1, 1))
+    sweep()
+    # no chain built again, nothing derived again
+    assert _held() == held
+    # a polynomial that is no chain derives from its own terms and touches
+    # no chain's data
+    g = from_polynomial(build_gx(3, 2).to_polynomial())
+    assert weight_check(g, 1) and check_index_bounds(g, 3, 2)
+    assert g.swap_sides() == build_gy(3, 2)
+    assert dpr_to_json(g) == dpr_to_json(build_gx(3, 2))
+    assert g._derived is None and _held() == held
 
 
 def test_builder_argument_validation():
