@@ -25,18 +25,15 @@ from fractions import Fraction
 from . import fixedpoint
 from .algebra import Polynomial, VarSymbol
 from .dpr import (
+    PAIR_CHECKS,
     build_ex,
     build_ey,
     build_fx,
     build_fy,
     build_gx,
     build_gy,
-    check_index_bounds,
-    check_multilinear,
     from_polynomial,
-    mirror_check,
     padding_check,
-    weight_check,
 )
 from .fgl import (
     BETA,
@@ -128,16 +125,7 @@ def run_criterion_2() -> CriterionResult:
         for m in range(1, 9):
             gx = build_gx(n, m)
             gy = build_gy(m, n)
-            good = (
-                check_multilinear(gx)
-                and check_multilinear(gy)
-                and check_index_bounds(gx, n, m)
-                and check_index_bounds(gy, n, m)
-                and weight_check(gx, 1)
-                and weight_check(gy, 1)
-                and mirror_check(n, m)
-            )
-            ok &= good
+            ok &= all(check(gx, gy, n, m) for check in PAIR_CHECKS.values())
             pairs += 1
     paddings = 0
     for n in range(1, 7):

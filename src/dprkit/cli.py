@@ -12,9 +12,9 @@ name, help, handler and argument specs in order (the shared ones are
 `_MODE`, `_ORDER`, `_N`, `_M` and `_SAMPLING`); `_leaf` adds `--format` to
 each.  The handlers read tables keyed by the subcommand's name: `_SERIES`
 for the series an `fgl` command prints, `_REPORTS` for the report of each
-`verify` and `fixedpoint` command and the key that sets its exit code, and
-`_CHECKS` for the checks `gdpr check` runs on GX and GY; its names and
-padding are that command's choices.
+`verify` and `fixedpoint` command and the key that sets its exit code;
+`gdpr check` runs a check of `dpr.PAIR_CHECKS` on GX and GY, and that
+table's names and padding are its choices.
 
 Only `algebra` and `dpr` are imported up front; `fgl`, `operators`,
 `fixedpoint` and `acceptance` are registered by `_lazy` and execute on the
@@ -30,20 +30,18 @@ import json
 import sys
 from typing import Callable
 
-from .algebra import Polynomial, canonical_json, poly_to_json
+from .algebra import canonical_json, poly_to_json
 from .dpr import (
+    PAIR_CHECKS,
+    DprPolynomial,
     build_ex,
     build_ey,
     build_fx,
     build_fy,
     build_gx,
     build_gy,
-    check_index_bounds,
-    check_multilinear,
     dpr_to_json,
-    mirror_check,
     padding_check,
-    weight_check,
 )
 
 
@@ -118,8 +116,8 @@ def _series_text(series: fgl.TruncatedSeries) -> str:
     return "\n".join(f"{label:<{width}}  {poly}" for label, poly in rows) + "\n"
 
 
-def _poly_text(poly: Polynomial) -> str:
-    rows = [(f"{c:+d}", str(mono)) for mono, c in poly.sorted_terms()]
+def _poly_text(g: DprPolynomial) -> str:
+    rows = [(f"{c:+d}", str(mono)) for mono, c in g.sorted_terms()]
     if not rows:
         return "0\n"
     width = max(len(c) for c, _ in rows)
@@ -178,17 +176,8 @@ def _cmd_gdpr_build(args) -> int:
     else:
         counts = (args.n,)
     g = _BUILDERS[kind](*counts)
-    _emit(args, lambda: dpr_to_json(g), lambda: _poly_text(g.to_polynomial()))
+    _emit(args, lambda: dpr_to_json(g), lambda: _poly_text(g))
     return 0
-
-
-# each `gdpr check` other than padding, on GX(n, m) and GY(m, n)
-_CHECKS = {
-    "multilinear": lambda gx, gy, n, m: check_multilinear(gx) and check_multilinear(gy),
-    "bounds": lambda gx, gy, n, m: check_index_bounds(gx, n, m) and check_index_bounds(gy, n, m),
-    "weight": lambda gx, gy, n, m: weight_check(gx, 1) and weight_check(gy, 1),
-    "mirror": lambda gx, gy, n, m: mirror_check(n, m),
-}
 
 
 def _cmd_gdpr_check(args) -> int:
@@ -204,7 +193,7 @@ def _cmd_gdpr_check(args) -> int:
         for flag, value in (("--big-n", args.big_n), ("--big-m", args.big_m)):
             if value is not None:
                 _fail(f"{flag} does not apply to {which}")
-        good = _CHECKS[which](_BUILDERS["GX"](n, m), _BUILDERS["GY"](m, n), n, m)
+        good = PAIR_CHECKS[which](_BUILDERS["GX"](n, m), _BUILDERS["GY"](m, n), n, m)
     payload["pass"] = good
     _emit(args, lambda: payload)
     return 0 if good else 1
@@ -291,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
           _arg("-n", type=int, required=True, help="own-side class count"),
           _arg("-m", type=int, default=None, help="opposite-side class count (GX/GY only)"))
     _leaf(gdpr, "check", "structural checks", _cmd_gdpr_check,
-          _arg("which", choices=(*_CHECKS, "padding")), _N, _M,
+          _arg("which", choices=(*PAIR_CHECKS, "padding")), _N, _M,
           _arg("--big-n", type=int, default=None,
                help="embedding class count on the first side (padding)"),
           _arg("--big-m", type=int, default=None,

@@ -23,17 +23,16 @@ or a padding kill acts on each factor), and the product is multiplied out
 only for a caller that iterates every term (`terms`, `to_polynomial`,
 `sorted_terms`, `dpr_to_json`, or an equality test whose factors differ).
 
-What depends on one chain polynomial alone is derived from its terms once
-per process, on first use, and held on the chain object in `_CHAIN_CACHE`
-(see `_flat_derived`), so it lives exactly as long as the cache: the set of
-its term weights, its mirror image, and each term's generator keys in
-Monomial symbol order.  GX(n, m) holds T_n itself as its flat part, so its
-weight set is W(T_n) together with W(T'_m) + W(F_n), its mirror is
-assembled from the three chains' mirrors (and `mirror_check` still compares
-that with an independently built GY, term by term), and its JSON merges the
-factors' key lists per product term.  Polynomials that are not chains
-(`from_polynomial`, `_kill`, the excess polynomials, hand-built ones) derive
-the same data from their own terms on every call.
+What depends on a polynomial's flat terms alone is derived from them once,
+on first use, and held with them (see `_flat_derived`): the set of their
+weights, their mirror image, and each term's generator keys in Monomial
+symbol order.  A polynomial built on a flat polynomial's terms shares what
+is held with them, so what is derived for a chain in `_CHAIN_CACHE` lives
+exactly as long as the cache, and GX(n, m), which holds T_n itself as its
+flat part, shares T_n's.  So GX's weight set is W(T_n) together with
+W(T'_m) + W(F_n), its mirror is assembled from the three chains' mirrors
+(and `mirror_check` still compares that with an independently built GY,
+term by term), and its JSON merges the factors' key lists per product term.
 
 Consumers that need only the value of a relation polynomial at a point do
 not expand it: `chain_values` and `relation_value` run the same recursion
@@ -75,6 +74,7 @@ __all__ = [
     "weight_check",
     "mirror_check",
     "padding_check",
+    "PAIR_CHECKS",
     "from_polynomial",
     "dpr_to_json",
 ]
@@ -204,22 +204,22 @@ class DprPolynomial:
     len(flat) + len(a) * len(b) distinct terms.  Instances are immutable,
     and `flat` is a read-only view: the builders share it through a cache.
 
-    `flat` may also be given as a flat DprPolynomial, which is then kept as
-    `_base`: a relation polynomial glued from chains reaches its T_n that
-    way.  `_derived` is None, or, on a chain the builders cache, the dict of
-    what `_flat_derived` has computed from its terms so far.
+    `_derived` is the dict of what `_flat_derived` has computed from the
+    terms of `flat` so far.  `flat` may also be given as a flat
+    DprPolynomial, whose terms and dict are then shared: a relation
+    polynomial glued from chains holds its T_n's that way.
     """
 
-    __slots__ = ("flat", "factors", "support", "_base", "_derived")
+    __slots__ = ("flat", "factors", "support", "_derived")
 
     def __init__(self, flat: Mapping[int, int] | DprPolynomial,
                  factors: tuple[DprPolynomial, DprPolynomial] | None = None,
                  support: int | None = None):
-        base = None
+        derived = {}
         if isinstance(flat, DprPolynomial):
             if flat.factors is not None:
                 raise ValueError("a flat part must be flat")
-            base, flat = flat, flat.flat
+            derived, flat = flat._derived, flat.flat
         elif not isinstance(flat, MappingProxyType):
             flat = MappingProxyType(flat)
         if factors is not None and (factors[0].is_zero() or factors[1].is_zero()):
@@ -233,8 +233,7 @@ class DprPolynomial:
         object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "_derived", None)
+        object.__setattr__(self, "_derived", derived)
 
     def __setattr__(self, name, value):
         raise AttributeError("DprPolynomial is immutable")
@@ -297,9 +296,6 @@ class DprPolynomial:
             return self.flat == other.flat
         # as many terms on both sides: equal iff each of ours is theirs
         return all(other.coefficient(mask) == c for mask, c in self.terms())
-
-    def __hash__(self):
-        raise TypeError("DprPolynomial is not hashable")
 
     def terms(self) -> Iterator[tuple[int, int]]:
         yield from self.flat.items()
@@ -379,37 +375,22 @@ class DprPolynomial:
         decode = _decoder(self.support)
         return Polynomial(ZZ, ((decode(m), c) for m, c in self.terms()))
 
-    def __str__(self) -> str:
-        return str(self.to_polynomial())
-
     def __repr__(self) -> str:
         return f"DprPolynomial({len(self)} terms)"
 
 
 def _flat_derived(g: DprPolynomial, name: str, compute):
-    """compute(p) for the polynomial p of g's flat terms.
+    """compute(g), made once and held in `g._derived` under `name`.
 
-    p is g, or the chain g was glued from.  On a chain the result is
-    computed once and held there under `name`, so it lives as long as the
-    chain cache does; on any other polynomial it is computed afresh.
-    `compute` reads `p.flat` alone (and `p.support` for block patterns, to
-    which a wider support does no harm), so a product without a base passes
-    itself.
+    `compute` reads `g.flat` alone (and `g.support` for block patterns, to
+    which a wider support does no harm), so its result belongs to the flat
+    terms, and every polynomial that shares them shares it: on a cached
+    chain it lives as long as the chain cache does.
     """
-    p = g if g._base is None else g._base
-    held = p._derived
-    if held is None:
-        return compute(p)
+    held = g._derived
     if name not in held:
-        held[name] = compute(p)
+        held[name] = compute(g)
     return held[name]
-
-
-def _as_chain(p: DprPolynomial) -> DprPolynomial:
-    """Mark a cached chain polynomial, so that what is derived from its
-    terms is kept with it."""
-    object.__setattr__(p, "_derived", {})
-    return p
 
 
 def _swap_families(support: int) -> int:
@@ -497,7 +478,7 @@ def _chain(side: str, n: int) -> tuple[DprPolynomial, DprPolynomial]:
         return got
     x_n = _class_mask(side, n)
     if n == 1:
-        pair = (_as_chain(DprPolynomial.generator(x_n)), _as_chain(DprPolynomial.zero()))
+        pair = (DprPolynomial.generator(x_n), DprPolynomial.zero())
     else:
         t, f = _chain(side, n - 1)
         t_n = _concat_chunks([t.flat, {x_n: 1},
@@ -506,7 +487,7 @@ def _chain(side: str, n: int) -> tuple[DprPolynomial, DprPolynomial]:
         f_n = _concat_chunks([f.flat,
                               _times(t, x_n | _marker_mask(side, 2, n), 1),
                               _times(t, x_n | _marker_mask(side, 3, n), -1)])
-        pair = (_as_chain(DprPolynomial(t_n)), _as_chain(DprPolynomial(f_n)))
+        pair = (DprPolynomial(t_n), DprPolynomial(f_n))
     _CHAIN_CACHE[(side, n)] = pair
     return pair
 
@@ -703,6 +684,16 @@ def padding_check(n: int, m: int, big_n: int, big_m: int) -> bool:
     for j in range(m + 1, big_m + 1):
         out |= y_mask(j)
     return _kill(build_gx(big_n, big_m), out) == build_gx(n, m)
+
+
+# the checks of one relation pair GX(n, m), GY(m, n): `gdpr check` runs one
+# by name, and criterion 2 runs all of them in this order
+PAIR_CHECKS = {
+    "multilinear": lambda gx, gy, n, m: check_multilinear(gx) and check_multilinear(gy),
+    "bounds": lambda gx, gy, n, m: check_index_bounds(gx, n, m) and check_index_bounds(gy, n, m),
+    "weight": lambda gx, gy, n, m: weight_check(gx, 1) and weight_check(gy, 1),
+    "mirror": lambda gx, gy, n, m: mirror_check(n, m),
+}
 
 
 # interop ----------------------------------------------------------------------

@@ -459,6 +459,23 @@ def _start(ctx, names, val):
 
 
 def _mixed_trial(rng, n, m, group, sample_range) -> bool:
+    """One sampled goodness pattern: GX(n, m) and GY(m, n) at the images of
+    their generators must agree.
+
+    Draw characters for the A and B classes with equal totals, sample the
+    first classes and the towers, push both chains forward by `_advance`,
+    and set the last B class so that both chains meet at the shared
+    total-class value t.  Write R = T + t*F - t for each chain at the
+    images; then
+
+        GX - GY = (1 - F^Y_m) * R_X - (1 - F^X_n) * R_Y,
+
+    so the final comparison can fail whenever a blow-up iterate stops
+    solving its chain relation at the sample, for instance under a wrong
+    table entry (`test_mixed_contexts_catch_a_wrong_table_entry`), whereas
+    the final comparison of `operators.verify_full_identity` holds
+    identically.
+    """
     zero = Character.zero(group)
 
     def draw() -> Character:

@@ -4,6 +4,7 @@ Most tests drive main() in process and parse the captured JSON; a couple go
 through a real subprocess to pin down byte determinism of stdout.
 """
 
+import argparse
 import ast
 import importlib
 import json
@@ -13,7 +14,7 @@ import sys
 import pytest
 
 from dprkit import cli, dpr, fgl, fixedpoint, operators
-from dprkit.acceptance import report_json, report_text, run_all
+from dprkit.acceptance import report_json, report_text, run_all, run_criterion
 from dprkit.algebra import canonical_json
 
 
@@ -341,6 +342,24 @@ def test_failing_check_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(dpr, "_ODD_BYTE", 0x02)
     code, doc, err = run_json(capsys, ["gdpr", "check", "mirror", "-n", "3", "-m", "2"])
     assert code == 1 and doc["pass"] is False and err == ""
+
+
+def _subparser(parser, *names):
+    for name in names:
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = sub.choices[name]
+    return parser
+
+
+def test_pair_checks_are_declared_once(capsys, monkeypatch):
+    # `gdpr check` and criterion 2 both read dpr.PAIR_CHECKS
+    (which,) = [a for a in _subparser(cli.build_parser(), "gdpr", "check")._actions
+                if a.dest == "which"]
+    assert which.choices == (*dpr.PAIR_CHECKS, "padding")
+    monkeypatch.setitem(dpr.PAIR_CHECKS, "weight", lambda *a: False)
+    assert not run_criterion(2).passed
+    assert cli.main("gdpr check weight -n 2 -m 2".split()) == 1
+    assert json.loads(capsys.readouterr().out)["pass"] is False
 
 
 def test_selftest_prints_the_report_in_both_formats(capsys, monkeypatch):

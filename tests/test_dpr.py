@@ -420,13 +420,16 @@ def test_derived_data_is_made_once_per_chain(monkeypatch):
     sweep()
     # no chain built again, nothing derived again
     assert _held() == held
-    # a polynomial that is no chain derives from its own terms and touches
-    # no chain's data
+    # a relation polynomial shares its T_n's data
+    assert build_gx(3, 2)._derived is dpr._chain("X", 3)[0]._derived
+    assert build_gy(2, 3)._derived is dpr._chain("Y", 2)[0]._derived
+    # a polynomial built on terms of its own holds its own data and touches
+    # no chain's
     g = from_polynomial(build_gx(3, 2).to_polynomial())
     assert weight_check(g, 1) and check_index_bounds(g, 3, 2)
     assert g.swap_sides() == build_gy(3, 2)
     assert dpr_to_json(g) == dpr_to_json(build_gx(3, 2))
-    assert g._derived is None and _held() == held
+    assert set(g._derived) == {"weights", "mirror", "keys"} and _held() == held
 
 
 def test_builder_argument_validation():
