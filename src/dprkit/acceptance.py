@@ -19,7 +19,6 @@ when min(n, m) = 1 and 0 otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fixedpoint
@@ -68,12 +67,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    details: tuple[str, ...]
+    """One criterion's verdict and its `ok:`/`FAIL:` detail lines."""
+
+    __slots__ = ("number", "name", "passed", "details")
+
+    def __init__(self, number: int, name: str, passed: bool, details: tuple[str, ...]):
+        object.__setattr__(self, "number", number)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "details", details)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("CriterionResult is immutable")
 
 
 class _Checks:

@@ -14,8 +14,10 @@ float, a Decimal) raises TypeError where it comes in.
 from __future__ import annotations
 
 import operator
+# the C function json.encoder re-exports, taken from its own module so that
+# writing JSON does not import the json package
+from _json import encode_basestring_ascii as _json_str
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping, Union
 

@@ -20,13 +20,19 @@ Only `algebra` and `dpr` are imported up front; `fgl`, `operators`,
 `fixedpoint` and `acceptance` are registered by `_lazy` and execute on the
 first attribute a handler reads, so each command runs only the layers it
 calls.
+
+Outside dprkit, a command imports `argparse`, `importlib.util`, `typing`,
+`fractions` and what they import, `random` when it samples, and the C
+module `_json`, whose string encoder canonical JSON is written with.
+Nothing on that path imports `inspect`, and the value classes are plain
+classes.  The `json` package loads only under `--format text`, whose
+key-value lines write nested values with `json.dumps`.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
 import sys
 from typing import Callable
 
@@ -93,6 +99,8 @@ def _emit(args, payload: Callable[[], dict], render: Callable[[], str] | None = 
 
 
 def _kv_text(payload: dict) -> str:
+    import json  # only --format text reaches here, so JSON output never loads it
+
     width = max(len(k) for k in payload)
     lines = []
     for k, v in payload.items():

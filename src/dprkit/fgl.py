@@ -32,7 +32,6 @@ law with it, and `selftest`'s round trips go through `series_apply`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -142,18 +141,36 @@ def _nonzero(coeffs: dict) -> dict:
 # law modes -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FglMode:
     """Which group law the series ops should expand.
 
     kind is one of "universal", "additive", "multiplicative", "custom".
     For multiplicative, the free symbol beta is the coefficient of the uv
     cross term.  For custom, table maps (i, j) with i <= j to the numeric
-    coefficient of u^i v^j.
+    coefficient of u^i v^j.  Modes are equal when kind and table are, so an
+    equal mode built afresh hits the series caches.
     """
 
-    kind: str
-    table: tuple = ()
+    __slots__ = ("kind", "table", "_lookup")
+
+    def __init__(self, kind: str, table: tuple = ()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_lookup", dict(table))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("FglMode is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not FglMode:
+            return NotImplemented
+        return self.kind == other.kind and self.table == other.table
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.table))
+
+    def __repr__(self) -> str:
+        return f"FglMode(kind={self.kind!r}, table={self.table!r})"
 
     def coefficient(self, i: int, j: int) -> "Packed":
         """Packed coefficient of u^i v^j, for i, j >= 1."""
@@ -163,7 +180,7 @@ class FglMode:
             return {}
         if self.kind == "multiplicative":
             return {_pack_symbol(BETA): 1} if i == j == 1 else {}
-        got = dict(self.table).get((min(i, j), max(i, j)), 0)
+        got = self._lookup.get((min(i, j), max(i, j)), 0)
         return {0: got} if got != 0 else {}
 
 

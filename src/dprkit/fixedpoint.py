@@ -42,7 +42,6 @@ exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -95,22 +94,33 @@ class ImpossibleGoodness(AssertionError):
     rule out; the goodness model is broken."""
 
 
-@dataclass(frozen=True)
 class Character:
-    """An element of Z/o1 x .. x Z/or, written additively."""
+    """An element of Z/o1 x .. x Z/or, written additively; residues are
+    reduced on construction, so equal elements compare equal."""
 
-    orders: tuple[int, ...]
-    residues: tuple[int, ...]
+    __slots__ = ("orders", "residues")
 
-    def __post_init__(self):
-        if not self.orders or any(o < 1 for o in self.orders):
+    def __init__(self, orders: tuple[int, ...], residues: tuple[int, ...]):
+        if not orders or any(o < 1 for o in orders):
             raise ValueError("group orders must be positive")
-        if len(self.residues) != len(self.orders):
+        if len(residues) != len(orders):
             raise ValueError("residue count must match group rank")
-        object.__setattr__(
-            self, "residues",
-            tuple(r % o for r, o in zip(self.residues, self.orders)),
-        )
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "residues", tuple(r % o for r, o in zip(residues, orders)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Character is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Character:
+            return NotImplemented
+        return self.orders == other.orders and self.residues == other.residues
+
+    def __hash__(self) -> int:
+        return hash((self.orders, self.residues))
+
+    def __repr__(self) -> str:
+        return f"Character(orders={self.orders!r}, residues={self.residues!r})"
 
     @classmethod
     def zero(cls, orders: Sequence[int]) -> "Character":
@@ -135,7 +145,6 @@ class Character:
         return self + (-other)
 
 
-@dataclass(frozen=True)
 class GoodnessContext:
     """Ordered divisor lists for both sides plus their character assignment.
 
@@ -145,32 +154,44 @@ class GoodnessContext:
     bound name must carry the same character as the combination it names.
     """
 
-    group: tuple[int, ...]
-    x_divisors: tuple[str, ...]
-    y_divisors: tuple[str, ...]
-    basic: tuple[tuple[str, Character], ...]
-    aliases: tuple[tuple[tuple[str, ...], str], ...] = ()
+    __slots__ = ("group", "x_divisors", "y_divisors", "basic", "aliases",
+                 "_chars", "_alias_map")
 
-    def __post_init__(self):
-        chars = dict(self.basic)
-        if len(chars) != len(self.basic):
+    def __init__(
+        self,
+        group: tuple[int, ...],
+        x_divisors: tuple[str, ...],
+        y_divisors: tuple[str, ...],
+        basic: tuple[tuple[str, Character], ...],
+        aliases: tuple[tuple[tuple[str, ...], str], ...] = (),
+    ):
+        chars = dict(basic)
+        if len(chars) != len(basic):
             raise ValueError("duplicate divisor name")
-        for name, ch in self.basic:
+        for name, ch in basic:
             if not name:
                 raise ValueError("empty divisor name")
-            if ch.orders != self.group:
+            if ch.orders != group:
                 raise ValueError(f"character of {name} lives in the wrong group")
-        for name in self.x_divisors + self.y_divisors:
+        for name in x_divisors + y_divisors:
             if name not in chars:
                 raise UnknownDivisor(name)
         alias_map = {}
-        for combo, target in self.aliases:
+        for combo, target in aliases:
             total = self._sum_character(chars, combo)
             if target in chars and chars[target] != total:
                 raise ValueError(f"alias {target} disagrees with its combination")
             alias_map[combo] = target
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "x_divisors", x_divisors)
+        object.__setattr__(self, "y_divisors", y_divisors)
+        object.__setattr__(self, "basic", basic)
+        object.__setattr__(self, "aliases", aliases)
         object.__setattr__(self, "_chars", chars)
         object.__setattr__(self, "_alias_map", alias_map)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("GoodnessContext is immutable")
 
     @staticmethod
     def _sum_character(chars: Mapping[str, Character], combo: Iterable[str]) -> Character:

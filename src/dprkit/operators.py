@@ -20,7 +20,6 @@ builds the report.  Each verifier supplies only the trial itself.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -70,21 +69,23 @@ def h_expression() -> Polynomial:
     return cl + cm - cl * cm * s1 + cl * cm * clm * (s2 - s3) - clm
 
 
-@dataclass(frozen=True)
 class RelationSystem:
     """Deterministic sampling harness shared by the verifiers."""
 
-    seed: int
-    trials: int = 20
-    sample_range: int = 1000
+    __slots__ = ("seed", "trials", "sample_range")
 
-    def __post_init__(self):
+    def __init__(self, seed: int, trials: int = 20, sample_range: int = 1000):
         # zero or negative counts would run no trial, or sample only the
         # origin, and still report a pass
-        for name in ("trials", "sample_range"):
-            value = getattr(self, name)
+        for name, value in (("trials", trials), ("sample_range", sample_range)):
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "sample_range", sample_range)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("RelationSystem is immutable")
 
     def rng(self, trial: int, retry: int) -> random.Random:
         # string seeding hashes with sha512 and so ignores PYTHONHASHSEED
@@ -127,17 +128,41 @@ class RelationSystem:
                                   self.seed, degree_bound, self.sample_range)
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    identity: str
-    n: int
-    m: int | None
-    trials: int
-    resamples: int
-    passed: bool
-    seed: int
-    degree_bound: int | None
-    sample_range: int
+    """What one verifier run found; reports of equal runs compare equal."""
+
+    __slots__ = ("identity", "n", "m", "trials", "resamples", "passed", "seed",
+                 "degree_bound", "sample_range")
+
+    def __init__(self, identity: str, n: int, m: int | None, trials: int, resamples: int,
+                 passed: bool, seed: int, degree_bound: int | None, sample_range: int):
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "resamples", resamples)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "degree_bound", degree_bound)
+        object.__setattr__(self, "sample_range", sample_range)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("VerificationReport is immutable")
+
+    def _fields(self) -> tuple:
+        return (self.identity, self.n, self.m, self.trials, self.resamples, self.passed,
+                self.seed, self.degree_bound, self.sample_range)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not VerificationReport:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"VerificationReport{self._fields()!r}"
 
     def to_json(self) -> dict:
         return {

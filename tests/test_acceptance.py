@@ -56,6 +56,14 @@ def test_criterion_5_sampled_reduction_identities():
     run_timed(5)
 
 
+def test_criterion_results_are_immutable():
+    result = run_criterion(1)
+    with pytest.raises(AttributeError):
+        result.passed = False
+    with pytest.raises(AttributeError):
+        result.details = ()
+
+
 def test_criterion_6_fixed_point_evaluation_table():
     # All-bad common value c*(1 - F^X_n*F^Y_m) at c = 1: it is 0 once min(n, m) >= 2.
     run_timed(6)

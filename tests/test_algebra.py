@@ -310,6 +310,13 @@ def _json_oracle(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
+def test_json_strings_are_written_by_the_encoder_json_uses():
+    # algebra takes the string encoder from _json so that it need not import
+    # the json package; it must be the very function json.dumps calls
+    from dprkit import algebra
+    assert algebra._json_str is json.encoder.encode_basestring_ascii
+
+
 def test_canonical_json_matches_json_dumps():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

@@ -251,17 +251,21 @@ def test_python_m_dprkit_runs_the_cli(cli_env):
 # runs one command the way `python -m dprkit.cli` does, then reports on
 # stderr the top-level packages outside the standard library that it
 # imported (site .pth files may load some before dprkit, so only the
-# modules new since the start count) and the dprkit modules it executed: a
-# layer the command never used is still a lazy stub, not a plain module
+# modules new since the start count), the dprkit modules it executed (a
+# layer the command never used is still a lazy stub, not a plain module),
+# and which of dataclasses, inspect and json, slow to import, it loaded
 _MAIN_THEN_REPORT_IMPORTS = """
 import sys, types
 before = set(sys.modules)
 import dprkit.cli
 code = dprkit.cli.main(sys.argv[1:])
-roots = {name.partition(".")[0] for name in set(sys.modules) - before}
+new = set(sys.modules) - before
+roots = {name.partition(".")[0] for name in new}
 executed = {name for name, module in sys.modules.items()
             if name.startswith("dprkit.") and type(module) is types.ModuleType}
-sys.stderr.write(repr((sorted(roots - sys.stdlib_module_names), sorted(executed))))
+heavy = new & {"dataclasses", "inspect", "json"}
+sys.stderr.write(repr((sorted(roots - sys.stdlib_module_names), sorted(executed),
+                       sorted(heavy))))
 raise SystemExit(code)
 """
 
@@ -305,14 +309,26 @@ def run_reporting_imports(cli_env, argv):
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_commands_import_only_the_standard_library(cli_env, argv):
     # the README contract: dprkit imports nothing outside the standard
-    # library, and a command executes only the layers it calls
+    # library, a command executes only the layers it calls, and JSON output
+    # loads neither dataclasses (and the inspect it imports) nor json
     proc = run_reporting_imports(cli_env, argv)
     assert proc.returncode == 0 and proc.stdout
-    roots, executed = ast.literal_eval(proc.stderr.decode())
+    roots, executed, heavy = ast.literal_eval(proc.stderr.decode())
     assert roots == ["dprkit"]
     assert set(executed) == _EXECUTED[argv[0]]
+    assert heavy == []
     if argv[:2] == ["gdpr", "check"]:
         assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_only_text_output_loads_json(cli_env):
+    # --format text writes nested values with json.dumps, so json loads there
+    proc = run_reporting_imports(cli_env, ["fixedpoint", "claim1", "--case", "1",
+                                           "--format", "text"])
+    assert proc.returncode == 0 and proc.stdout
+    roots, executed, heavy = ast.literal_eval(proc.stderr.decode())
+    assert roots == ["dprkit"]
+    assert heavy == ["json"]
 
 
 def test_build_prints_the_mask_engine_expansion(capsys):

@@ -75,6 +75,23 @@ def test_custom_mode_symmetry():
         custom_mode({(1, 2): 5, (2, 1): 7})
 
 
+def test_modes_are_immutable_values():
+    table = {(1, 1): 3, (1, 2): -1, (2, 2): 4}
+    mode = custom_mode(table)
+    with pytest.raises(AttributeError):
+        mode.kind = "additive"
+    with pytest.raises(AttributeError):
+        mode.table = ()
+    assert custom_mode(table) == mode and hash(custom_mode(table)) == hash(mode)
+    assert universal_mode() == U and hash(universal_mode()) == hash(U)
+    assert custom_mode({(1, 1): 3}) != mode and additive_mode() != U
+    # an equal mode built afresh is a hit of the series caches
+    inverse_series(mode, 8)
+    hits = inverse_series.cache_info().hits
+    inverse_series(custom_mode(table), 8)
+    assert inverse_series.cache_info().hits == hits + 1
+
+
 def test_custom_mode_admits_only_integers():
     # 0.5 must not become 0 (the additive law), and 1/2 must fail here
     # rather than when the series is exported

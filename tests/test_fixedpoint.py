@@ -64,6 +64,21 @@ def test_character_arithmetic():
         Character((0,), (0,))
 
 
+def test_characters_are_reduced_immutable_values():
+    assert Character((3,), (4,)).residues == (1,)
+    assert Character((3,), (4,)) == Character((3,), (-2,))
+    assert hash(Character((3,), (4,))) == hash(Character((3,), (1,)))
+    assert Character((3,), (1,)) != Character((3,), (2,))
+    for orders, residues in [((), ()), ((0,), (0,)), ((2, -1), (0, 0)),
+                             ((2,), (0, 1)), ((2, 3), (1,))]:
+        with pytest.raises(ValueError):
+            Character(orders, residues)
+    with pytest.raises(AttributeError):
+        Character((3,), (1,)).residues = (2,)
+    with pytest.raises(AttributeError):
+        ALL_GOOD.basic = ()
+
+
 def test_context_validation():
     with pytest.raises(UnknownDivisor):
         make_context((2,), ("A",), ("Z",), {"A": (0,)})

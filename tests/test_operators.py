@@ -72,6 +72,22 @@ def test_verifiers_reject_counts_below_one():
             verify_mixed_contexts(2, 2, seed=1, **bad)
 
 
+def test_sampling_harness_and_reports_are_immutable():
+    with pytest.raises(ValueError):
+        operators.RelationSystem(1, trials=0)
+    with pytest.raises(ValueError):
+        operators.RelationSystem(1, sample_range=0)
+    system = operators.RelationSystem(1)
+    assert (system.seed, system.trials, system.sample_range) == (1, 20, 1000)
+    with pytest.raises(AttributeError):
+        system.trials = 0
+    report = verify_step_identity(2, trials=2, seed=1)
+    with pytest.raises(AttributeError):
+        report.passed = False
+    assert hash(report) == hash(verify_step_identity(2, trials=2, seed=1))
+    assert report != verify_step_identity(2, trials=2, seed=2)
+
+
 def test_full_identity_small_grid():
     for n in (1, 2, 3):
         for m in (1, 2, 3):
