@@ -3,8 +3,9 @@
 Output is canonical JSON by default or aligned text with `--format text`;
 identical invocations produce byte-identical stdout.  Exit codes: 0 on
 success, 1 when a verification-style command finds its check false, 2 on
-usage or domain errors, 3 when an internal invariant breaks (a bug in
-dprkit, such as `InconsistentSolve`); errors are reported as a JSON object
+usage or domain errors or when memory runs out, 3 when an internal
+invariant breaks (a bug in dprkit, such as `InconsistentSolve`) or any
+other exception escapes a command; errors are reported as a JSON object
 on stderr.
 
 A subcommand is declared by one `_leaf` call in `build_parser`: its group,
@@ -47,6 +48,7 @@ from .dpr import (
     build_gx,
     build_gy,
     dpr_to_json,
+    ordered_terms,
     padding_check,
 )
 
@@ -125,7 +127,7 @@ def _series_text(series: fgl.TruncatedSeries) -> str:
 
 
 def _poly_text(g: DprPolynomial) -> str:
-    rows = [(f"{c:+d}", str(mono)) for mono, c in g.sorted_terms()]
+    rows = [(f"{c:+d}", "*".join(names) or "1") for names, c in ordered_terms(g)]
     if not rows:
         return "0\n"
     width = max(len(c) for c, _ in rows)
@@ -317,12 +319,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit:
         raise
-    except (ValueError, KeyError, ArithmeticError, RuntimeError) as e:
+    except (ValueError, KeyError, ArithmeticError, RuntimeError, MemoryError) as e:
         _report_error(e)
         return 2
-    except AssertionError as e:
-        # typed invariant errors subclass AssertionError; a broken invariant
-        # is a bug, not a false check, so it must not exit 1
+    except Exception as e:
+        # a broken invariant (typed ones subclass AssertionError) or any
+        # other escape is a bug, not a false check, so it must not exit 1
         _report_error(e)
         return 3
 

@@ -20,8 +20,8 @@ and F^X_n: 3^(n-1) + 3^(m-1) + 3^(n-1) - 1 stored terms for the
 3^(n+m-2) + 3^(n-1) - 3^(m-1) it stands for.  The structural checks run on
 the factors (a term count multiplies, supports OR, weight sets add, a mirror
 or a padding kill acts on each factor), and the product is multiplied out
-only for a caller that iterates every term (`terms`, `to_polynomial`,
-`sorted_terms`, `dpr_to_json`, or an equality test whose factors differ).
+only for a caller that iterates every term (`terms`, `ordered_terms`,
+`to_polynomial`, or an equality test whose factors differ).
 
 What depends on a polynomial's flat terms alone is derived from them once,
 on first use, and held with them (see `_flat_derived`): the set of their
@@ -39,11 +39,12 @@ not expand it: `chain_values` and `relation_value` run the same recursion
 on values in any commutative ring, in O(n + m) ring operations.  The mask
 form is the one expansion: `gdpr build` prints it, the structural checks run
 on it, and it is the slow oracle (`DprPolynomial.evaluate_rational`,
-`substitute_families`) the fast path is tested against.  Its JSON is written
-straight from the masks by `dpr_to_json`, with no Monomial made;
-`to_polynomial` decodes the masks to Monomials for text output and for the
-oracles (`poly_to_json` of its result is what `dpr_to_json` is tested
-against).
+`substitute_families`) the fast path is tested against.  Its JSON
+(`dpr_to_json`) and the CLI's text rows read one ordered term stream,
+`ordered_terms`, with no Monomial made.  `to_polynomial` and `sorted_terms`
+are the tests' oracles for both, built apart from the stream's ordering
+table; nothing in dprkit calls them, and they stay here only because the
+benchmark's tracer names them.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ __all__ = [
     "padding_check",
     "PAIR_CHECKS",
     "from_polynomial",
+    "ordered_terms",
     "dpr_to_json",
 ]
 
@@ -173,25 +175,6 @@ def _bit_key(pos: int) -> int:
     index block, which has 32 bits, far more than any mask can reach."""
     block, off = divmod(pos, _BITS_PER_INDEX)
     return _RANK_AT_OFFSET[off] << 32 | block
-
-
-def _decoder(support: int):
-    """The function from each mask inside `support` to its Monomial."""
-    symbols = [_symbol_of_bit(pos) for pos in range(support.bit_length())]
-    patterns = [_rep_mask(1 << off, support) for off in _OFFSETS_IN_SYMBOL_ORDER]
-
-    def decode(mask: int) -> Monomial:
-        pairs = []
-        for pattern in patterns:
-            bits = mask & pattern
-            while bits:
-                low = bits & -bits
-                pairs.append((symbols[low.bit_length() - 1], 1))
-                bits ^= low
-        # the pairs come out in the Monomial's symbol order already
-        return Monomial._raw(tuple(pairs))
-
-    return decode
 
 
 class DprPolynomial:
@@ -372,8 +355,12 @@ class DprPolynomial:
         return self.to_polynomial().sorted_terms()
 
     def to_polynomial(self) -> Polynomial:
-        decode = _decoder(self.support)
-        return Polynomial(ZZ, ((decode(m), c) for m, c in self.terms()))
+        """The terms as a Polynomial built by the checked Monomial
+        constructor: the oracle that `ordered_terms` is tested against."""
+        symbols = [_symbol_of_bit(pos) for pos in range(self.support.bit_length())]
+        return Polynomial(ZZ, ((Monomial((symbols[pos], 1)
+                                         for pos in range(m.bit_length()) if m >> pos & 1), c)
+                               for m, c in self.terms()))
 
     def __repr__(self) -> str:
         return f"DprPolynomial({len(self)} terms)"
@@ -732,15 +719,15 @@ def _flat_keys(p: DprPolynomial) -> list[list[int]]:
     return out
 
 
-def dpr_to_json(g: DprPolynomial) -> dict:
-    """`poly_to_json(g.to_polynomial())`, built straight from the masks.
+def ordered_terms(g: DprPolynomial) -> Iterator[tuple[Iterator[str], int]]:
+    """Each term of g in output order: its generator names in Monomial
+    order, and its coefficient.
 
-    No Monomial or Polynomial is made, each generator's name and each
-    distinct coefficient is rendered once, and a product term's keys are
-    the merge of its factors' keys, which a chain holds from its first
-    export on.  Terms sort on their generators' keys, ascending, after
-    their count: every exponent is 1, so that is the Monomials' graded
-    lexicographic order.
+    No Monomial is made, each generator's name is rendered once, and a
+    product term's keys are the merge of its factors' keys, which a chain
+    holds from its first export on.  Terms sort on their generators' keys,
+    ascending, after their count: every exponent is 1, so that is the
+    Monomials' graded lexicographic order, the order of `g.sorted_terms()`.
     """
     names = {}
     sup = g.support
@@ -762,12 +749,19 @@ def dpr_to_json(g: DprPolynomial) -> dict:
                 keys.sort()
                 keyed.append((len(keys), keys, ca * cb))
     keyed.sort()  # masks are distinct, so no two keys tie and no c is compared
-    rendered: dict = {}
     name = names.__getitem__
-    terms = []
     for _, keys, c in keyed:
+        yield map(name, keys), c
+
+
+def dpr_to_json(g: DprPolynomial) -> dict:
+    """`poly_to_json(g.to_polynomial())`, written from `ordered_terms(g)`,
+    each distinct coefficient rendered once."""
+    rendered: dict = {}
+    terms = []
+    for names, c in ordered_terms(g):
         coeff = rendered.get(c)
         if coeff is None:
             coeff = rendered[c] = coeff_to_json(c)
-        terms.append({"coeff": coeff.copy(), "monomial": dict.fromkeys(map(name, keys), 1)})
+        terms.append({"coeff": coeff.copy(), "monomial": dict.fromkeys(names, 1)})
     return {"ring": {"inverted": []}, "terms": terms}

@@ -15,7 +15,7 @@ import pytest
 
 from dprkit import cli, dpr, fgl, fixedpoint, operators
 from dprkit.acceptance import report_json, report_text, run_all, run_criterion
-from dprkit.algebra import canonical_json
+from dprkit.algebra import Monomial, Polynomial, canonical_json
 
 
 def run(argv):
@@ -143,6 +143,19 @@ def test_inconsistent_solve_exits_three(capsys, monkeypatch):
     assert json.loads(err)["error"].startswith("InconsistentSolve")
 
 
+@pytest.mark.parametrize("error, code", [(MemoryError, 2), (TypeError, 3)])
+def test_unforeseen_errors_do_not_exit_one(capsys, monkeypatch, error, code):
+    # exit 1 means a check found false; running out of memory is a limit the
+    # command hit, like a domain error, and any other escape is a bug
+    def fail(case):
+        raise error("from the handler")
+
+    monkeypatch.setattr(fixedpoint, "claim1_case_check", fail)
+    got, doc, err = run_json(capsys, ["fixedpoint", "claim1", "--case", "5"])
+    assert got == code and doc is None
+    assert json.loads(err) == {"error": f"{error.__name__}: from the handler"}
+
+
 def test_stray_m_rejected(capsys):
     code, _, err = run_json(capsys, ["gdpr", "build", "EX", "-n", "2", "-m", "1"])
     assert code == 2 and "-m" in json.loads(err)["error"]
@@ -176,6 +189,24 @@ def test_text_format_listing(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "(1,1,2)" in out and "(2,1,1)" in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_relation_output_makes_no_monomial(capsys, monkeypatch, fmt):
+    # both renderings read dpr.ordered_terms; the Polynomial route is only
+    # the tests' oracle
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Monomial or Polynomial was made")
+
+    argv = ["gdpr", "build", "GX", "-n", "3", "-m", "2", "--format", fmt]
+    assert run(argv) == 0
+    before = capsys.readouterr().out
+    for owner, name in ((dpr.DprPolynomial, "to_polynomial"), (dpr.DprPolynomial, "sorted_terms"),
+                        (Monomial, "__init__"), (Monomial, "_raw"),
+                        (Polynomial, "__init__"), (Polynomial, "_raw")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert run(argv) == 0
+    assert capsys.readouterr() == (before, "")
 
 
 def test_nfold_scales_the_linear_coefficient(capsys):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from dprkit import dpr
+from dprkit import cli, dpr
 from dprkit.algebra import IncompatibleRings, Monomial, Polynomial, VarSymbol, ZZ, poly_to_json
 from dprkit.dpr import (
     DprPolynomial,
@@ -367,6 +367,12 @@ def hand_built():
     return DprPolynomial({x_mask(1): 1, x_mask(10): 5}, (a, b))
 
 
+def with_constant():
+    """A constant term, whose Monomial is empty, and coefficients of
+    different widths."""
+    return DprPolynomial.from_terms({0: 7, x_mask(1): -12, x_mask(1) | dpr.y_mask(2): 1})
+
+
 _JSON_CASES = [
     *((build, (n,)) for build in (build_ex, build_fx, build_ey, build_fy) for n in range(1, 5)),
     *((build, (n, m)) for build in (build_gx, build_gy) for n in range(1, 5) for m in range(1, 5)),
@@ -377,6 +383,7 @@ _JSON_CASES = [
     (build_gx, (2, 9)),
     (build_ex, (10,)),
     (hand_built, ()),
+    (with_constant, ()),
 ]
 
 
@@ -389,7 +396,14 @@ def test_json_from_masks_matches_the_decoded_polynomial(build, counts):
             (list(t), list(t["coeff"].items()), list(t["monomial"].items())) for t in blob["terms"]]
 
     g = build(*counts)
-    assert ordered(dpr_to_json(g)) == ordered(poly_to_json(g.to_polynomial()))
+    oracle = g.to_polynomial()
+    assert ordered(dpr_to_json(g)) == ordered(poly_to_json(oracle))
+    # the text rows come from the same term stream: check them against the
+    # oracle's own order and Monomial rendering
+    rows = [(f"{c:+d}", str(mono)) for mono, c in oracle.sorted_terms()]
+    width = max((len(c) for c, _ in rows), default=0)
+    text = "".join(f"{c:<{width}}  {mono}\n" for c, mono in rows)
+    assert cli._poly_text(g) == (text or "0\n")
 
 
 def _held():
