@@ -100,16 +100,20 @@ def _emit(args, payload: Callable[[], dict], render: Callable[[], str] | None = 
         sys.stdout.write(_kv_text(payload()))
 
 
+def _columns(rows: list[tuple[str, object]]) -> str:
+    """Rows of two columns, the first padded to its widest entry; "0" when
+    there are none."""
+    if not rows:
+        return "0\n"
+    width = max(len(a) for a, _ in rows)
+    return "".join(f"{a:<{width}}  {b}\n" for a, b in rows)
+
+
 def _kv_text(payload: dict) -> str:
     import json  # only --format text reaches here, so JSON output never loads it
 
-    width = max(len(k) for k in payload)
-    lines = []
-    for k, v in payload.items():
-        if isinstance(v, (dict, list)):
-            v = json.dumps(v)
-        lines.append(f"{k:<{width}}  {v}")
-    return "\n".join(lines) + "\n"
+    return _columns([(k, json.dumps(v) if isinstance(v, (dict, list)) else v)
+                     for k, v in payload.items()])
 
 
 def _exp_label(exp, names) -> str:
@@ -118,20 +122,12 @@ def _exp_label(exp, names) -> str:
 
 
 def _series_text(series: fgl.TruncatedSeries) -> str:
-    rows = [(_exp_label(exp, series.vars), str(poly))
-            for exp, poly in series.coefficients()]
-    if not rows:
-        return "0\n"
-    width = max(len(label) for label, _ in rows)
-    return "\n".join(f"{label:<{width}}  {poly}" for label, poly in rows) + "\n"
+    return _columns([(_exp_label(exp, series.vars), poly)
+                     for exp, poly in series.coefficients()])
 
 
 def _poly_text(g: DprPolynomial) -> str:
-    rows = [(f"{c:+d}", "*".join(names) or "1") for names, c in ordered_terms(g)]
-    if not rows:
-        return "0\n"
-    width = max(len(c) for c, _ in rows)
-    return "\n".join(f"{c:<{width}}  {mono}" for c, mono in rows) + "\n"
+    return _columns([(f"{c:+d}", "*".join(names) or "1") for names, c in ordered_terms(g)])
 
 
 # command handlers -----------------------------------------------------------
@@ -216,6 +212,8 @@ _REPORTS = {
         a.n, trials=a.trials, seed=a.seed, sample_range=a.range).to_json(), "pass"),
     "full": (lambda a: operators.verify_full_identity(
         a.n, a.m, trials=a.trials, seed=a.seed, sample_range=a.range).to_json(), "pass"),
+    "mixed": (lambda a: fixedpoint.verify_mixed_contexts(
+        a.n, a.m, trials=a.trials, seed=a.seed, sample_range=a.range).to_json(), "pass"),
     "claim1": (lambda a: fixedpoint.claim1_case_check(a.case), "equal"),
     "allbad": (lambda a: fixedpoint.all_bad_evaluation(a.n, a.m), "equal"),
     "guard": (lambda a: fixedpoint.guard_report(fixedpoint.parse_group_spec(a.group)), "holds"),
@@ -299,6 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify = _group(top, "verify", "sampled exact-rational identity checks")
     _leaf(verify, "step", "one chain extension step", _cmd_report, _N, *_SAMPLING)
     _leaf(verify, "full", "the two-sided relation identity", _cmd_report, _N, _M, *_SAMPLING)
+    _leaf(verify, "mixed", "the two-sided identity under sampled goodness contexts",
+          _cmd_report, _N, _M, *_SAMPLING)
 
     fp = _group(top, "fixedpoint", "goodness-table evaluations")
     _leaf(fp, "claim1", "one base goodness pattern", _cmd_report,

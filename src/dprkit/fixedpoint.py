@@ -1,14 +1,16 @@
 """Divisor goodness model and the induced evaluation of relation polynomials.
 
-A divisor class carries a character of a finite abelian group; it is "good"
-when that character is trivial.  Characters add along formal sums, so the
-goodness of any combination is decided by the basic assignments alone.  One
-consequence is structural: among the triple (D, A, D + A) it is impossible
-for exactly one member to be bad, since any two trivial characters force the
-third to be trivial.  `_step_goodness` decides the five cases below in
-one place for the table, the chain steps and the final class of the mixed
-verifier, and raises `ImpossibleGoodness` should exactly one member ever
-come out bad; `guard_report` brute-forces that fact over a whole group.
+A divisor class carries a character of a finite abelian group
+Z/o1 x .. x Z/or, held as its tuple of residues; it is "good" when that
+character is trivial, every residue zero.  Characters add residue by residue
+along formal sums, so the goodness of any combination is decided by the
+residues of its names alone.  One consequence is structural: among the
+triple (D, A, D + A) it is impossible for exactly one member to be bad,
+since any two trivial characters force the third to be trivial.
+`_step_goodness` decides the five cases below in one place for the table,
+the chain steps and the final class of the mixed verifier, and raises
+`ImpossibleGoodness` should exactly one member ever come out bad;
+`guard_report` brute-forces that fact over a whole group.
 
 `fprime_of_var` sends each relation-ring generator to a small polynomial in
 first-class symbols c[D], sigma1[D], and opaque tower composites p2/p3 (or
@@ -57,12 +59,10 @@ from .operators import (
 )
 
 __all__ = [
-    "Character",
     "GoodnessContext",
     "UnknownDivisor",
     "IndexOutOfRange",
     "ImpossibleGoodness",
-    "make_context",
     "guard_report",
     "parse_group_spec",
     "c_symbol",
@@ -94,150 +94,85 @@ class ImpossibleGoodness(AssertionError):
     rule out; the goodness model is broken."""
 
 
-class Character:
-    """An element of Z/o1 x .. x Z/or, written additively; residues are
-    reduced on construction, so equal elements compare equal."""
-
-    __slots__ = ("orders", "residues")
-
-    def __init__(self, orders: tuple[int, ...], residues: tuple[int, ...]):
-        if not orders or any(o < 1 for o in orders):
-            raise ValueError("group orders must be positive")
-        if len(residues) != len(orders):
-            raise ValueError("residue count must match group rank")
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "residues", tuple(r % o for r, o in zip(residues, orders)))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Character is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Character:
-            return NotImplemented
-        return self.orders == other.orders and self.residues == other.residues
-
-    def __hash__(self) -> int:
-        return hash((self.orders, self.residues))
-
-    def __repr__(self) -> str:
-        return f"Character(orders={self.orders!r}, residues={self.residues!r})"
-
-    @classmethod
-    def zero(cls, orders: Sequence[int]) -> "Character":
-        return cls(tuple(orders), tuple(0 for _ in orders))
-
-    @property
-    def trivial(self) -> bool:
-        return all(r == 0 for r in self.residues)
-
-    def __add__(self, other: "Character") -> "Character":
-        if self.orders != other.orders:
-            raise ValueError("characters live in different groups")
-        return Character(
-            self.orders,
-            tuple(a + b for a, b in zip(self.residues, other.residues)),
-        )
-
-    def __neg__(self) -> "Character":
-        return Character(self.orders, tuple(-r for r in self.residues))
-
-    def __sub__(self, other: "Character") -> "Character":
-        return self + (-other)
+def _add(a: tuple[int, ...], b: tuple[int, ...], group: tuple[int, ...]) -> tuple[int, ...]:
+    """The sum of two characters of `group`, reduced."""
+    return tuple((x + y) % o for x, y, o in zip(a, b, group))
 
 
 class GoodnessContext:
-    """Ordered divisor lists for both sides plus their character assignment.
+    """Ordered divisor lists for both sides plus their characters.
 
-    `basic` binds every divisor name to a character; `aliases` renames whole
-    combinations (as ordered name tuples) so that linearly equivalent sums on
-    the two sides share one sigma1 label.  An alias target that is itself a
-    bound name must carry the same character as the combination it names.
+    `residues` binds every divisor name to its character, a residue tuple of
+    Z/o1 x .. x Z/or reduced on construction; `aliases` maps whole
+    combinations (as ordered name tuples) to one label so that linearly
+    equivalent sums on the two sides share one sigma1 label.  An alias target
+    that is itself a bound name must carry the same character as the
+    combination it names.
     """
 
-    __slots__ = ("group", "x_divisors", "y_divisors", "basic", "aliases",
-                 "_chars", "_alias_map")
+    __slots__ = ("group", "x_divisors", "y_divisors", "_residues", "_aliases")
 
     def __init__(
         self,
-        group: tuple[int, ...],
-        x_divisors: tuple[str, ...],
-        y_divisors: tuple[str, ...],
-        basic: tuple[tuple[str, Character], ...],
-        aliases: tuple[tuple[tuple[str, ...], str], ...] = (),
+        group: Sequence[int],
+        x_divisors: Sequence[str],
+        y_divisors: Sequence[str],
+        residues: Mapping[str, Sequence[int]],
+        aliases: Mapping[tuple[str, ...], str] | None = None,
     ):
-        chars = dict(basic)
-        if len(chars) != len(basic):
-            raise ValueError("duplicate divisor name")
-        for name, ch in basic:
+        group = tuple(group)
+        if not group or any(o < 1 for o in group):
+            raise ValueError("group orders must be positive")
+        reduced = {}
+        for name, res in residues.items():
             if not name:
                 raise ValueError("empty divisor name")
-            if ch.orders != group:
-                raise ValueError(f"character of {name} lives in the wrong group")
-        for name in x_divisors + y_divisors:
-            if name not in chars:
-                raise UnknownDivisor(name)
-        alias_map = {}
-        for combo, target in aliases:
-            total = self._sum_character(chars, combo)
-            if target in chars and chars[target] != total:
-                raise ValueError(f"alias {target} disagrees with its combination")
-            alias_map[combo] = target
+            if len(res) != len(group):
+                raise ValueError(f"residue count of {name} must match the group rank")
+            reduced[name] = tuple(r % o for r, o in zip(res, group))
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "x_divisors", x_divisors)
-        object.__setattr__(self, "y_divisors", y_divisors)
-        object.__setattr__(self, "basic", basic)
-        object.__setattr__(self, "aliases", aliases)
-        object.__setattr__(self, "_chars", chars)
-        object.__setattr__(self, "_alias_map", alias_map)
+        object.__setattr__(self, "x_divisors", tuple(x_divisors))
+        object.__setattr__(self, "y_divisors", tuple(y_divisors))
+        object.__setattr__(self, "_residues", reduced)
+        object.__setattr__(self, "_aliases", dict(aliases or {}))
+        for name in self.x_divisors + self.y_divisors:
+            if name not in reduced:
+                raise UnknownDivisor(name)
+        for combo, target in self._aliases.items():
+            total = self.character_of(combo)
+            if target in reduced and reduced[target] != total:
+                raise ValueError(f"alias {target} disagrees with its combination")
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GoodnessContext is immutable")
 
-    @staticmethod
-    def _sum_character(chars: Mapping[str, Character], combo: Iterable[str]) -> Character:
+    def character_of(self, combo: Union[str, Iterable[str]]) -> tuple[int, ...]:
+        if isinstance(combo, str):
+            combo = (combo,)
         total = None
         for name in combo:
-            if name not in chars:
+            if name not in self._residues:
                 raise UnknownDivisor(name)
-            total = chars[name] if total is None else total + chars[name]
+            res = self._residues[name]
+            total = res if total is None else _add(total, res, self.group)
         if total is None:
             raise ValueError("empty combination")
         return total
 
-    def character_of(self, combo: Union[str, Iterable[str]]) -> Character:
-        if isinstance(combo, str):
-            combo = (combo,)
-        return self._sum_character(self._chars, combo)
-
     def good(self, combo: Union[str, Iterable[str]]) -> bool:
-        return self.character_of(combo).trivial
+        return not any(self.character_of(combo))
 
     def combo_name(self, combo: Union[str, Sequence[str]]) -> str:
         """Canonical label: alias if declared, else the joined name sum."""
         if isinstance(combo, str):
             combo = (combo,)
         combo = tuple(combo)
-        hit = self._alias_map.get(combo)
+        hit = self._aliases.get(combo)
         if hit is not None:
             return hit
         if len(combo) == 1:
             return combo[0]
         return "+".join(combo)
-
-
-def make_context(
-    group: Sequence[int],
-    x_divisors: Sequence[str],
-    y_divisors: Sequence[str],
-    residues: Mapping[str, Sequence[int]],
-    aliases: Mapping[Sequence[str], str] | None = None,
-) -> GoodnessContext:
-    orders = tuple(group)
-    basic = tuple((name, Character(orders, tuple(res))) for name, res in residues.items())
-    alias_items = tuple(
-        (tuple(combo), target) for combo, target in (aliases or {}).items()
-    )
-    return GoodnessContext(orders, tuple(x_divisors), tuple(y_divisors), basic, alias_items)
 
 
 def guard_report(group: Sequence[int]) -> dict:
@@ -280,14 +215,6 @@ def _tower_symbol(prefix: str, k: int) -> VarSymbol:
     return VarSymbol(prefix, (k,))
 
 
-def _const(v: int) -> Polynomial:
-    return Polynomial.constant(v)
-
-
-def _var(sym: VarSymbol) -> Polynomial:
-    return Polynomial.variable(sym)
-
-
 def _step_goodness(ctx: GoodnessContext, names: Sequence[str], k: int) -> tuple[str, VarSymbol | None]:
     """Goodness of step k of a chain: the triple (D, A_k, D + A_k) with
     D = A_1 + .. + A_{k-1}.
@@ -323,7 +250,9 @@ def fprime_of_var(var: VarSymbol, ctx: GoodnessContext) -> Polynomial:
         if i > len(names):
             return Polynomial.zero()
         name = names[i - 1]
-        return _var(c_symbol(name)) if ctx.good(name) else _const(ALL_BAD_VALUES[fam])
+        if ctx.good(name):
+            return Polynomial.variable(c_symbol(name))
+        return Polynomial.constant(ALL_BAD_VALUES[fam])
     if fam in ("U", "V"):
         if len(var.indices) != 2:
             raise IndexOutOfRange(f"malformed marker symbol {var}")
@@ -337,8 +266,8 @@ def fprime_of_var(var: VarSymbol, ctx: GoodnessContext) -> Polynomial:
                 return Polynomial.zero()
             combo = names[:k]
             if ctx.good(combo):
-                return _var(sigma_symbol(ctx.combo_name(combo)))
-            return _const(ALL_BAD_VALUES[fam, kind])
+                return Polynomial.variable(sigma_symbol(ctx.combo_name(combo)))
+            return Polynomial.constant(ALL_BAD_VALUES[fam, kind])
         if kind in (2, 3):
             if k < 2:
                 raise IndexOutOfRange(f"tower marker needs index >= 2: {var}")
@@ -346,12 +275,12 @@ def fprime_of_var(var: VarSymbol, ctx: GoodnessContext) -> Polynomial:
                 return Polynomial.zero()
             case, sigma = _step_goodness(ctx, names, k)
             if case == "all":
-                return _var(_tower_symbol(towers[kind - 2], k))
+                return Polynomial.variable(_tower_symbol(towers[kind - 2], k))
             if case == "none":
-                return _const(ALL_BAD_VALUES[fam, kind])
+                return Polynomial.constant(ALL_BAD_VALUES[fam, kind])
             if case == "head" and kind == 2:
-                return _var(sigma) * 2
-            return _var(sigma) + (2 if kind == 2 else 1)
+                return Polynomial.variable(sigma) * 2
+            return Polynomial.variable(sigma) + (2 if kind == 2 else 1)
         raise IndexOutOfRange(f"unknown marker kind {kind} in {var}")
     raise IndexOutOfRange(f"{var} is not a relation-ring generator")
 
@@ -374,13 +303,11 @@ _CLAIM1_PATTERNS = {
 
 
 def _claim1_context(group: tuple[int, ...], res_a: Sequence[int], res_b: Sequence[int]) -> GoodnessContext:
-    a = Character(group, tuple(res_a))
-    b = Character(group, tuple(res_b))
-    return make_context(
+    return GoodnessContext(
         group,
         ("A", "B"),
         ("C",),
-        {"A": a.residues, "B": b.residues, "C": (a + b).residues},
+        {"A": res_a, "B": res_b, "C": _add(res_a, res_b, group)},
         {("A", "B"): "C"},
     )
 
@@ -497,21 +424,18 @@ def _mixed_trial(rng, n, m, group, sample_range) -> bool:
     the final comparison of `operators.verify_full_identity` holds
     identically.
     """
-    zero = Character.zero(group)
+    def draw() -> tuple[int, ...]:
+        return tuple(rng.randrange(o) for o in group)
 
-    def draw() -> Character:
-        return Character(tuple(group), tuple(rng.randrange(o) for o in group))
-
-    a_chars = [draw() for _ in range(n)]
-    b_chars = [draw() for _ in range(m - 1)]
-    total = sum(a_chars, zero)
-    b_chars.append(total - sum(b_chars, zero))
+    a_res = [draw() for _ in range(n)]
+    b_res = [draw() for _ in range(m - 1)]
+    # the last B class balances the totals; the context reduces it
+    b_res.append(tuple(sum(a[i] for a in a_res) - sum(b[i] for b in b_res)
+                       for i in range(len(group))))
     x_names = tuple(f"A{i}" for i in range(1, n + 1))
     y_names = tuple(f"B{j}" for j in range(1, m + 1))
-    residues = {name: ch.residues for name, ch in
-                zip(x_names + y_names, a_chars + b_chars)}
-    ctx = make_context(group, x_names, y_names, residues,
-                       {x_names: "T", y_names: "T"})
+    ctx = GoodnessContext(group, x_names, y_names, dict(zip(x_names + y_names, a_res + b_res)),
+                          {x_names: "T", y_names: "T"})
 
     point: dict[VarSymbol, Fraction] = {}
 

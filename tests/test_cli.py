@@ -300,12 +300,14 @@ sys.stderr.write(repr((sorted(roots - sys.stdlib_module_names), sorted(executed)
 raise SystemExit(code)
 """
 
-# the dprkit modules each command group executes; cli imports these three
+# the dprkit modules each command group, or a command named apart,
+# executes; cli imports these three
 _EAGER = {"dprkit.cli", "dprkit.algebra", "dprkit.dpr"}
 _EXECUTED = {
     "fgl": _EAGER | {"dprkit.fgl"},
     "gdpr": _EAGER,
     "verify": _EAGER | {"dprkit.operators"},
+    "verify mixed": _EAGER | {"dprkit.operators", "dprkit.fixedpoint"},
     "fixedpoint": _EAGER | {"dprkit.operators", "dprkit.fixedpoint"},
     "selftest": _EAGER | {"dprkit.fgl", "dprkit.operators", "dprkit.fixedpoint",
                       "dprkit.acceptance"},
@@ -323,6 +325,7 @@ def run_reporting_imports(cli_env, argv):
     ["fgl", "relations", "--order", "4"],
     ["verify", "step", "-n", "3", "--seed", "1"],
     ["verify", "full", "-n", "2", "-m", "3", "--seed", "1"],
+    ["verify", "mixed", "-n", "2", "-m", "3", "--seed", "1"],
     ["fixedpoint", "allbad", "-n", "3", "-m", "2"],
     ["fixedpoint", "guard", "--group", "2x2"],
     ["fixedpoint", "claim1", "--case", "1"],
@@ -346,7 +349,7 @@ def test_commands_import_only_the_standard_library(cli_env, argv):
     assert proc.returncode == 0 and proc.stdout
     roots, executed, heavy = ast.literal_eval(proc.stderr.decode())
     assert roots == ["dprkit"]
-    assert set(executed) == _EXECUTED[argv[0]]
+    assert set(executed) == _EXECUTED.get(" ".join(argv[:2]), _EXECUTED[argv[0]])
     assert heavy == []
     if argv[:2] == ["gdpr", "check"]:
         assert json.loads(proc.stdout)["pass"] is True

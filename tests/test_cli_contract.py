@@ -148,6 +148,10 @@ PINNED = {
         (0, "4a31f9d660ce4a61a7b3b44e3bcca92fda4c0f962b10f2a17aebf3fc81c526af"),
     "verify full -n 2 -m 3 --seed 5 --trials 4 --range 50 --format text":
         (0, "fe24e8a4e633faae04b75a6d2d11452f3133c53834ad5c2e4c920f4119b032bc"),
+    "verify mixed -n 3 -m 2 --seed 5 --trials 4 --format json":
+        (0, "e296a4272513ff0cea80370b3a7e3abd85a9428d3a1e031909b708bac9584a5f"),
+    "verify mixed -n 3 -m 2 --seed 5 --trials 4 --format text":
+        (0, "bd63b763c9853350431f1377e7c9b702fd67472c73f17f73ad42ff60e44841f7"),
     "fixedpoint claim1 --case 1 --format json":
         (0, "a1f8b625544d0bd44f4ac7b6a73f5e50bb79165e406f9288a9c42d644e37b277"),
     "fixedpoint claim1 --case 1 --format text":
@@ -217,6 +221,7 @@ ERRORS = {
     "verify step -n 3 --seed 1 --trials 0": "ValueError: trials must be >= 1, got 0",
     "verify full -n 2 -m 2 --seed 1 --range 0":
         "ValueError: sample_range must be >= 1, got 0",
+    "verify mixed -n 0 -m 1 --seed 1": "ValueError: class counts must be positive",
     "fixedpoint claim1 --case 6": "ValueError: case must be 1..5, got 6",
     "fixedpoint allbad -n 0 -m 1": "ValueError: class counts must be positive",
     "fixedpoint guard --group banana": "ValueError: bad group spec: 'banana'",
@@ -237,6 +242,7 @@ USAGE_ERRORS = [
     "gdpr check mirror -n 2",
     "verify step -n 3",
     "verify full -n 2 --seed 1",
+    "verify mixed -n 2 --seed 1",
     "fixedpoint claim1 --case x",
     "fixedpoint guard",
     "selftest --extra",
@@ -244,7 +250,7 @@ USAGE_ERRORS = [
 
 LEAVES = [
     "fgl show", "fgl inverse", "fgl nfold", "fgl divide", "fgl relations",
-    "gdpr build", "gdpr check", "verify step", "verify full",
+    "gdpr build", "gdpr check", "verify step", "verify full", "verify mixed",
     "fixedpoint claim1", "fixedpoint allbad", "fixedpoint guard", "selftest",
 ]
 

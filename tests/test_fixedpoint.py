@@ -1,4 +1,4 @@
-"""Goodness characters, the generator evaluation table, and its identities."""
+"""Goodness contexts, the generator evaluation table, and its identities."""
 
 import itertools
 import time
@@ -10,7 +10,7 @@ from dprkit import fixedpoint
 from dprkit.algebra import Polynomial, VarSymbol, poly_to_json
 from dprkit.dpr import build_ex, build_ey, build_fx, build_fy, build_gx, build_gy
 from dprkit.fixedpoint import (
-    Character,
+    GoodnessContext,
     IndexOutOfRange,
     UnknownDivisor,
     all_bad_evaluation,
@@ -19,7 +19,6 @@ from dprkit.fixedpoint import (
     fprime_eval,
     fprime_of_var,
     guard_report,
-    make_context,
     parse_group_spec,
     sigma_symbol,
     verify_mixed_contexts,
@@ -27,15 +26,8 @@ from dprkit.fixedpoint import (
 
 
 def ctx_for(res_a, res_b, group=(2,)):
-    a = Character(tuple(group), tuple(res_a))
-    b = Character(tuple(group), tuple(res_b))
-    return make_context(
-        group,
-        ("A", "B"),
-        ("C",),
-        {"A": a.residues, "B": b.residues, "C": (a + b).residues},
-        {("A", "B"): "C"},
-    )
+    # divisors A, B on the first side and C = A + B on the second
+    return fixedpoint._claim1_context(group, res_a, res_b)
 
 
 ALL_GOOD = ctx_for((0,), (0,))
@@ -49,43 +41,32 @@ def V(sym):
     return Polynomial.variable(sym)
 
 
-def test_character_arithmetic():
-    g = (2, 3)
-    a = Character(g, (1, 2))
-    b = Character(g, (1, 1))
-    assert (a + b).residues == (0, 0)
-    assert (a + b).trivial
-    assert (-a).residues == (1, 1)
-    assert not a.trivial
-    assert Character.zero(g).trivial
-    with pytest.raises(ValueError):
-        a + Character((5,), (1,))
-    with pytest.raises(ValueError):
-        Character((0,), (0,))
-
-
-def test_characters_are_reduced_immutable_values():
-    assert Character((3,), (4,)).residues == (1,)
-    assert Character((3,), (4,)) == Character((3,), (-2,))
-    assert hash(Character((3,), (4,))) == hash(Character((3,), (1,)))
-    assert Character((3,), (1,)) != Character((3,), (2,))
-    for orders, residues in [((), ()), ((0,), (0,)), ((2, -1), (0, 0)),
-                             ((2,), (0, 1)), ((2, 3), (1,))]:
+def test_contexts_reduce_residues_and_are_immutable():
+    ctx = GoodnessContext((3,), ("A",), ("B",), {"A": (4,), "B": (-2,)})
+    assert ctx.character_of("A") == ctx.character_of("B") == (1,)
+    assert ctx.character_of(("A", "B")) == (2,)
+    assert ctx.good(("A", "A", "A"))
+    for orders, residues in [((), {}), ((0,), {"A": (0,)}), ((2, -1), {"A": (0, 0)}),
+                             ((2,), {"A": (0, 1)}), ((2, 3), {"A": (1,)}),
+                             ((2,), {"A": (0,), "": (0,)})]:
         with pytest.raises(ValueError):
-            Character(orders, residues)
+            GoodnessContext(orders, (), (), residues)
     with pytest.raises(AttributeError):
-        Character((3,), (1,)).residues = (2,)
+        ctx.group = (2,)
     with pytest.raises(AttributeError):
-        ALL_GOOD.basic = ()
+        ALL_GOOD.x_divisors = ()
 
 
 def test_context_validation():
     with pytest.raises(UnknownDivisor):
-        make_context((2,), ("A",), ("Z",), {"A": (0,)})
+        GoodnessContext((2,), ("A",), ("Z",), {"A": (0,)})
     with pytest.raises(ValueError):
         # alias target bound to a conflicting character
-        make_context((2,), ("A", "B"), ("C",),
-                     {"A": (1,), "B": (1,), "C": (1,)}, {("A", "B"): "C"})
+        GoodnessContext((2,), ("A", "B"), ("C",),
+                        {"A": (1,), "B": (1,), "C": (1,)}, {("A", "B"): "C"})
+    with pytest.raises(UnknownDivisor):
+        # an alias may name a new label, but only a sum of bound names
+        GoodnessContext((2,), ("A",), (), {"A": (0,)}, {("A", "Z"): "T"})
     with pytest.raises(UnknownDivisor):
         ALL_GOOD.good(("A", "missing"))
 
@@ -96,15 +77,19 @@ def test_goodness_of_combinations():
     assert not A_ONLY.good(("A", "B"))
     # characters cancel pairwise
     assert C_ONLY.good(("A", "B"))
-    ctx = make_context((4,), ("A", "B"), (), {"A": (1,), "B": (3,)})
+    ctx = GoodnessContext((4,), ("A", "B"), (), {"A": (1,), "B": (3,)})
     assert ctx.good(("A", "B"))
     assert not ctx.good(("A", "A"))
+    # residues add componentwise in a product group
+    ctx = GoodnessContext((2, 3), ("A", "B"), (), {"A": (1, 2), "B": (1, 1)})
+    assert ctx.character_of(("A", "B")) == (0, 0)
+    assert ctx.good(("A", "B")) and not ctx.good("A")
 
 
 def test_combo_aliasing():
     assert ALL_GOOD.combo_name(("A", "B")) == "C"
     assert ALL_GOOD.combo_name(("A",)) == "A"
-    ctx = make_context((2,), ("A", "B"), (), {"A": (0,), "B": (0,)})
+    ctx = GoodnessContext((2,), ("A", "B"), (), {"A": (0,), "B": (0,)})
     assert ctx.combo_name(("A", "B")) == "A+B"
 
 
@@ -308,7 +293,7 @@ def test_large_counts_run_the_recursion_alone(no_expansion):
 def test_tower_images_check_the_goodness_guard(monkeypatch):
     # a context where exactly one of (D, A, D + A) is bad cannot arise from
     # characters; forcing one must raise, not pass or fail silently
-    ctx = make_context((2,), ("A", "B"), ("C",), {"A": (0,), "B": (0,), "C": (0,)})
+    ctx = GoodnessContext((2,), ("A", "B"), ("C",), {"A": (0,), "B": (0,), "C": (0,)})
     pattern = {}
 
     def forced(self, combo):
