@@ -25,20 +25,24 @@ only for a caller that iterates every term (`terms`, `ordered_terms`,
 
 What depends on a polynomial's flat terms alone is derived from them once,
 on first use, and held with them (see `_flat_derived`): the set of their
-weights, their mirror image, and each term's generator keys in Monomial
-symbol order.  A polynomial built on a flat polynomial's terms shares what
-is held with them, so what is derived for a chain in `_CHAIN_CACHE` lives
-exactly as long as the cache, and GX(n, m), which holds T_n itself as its
-flat part, shares T_n's.  So GX's weight set is W(T_n) together with
-W(T'_m) + W(F_n), its mirror is assembled from the three chains' mirrors
-(and `mirror_check` still compares that with an independently built GY,
-term by term), and its JSON merges the factors' key lists per product term.
+weights, their mirror image, each term's generator keys in Monomial symbol
+order, and their kill by each cut a padding check asks for.  A polynomial
+built on a flat polynomial's terms shares what is held with them, so what
+is derived for a chain in `_CHAIN_CACHE` lives exactly as long as the
+cache, and GX(n, m), which holds T_n itself as its flat part, shares T_n's.
+So GX's weight set is W(T_n) together with W(T'_m) + W(F_n), its mirror is
+assembled from the three chains' mirrors (and `mirror_check` still
+compares that with an independently built GY, term by term), and its JSON
+merges the factors' key lists per product term.
 
 Consumers that need only the value of a relation polynomial at a point do
 not expand it: `chain_values` and `relation_value` run the same recursion
-on values in any commutative ring, in O(n + m) ring operations.  The mask
-form is the one expansion: `gdpr build` prints it, the structural checks run
-on it, and it is the slow oracle (`DprPolynomial.evaluate_rational`,
+on values in any commutative ring, in O(n + m) ring operations.  A chain's
+generators are held once, as one interned tuple per (side, n) in
+`chain_symbols` order, and `chain_values` reads the point's values off it
+in one pass, with no symbol built per lookup.  The mask form is the one
+expansion: `gdpr build` prints it, the structural checks run on it, and it
+is the slow oracle (`DprPolynomial.evaluate_rational`,
 `substitute_families`) the fast path is tested against.  Its JSON
 (`dpr_to_json`) and the CLI's text rows read one ordered term stream,
 `ordered_terms`, with no Monomial made.  `to_polynomial` and `sorted_terms`
@@ -536,15 +540,25 @@ def _marker_family(side: str) -> str:
     return _MARKER_FAMILY[side]
 
 
+_CHAIN_SYMBOLS: dict[tuple[str, int], tuple[VarSymbol, ...]] = {}
+
+
+def _held_symbols(side: str, n: int) -> tuple[VarSymbol, ...]:
+    """The generators of `chain_symbols(side, n)`, made once and held."""
+    held = _CHAIN_SYMBOLS.get((side, n))
+    if held is None:
+        marker = _marker_family(side)
+        held = tuple([VarSymbol(side, (i,)) for i in range(1, n + 1)]
+                     + [VarSymbol(marker, (1, k)) for k in range(1, n)]
+                     + [VarSymbol(marker, (p, k)) for p in (2, 3) for k in range(2, n + 1)])
+        _CHAIN_SYMBOLS[(side, n)] = held
+    return held
+
+
 def chain_symbols(side: str, n: int) -> list[VarSymbol]:
     """The generators of a chain of n classes on one side, in a fixed order:
     classes 1..n, first markers 1..n-1, then second and third markers 2..n."""
-    marker = _marker_family(side)
-    syms = [VarSymbol(side, (i,)) for i in range(1, n + 1)]
-    syms += [VarSymbol(marker, (1, k)) for k in range(1, n)]
-    for p in (2, 3):
-        syms += [VarSymbol(marker, (p, k)) for k in range(2, n + 1)]
-    return syms
+    return list(_held_symbols(side, n))
 
 
 def chain_values(side: str, n: int, value: Mapping[VarSymbol, object]) -> list[tuple]:
@@ -558,26 +572,26 @@ def chain_values(side: str, n: int, value: Mapping[VarSymbol, object]) -> list[t
         F_k = F_{k-1} + T_{k-1}*X_k*(U2_k - U3_k).
 
     `value` binds generators (Y and V on the Y side) to elements of any
-    commutative ring that mixes with int: ints, Fractions, Polynomials.
+    commutative ring that mixes with int: ints, Fractions, Polynomials.  The
+    values are read in one pass over the chain's held generator tuple, in
+    `chain_symbols` order, and the recursion runs on its four slices: classes
+    [0, n), first markers [n, 2n-1), second markers [2n-1, 3n-2) and third
+    markers [3n-2, 4n-3).  Membership is tested before each read, so a
+    `defaultdict` gains no key and an unbound generator raises
+    UnboundVariable naming it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    marker = _marker_family(side)
-
-    def at(family: str, *indices: int):
-        sym = VarSymbol(family, indices)
+    vals = []
+    for sym in _held_symbols(side, n):
         if sym not in value:
             raise UnboundVariable(str(sym))
-        return value[sym]
-
-    t, f = at(side, 1), 0
+        vals.append(value[sym])
+    t, f = vals[0], 0
     out = [(t, f)]
-    for k in range(2, n + 1):
-        x = at(side, k)
-        t, f = (
-            t + x - t * x * at(marker, 1, k - 1) - x * f,
-            f + t * x * (at(marker, 2, k) - at(marker, 3, k)),
-        )
+    for x, u1, u2, u3 in zip(vals[1:n], vals[n:2 * n - 1], vals[2 * n - 1:3 * n - 2],
+                             vals[3 * n - 2:]):
+        t, f = t + x - t * x * u1 - x * f, f + t * x * (u2 - u3)
         out.append((t, f))
     return out
 
@@ -652,11 +666,21 @@ def mirror_check(n: int, m: int) -> bool:
     return build_gx(n, m).swap_sides() == build_gy(n, m)
 
 
+def _flat_kill(p: DprPolynomial, cut: int) -> DprPolynomial:
+    """The flat terms of p that mention no generator of `cut` (a mask)."""
+    return DprPolynomial({mask: c for mask, c in p.flat.items() if not mask & cut})
+
+
 def _kill(g: DprPolynomial, generators: int) -> DprPolynomial:
-    """g without every term that mentions one of `generators` (a mask)."""
-    flat = {mask: c for mask, c in g.flat.items() if not mask & generators}
+    """g without every term that mentions one of `generators` (a mask).
+
+    The kill of each flat part is held with its terms, keyed by the cut
+    `generators & support`, so a padding grid kills each chain once per cut.
+    """
+    cut = generators & g.support
+    flat = _flat_derived(g, ("kill", cut), lambda p: _flat_kill(p, cut))
     if g.factors is None:
-        return DprPolynomial(flat)
+        return flat
     return DprPolynomial(flat, (_kill(g.factors[0], generators), _kill(g.factors[1], generators)))
 
 

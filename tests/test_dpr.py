@@ -11,6 +11,7 @@ gives the closed forms |T_n| = 3^(n-1), |F_n| = 3^(n-1) - 1 and
 
 import random
 import time
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -252,6 +253,40 @@ def test_padding():
         assert padding_check(n, m, big_n, big_m)
     with pytest.raises(ValueError):
         padding_check(3, 1, 2, 1)
+
+
+def test_padding_kills_are_held_per_cut(monkeypatch):
+    monkeypatch.setattr(dpr, "_CHAIN_CACHE", {})
+    grid = [(n, m) for n in range(1, 5) for m in range(1, 4)]
+    assert all(padding_check(n, m, 4, 3) for n, m in grid)
+    held = _held()
+    # every chain of GX(4, 3) holds one kill per cut it was asked for
+    assert {name[1] for name in held[("Y", 3), 0] if name[0] == "kill"} == {
+        sum(dpr.y_mask(j) for j in range(m + 1, 4)) for m in range(1, 4)}
+    # a second sweep kills nothing again
+    assert all(padding_check(n, m, 4, 3) for n, m in grid)
+    assert _held() == held
+
+
+def test_padding_check_can_fail(monkeypatch):
+    # a kill that keeps one out-of-range term; the untampered check warms
+    # the held kills first, so the tamper shows only on a fresh cache
+    assert padding_check(1, 1, 3, 2)
+    real = dpr._flat_kill
+
+    def keeps_one(p, cut):
+        kept = dict(real(p, cut).flat)
+        for mask, c in p.flat.items():
+            if mask & cut:
+                kept[mask] = c
+                break
+        return DprPolynomial(kept)
+
+    monkeypatch.setattr(dpr, "_flat_kill", keeps_one)
+    assert padding_check(1, 1, 3, 2)  # served from the held kills
+    monkeypatch.setattr(dpr, "_CHAIN_CACHE", {})
+    assert not padding_check(1, 1, 3, 2)
+    assert not padding_check(2, 2, 3, 3)
 
 
 def test_recursion_checks_can_fail(monkeypatch):
@@ -597,3 +632,37 @@ def test_recurrence_argument_validation():
         relation_value("X", 1, 0, point)
     with pytest.raises(UnboundVariable):
         chain_values("X", 3, point)
+
+
+def test_chain_symbols_are_the_chain_generators_in_order():
+    for side, marker in MARKERS.items():
+        for n in range(13):
+            expected = [sym(side, i) for i in range(1, n + 1)]
+            expected += [sym(marker, 1, k) for k in range(1, n)]
+            for p in (2, 3):
+                expected += [sym(marker, p, k) for k in range(2, n + 1)]
+            got = chain_symbols(side, n)
+            assert got == expected and type(got) is list, (side, n)
+    # each call returns a fresh list: the generators are held apart from it
+    got = chain_symbols("X", 3)
+    kept = list(got)
+    got.append(sym("Y", 1))
+    got[0] = sym("Y", 2)
+    assert chain_symbols("X", 3) == kept
+
+
+def test_chain_values_name_the_unbound_generator():
+    full = rational_point(random.Random(3), 4)
+    for side in MARKERS:
+        for missing in chain_symbols(side, 4):
+            point = {s: v for s, v in full.items() if s is not missing}
+            with pytest.raises(UnboundVariable) as plain:
+                chain_values(side, 4, point)
+            assert plain.value.args == (str(missing),)
+            # a defaultdict would answer the lookup with a new key: the
+            # membership test comes first, so it raises and gains nothing
+            lazy = defaultdict(int, point)
+            with pytest.raises(UnboundVariable) as caught:
+                chain_values(side, 4, lazy)
+            assert caught.value.args == (str(missing),)
+            assert missing not in lazy and len(lazy) == len(point)
