@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import fixedpoint
-from .algebra import Polynomial, VarSymbol
+from .algebra import Immutable, Polynomial, VarSymbol
 from .dpr import (
     PAIR_CHECKS,
     build_ex,
@@ -59,7 +59,6 @@ from .operators import verify_full_identity, verify_step_identity
 
 __all__ = [
     "CriterionResult",
-    "run_criterion",
     "run_all",
     "report_json",
     "report_text",
@@ -67,7 +66,7 @@ __all__ = [
 ]
 
 
-class CriterionResult:
+class CriterionResult(Immutable):
     """One criterion's verdict and its `ok:`/`FAIL:` detail lines."""
 
     __slots__ = ("number", "name", "passed", "details")
@@ -77,9 +76,6 @@ class CriterionResult:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "details", details)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("CriterionResult is immutable")
 
 
 class _Checks:
@@ -326,12 +322,6 @@ CRITERIA = {
     6: run_criterion_6,
     7: run_criterion_7,
 }
-
-
-def run_criterion(number: int) -> CriterionResult:
-    if number not in CRITERIA:
-        raise ValueError(f"no criterion {number}")
-    return CRITERIA[number]()
 
 
 def run_all() -> list[CriterionResult]:

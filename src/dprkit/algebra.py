@@ -32,7 +32,20 @@ class UnboundVariable(KeyError):
     """Raised when evaluation meets a symbol with no assigned value."""
 
 
-class CoeffRing:
+class Immutable:
+    """Base of every dprkit value class: assigning an attribute raises.
+
+    Constructors set their slots with `object.__setattr__`.  The empty
+    `__slots__` keeps a slotted subclass free of a `__dict__`.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class CoeffRing(Immutable):
     """Z with a chosen set of inverted integers, e.g. Z[1/2, 1/3].
 
     Two rings are compatible only when one's inverted set contains the
@@ -55,9 +68,6 @@ class CoeffRing:
             object.__setattr__(cached, "inverted", key)
             cls._cache[key] = cached
         return cached
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("CoeffRing is immutable")
 
     def __repr__(self) -> str:
         if not self.inverted:
@@ -115,16 +125,17 @@ _FAMILY_RANK = {"X": 0, "Y": 1, "U": 2, "V": 3}
 _LATE_RANK = len(_FAMILY_RANK)
 
 
-class VarSymbol:
+class VarSymbol(Immutable):
     """An interned variable: a family tag plus integer indices.
 
     Families are free-form strings; bracketed annotations that are not pure
     integers stay part of the family (``sigma1[A]`` is a family with no
     indices, ``U[1][3]`` is family ``U`` with indices (1, 3)).  Interning
-    makes equality an identity check and lets monomials share sort keys.
+    makes one object per name, so the default identity ``__eq__`` and
+    ``__hash__`` are equality, and monomials share sort keys.
     """
 
-    __slots__ = ("family", "indices", "sort_key", "_hash", "_name")
+    __slots__ = ("family", "indices", "sort_key", "_name")
     _cache: dict[tuple[str, tuple[int, ...]], "VarSymbol"] = {}
 
     def __new__(cls, family: str, indices: Iterable[int] = ()) -> "VarSymbol":
@@ -139,19 +150,9 @@ class VarSymbol:
             object.__setattr__(
                 cached, "sort_key", (_FAMILY_RANK.get(family, _LATE_RANK), family, idx)
             )
-            object.__setattr__(cached, "_hash", hash((family, idx)))
             object.__setattr__(cached, "_name", family + "".join(f"[{i}]" for i in idx))
             cls._cache[(family, idx)] = cached
         return cached
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("VarSymbol is immutable")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
 
     def __lt__(self, other: "VarSymbol") -> bool:
         return self.sort_key < other.sort_key
@@ -163,7 +164,7 @@ class VarSymbol:
         return self._name
 
 
-class Monomial:
+class Monomial(Immutable):
     """An immutable product of symbol powers; exponents are positive ints.
 
     Sorted internally by symbol so equal monomials share one representation.
@@ -192,9 +193,6 @@ class Monomial:
         object.__setattr__(self, "degree", sum(e for _, e in pairs))
         object.__setattr__(self, "_hash", hash(self.pairs))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Monomial is immutable")
-
     @classmethod
     def _raw(cls, pairs: tuple[tuple[VarSymbol, int], ...]) -> "Monomial":
         self = object.__new__(cls)
@@ -216,9 +214,6 @@ class Monomial:
             key = (self.degree, tuple((s.sort_key, -e) for s, e in self.pairs))
             object.__setattr__(self, "_key", key)
             return key
-
-    def __lt__(self, other: "Monomial") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not self.pairs:
@@ -260,7 +255,7 @@ class Monomial:
 UNIT = Monomial()
 
 
-class Polynomial:
+class Polynomial(Immutable):
     """A finite sum of coefficient*monomial terms over a CoeffRing.
 
     Terms live in a dict keyed by Monomial; zero coefficients are never
@@ -288,9 +283,6 @@ class Polynomial:
             clean[mono] = c
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def _raw(cls, ring: CoeffRing, terms: dict[Monomial, Coeff]) -> "Polynomial":

@@ -26,10 +26,11 @@ only for a caller that iterates every term (`terms`, `ordered_terms`,
 What depends on a polynomial's flat terms alone is derived from them once,
 on first use, and held with them (see `_flat_derived`): the set of their
 weights, their mirror image, each term's generator keys in Monomial symbol
-order, and their kill by each cut a padding check asks for.  A polynomial
-built on a flat polynomial's terms shares what is held with them, so what
-is derived for a chain in `_CHAIN_CACHE` lives exactly as long as the
-cache, and GX(n, m), which holds T_n itself as its flat part, shares T_n's.
+order, their own support, and their kill by each cut of that support a
+padding check asks for.  A polynomial built on a flat polynomial's terms
+shares what is held with them, so what is derived for a chain in
+`_CHAIN_CACHE` lives exactly as long as the cache, and GX(n, m), which
+holds T_n itself as its flat part, shares T_n's.
 So GX's weight set is W(T_n) together with W(T'_m) + W(F_n), its mirror is
 assembled from the three chains' mirrors (and `mirror_check` still
 compares that with an independently built GY, term by term), and its JSON
@@ -47,8 +48,9 @@ is the slow oracle (`DprPolynomial.evaluate_rational`,
 (`dpr_to_json`) and the CLI's text rows read one ordered term stream,
 `ordered_terms`, with no Monomial made.  `to_polynomial` and `sorted_terms`
 are the tests' oracles for both, built apart from the stream's ordering
-table; nothing in dprkit calls them, and they stay here only because the
-benchmark's tracer names them.
+table.  No command reaches them or `evaluate_rational`; the benchmark's
+tracer names all three, so `tests/test_reachability.py` allowlists them
+until the tracer's layers move.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .algebra import Coeff, Monomial, Polynomial, UnboundVariable, VarSymbol, ZZ, coeff_to_json
+from .algebra import (Coeff, Immutable, Monomial, Polynomial, UnboundVariable, VarSymbol, ZZ,
+                      coeff_to_json)
 
 __all__ = [
     "DprPolynomial",
@@ -181,7 +184,7 @@ def _bit_key(pos: int) -> int:
     return _RANK_AT_OFFSET[off] << 32 | block
 
 
-class DprPolynomial:
+class DprPolynomial(Immutable):
     """An element of the multilinear relation ring over Z.
 
     `flat` maps each term's bitmask to its coefficient; no coefficient is
@@ -212,18 +215,13 @@ class DprPolynomial:
         if factors is not None and (factors[0].is_zero() or factors[1].is_zero()):
             factors = None  # a zero factor kills the whole product
         if support is None:
-            support = 0
-            for mask in flat:
-                support |= mask
+            support = _union(flat)
             if factors is not None:
                 support |= factors[0].support | factors[1].support
         object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "_derived", derived)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DprPolynomial is immutable")
 
     # construction ---------------------------------------------------------
 
@@ -382,6 +380,14 @@ def _flat_derived(g: DprPolynomial, name: str, compute):
     if name not in held:
         held[name] = compute(g)
     return held[name]
+
+
+def _union(masks: Iterable[int]) -> int:
+    """The generators that any of `masks` mentions, as one mask."""
+    out = 0
+    for mask in masks:
+        out |= mask
+    return out
 
 
 def _swap_families(support: int) -> int:
@@ -674,10 +680,12 @@ def _flat_kill(p: DprPolynomial, cut: int) -> DprPolynomial:
 def _kill(g: DprPolynomial, generators: int) -> DprPolynomial:
     """g without every term that mentions one of `generators` (a mask).
 
-    The kill of each flat part is held with its terms, keyed by the cut
-    `generators & support`, so a padding grid kills each chain once per cut.
+    The kill of each flat part is held with its terms, keyed by its cut:
+    `generators` restricted to the flat terms' own support.  So a padding
+    grid kills each chain once per cut of that chain's generators, whatever
+    the other chains glued to it.
     """
-    cut = generators & g.support
+    cut = generators & _flat_derived(g, "support", lambda p: _union(p.flat))
     flat = _flat_derived(g, ("kill", cut), lambda p: _flat_kill(p, cut))
     if g.factors is None:
         return flat

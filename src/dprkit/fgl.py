@@ -40,6 +40,7 @@ from typing import Iterable, Mapping
 from .algebra import (
     CoeffRing,
     Coeff,
+    Immutable,
     Monomial,
     Polynomial,
     VarSymbol,
@@ -141,7 +142,7 @@ def _nonzero(coeffs: dict) -> dict:
 # law modes -----------------------------------------------------------------
 
 
-class FglMode:
+class FglMode(Immutable):
     """Which group law the series ops should expand.
 
     kind is one of "universal", "additive", "multiplicative", "custom".
@@ -157,9 +158,6 @@ class FglMode:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_lookup", dict(table))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FglMode is immutable")
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not FglMode:
@@ -230,7 +228,7 @@ def _canon_vars(names: Iterable[str]) -> tuple[str, ...]:
     return tuple(v for v in VAR_CANON if v in names)
 
 
-class TruncatedSeries:
+class TruncatedSeries(Immutable):
     """A series in u, v or both, exact modulo total degree > order."""
 
     __slots__ = ("vars", "order", "ring", "_coeffs")
@@ -242,9 +240,6 @@ class TruncatedSeries:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
 
     @classmethod
     def variable(cls, name: str, vars: Iterable[str], order: int, ring: CoeffRing = ZZ) -> "TruncatedSeries":

@@ -47,7 +47,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .algebra import Polynomial, VarSymbol, poly_to_json
+from .algebra import Immutable, Polynomial, VarSymbol, poly_to_json
 from .dpr import DprPolynomial, chain_symbols, relation_value
 from .operators import (
     DegenerateSample,
@@ -99,7 +99,7 @@ def _add(a: tuple[int, ...], b: tuple[int, ...], group: tuple[int, ...]) -> tupl
     return tuple((x + y) % o for x, y, o in zip(a, b, group))
 
 
-class GoodnessContext:
+class GoodnessContext(Immutable):
     """Ordered divisor lists for both sides plus their characters.
 
     `residues` binds every divisor name to its character, a residue tuple of
@@ -142,9 +142,6 @@ class GoodnessContext:
             total = self.character_of(combo)
             if target in reduced and reduced[target] != total:
                 raise ValueError(f"alias {target} disagrees with its combination")
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GoodnessContext is immutable")
 
     def character_of(self, combo: Union[str, Iterable[str]]) -> tuple[int, ...]:
         if isinstance(combo, str):

@@ -23,7 +23,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .algebra import Coeff, Polynomial, VarSymbol
+from .algebra import Coeff, Immutable, Polynomial, VarSymbol
 from .dpr import chain_symbols, chain_values
 
 __all__ = [
@@ -69,7 +69,7 @@ def h_expression() -> Polynomial:
     return cl + cm - cl * cm * s1 + cl * cm * clm * (s2 - s3) - clm
 
 
-class RelationSystem:
+class RelationSystem(Immutable):
     """Deterministic sampling harness shared by the verifiers."""
 
     __slots__ = ("seed", "trials", "sample_range")
@@ -83,9 +83,6 @@ class RelationSystem:
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "sample_range", sample_range)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RelationSystem is immutable")
 
     def rng(self, trial: int, retry: int) -> random.Random:
         # string seeding hashes with sha512 and so ignores PYTHONHASHSEED
@@ -128,7 +125,7 @@ class RelationSystem:
                                   self.seed, degree_bound, self.sample_range)
 
 
-class VerificationReport:
+class VerificationReport(Immutable):
     """What one verifier run found; reports of equal runs compare equal."""
 
     __slots__ = ("identity", "n", "m", "trials", "resamples", "passed", "seed",
@@ -145,9 +142,6 @@ class VerificationReport:
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "degree_bound", degree_bound)
         object.__setattr__(self, "sample_range", sample_range)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("VerificationReport is immutable")
 
     def _fields(self) -> tuple:
         return (self.identity, self.n, self.m, self.trials, self.resamples, self.passed,

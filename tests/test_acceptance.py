@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from dprkit import acceptance, dpr, fgl, fixedpoint
-from dprkit.acceptance import run_criterion
+from dprkit.acceptance import CRITERIA
 from dprkit.algebra import Polynomial, VarSymbol
 
 BUDGETS = {1: 1.0, 2: 10.0, 3: 30.0, 4: 10.0, 5: 60.0, 6: 10.0, 7: 2.0}
@@ -27,7 +27,7 @@ BUDGETS = {1: 1.0, 2: 10.0, 3: 30.0, 4: 10.0, 5: 60.0, 6: 10.0, 7: 2.0}
 
 def run_timed(number):
     start = time.perf_counter()
-    result = run_criterion(number)
+    result = CRITERIA[number]()
     elapsed = time.perf_counter() - start
     budget = BUDGETS[number]
     verdict = "PASS" if result.passed else "FAIL"
@@ -57,7 +57,7 @@ def test_criterion_5_sampled_reduction_identities():
 
 
 def test_criterion_results_are_immutable():
-    result = run_criterion(1)
+    result = CRITERIA[1]()
     with pytest.raises(AttributeError):
         result.passed = False
     with pytest.raises(AttributeError):
@@ -74,7 +74,7 @@ def test_criterion_6_fails_on_a_tampered_table(monkeypatch, marker, value):
     table = dict(fixedpoint.ALL_BAD_VALUES)
     table["U", marker] = table["V", marker] = value
     monkeypatch.setattr(fixedpoint, "ALL_BAD_VALUES", table)
-    result = run_criterion(6)
+    result = CRITERIA[6]()
     assert result.passed is False
     failed = [d for d in result.details if d.startswith("FAIL")]
     assert any("chain closed form" in d for d in failed), result.details
@@ -103,7 +103,7 @@ TAMPERED_INPUTS = [
                          ids=[f"{t[0]}-{t[1]}" for t in TAMPERED_INPUTS])
 def test_criterion_fails_on_a_tampered_input(monkeypatch, number, name, tampered, line):
     monkeypatch.setattr(acceptance, name, tampered)
-    result = run_criterion(number)
+    result = CRITERIA[number]()
     assert result.passed is False
     assert [d for d in result.details if d.startswith("FAIL")] == [line], result.details
 

@@ -11,6 +11,7 @@ import pytest
 from dprkit.algebra import (
     UNIT,
     CoeffRing,
+    Immutable,
     IncompatibleRings,
     Monomial,
     Polynomial,
@@ -168,8 +169,8 @@ def test_monomial_graded_lex_order():
     # same degree: the higher power of the earlier symbol comes first
     sq = Monomial({X1: 2})
     mixed = Monomial({X1: 1, X2: 1})
-    assert sq < mixed
-    assert Monomial({X2: 1}) < sq
+    assert sq.sort_key() < mixed.sort_key()
+    assert Monomial({X2: 1}).sort_key() < sq.sort_key()
     # the key is built on first use and then kept
     assert sq.sort_key() is sq.sort_key()
 
@@ -361,3 +362,40 @@ def test_canonical_json_rejects_what_it_does_not_cover(obj):
 ])
 def test_coeff_to_json(c, num, den):
     assert coeff_to_json(c) == {"num": num, "den": den}
+
+
+def _value_instances():
+    """One instance of each value class, by class name."""
+    from dprkit.acceptance import CriterionResult
+    from dprkit.dpr import build_gx
+    from dprkit.fgl import law_series, universal_mode
+    from dprkit.fixedpoint import GoodnessContext
+    from dprkit.operators import RelationSystem, verify_step_identity
+
+    return {
+        "CoeffRing": ZZ,
+        "VarSymbol": X1,
+        "Monomial": Monomial({X1: 1}),
+        "Polynomial": Polynomial.variable(X1),
+        "DprPolynomial": build_gx(2, 1),
+        "FglMode": universal_mode(),
+        "TruncatedSeries": law_series(universal_mode(), 3),
+        "GoodnessContext": GoodnessContext((2,), ("A",), ("B",), {"A": (0,), "B": (1,)}),
+        "RelationSystem": RelationSystem(1),
+        "VerificationReport": verify_step_identity(2, trials=1, seed=1),
+        "CriterionResult": CriterionResult(1, "one", True, ()),
+    }
+
+
+@pytest.mark.parametrize("name", list(_value_instances()))
+def test_value_classes_share_one_guard(name):
+    value = _value_instances()[name]
+    cls = type(value)
+    assert cls.__name__ == name
+    assert issubclass(cls, Immutable) and "__setattr__" not in vars(cls)
+    # a slot and a name the class does not have are refused alike
+    for attr in (cls.__slots__[0], "extra"):
+        with pytest.raises(AttributeError) as caught:
+            setattr(value, attr, None)
+        assert str(caught.value) == f"{name} is immutable"
+    assert not hasattr(value, "__dict__")

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from dprkit import cli, dpr, fgl, fixedpoint, operators
-from dprkit.acceptance import report_json, report_text, run_all, run_criterion
+from dprkit.acceptance import CRITERIA, report_json, report_text, run_all
 from dprkit.algebra import Monomial, Polynomial, canonical_json
 
 
@@ -407,7 +407,7 @@ def test_pair_checks_are_declared_once(capsys, monkeypatch):
                 if a.dest == "which"]
     assert which.choices == (*dpr.PAIR_CHECKS, "padding")
     monkeypatch.setitem(dpr.PAIR_CHECKS, "weight", lambda *a: False)
-    assert not run_criterion(2).passed
+    assert not CRITERIA[2]().passed
     assert cli.main("gdpr check weight -n 2 -m 2".split()) == 1
     assert json.loads(capsys.readouterr().out)["pass"] is False
 

@@ -260,8 +260,13 @@ def test_padding_kills_are_held_per_cut(monkeypatch):
     grid = [(n, m) for n in range(1, 5) for m in range(1, 4)]
     assert all(padding_check(n, m, 4, 3) for n, m in grid)
     held = _held()
-    # every chain of GX(4, 3) holds one kill per cut it was asked for
-    assert {name[1] for name in held[("Y", 3), 0] if name[0] == "kill"} == {
+    # every chain of GX(4, 3) holds one kill per cut of its own generators:
+    # T_4 one per n, however many second-family counts m were padded
+    kills = {chain: {name[1] for name in held[chain] if name[0] == "kill"}
+             for chain in [(("X", 4), 0), (("X", 4), 1), (("Y", 3), 0)]}
+    assert kills[("X", 4), 0] == kills[("X", 4), 1] == {
+        sum(dpr.x_mask(i) for i in range(n + 1, 5)) for n in range(1, 5)}
+    assert kills[("Y", 3), 0] == {
         sum(dpr.y_mask(j) for j in range(m + 1, 4)) for m in range(1, 4)}
     # a second sweep kills nothing again
     assert all(padding_check(n, m, 4, 3) for n, m in grid)
@@ -355,6 +360,18 @@ def test_cached_terms_are_read_only():
     with pytest.raises(AttributeError):
         f.support = 0
     assert x_mask(1) not in build_fx(3).flat
+
+
+def test_interned_symbols_are_found_by_identity():
+    # VarSymbol keeps object's __eq__ and __hash__: interning makes one
+    # object per name, so a symbol built afresh finds the held one's entry
+    assert "__eq__" not in vars(VarSymbol) and "__hash__" not in vars(VarSymbol)
+    value = {s: k for k, s in enumerate(chain_symbols("X", 3))}
+    assert value[VarSymbol("U", [1, 1])] == value[VarSymbol("U", (1, 1))] == 3
+    for s, k in value.items():
+        assert value[VarSymbol(s.family, list(s.indices))] == k
+        assert value[dpr._symbol_of_bit(dpr.symbol_mask(s).bit_length() - 1)] == k
+    assert VarSymbol("U", [1, 3]) not in value
 
 
 def test_roundtrip_through_core_polynomial():

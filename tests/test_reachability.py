@@ -1,0 +1,204 @@
+"""The reachability gate: every code object in `src/dprkit` is run by the CLI
+or allowlisted with a reason.
+
+The commands are one pinned command per leaf of the CLI in both formats
+(`selftest` included) and every error command of
+`tests/test_cli_contract.py` (`ERRORS` and `USAGE_ERRORS`).  Two fresh interpreters share them out;
+each installs a call-only `sys.setprofile` hook before `import dprkit.cli`
+and runs its first command through `python -m dprkit`'s `__main__`, the
+rest through `cli.main`.  Every `.py` file of the package is then compiled
+and its code objects walked through `co_consts`.  Each is keyed
+"module:Qualified.name" from the nesting, with "#2", "#3", ... on a name
+that repeats in one scope, such as a second lambda.  A code object counts
+as reached when a frame of it started: the hook matches frames to compiled
+code by file, first line and name, and the line never enters a key.
+
+Code nested inside an allowlisted entry is covered by the entry.  An entry
+that is reached, or that names code which no longer exists, fails the gate
+too, so the list cannot go stale.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from dprkit import cli
+from test_cli_contract import ERRORS, LEAVES, PINNED, USAGE_ERRORS
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+# one pinned command per leaf, each run in both formats; where a leaf has
+# several, the one that takes a path the others and `selftest` do not
+LEAF_RUNS = [
+    "fgl show --mode multiplicative --order 4",
+    "fgl inverse --mode universal --order 4",
+    "fgl nfold --mode universal -n 3 --order 3",
+    "fgl divide -n 3 --order 6 --denominator-profile",
+    "fgl relations --order 5",
+    "gdpr build GX -n 2 -m 1",
+    "gdpr check padding -n 2 -m 2 --big-n 4 --big-m 3",
+    "verify step -n 3 --seed 9 --trials 4",
+    "verify full -n 2 -m 3 --seed 5 --trials 4 --range 50",
+    "verify mixed -n 3 -m 2 --seed 5 --trials 4",
+    "fixedpoint claim1 --case 1",
+    "fixedpoint allbad -n 2 -m 1",
+    "fixedpoint guard --group 2",
+    "selftest",
+]
+
+COMMANDS = ([f"{run} --format {fmt}" for run in LEAF_RUNS for fmt in ("json", "text")]
+            + list(ERRORS) + USAGE_ERRORS)
+
+_TRACED_FOR = "named by perfbench/tracing.py LAYERS, which a benchmark change must re-point first"
+
+# code no command runs: key -> why it stays
+ALLOWED = {
+    "dpr:DprPolynomial.evaluate_rational": f"the tests' slow evaluation oracle; {_TRACED_FOR}",
+    "dpr:DprPolynomial.to_polynomial": f"the tests' export oracle; {_TRACED_FOR}",
+    "dpr:DprPolynomial.sorted_terms": f"the tests' export oracle; {_TRACED_FOR}",
+    "fixedpoint:fprime_eval": f"the table applied to a whole polynomial, a test oracle; {_TRACED_FOR}",
+    "algebra:Polynomial.__rsub__": f"int - Polynomial; {_TRACED_FOR}",
+    "fgl:custom_mode": "a benchmark input (perfbench/worker.py); the CLI has no custom mode",
+    "algebra:Polynomial.__init__": "the checked constructor the tests and to_polynomial build "
+                                   "with; dprkit's own arithmetic builds through _raw",
+    "algebra:Immutable.__setattr__": "the one guard of the value classes: it runs only on a "
+                                     "mistaken assignment",
+    "algebra:VarSymbol.__lt__": "test_algebra sorts symbols",
+    "algebra:Polynomial.__hash__": "tests pin that equal polynomials hash alike",
+    "fgl:FglMode.__eq__": "an equal mode built afresh hits the series caches, which only a "
+                          "process that runs many commands, as the benchmark does, meets",
+    "operators:VerificationReport._fields": "read by the report's __eq__, __hash__ and __repr__",
+    "operators:VerificationReport.__eq__": "tests pin that equal runs give equal reports",
+    "operators:VerificationReport.__hash__": "tests pin that equal runs give equal reports",
+    **dict.fromkeys(["algebra:CoeffRing.__repr__", "algebra:VarSymbol.__repr__",
+                     "algebra:Monomial.__repr__", "algebra:Polynomial.__repr__",
+                     "dpr:DprPolynomial.__repr__", "fgl:FglMode.__repr__",
+                     "fgl:TruncatedSeries.__repr__", "operators:VerificationReport.__repr__"],
+                    "a repr, for debugging and test failure messages"),
+}
+
+# runs in a fresh interpreter: the commands come in as a JSON list of argv
+# lists in sys.argv[1], and {key: reached} goes out on stdout
+_TRACE = r"""
+import io, json, os, runpy, sys, types
+
+commands = json.loads(sys.argv[1])
+started = set()
+
+
+def hook(frame, event, arg):
+    if event == "call":
+        started.add(frame.f_code)
+
+
+sys.setprofile(hook)
+import dprkit.cli
+
+out, err = sys.stdout, sys.stderr
+for i, argv in enumerate(commands):
+    sys.stdout = sys.stderr = io.StringIO()
+    try:
+        if i == 0:
+            sys.argv = ["dprkit", *argv]
+            runpy.run_module("dprkit", run_name="__main__")
+        else:
+            dprkit.cli.main(argv)
+    except SystemExit:
+        pass
+sys.setprofile(None)
+sys.stdout, sys.stderr = out, err
+
+reached = {(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in started}
+
+
+def keyed(code, prefix, out):
+    repeats = {}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            count = repeats[const.co_name] = repeats.get(const.co_name, 0) + 1
+            key = prefix + const.co_name + ("" if count == 1 else f"#{count}")
+            out[key] = const
+            keyed(const, key + ".", out)
+    return out
+
+
+package = os.path.dirname(os.path.realpath(dprkit.cli.__file__))
+result = {}
+for name in sorted(os.listdir(package)):
+    if name.endswith(".py"):
+        path = os.path.join(package, name)
+        with open(path) as f:
+            top = compile(f.read(), path, "exec", dont_inherit=True)
+        module = name[:-3]
+        codes = keyed(top, module + ":", {module + ":<module>": top})
+        for key, code in codes.items():
+            result[key] = (path, code.co_firstlineno, code.co_name) in reached
+json.dump({"package": package, "reached": result}, sys.stdout)
+"""
+
+
+def trace(src: Path) -> dict[str, bool]:
+    """{key: reached} for the dprkit package under `src`.
+
+    The commands are dealt to two interpreters that run side by side, one
+    `selftest` each, and a code object counts as reached if either ran it.
+    """
+    procs = [subprocess.Popen([sys.executable, "-c", _TRACE,
+                               json.dumps([c.split() for c in COMMANDS[half::2]])],
+                              cwd=src, env={**os.environ, "PYTHONPATH": str(src)},
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for half in (0, 1)]
+    outputs = [proc.communicate() for proc in procs]
+    reached: dict[str, bool] = {}
+    for proc, (out, err) in zip(procs, outputs):
+        assert proc.returncode == 0, err.decode()
+        doc = json.loads(out)
+        assert Path(doc["package"]) == (src / "dprkit").resolve()
+        for key, hit in doc["reached"].items():
+            reached[key] = reached.get(key, False) or hit
+    return reached
+
+
+def failures(reached: dict[str, bool], allowed: dict[str, str]) -> list[str]:
+    out = [f"unreached: {key}" for key, hit in reached.items()
+           if not hit and not any(key == a or key.startswith(a + ".") for a in allowed)]
+    for key in allowed:
+        if key not in reached:
+            out.append(f"allowlisted but missing: {key}")
+        elif reached[key]:
+            out.append(f"allowlisted but reached: {key}")
+    return out
+
+
+@pytest.fixture(scope="module")
+def reached():
+    return trace(SRC)
+
+
+def test_the_commands_are_pinned_one_per_leaf_and_format():
+    assert [" ".join(run.split()[:1 if run == "selftest" else 2]) for run in LEAF_RUNS] == LEAVES
+    assert all(command in PINNED for command in COMMANDS[:2 * len(LEAF_RUNS)])
+
+
+def test_every_code_object_is_reached_or_allowlisted(reached):
+    assert failures(reached, ALLOWED) == []
+    assert all(ALLOWED.values())
+
+
+def test_gate_names_an_added_function_nothing_calls(tmp_path):
+    shutil.copytree(SRC / "dprkit", tmp_path / "dprkit",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "dprkit" / "dpr.py", "a") as f:
+        f.write("\n\ndef _nothing_calls_this():\n    return 0\n")
+    assert failures(trace(tmp_path), ALLOWED) == ["unreached: dpr:_nothing_calls_this"]
+
+
+def test_gate_fails_on_stale_allowlist_entries(reached):
+    stale = {**ALLOWED, "dpr:gone": "deleted code", "cli:main": "reached code"}
+    assert failures(reached, stale) == ["allowlisted but missing: dpr:gone",
+                                        "allowlisted but reached: cli:main"]
