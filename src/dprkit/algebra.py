@@ -330,7 +330,9 @@ class Polynomial(Immutable):
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self.ring)
+            # a number the ring does not admit is unequal, not an error:
+            # only arithmetic raises IncompatibleRings
+            return self.terms == ({UNIT: other} if other else {})
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.terms == other.terms

@@ -46,11 +46,12 @@ expansion: `gdpr build` prints it, the structural checks run on it, and it
 is the slow oracle (`DprPolynomial.evaluate_rational`,
 `substitute_families`) the fast path is tested against.  Its JSON
 (`dpr_to_json`) and the CLI's text rows read one ordered term stream,
-`ordered_terms`, with no Monomial made.  `to_polynomial` and `sorted_terms`
-are the tests' oracles for both, built apart from the stream's ordering
-table.  No command reaches them or `evaluate_rational`; the benchmark's
-tracer names all three, so `tests/test_reachability.py` allowlists them
-until the tracer's layers move.
+`ordered_terms`, with no Monomial made.  `to_polynomial` is the one bridge
+to the core ring: criterion 1 compares its result with explicit
+Polynomials, and the tests hold both renderings equal to it, built apart
+from the stream's ordering table.  `sorted_terms` and `evaluate_rational`
+are oracles no command reaches; the benchmark's tracer names them, so
+`tests/test_reachability.py` allowlists them until the tracer's layers move.
 """
 
 from __future__ import annotations
@@ -83,25 +84,16 @@ __all__ = [
     "mirror_check",
     "padding_check",
     "PAIR_CHECKS",
-    "from_polynomial",
     "ordered_terms",
     "dpr_to_json",
 ]
 
 _BITS_PER_INDEX = 8
 
-# bit offset of each family inside an index block
-_OFFSET = {
-    ("X", None): 0,
-    ("Y", None): 1,
-    ("U", 1): 2,
-    ("V", 1): 3,
-    ("U", 2): 4,
-    ("V", 2): 5,
-    ("U", 3): 6,
-    ("V", 3): 7,
-}
-_FAMILY_AT_OFFSET = {off: fam for fam, off in _OFFSET.items()}
+# the generator families in their bit order inside an index block, keyed as
+# `substitute_families` and fixedpoint's tables key them
+_KEYS = ("X", "Y", ("U", 1), ("V", 1), ("U", 2), ("V", 2), ("U", 3), ("V", 3))
+_MARKER_FAMILY = {"X": "U", "Y": "V"}
 
 _XY_BYTE, _M1_BYTE, _M23_BYTE = 0x03, 0x0C, 0xF0
 _EVEN_BYTE, _ODD_BYTE = 0x55, 0xAA
@@ -128,45 +120,19 @@ def _rep_mask(byte: int, support: int) -> int:
     return _repeat(byte, -(-support.bit_length() // _BITS_PER_INDEX))
 
 
-def x_mask(i: int) -> int:
-    if i < 1:
-        raise ValueError("index must be >= 1")
-    return 1 << (_BITS_PER_INDEX * (i - 1) + _OFFSET[("X", None)])
-
-
-def y_mask(j: int) -> int:
-    if j < 1:
-        raise ValueError("index must be >= 1")
-    return 1 << (_BITS_PER_INDEX * (j - 1) + _OFFSET[("Y", None)])
-
-
-def u_mask(p: int, k: int) -> int:
-    if k < 1 or p not in (1, 2, 3):
-        raise ValueError("marker must be U[1..3][k>=1]")
-    return 1 << (_BITS_PER_INDEX * (k - 1) + _OFFSET[("U", p)])
-
-
-def v_mask(p: int, l: int) -> int:
-    if l < 1 or p not in (1, 2, 3):
-        raise ValueError("marker must be V[1..3][l>=1]")
-    return 1 << (_BITS_PER_INDEX * (l - 1) + _OFFSET[("V", p)])
+def _mask(key: str | tuple[str, int], k: int) -> int:
+    """The bit of the generator of family `key` (a member of `_KEYS`) at index k."""
+    if k < 1 or key not in _KEYS:
+        raise ValueError(f"no relation generator {key!r} at index {k}")
+    return 1 << (_BITS_PER_INDEX * (k - 1) + _KEYS.index(key))
 
 
 def _symbol_of_bit(pos: int) -> VarSymbol:
     block, off = divmod(pos, _BITS_PER_INDEX)
-    fam, sup = _FAMILY_AT_OFFSET[off]
-    if sup is None:
-        return VarSymbol(fam, (block + 1,))
-    return VarSymbol(fam, (sup, block + 1))
-
-
-def symbol_mask(sym: VarSymbol) -> int:
-    if sym.family in ("X", "Y") and len(sym.indices) == 1:
-        return (x_mask if sym.family == "X" else y_mask)(sym.indices[0])
-    if sym.family in ("U", "V") and len(sym.indices) == 2:
-        p, k = sym.indices
-        return (u_mask if sym.family == "U" else v_mask)(p, k)
-    raise NotMultilinear(f"{sym} is not a relation-ring generator")
+    key = _KEYS[off]
+    if isinstance(key, str):
+        return VarSymbol(key, (block + 1,))
+    return VarSymbol(key[0], (key[1], block + 1))
 
 
 # the bit offsets in the order a Monomial sorts their generators:
@@ -223,31 +189,6 @@ class DprPolynomial(Immutable):
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "_derived", derived)
 
-    # construction ---------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "DprPolynomial":
-        return cls({}, None, 0)
-
-    @classmethod
-    def from_terms(cls, terms: Mapping[int, int] | Iterable[tuple[int, int]]) -> "DprPolynomial":
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, int] = {}
-        for mask, c in items:
-            mask = operator.index(mask)
-            if mask < 0:
-                raise ValueError("negative mask")
-            s = acc.get(mask, 0) + int(ZZ.check_coeff(c))
-            if s == 0:
-                acc.pop(mask, None)
-            else:
-                acc[mask] = s
-        return cls(acc)
-
-    @classmethod
-    def generator(cls, mask: int) -> "DprPolynomial":
-        return cls.from_terms({mask: 1})
-
     # queries ---------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -259,18 +200,6 @@ class DprPolynomial(Immutable):
     def is_zero(self) -> bool:
         return not self.flat and self.factors is None
 
-    def coefficient(self, mask: int) -> int:
-        """The coefficient of one term, 0 if absent, without multiplying out."""
-        c = self.flat.get(mask)
-        if c is not None:
-            return c
-        if self.factors is None:
-            return 0
-        a, b = self.factors
-        if mask & ~(a.support | b.support):
-            return 0
-        return a.coefficient(mask & a.support) * b.coefficient(mask & b.support)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DprPolynomial):
             return NotImplemented
@@ -279,8 +208,7 @@ class DprPolynomial(Immutable):
         if self.factors == other.factors:
             # equal products, so the flat parts decide
             return self.flat == other.flat
-        # as many terms on both sides: equal iff each of ours is theirs
-        return all(other.coefficient(mask) == c for mask, c in self.terms())
+        return dict(self.terms()) == dict(other.terms())
 
     def terms(self) -> Iterator[tuple[int, int]]:
         yield from self.flat.items()
@@ -331,12 +259,8 @@ class DprPolynomial(Immutable):
         `values` must bind all eight families, keyed "X", "Y", and
         ("U", p) / ("V", p) for the marker kinds.
         """
-        vals = []
-        patterns = []
-        for off in range(_BITS_PER_INDEX):
-            fam, sup = _FAMILY_AT_OFFSET[off]
-            vals.append(operator.index(values[fam if sup is None else (fam, sup)]))
-            patterns.append(_rep_mask(1 << off, self.support))
+        vals = [operator.index(values[key]) for key in _KEYS]
+        patterns = [_rep_mask(1 << off, self.support) for off in range(_BITS_PER_INDEX)]
         # group the terms by their per-family generator counts: distinct
         # exponent profiles are few even when terms are many
         sums: dict[tuple[int, ...], int] = defaultdict(int)
@@ -452,14 +376,6 @@ def _times(p: DprPolynomial, mask: int, coeff: int) -> dict[int, int]:
 _CHAIN_CACHE: dict[tuple[str, int], tuple[DprPolynomial, DprPolynomial]] = {}
 
 
-def _class_mask(side: str, i: int) -> int:
-    return x_mask(i) if side == "X" else y_mask(i)
-
-
-def _marker_mask(side: str, p: int, k: int) -> int:
-    return u_mask(p, k) if side == "X" else v_mask(p, k)
-
-
 def _chain(side: str, n: int) -> tuple[DprPolynomial, DprPolynomial]:
     """(T_n, F_n) for one family: the class sum plus the excess polynomial,
     and the correction polynomial, built together by the recursion
@@ -473,24 +389,25 @@ def _chain(side: str, n: int) -> tuple[DprPolynomial, DprPolynomial]:
     got = _CHAIN_CACHE.get((side, n))
     if got is not None:
         return got
-    x_n = _class_mask(side, n)
+    x_n = _mask(side, n)
     if n == 1:
-        pair = (DprPolynomial.generator(x_n), DprPolynomial.zero())
+        pair = (DprPolynomial({x_n: 1}), DprPolynomial({}))
     else:
+        marker = _MARKER_FAMILY[side]
         t, f = _chain(side, n - 1)
         t_n = _concat_chunks([t.flat, {x_n: 1},
-                              _times(t, x_n | _marker_mask(side, 1, n - 1), -1),
+                              _times(t, x_n | _mask((marker, 1), n - 1), -1),
                               _times(f, x_n, -1)])
         f_n = _concat_chunks([f.flat,
-                              _times(t, x_n | _marker_mask(side, 2, n), 1),
-                              _times(t, x_n | _marker_mask(side, 3, n), -1)])
+                              _times(t, x_n | _mask((marker, 2), n), 1),
+                              _times(t, x_n | _mask((marker, 3), n), -1)])
         pair = (DprPolynomial(t_n), DprPolynomial(f_n))
     _CHAIN_CACHE[(side, n)] = pair
     return pair
 
 
 def _excess(side: str, n: int) -> DprPolynomial:
-    classes = {_class_mask(side, i) for i in range(1, n + 1)}
+    classes = {_mask(side, i) for i in range(1, n + 1)}
     return DprPolynomial({m: c for m, c in _chain(side, n)[0].flat.items() if m not in classes})
 
 
@@ -536,9 +453,6 @@ def build_gy(n: int, m: int) -> DprPolynomial:
 
 
 # recurrence-first evaluation -------------------------------------------------
-
-_MARKER_FAMILY = {"X": "U", "Y": "V"}
-
 
 def _marker_family(side: str) -> str:
     if side not in _MARKER_FAMILY:
@@ -699,9 +613,9 @@ def padding_check(n: int, m: int, big_n: int, big_m: int) -> bool:
         raise ValueError("padding requires n <= N and m <= M")
     out = 0
     for i in range(n + 1, big_n + 1):
-        out |= x_mask(i)
+        out |= _mask("X", i)
     for j in range(m + 1, big_m + 1):
-        out |= y_mask(j)
+        out |= _mask("Y", j)
     return _kill(build_gx(big_n, big_m), out) == build_gx(n, m)
 
 
@@ -715,24 +629,7 @@ PAIR_CHECKS = {
 }
 
 
-# interop ----------------------------------------------------------------------
-
-
-def from_polynomial(p: Polynomial) -> DprPolynomial:
-    """Exact conversion from a core polynomial over relation generators.
-
-    Coefficients pass `from_terms`, so a proper Fraction raises
-    IncompatibleRings.
-    """
-    terms = []
-    for mono, c in p.terms.items():
-        mask = 0
-        for sym, exp in mono.pairs:
-            if exp != 1:
-                raise NotMultilinear(f"{sym} appears with exponent {exp}")
-            mask |= symbol_mask(sym)
-        terms.append((mask, c))
-    return DprPolynomial.from_terms(terms)
+# export -----------------------------------------------------------------------
 
 
 def _flat_keys(p: DprPolynomial) -> list[list[int]]:

@@ -417,7 +417,6 @@ def _n_fold_sums(mode: FglMode, order: int) -> list[TruncatedSeries]:
     return [TruncatedSeries.variable("u", ("u",), order)]
 
 
-@lru_cache(maxsize=None)
 def n_fold_sum(mode: FglMode, n: int, order: int) -> TruncatedSeries:
     """u added to itself n times under the law, bracketed as F(u, F(u, ...)):
     the law need not be associative, so [k](u) = F(u, [k-1](u)), in a loop.

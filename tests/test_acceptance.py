@@ -88,6 +88,7 @@ def test_criterion_7_dimension_truncated_evaluation():
 # criterion, the name it reads, a wrong stand-in, the one FAIL line expected
 TAMPERED_INPUTS = [
     (1, "build_gy", lambda m, n: dpr.build_gx(m, n), "FAIL: one-and-two mirrored form"),
+    (1, "build_fx", dpr.build_ex, "FAIL: two-class tower correction"),
     (3, "inverse_series", lambda mode, order: fgl.n_fold_sum(mode, 2, order),
      "FAIL: inverse cancels"),
     # a residue a11 survives the multiplicative law (a11 -> beta) only
@@ -95,12 +96,29 @@ TAMPERED_INPUTS = [
      lambda mode, order: {**fgl.associativity_relations(mode, order),
                           (2, 2, 2): Polynomial.variable(VarSymbol("a", (1, 1)))},
      "FAIL: multiplicative specialization vanishes"),
+    # a residue a12 in degree 2 dies under both laws, so only its degree fails
+    (4, "associativity_relations",
+     lambda mode, order: {**fgl.associativity_relations(mode, order),
+                          (1, 1, 0): Polynomial.variable(VarSymbol("a", (1, 2)))},
+     "FAIL: residues of degree <= 2 at (1, 1, 0)"),
     (7, "additive_mode", fgl.universal_mode, "FAIL: additive law sums the classes"),
 ]
 
 
+def _entry_ids(entries):
+    """"criterion-name" per entry, with "-2", "-3", ... on a repeat, so that
+    an added entry renames no other."""
+    seen: dict[str, int] = {}
+    out = []
+    for number, name, *_ in entries:
+        key = f"{number}-{name}"
+        seen[key] = seen.get(key, 0) + 1
+        out.append(key if seen[key] == 1 else f"{key}-{seen[key]}")
+    return out
+
+
 @pytest.mark.parametrize("number, name, tampered, line", TAMPERED_INPUTS,
-                         ids=[f"{t[0]}-{t[1]}" for t in TAMPERED_INPUTS])
+                         ids=_entry_ids(TAMPERED_INPUTS))
 def test_criterion_fails_on_a_tampered_input(monkeypatch, number, name, tampered, line):
     monkeypatch.setattr(acceptance, name, tampered)
     result = CRITERIA[number]()

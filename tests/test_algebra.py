@@ -276,6 +276,17 @@ def test_incompatible_ring_operations_raise():
     q = Polynomial.constant(Fraction(1, 3), CoeffRing([3]))
     with pytest.raises(IncompatibleRings):
         p + q
+    with pytest.raises(IncompatibleRings):
+        Polynomial.constant(1) + Fraction(1, 3)
+
+
+def test_comparison_with_a_number_needs_no_ring_check():
+    # a number the ring does not admit is unequal, not an error
+    assert not Polynomial.zero() == Fraction(1, 2)
+    assert Polynomial.constant(1) != Fraction(1, 3)
+    assert Polynomial.constant(Fraction(1, 2), CoeffRing([2])) == Fraction(1, 2)
+    assert Polynomial.constant(3) == 3 and Polynomial.constant(3) == Fraction(6, 2)
+    assert Polynomial.zero() == 0 and Polynomial.variable(X1) != 0
 
 
 def test_json_round_trip_is_byte_stable():

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from dprkit import cli, dpr
-from dprkit.algebra import IncompatibleRings, Monomial, Polynomial, VarSymbol, ZZ, poly_to_json
+from dprkit.algebra import Monomial, Polynomial, VarSymbol, ZZ, poly_to_json
 from dprkit.dpr import (
     DprPolynomial,
     NotMultilinear,
@@ -34,13 +34,11 @@ from dprkit.dpr import (
     check_index_bounds,
     check_multilinear,
     dpr_to_json,
-    from_polynomial,
     mirror_check,
     padding_check,
     _product_disjoint,
     relation_value,
     weight_check,
-    x_mask,
 )
 from dprkit.algebra import UnboundVariable
 from dprkit.fixedpoint import ALL_BAD_VALUES, all_bad_evaluation
@@ -53,6 +51,25 @@ def sym(family, *indices):
 def poly(*terms):
     """terms: (coeff, [symbols...])"""
     return Polynomial(ZZ, ((Monomial({s: 1 for s in syms}), c) for c, syms in terms))
+
+
+def bit(s):
+    """The mask of relation generator s, named through `dpr._mask`."""
+    if s.family in ("X", "Y"):
+        return dpr._mask(s.family, *s.indices)
+    p, k = s.indices
+    return dpr._mask((s.family, p), k)
+
+
+def masked(*terms):
+    """A flat DprPolynomial of terms given as `poly` takes them."""
+    out = {}
+    for c, syms in terms:
+        mask = 0
+        for s in syms:
+            mask |= bit(s)
+        out[mask] = c
+    return DprPolynomial(out)
 
 
 X1, X2, X3 = sym("X", 1), sym("X", 2), sym("X", 3)
@@ -138,7 +155,7 @@ def test_top_case_term_count_and_distinctness():
 
 
 def test_concat_chunks_rejects_colliding_chunks():
-    x1, x2 = x_mask(1), x_mask(2)
+    x1, x2 = bit(X1), bit(X2)
     assert _concat_chunks([{x1: 1}, {x2: -1}]) == {x1: 1, x2: -1}
     with pytest.raises(TermCollision):
         _concat_chunks([{x1: 1, x2: 1}, {x2: 1}])
@@ -150,8 +167,8 @@ def test_concat_chunks_rejects_colliding_chunks():
 def test_glue_rejects_a_product_that_may_meet_the_chain(monkeypatch):
     # a second chain with a constant term would put T^X_n's own terms into
     # the product, and the term count would no longer add up
-    y_chain = DprPolynomial.from_terms({0: 1, dpr.y_mask(1): 1})
-    monkeypatch.setitem(dpr._CHAIN_CACHE, ("Y", 1), (y_chain, DprPolynomial.zero()))
+    y_chain = masked((1, []), (1, [Y1]))
+    monkeypatch.setitem(dpr._CHAIN_CACHE, ("Y", 1), (y_chain, DprPolynomial({})))
     with pytest.raises(TermCollision):
         build_gx(2, 1)
 
@@ -178,15 +195,15 @@ def test_multilinearity():
 
 def test_multilinear_check_fails_on_factors_that_share_a_generator():
     # a product kept as factors on X1 + X2 and X2 * U11 holds X2^2
-    left = from_polynomial(poly((1, [X1]), (1, [X2])))
-    right = from_polynomial(poly((1, [X2, U11])))
+    left = masked((1, [X1]), (1, [X2]))
+    right = masked((1, [X2, U11]))
     tampered = DprPolynomial({}, (left, right))
     assert not check_multilinear(tampered)
     with pytest.raises(NotMultilinear):
         list(tampered.terms())
     with pytest.raises(NotMultilinear):
         _product_disjoint(left, right)
-    assert check_multilinear(DprPolynomial({}, (left, from_polynomial(poly((1, [Y1]))))))
+    assert check_multilinear(DprPolynomial({}, (left, masked((1, [Y1])))))
 
 
 def test_weights():
@@ -198,18 +215,18 @@ def test_weights():
     for n, m in [(1, 1), (2, 1), (3, 4), (5, 2)]:
         assert weight_check(build_gx(n, m), 1)
         assert weight_check(build_gy(n, m), 1)
-    assert not weight_check(from_polynomial(poly((1, [X1, X2]))), 1)
-    assert weight_check(from_polynomial(poly((1, [X1, X2, U11]))), 1)
+    assert not weight_check(masked((1, [X1, X2])), 1)
+    assert weight_check(masked((1, [X1, X2, U11])), 1)
     # mixed weights with one term at the target, below it and above it:
     # both the least and the greatest weight must match
-    assert not weight_check(from_polynomial(poly((1, [X1]), (1, [X1, X2]))), 1)
-    assert not weight_check(from_polynomial(poly((1, [X1]), (1, [X1, U11]))), 1)
+    assert not weight_check(masked((1, [X1]), (1, [X1, X2])), 1)
+    assert not weight_check(masked((1, [X1]), (1, [X1, U11])), 1)
     # past index 8 (masks wider than 64 bits)
-    assert not weight_check(from_polynomial(poly((1, [X1]), (1, [X1, sym("X", 10)]))), 1)
+    assert not weight_check(masked((1, [X1]), (1, [X1, sym("X", 10)])), 1)
     assert weight_check(build_gx(9, 2), 1)
     # a product's weights are the sums of its factors' weights
-    y1, x2 = from_polynomial(poly((1, [Y1]))), from_polynomial(poly((1, [X2])))
-    x2_u11 = from_polynomial(poly((1, [X2, U11])))
+    y1, x2 = masked((1, [Y1])), masked((1, [X2]))
+    x2_u11 = masked((1, [X2, U11]))
     assert weight_check(DprPolynomial({}, (y1, x2_u11)), 1)
     assert not weight_check(DprPolynomial({}, (y1, x2)), 1)
     assert not weight_check(DprPolynomial(x2_u11.flat, (y1, x2_u11)), 1)
@@ -221,7 +238,7 @@ def test_index_bounds():
         # the mirror build swaps which side carries how many classes
         assert check_index_bounds(build_gy(n, m), m, n)
     # a marker with too high an index must be flagged
-    bad = from_polynomial(poly((1, [X1, X2, sym("U", 1, 2)])))
+    bad = masked((1, [X1, X2, sym("U", 1, 2)]))
     assert not check_index_bounds(bad, 2, 1)
     assert check_index_bounds(bad, 3, 1)
 
@@ -233,7 +250,7 @@ def test_allowed_support_is_the_chain_generators():
         for m in range(1, 13):
             folded = 0
             for s in chain_symbols("X", n) + chain_symbols("Y", m):
-                folded |= dpr.symbol_mask(s)
+                folded |= bit(s)
             assert dpr._allowed_support(n, m) == folded, (n, m)
 
 
@@ -265,9 +282,9 @@ def test_padding_kills_are_held_per_cut(monkeypatch):
     kills = {chain: {name[1] for name in held[chain] if name[0] == "kill"}
              for chain in [(("X", 4), 0), (("X", 4), 1), (("Y", 3), 0)]}
     assert kills[("X", 4), 0] == kills[("X", 4), 1] == {
-        sum(dpr.x_mask(i) for i in range(n + 1, 5)) for n in range(1, 5)}
+        sum(bit(sym("X", i)) for i in range(n + 1, 5)) for n in range(1, 5)}
     assert kills[("Y", 3), 0] == {
-        sum(dpr.y_mask(j) for j in range(m + 1, 4)) for m in range(1, 4)}
+        sum(bit(sym("Y", j)) for j in range(m + 1, 4)) for m in range(1, 4)}
     # a second sweep kills nothing again
     assert all(padding_check(n, m, 4, 3) for n, m in grid)
     assert _held() == held
@@ -329,37 +346,27 @@ def test_recursion_checks_can_fail(monkeypatch):
 
 
 def test_product_guards_multilinearity():
-    x1 = DprPolynomial.generator(x_mask(1))
+    x1 = masked((1, [X1]))
     with pytest.raises(NotMultilinear):
         _product_disjoint(x1, x1)
-    mixed = from_polynomial(poly((1, [X1]), (1, [X2])))
+    mixed = masked((1, [X1]), (1, [X2]))
     with pytest.raises(NotMultilinear):
         _product_disjoint(mixed, mixed)
     # coefficients are Python ints, so products stay exact at any size
-    a = DprPolynomial.from_terms({x_mask(1): 1 << 31})
-    b = DprPolynomial.from_terms({x_mask(2): -(1 << 80) - 1})
+    a = masked((1 << 31, [X1]))
+    b = masked((-(1 << 80) - 1, [X2]))
     (term,) = _product_disjoint(a, b).terms()
-    assert term == (x_mask(1) | x_mask(2), -(1 << 111) - (1 << 31))
-
-
-def test_from_terms_admits_only_integers():
-    with pytest.raises(IncompatibleRings):
-        DprPolynomial.from_terms({1: Fraction(1, 2)})
-    with pytest.raises(TypeError):
-        DprPolynomial.from_terms({1.5: 1})
-    # an integral Fraction is admitted and stored as an int
-    (term,) = DprPolynomial.from_terms({x_mask(1): Fraction(6, 2)}).terms()
-    assert term == (x_mask(1), 3) and type(term[1]) is int
+    assert term == (bit(X1) | bit(X2), -(1 << 111) - (1 << 31))
 
 
 def test_cached_terms_are_read_only():
     # the builders hand out the same chain dicts to every caller
     f = build_fx(3)
     with pytest.raises(TypeError):
-        f.flat[x_mask(1)] = 1
+        f.flat[bit(X1)] = 1
     with pytest.raises(AttributeError):
         f.support = 0
-    assert x_mask(1) not in build_fx(3).flat
+    assert bit(X1) not in build_fx(3).flat
 
 
 def test_interned_symbols_are_found_by_identity():
@@ -370,17 +377,38 @@ def test_interned_symbols_are_found_by_identity():
     assert value[VarSymbol("U", [1, 1])] == value[VarSymbol("U", (1, 1))] == 3
     for s, k in value.items():
         assert value[VarSymbol(s.family, list(s.indices))] == k
-        assert value[dpr._symbol_of_bit(dpr.symbol_mask(s).bit_length() - 1)] == k
+        assert value[dpr._symbol_of_bit(bit(s).bit_length() - 1)] == k
     assert VarSymbol("U", [1, 3]) not in value
 
 
-def test_roundtrip_through_core_polynomial():
+def test_mask_names_every_generator_once():
+    # each family key at indices 1, 2 and 10 (past 64 bits) round-trips
+    # through the bit's symbol, and the masks are distinct bits
+    masks = set()
+    for key in dpr._KEYS:
+        for k in (1, 2, 10):
+            mask = dpr._mask(key, k)
+            assert mask & (mask - 1) == 0
+            masks.add(mask)
+            s = dpr._symbol_of_bit(mask.bit_length() - 1)
+            assert s is (VarSymbol(key, (k,)) if isinstance(key, str)
+                         else VarSymbol(key[0], (key[1], k))), (key, k)
+    assert len(masks) == 3 * len(dpr._KEYS)
+    for key, k in [("X", 0), (("V", 3), 0), ("Z", 1), (("U", 4), 1), (("X", 1), 1)]:
+        with pytest.raises(ValueError):
+            dpr._mask(key, k)
+
+
+def test_flat_copy_of_a_factored_relation_compares_by_terms():
+    # a flat polynomial on the terms of GX(3, 2), which keeps a product as
+    # its factors, is equal to it; one changed coefficient makes it unequal
     g = build_gx(3, 2)
-    assert from_polynomial(g.to_polynomial()) == g
-    with pytest.raises(NotMultilinear):
-        from_polynomial(Polynomial(ZZ, {Monomial({X1: 2}): 1}))
-    with pytest.raises(NotMultilinear):
-        from_polynomial(Polynomial(ZZ, {Monomial({sym("a", 1, 1): 1}): 1}))
+    terms = dict(g.terms())
+    assert g.factors is not None
+    assert DprPolynomial(terms) == build_gx(3, 2) and build_gx(3, 2) == DprPolynomial(terms)
+    mask = next(iter(g.factors[0].flat)) | next(iter(g.factors[1].flat))
+    changed = DprPolynomial({**terms, mask: terms[mask] + 1})
+    assert changed != build_gx(3, 2) and build_gx(3, 2) != changed
 
 
 def test_evaluation_agrees_with_core_engine():
@@ -414,15 +442,15 @@ def test_json_is_graded_lex():
 def hand_built():
     """A product whose factors are no chains, with coefficients 2 and -3,
     past index 9 on one side."""
-    a = DprPolynomial.from_terms({dpr.y_mask(1): 2, dpr.y_mask(10) | dpr.v_mask(1, 9): 2})
-    b = DprPolynomial.from_terms({x_mask(2) | dpr.u_mask(2, 2): -3, x_mask(9) | x_mask(10): -3})
-    return DprPolynomial({x_mask(1): 1, x_mask(10): 5}, (a, b))
+    a = masked((2, [Y1]), (2, [sym("Y", 10), sym("V", 1, 9)]))
+    b = masked((-3, [X2, U22]), (-3, [sym("X", 9), sym("X", 10)]))
+    return DprPolynomial({bit(X1): 1, bit(sym("X", 10)): 5}, (a, b))
 
 
 def with_constant():
     """A constant term, whose Monomial is empty, and coefficients of
     different widths."""
-    return DprPolynomial.from_terms({0: 7, x_mask(1): -12, x_mask(1) | dpr.y_mask(2): 1})
+    return masked((7, []), (-12, [X1]), (1, [X1, Y2]))
 
 
 _JSON_CASES = [
@@ -491,7 +519,7 @@ def test_derived_data_is_made_once_per_chain(monkeypatch):
     assert build_gy(2, 3)._derived is dpr._chain("Y", 2)[0]._derived
     # a polynomial built on terms of its own holds its own data and touches
     # no chain's
-    g = from_polynomial(build_gx(3, 2).to_polynomial())
+    g = DprPolynomial(dict(build_gx(3, 2).terms()))
     assert weight_check(g, 1) and check_index_bounds(g, 3, 2)
     assert g.swap_sides() == build_gy(3, 2)
     assert dpr_to_json(g) == dpr_to_json(build_gx(3, 2))
@@ -576,7 +604,7 @@ def test_tampered_builder_fails_the_cross_check():
     def tampered_fx(n):
         poly = build_fx(n)
         if n == 3:
-            return DprPolynomial.from_terms([*poly.terms(), (x_mask(1), 1)])
+            return DprPolynomial({**dict(poly.terms()), bit(X1): 1})
         return poly
 
     rng = random.Random(5)

@@ -305,7 +305,6 @@ def test_n_fold_sum_is_a_loop_over_cached_sums():
 
 def _clear_solve_caches():
     inverse_series.cache_clear()
-    n_fold_sum.cache_clear()
     fgl._n_fold_sums.cache_clear()
 
 

@@ -59,13 +59,10 @@ _TRACED_FOR = "named by perfbench/tracing.py LAYERS, which a benchmark change mu
 # code no command runs: key -> why it stays
 ALLOWED = {
     "dpr:DprPolynomial.evaluate_rational": f"the tests' slow evaluation oracle; {_TRACED_FOR}",
-    "dpr:DprPolynomial.to_polynomial": f"the tests' export oracle; {_TRACED_FOR}",
     "dpr:DprPolynomial.sorted_terms": f"the tests' export oracle; {_TRACED_FOR}",
     "fixedpoint:fprime_eval": f"the table applied to a whole polynomial, a test oracle; {_TRACED_FOR}",
     "algebra:Polynomial.__rsub__": f"int - Polynomial; {_TRACED_FOR}",
     "fgl:custom_mode": "a benchmark input (perfbench/worker.py); the CLI has no custom mode",
-    "algebra:Polynomial.__init__": "the checked constructor the tests and to_polynomial build "
-                                   "with; dprkit's own arithmetic builds through _raw",
     "algebra:Immutable.__setattr__": "the one guard of the value classes: it runs only on a "
                                      "mistaken assignment",
     "algebra:VarSymbol.__lt__": "test_algebra sorts symbols",

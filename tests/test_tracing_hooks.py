@@ -41,7 +41,7 @@ def test_every_layer_entry_resolves(tracing):
 
 
 def test_fgl_caches_keep_their_statistics():
-    for cached in (fgl.inverse_series, fgl.n_fold_sum):
+    for cached in (fgl.inverse_series, fgl._n_fold_sums):
         assert callable(cached.cache_info)
 
 
