@@ -50,12 +50,12 @@ from typing import Iterable, Mapping, Sequence, Union
 from .algebra import Immutable, Polynomial, VarSymbol, poly_to_json
 from .dpr import DprPolynomial, chain_symbols, relation_value
 from .operators import (
-    DegenerateSample,
     InconsistentSolve,
     RelationSystem,
     VerificationReport,
     blow_up,
     h_expression,
+    last_class,
 )
 
 __all__ = [
@@ -417,9 +417,7 @@ def _mixed_trial(rng, n, m, group, sample_range) -> bool:
 
     so the final comparison can fail whenever a blow-up iterate stops
     solving its chain relation at the sample, for instance under a wrong
-    table entry (`test_mixed_contexts_catch_a_wrong_table_entry`), whereas
-    the final comparison of `operators.verify_full_identity` holds
-    identically.
+    table entry (`test_mixed_contexts_catch_a_wrong_table_entry`).
     """
     def draw() -> tuple[int, ...]:
         return tuple(rng.randrange(o) for o in group)
@@ -463,10 +461,7 @@ def _mixed_trial(rng, n, m, group, sample_range) -> bool:
             s1 = val(sigma)
             q2 = val(_tower_symbol("q2", m))
             q3 = val(_tower_symbol("q3", m))
-            den = 1 - t_y * s1 + t_y * t * (q2 - q3)
-            if den == 0:
-                raise DegenerateSample("vanishing final-class denominator")
-            point[c_symbol(last)] = (t - t_y) / den
+            point[c_symbol(last)] = last_class(t, t_y, s1, q2 - q3)
         else:
             _sample_degenerate(case, sigma, last, val)
             # past "all" only "full" has a good total class; a bad one pins t to 1

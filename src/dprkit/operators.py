@@ -7,9 +7,9 @@ iteration.  Verification substitutes random rational values for the free
 generators, solves the side conditions exactly (every solve is affine
 because the polynomials are multilinear), and compares both sides as
 Fractions.  Values come from the recursion itself (`dpr.chain_values`), not
-from the expanded polynomials.  Nothing is approximate: a pass means
-bit-equal rationals, and a disagreement between the two admissible solve
-orders raises rather than passes silently.
+from the expanded polynomials, and the class values they are compared at
+come from the blow-up law (`blow_up`, `last_class`), not from the
+recursion.  Nothing is approximate: a pass means bit-equal rationals.
 
 `RelationSystem.run` is the one trial loop: it seeds every draw per
 (seed, trial, retry), so reports are reproducible byte for byte, retries a
@@ -35,6 +35,7 @@ __all__ = [
     "VerificationReport",
     "h_expression",
     "blow_up",
+    "last_class",
     "verify_step_identity",
     "verify_full_identity",
 ]
@@ -53,7 +54,8 @@ class ResampleLimitExceeded(RuntimeError):
 
 
 class InconsistentSolve(AssertionError):
-    """The two admissible solve orders disagreed; the relation evaluation is broken."""
+    """A solve contradicted what goodness forces; the mixed verifier raises it
+    when a bad total class does not pin the first-family chain to 1."""
 
 
 def h_expression() -> Polynomial:
@@ -126,7 +128,7 @@ class RelationSystem(Immutable):
 
 
 class VerificationReport(Immutable):
-    """What one verifier run found; reports of equal runs compare equal."""
+    """What one verifier run found; `to_json` renders it."""
 
     __slots__ = ("identity", "n", "m", "trials", "resamples", "passed", "seed",
                  "degree_bound", "sample_range")
@@ -143,20 +145,8 @@ class VerificationReport(Immutable):
         object.__setattr__(self, "degree_bound", degree_bound)
         object.__setattr__(self, "sample_range", sample_range)
 
-    def _fields(self) -> tuple:
-        return (self.identity, self.n, self.m, self.trials, self.resamples, self.passed,
-                self.seed, self.degree_bound, self.sample_range)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not VerificationReport:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
     def __repr__(self) -> str:
-        return f"VerificationReport{self._fields()!r}"
+        return f"VerificationReport({self.to_json()!r})"
 
     def to_json(self) -> dict:
         return {
@@ -218,6 +208,41 @@ def blow_up(c_l: Coeff, c_m: Coeff, s1: Coeff, s23: Coeff) -> Fraction:
     return Fraction(c_l + c_m - c_l * c_m * s1) / denom
 
 
+def last_class(c: Coeff, c_l: Coeff, s1: Coeff, s23: Coeff) -> Fraction:
+    """Value cM of the last class that makes the blow-up law reach c from
+    the combined class value c_l: `blow_up(c_l, cM, s1, s23) == c` solved
+    for cM, which enters affinely."""
+    denom = 1 - c_l * s1 + c * c_l * s23
+    if denom == 0:
+        raise DegenerateSample("last-class denominator vanished")
+    return Fraction(c - c_l) / denom
+
+
+def _markers(point: Mapping[VarSymbol, int], symbols: list[VarSymbol], n: int,
+             k: int) -> tuple[int, int]:
+    """(U1_{k-1}, U2_k - U3_k) of a chain of n classes at `point`, read by
+    index from its `chain_symbols` list: first marker k - 1 at n + k - 2,
+    second and third markers k at 2n + k - 3 and 3n + k - 4."""
+    return (point[symbols[n + k - 2]],
+            point[symbols[2 * n + k - 3]] - point[symbols[3 * n + k - 4]])
+
+
+def _walk(point: Mapping[VarSymbol, int], symbols: list[VarSymbol], n: int,
+          classes: int) -> Fraction:
+    """Combined value of the first `classes` classes of a chain of n classes,
+    by the blow-up law from the first class on (class k sits at k - 1 in
+    `symbols`).  The value is held as p/q in ints: a `blow_up` step from
+    c = p/q is multiplied through by q."""
+    p, q = point[symbols[0]], 1
+    for k in range(2, classes + 1):
+        x = point[symbols[k - 1]]
+        u1, s23 = _markers(point, symbols, n, k)
+        p, q = p + q * x - p * x * u1, q - p * x * s23
+        if q == 0:
+            raise DegenerateSample("blow-up denominator vanished")
+    return Fraction(p, q)
+
+
 def verify_full_identity(
     n: int,
     m: int,
@@ -225,61 +250,38 @@ def verify_full_identity(
     seed: int = 0,
     sample_range: int = 1000,
 ) -> VerificationReport:
-    """Both relation polynomials must agree once the two one-sided chains are
-    solved consistently.
+    """Both relation polynomials must agree where the two chains meet.
 
     Per trial: draw every generator except the last second-family class;
-    solve the first-family chain for the common class value cC; solve the
-    second-family chain for the last class value (it enters affinely); then
-    re-solve the second-family chain for cC — a mismatch there is an
-    implementation bug and raises InconsistentSolve.  Finally both full
-    relation polynomials, GX(n, m) = T^X_n + T^Y_m * F^X_n and its mirror
-    GY(m, n), are evaluated from the chain values and compared exactly.
+    take the total class value c from the blow-up law along the
+    first-family chain, walk the second-family chain's first m - 1 classes
+    the same way, and set its last class by `last_class` so that it too
+    reaches c.  Then both full relation polynomials, GX(n, m) =
+    T^X_n + T^Y_m * F^X_n and its mirror GY(m, n), are evaluated from
+    `chain_values` and compared exactly.  With R = T + c*F - c per chain,
 
-    That final comparison cannot fail: once both chains are solved to the
-    same c, T_x + c*F_x = c and T_y + c*F_y = c, so both sides equal
-    c*(1 - F_x*F_y) identically.  A fault in the recursion shows only as
-    an InconsistentSolve from the re-solve; a check of the full relation
-    that does not run the recursion is still open.
+        GX - GY = (1 - F^Y_m) * R^X - (1 - F^X_n) * R^Y,
+
+    so the comparison fails whenever the recursion stops solving the
+    blow-up law at the sample.
     """
     if n < 1 or m < 1:
         raise ValueError("both class counts must be >= 1")
     system = RelationSystem(seed, trials, sample_range)
-    last_y = VarSymbol("Y", (m,))
-    symbols = chain_symbols("X", n) + [s for s in chain_symbols("Y", m) if s is not last_y]
+    x_symbols, y_symbols = chain_symbols("X", n), chain_symbols("Y", m)
+    last_y = y_symbols[m - 1]
+    symbols = x_symbols + [s for s in y_symbols if s is not last_y]
 
     def trial(number: int, rng: random.Random) -> bool:
         point = system.draw(rng, symbols)
+        c = _walk(point, x_symbols, n, n)
+        if m == 1:
+            point[last_y] = c
+        else:
+            c_l = _walk(point, y_symbols, m, m - 1)
+            point[last_y] = last_class(c, c_l, *_markers(point, y_symbols, m, m))
         t_x, f_x = chain_values("X", n, point)[-1]
-        c_c = _solve_chain_value(t_x, f_x)
-        point[last_y] = _solve_last_class(point, c_c, m)
         t_y, f_y = chain_values("Y", m, point)[-1]
-        # consistency: the second-family chain must now also produce cC
-        c_c_again = _solve_chain_value(t_y, f_y)
-        if c_c_again != c_c:
-            raise InconsistentSolve(
-                f"first-family chain gave {c_c}, second-family chain gave {c_c_again}"
-            )
         return t_x + t_y * f_x == t_y + t_x * f_y
 
     return system.run("full", n, m, 2 * (n + m) - 2, trial)
-
-
-def _solve_last_class(point: Mapping[VarSymbol, Coeff], c_c: Fraction, m: int) -> Fraction:
-    """Value of the last second-family class making its chain hit cC.
-
-    The chain relation  T_m + cC * F_m = cC  is affine in the last class Y_m
-    because everything is multilinear; one recursion step gives
-
-        Y_m = (cC - T_{m-1} - cC*F_{m-1})
-              / (1 - T_{m-1}*V1_{m-1} - F_{m-1} + cC*T_{m-1}*(V2_m - V3_m)).
-    """
-    if m == 1:
-        return c_c
-    t, f = chain_values("Y", m - 1, point)[-1]
-    v1 = point[VarSymbol("V", (1, m - 1))]
-    v23 = point[VarSymbol("V", (2, m))] - point[VarSymbol("V", (3, m))]
-    denom = 1 - t * v1 - f + c_c * t * v23
-    if denom == 0:
-        raise DegenerateSample("last-class coefficient vanished")
-    return (c_c - t - c_c * f) / denom

@@ -10,6 +10,7 @@ import importlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -133,14 +134,20 @@ def test_domain_error_exits_two(capsys):
 
 
 def test_inconsistent_solve_exits_three(capsys, monkeypatch):
-    # a broken invariant is a bug in dprkit, not a false check: exit 3
-    real = operators._solve_last_class
-    monkeypatch.setattr(
-        operators, "_solve_last_class", lambda point, c_c, m: real(point, c_c, m) + 1
-    )
-    code, doc, err = run_json(capsys, ["verify", "full", "-n", "2", "-m", "2", "--seed", "1"])
+    # a broken invariant is a bug in dprkit, not a false check: exit 3.  A
+    # chain step whose bad combined class pins the value to 1 returns 2
+    real = fixedpoint._advance
+
+    def tampered(ctx, names, k, *rest):
+        value = real(ctx, names, k, *rest)
+        case, _ = fixedpoint._step_goodness(ctx, names, k)
+        return value if case in ("all", "full") else Fraction(2)
+
+    monkeypatch.setattr(fixedpoint, "_advance", tampered)
+    code, doc, err = run_json(capsys, ["verify", "mixed", "-n", "2", "-m", "2", "--seed", "1"])
     assert code == 3 and doc is None
-    assert json.loads(err)["error"].startswith("InconsistentSolve")
+    assert json.loads(err)["error"] == ("InconsistentSolve: first-family chain gave 2 where a "
+                                        "bad total class pins it to 1")
 
 
 @pytest.mark.parametrize("error, code", [(MemoryError, 2), (TypeError, 3)])

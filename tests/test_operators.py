@@ -2,12 +2,13 @@
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
 from dprkit import fixedpoint, operators
 from dprkit.algebra import Polynomial, VarSymbol, canonical_json
-from dprkit.dpr import build_gx, build_gy
+from dprkit.dpr import build_gx, build_gy, chain_symbols
 from dprkit.fixedpoint import verify_mixed_contexts
 from dprkit.operators import (
     VerificationReport,
@@ -52,7 +53,7 @@ def test_step_identity_passes_and_is_deterministic():
     first = verify_step_identity(3, trials=6, seed=42)
     again = verify_step_identity(3, trials=6, seed=42)
     assert first.passed
-    assert first == again
+    assert first.to_json() == again.to_json()
     for n in (2, 4, 5):
         assert verify_step_identity(n, trials=4, seed=7).passed
 
@@ -84,8 +85,8 @@ def test_sampling_harness_and_reports_are_immutable():
     report = verify_step_identity(2, trials=2, seed=1)
     with pytest.raises(AttributeError):
         report.passed = False
-    assert hash(report) == hash(verify_step_identity(2, trials=2, seed=1))
-    assert report != verify_step_identity(2, trials=2, seed=2)
+    assert report.to_json() == verify_step_identity(2, trials=2, seed=1).to_json()
+    assert report.to_json() != verify_step_identity(2, trials=2, seed=2).to_json()
 
 
 def test_full_identity_small_grid():
@@ -116,9 +117,8 @@ def test_report_json_field_order():
     assert canonical_json(blob) == canonical_json(verify_step_identity(2, trials=2, seed=1).to_json())
 
 
-def test_broken_builder_is_caught(monkeypatch):
-    # the verifier reads T_k and F_k from the recursion; a correction value
-    # F_3 that is off by X_1 must fail the step identity
+def _tamper_f3(monkeypatch):
+    # a correction value F_3 that is off by X_1
     real = operators.chain_values
 
     def tampered(side, n, value):
@@ -129,8 +129,75 @@ def test_broken_builder_is_caught(monkeypatch):
         return chain
 
     monkeypatch.setattr(operators, "chain_values", tampered)
+
+
+def test_broken_builder_is_caught(monkeypatch):
+    # the verifier reads T_k and F_k from the recursion; a wrong F_3 must
+    # fail the step identity
+    _tamper_f3(monkeypatch)
     report = verify_step_identity(3, trials=3, seed=5)
     assert not report.passed
+
+
+def test_broken_builder_fails_the_full_identity(monkeypatch):
+    # the meeting value comes from the blow-up law, not from the recursion,
+    # so a wrong F_3 on either side is a reported fail
+    _tamper_f3(monkeypatch)
+    assert verify_full_identity(3, 2, trials=3, seed=5).passed is False
+    assert verify_full_identity(2, 3, trials=3, seed=5).passed is False
+
+
+def _plus_xf_chain_values(side, n, value):
+    # the recursion with + x*f in place of - x*f
+    symbols = chain_symbols(side, n)
+    vals = [value[s] for s in symbols]
+    t, f = vals[0], 0
+    out = [(t, f)]
+    for k in range(2, n + 1):
+        x, u1 = vals[k - 1], vals[n + k - 2]
+        u2, u3 = vals[2 * n + k - 3], vals[3 * n + k - 4]
+        t, f = t + x - t * x * u1 + x * f, f + t * x * (u2 - u3)
+        out.append((t, f))
+    return out
+
+
+def test_plus_xf_recursion_fails_the_full_identity(monkeypatch):
+    monkeypatch.setattr(operators, "chain_values", _plus_xf_chain_values)
+    assert verify_full_identity(3, 2, trials=5, seed=3).passed is False
+    # F_1 = 0, so x*f first differs from -x*f at the third class: below
+    # three classes on both sides the tamper changes nothing
+    assert verify_full_identity(2, 2, trials=5, seed=3).passed is True
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_int_pair_walk_is_blow_up_iterated(n):
+    # a range this small makes some draws degenerate, and both must say so
+    symbols = chain_symbols("X", n)
+    system = operators.RelationSystem(n, sample_range=2)
+    for retry in range(10):
+        point = system.draw(system.rng(0, retry), symbols)
+        x = [point[VarSymbol("X", (k,))] for k in range(1, n + 1)]
+        c = Fraction(x[0])
+        try:
+            for k in range(2, n + 1):
+                u1 = point[VarSymbol("U", (1, k - 1))]
+                s23 = point[VarSymbol("U", (2, k))] - point[VarSymbol("U", (3, k))]
+                c = operators.blow_up(c, x[k - 1], u1, s23)
+        except operators.DegenerateSample:
+            with pytest.raises(operators.DegenerateSample):
+                operators._walk(point, symbols, n, n)
+            continue
+        walked = operators._walk(point, symbols, n, n)
+        assert type(walked) is Fraction and walked == c
+
+
+def test_last_class_solves_the_blow_up_law():
+    c, c_l, s1, s23 = Fraction(3, 7), Fraction(-5, 2), Fraction(4), Fraction(-1, 3)
+    c_m = operators.last_class(c, c_l, s1, s23)
+    assert operators.blow_up(c_l, c_m, s1, s23) == c
+    # 1 - c_l*s1 + c*c_l*s23 = 1 - 1 + 0 at c_l = 1, s1 = 1, s23 = 0
+    with pytest.raises(operators.DegenerateSample):
+        operators.last_class(Fraction(2), Fraction(1), 1, 0)
 
 
 def timed(call):
@@ -154,20 +221,19 @@ def test_full_identity_at_large_counts(no_expansion):
 def test_sampling_is_seed_stable():
     a = verify_full_identity(2, 2, trials=5, seed=99)
     b = verify_full_identity(2, 2, trials=5, seed=99)
-    assert a == b
-    assert a.resamples == b.resamples
+    assert a.to_json() == b.to_json()
 
 
 def _degenerate(*args):
     raise operators.DegenerateSample("forced")
 
 
-@pytest.mark.parametrize("target, call, where", [
-    (operators, lambda: verify_step_identity(3, seed=1), "step n=3"),
-    (operators, lambda: verify_full_identity(2, 3, seed=1), "full (2,3)"),
-    (fixedpoint, lambda: verify_mixed_contexts(2, 3, seed=1), "mixed (2,3)"),
+@pytest.mark.parametrize("target, name, call, where", [
+    (operators, "_solve_chain_value", lambda: verify_step_identity(3, seed=1), "step n=3"),
+    (operators, "last_class", lambda: verify_full_identity(2, 3, seed=1), "full (2,3)"),
+    (fixedpoint, "_mixed_trial", lambda: verify_mixed_contexts(2, 3, seed=1), "mixed (2,3)"),
 ], ids=["step", "full", "mixed"])
-def test_resample_limit_ends_a_trial_of_degenerate_draws(monkeypatch, target, call, where):
+def test_resample_limit_ends_a_trial_of_degenerate_draws(monkeypatch, target, name, call, where):
     # every draw degenerate: the first trial gives up after exactly
     # RESAMPLE_LIMIT draws, each from its own (trial, retry) rng
     draws = []
@@ -178,7 +244,6 @@ def test_resample_limit_ends_a_trial_of_degenerate_draws(monkeypatch, target, ca
         return real_rng(self, trial, retry)
 
     monkeypatch.setattr(operators.RelationSystem, "rng", counted)
-    name = "_mixed_trial" if target is fixedpoint else "_solve_chain_value"
     monkeypatch.setattr(target, name, _degenerate)
     with pytest.raises(operators.ResampleLimitExceeded) as err:
         call()
@@ -197,6 +262,8 @@ def test_resample_totals_freeze_the_draw_order():
             for s in seeds for n, m in small]
     mixed = [verify_mixed_contexts(n, m, trials=4, seed=s, sample_range=2)
              for s in seeds for n, m in small]
-    for reports, total in ((step, 6), (full, 30), (mixed, 5)):
+    # the full verifier's degenerate draws are those of its blow-up and
+    # last-class denominators
+    for reports, total in ((step, 6), (full, 29), (mixed, 5)):
         assert all(r.passed for r in reports)
         assert sum(r.resamples for r in reports) == total

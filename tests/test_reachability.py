@@ -69,9 +69,6 @@ ALLOWED = {
     "algebra:Polynomial.__hash__": "tests pin that equal polynomials hash alike",
     "fgl:FglMode.__eq__": "an equal mode built afresh hits the series caches, which only a "
                           "process that runs many commands, as the benchmark does, meets",
-    "operators:VerificationReport._fields": "read by the report's __eq__, __hash__ and __repr__",
-    "operators:VerificationReport.__eq__": "tests pin that equal runs give equal reports",
-    "operators:VerificationReport.__hash__": "tests pin that equal runs give equal reports",
     **dict.fromkeys(["algebra:CoeffRing.__repr__", "algebra:VarSymbol.__repr__",
                      "algebra:Monomial.__repr__", "algebra:Polynomial.__repr__",
                      "dpr:DprPolynomial.__repr__", "fgl:FglMode.__repr__",
