@@ -231,16 +231,11 @@ def _walk(point: Mapping[VarSymbol, int], symbols: list[VarSymbol], n: int,
           classes: int) -> Fraction:
     """Combined value of the first `classes` classes of a chain of n classes,
     by the blow-up law from the first class on (class k sits at k - 1 in
-    `symbols`).  The value is held as p/q in ints: a `blow_up` step from
-    c = p/q is multiplied through by q."""
-    p, q = point[symbols[0]], 1
+    `symbols`)."""
+    c = Fraction(point[symbols[0]])
     for k in range(2, classes + 1):
-        x = point[symbols[k - 1]]
-        u1, s23 = _markers(point, symbols, n, k)
-        p, q = p + q * x - p * x * u1, q - p * x * s23
-        if q == 0:
-            raise DegenerateSample("blow-up denominator vanished")
-    return Fraction(p, q)
+        c = blow_up(c, point[symbols[k - 1]], *_markers(point, symbols, n, k))
+    return c
 
 
 def verify_full_identity(

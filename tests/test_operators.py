@@ -169,28 +169,6 @@ def test_plus_xf_recursion_fails_the_full_identity(monkeypatch):
     assert verify_full_identity(2, 2, trials=5, seed=3).passed is True
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_int_pair_walk_is_blow_up_iterated(n):
-    # a range this small makes some draws degenerate, and both must say so
-    symbols = chain_symbols("X", n)
-    system = operators.RelationSystem(n, sample_range=2)
-    for retry in range(10):
-        point = system.draw(system.rng(0, retry), symbols)
-        x = [point[VarSymbol("X", (k,))] for k in range(1, n + 1)]
-        c = Fraction(x[0])
-        try:
-            for k in range(2, n + 1):
-                u1 = point[VarSymbol("U", (1, k - 1))]
-                s23 = point[VarSymbol("U", (2, k))] - point[VarSymbol("U", (3, k))]
-                c = operators.blow_up(c, x[k - 1], u1, s23)
-        except operators.DegenerateSample:
-            with pytest.raises(operators.DegenerateSample):
-                operators._walk(point, symbols, n, n)
-            continue
-        walked = operators._walk(point, symbols, n, n)
-        assert type(walked) is Fraction and walked == c
-
-
 def test_last_class_solves_the_blow_up_law():
     c, c_l, s1, s23 = Fraction(3, 7), Fraction(-5, 2), Fraction(4), Fraction(-1, 3)
     c_m = operators.last_class(c, c_l, s1, s23)
