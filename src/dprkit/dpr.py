@@ -37,8 +37,9 @@ compares that with an independently built GY, term by term), and its JSON
 merges the factors' key lists per product term.
 
 Consumers that need only the value of a relation polynomial at a point do
-not expand it: `chain_values` and `relation_value` run the same recursion
-on values in any commutative ring, in O(n + m) ring operations.  A chain's
+not expand it: `chain_values` runs the same recursion on values in any
+commutative ring, and `relation_values` glues the two chains' last values
+into both sides of the relation, in O(n + m) ring operations.  A chain's
 generators are held once, as one interned tuple per (side, n) in
 `chain_symbols` order, and `chain_values` reads the point's values off it
 in one pass, with no symbol built per lookup.  The mask form is the one
@@ -77,7 +78,7 @@ __all__ = [
     "build_gy",
     "chain_symbols",
     "chain_values",
-    "relation_value",
+    "relation_values",
     "check_multilinear",
     "check_index_bounds",
     "weight_check",
@@ -516,15 +517,16 @@ def chain_values(side: str, n: int, value: Mapping[VarSymbol, object]) -> list[t
     return out
 
 
-def relation_value(side: str, n: int, m: int, value: Mapping[VarSymbol, object]):
-    """Value of build_gx(n, m) (side "X") or build_gy(n, m) (side "Y") at
-    `value`: T_n + T'_m * F_n, where T'_m belongs to the other side's chain
-    of m classes."""
+def relation_values(n: int, m: int, value: Mapping[VarSymbol, object]) -> tuple:
+    """Both sides of the relation with n first-family and m second-family
+    classes at `value`: (build_gx(n, m), build_gy(m, n)) evaluated, that is
+    (T^X_n + T^Y_m * F^X_n, T^Y_m + T^X_n * F^Y_m), from one `chain_values`
+    run per side."""
     if n < 1 or m < 1:
         raise ValueError("both counts must be >= 1")
-    t, f = chain_values(side, n, value)[-1]
-    t_other = chain_values(_other_side(side), m, value)[-1][0]
-    return t + t_other * f
+    t_x, f_x = chain_values("X", n, value)[-1]
+    t_y, f_y = chain_values("Y", m, value)[-1]
+    return t_x + t_y * f_x, t_y + t_x * f_y
 
 
 def _other_side(side: str) -> str:

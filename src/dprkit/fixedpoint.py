@@ -48,21 +48,15 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from .algebra import Immutable, Polynomial, VarSymbol, poly_to_json
-from .dpr import DprPolynomial, chain_symbols, relation_value
-from .operators import (
-    InconsistentSolve,
-    RelationSystem,
-    VerificationReport,
-    blow_up,
-    h_expression,
-    last_class,
-)
+from .dpr import DprPolynomial, chain_symbols, relation_values
+from .operators import RelationSystem, VerificationReport, blow_up, h_expression, last_class
 
 __all__ = [
     "GoodnessContext",
     "UnknownDivisor",
     "IndexOutOfRange",
     "ImpossibleGoodness",
+    "InconsistentSolve",
     "guard_report",
     "parse_group_spec",
     "c_symbol",
@@ -92,6 +86,11 @@ class IndexOutOfRange(ValueError):
 class ImpossibleGoodness(AssertionError):
     """Exactly one of (D, A, D + A) came out bad, which additive characters
     rule out; the goodness model is broken."""
+
+
+class InconsistentSolve(AssertionError):
+    """A solve contradicted what goodness forces; the mixed verifier raises it
+    when a bad total class does not pin the first-family chain to 1."""
 
 
 def _add(a: tuple[int, ...], b: tuple[int, ...], group: tuple[int, ...]) -> tuple[int, ...]:
@@ -333,8 +332,7 @@ def claim1_case_check(case: int) -> dict:
     # fprime_eval(build_gy(1, 2), ctx) without expanding either
     images = {sym: fprime_of_var(sym, ctx)
               for sym in chain_symbols("X", 2) + chain_symbols("Y", 1)}
-    lhs = relation_value("X", 2, 1, images)
-    rhs = relation_value("Y", 1, 2, images)
+    lhs, rhs = relation_values(2, 1, images)
     if case == 1:
         renames = {
             VarSymbol("cL"): c_symbol("A"),
@@ -362,8 +360,7 @@ def all_bad_evaluation(n: int, m: int) -> dict:
         raise ValueError("class counts must be positive")
     point = {sym: ALL_BAD_VALUES[_family_key(sym)]
              for sym in chain_symbols("X", n) + chain_symbols("Y", m)}
-    lhs = relation_value("X", n, m, point)
-    rhs = relation_value("Y", m, n, point)
+    lhs, rhs = relation_values(n, m, point)
     return {"n": n, "m": m, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
 
@@ -379,28 +376,32 @@ def _sample_degenerate(case, sigma, last, val) -> None:
         val(sigma)
 
 
-def _advance(ctx, names, k, t_prev, val, fresh, towers):
-    """Push the chain value one class forward, sampling what the step needs.
+def _walk(ctx, names, classes, val, fresh, towers) -> Fraction:
+    """Combined class value of the first `classes` classes of a chain,
+    sampling what each step needs.
 
-    Returns the value of the combined class through index k.  Good steps are
-    forced by the blow-up relation; a step whose combined class is bad pins
-    the value to 1, and when only the combined class is good the relation is
-    vacuous so the value is free.
+    The first class takes its sampled value when good and 1 when bad.  An
+    all-good step is forced by the blow-up relation; a step whose combined
+    class is bad pins the value to 1, and when only the combined class is
+    good the relation is vacuous so the value is free.  Values come from
+    the samples, never through `fprime_of_var`: the recursion solves the
+    blow-up law at any generator values, so a walk read off the table would
+    let the final comparison pass whatever an all-good entry said.
     """
-    case, sigma = _step_goodness(ctx, names, k)
-    if case == "all":
-        s1 = val(sigma)
-        c = val(c_symbol(names[k - 1]))
-        p2 = val(_tower_symbol(towers[0], k))
-        p3 = val(_tower_symbol(towers[1], k))
-        return blow_up(t_prev, c, s1, p2 - p3)
-    _sample_degenerate(case, sigma, names[k - 1], val)
-    return fresh() if case == "full" else Fraction(1)
-
-
-def _start(ctx, names, val):
     first = names[0]
-    return val(c_symbol(first)) if ctx.good(first) else Fraction(1)
+    t = val(c_symbol(first)) if ctx.good(first) else Fraction(1)
+    for k in range(2, classes + 1):
+        case, sigma = _step_goodness(ctx, names, k)
+        if case == "all":
+            s1 = val(sigma)
+            c = val(c_symbol(names[k - 1]))
+            p2 = val(_tower_symbol(towers[0], k))
+            p3 = val(_tower_symbol(towers[1], k))
+            t = blow_up(t, c, s1, p2 - p3)
+        else:
+            _sample_degenerate(case, sigma, names[k - 1], val)
+            t = fresh() if case == "full" else Fraction(1)
+    return t
 
 
 def _mixed_trial(rng, n, m, group, sample_range) -> bool:
@@ -408,7 +409,7 @@ def _mixed_trial(rng, n, m, group, sample_range) -> bool:
     their generators must agree.
 
     Draw characters for the A and B classes with equal totals, sample the
-    first classes and the towers, push both chains forward by `_advance`,
+    first classes and the towers, walk both chains forward by `_walk`,
     and set the last B class so that both chains meet at the shared
     total-class value t.  Write R = T + t*F - t for each chain at the
     images; then
@@ -442,17 +443,13 @@ def _mixed_trial(rng, n, m, group, sample_range) -> bool:
             point[sym] = fresh()
         return point[sym]
 
-    t = _start(ctx, x_names, val)
-    for k in range(2, n + 1):
-        t = _advance(ctx, x_names, k, t, val, fresh, ("p2", "p3"))
+    t = _walk(ctx, x_names, n, val, fresh, ("p2", "p3"))
 
     if m == 1:
         if ctx.good(y_names[0]):
             point[c_symbol(y_names[0])] = t
     else:
-        t_y = _start(ctx, y_names, val)
-        for l in range(2, m):
-            t_y = _advance(ctx, y_names, l, t_y, val, fresh, ("q2", "q3"))
+        t_y = _walk(ctx, y_names, m - 1, val, fresh, ("q2", "q3"))
         case, sigma = _step_goodness(ctx, y_names, m)
         last = y_names[m - 1]
         if case == "all":
@@ -472,7 +469,8 @@ def _mixed_trial(rng, n, m, group, sample_range) -> bool:
 
     images = {sym: fprime_of_var(sym, ctx).evaluate_rational(point)
               for sym in chain_symbols("X", n) + chain_symbols("Y", m)}
-    return relation_value("X", n, m, images) == relation_value("Y", m, n, images)
+    gx, gy = relation_values(n, m, images)
+    return gx == gy
 
 
 def verify_mixed_contexts(

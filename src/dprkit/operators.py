@@ -6,10 +6,11 @@ class sums: a two-class correction law (the H expression) and its n-class
 iteration.  Verification substitutes random rational values for the free
 generators, solves the side conditions exactly (every solve is affine
 because the polynomials are multilinear), and compares both sides as
-Fractions.  Values come from the recursion itself (`dpr.chain_values`), not
-from the expanded polynomials, and the class values they are compared at
-come from the blow-up law (`blow_up`, `last_class`), not from the
-recursion.  Nothing is approximate: a pass means bit-equal rationals.
+Fractions.  Values come from the recursion itself (`dpr.chain_values`,
+`dpr.relation_values`), not from the expanded polynomials, and the class
+values they are compared at come from the blow-up law (`blow_up`,
+`last_class`), not from the recursion.  Nothing is approximate: a pass
+means bit-equal rationals.
 
 `RelationSystem.run` is the one trial loop: it seeds every draw per
 (seed, trial, retry), so reports are reproducible byte for byte, retries a
@@ -24,12 +25,11 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .algebra import Coeff, Immutable, Polynomial, VarSymbol
-from .dpr import chain_symbols, chain_values
+from .dpr import chain_symbols, chain_values, relation_values
 
 __all__ = [
     "DegenerateSample",
     "ResampleLimitExceeded",
-    "InconsistentSolve",
     "RESAMPLE_LIMIT",
     "RelationSystem",
     "VerificationReport",
@@ -51,11 +51,6 @@ class DegenerateSample(ArithmeticError):
 
 class ResampleLimitExceeded(RuntimeError):
     """Too many degenerate draws in a single trial."""
-
-
-class InconsistentSolve(AssertionError):
-    """A solve contradicted what goodness forces; the mixed verifier raises it
-    when a bad total class does not pin the first-family chain to 1."""
 
 
 def h_expression() -> Polynomial:
@@ -252,8 +247,8 @@ def verify_full_identity(
     first-family chain, walk the second-family chain's first m - 1 classes
     the same way, and set its last class by `last_class` so that it too
     reaches c.  Then both full relation polynomials, GX(n, m) =
-    T^X_n + T^Y_m * F^X_n and its mirror GY(m, n), are evaluated from
-    `chain_values` and compared exactly.  With R = T + c*F - c per chain,
+    T^X_n + T^Y_m * F^X_n and its mirror GY(m, n), are evaluated by
+    `relation_values` and compared exactly.  With R = T + c*F - c per chain,
 
         GX - GY = (1 - F^Y_m) * R^X - (1 - F^X_n) * R^Y,
 
@@ -275,8 +270,7 @@ def verify_full_identity(
         else:
             c_l = _walk(point, y_symbols, m, m - 1)
             point[last_y] = last_class(c, c_l, *_markers(point, y_symbols, m, m))
-        t_x, f_x = chain_values("X", n, point)[-1]
-        t_y, f_y = chain_values("Y", m, point)[-1]
-        return t_x + t_y * f_x == t_y + t_x * f_y
+        gx, gy = relation_values(n, m, point)
+        return gx == gy
 
     return system.run("full", n, m, 2 * (n + m) - 2, trial)

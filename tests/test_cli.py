@@ -135,15 +135,18 @@ def test_domain_error_exits_two(capsys):
 
 def test_inconsistent_solve_exits_three(capsys, monkeypatch):
     # a broken invariant is a bug in dprkit, not a false check: exit 3.  A
-    # chain step whose bad combined class pins the value to 1 returns 2
-    real = fixedpoint._advance
+    # chain walk whose last step has a bad combined class, which pins the
+    # value to 1, returns 2
+    real = fixedpoint._walk
 
-    def tampered(ctx, names, k, *rest):
-        value = real(ctx, names, k, *rest)
-        case, _ = fixedpoint._step_goodness(ctx, names, k)
+    def tampered(ctx, names, classes, *rest):
+        value = real(ctx, names, classes, *rest)
+        if classes < 2:
+            return value
+        case, _ = fixedpoint._step_goodness(ctx, names, classes)
         return value if case in ("all", "full") else Fraction(2)
 
-    monkeypatch.setattr(fixedpoint, "_advance", tampered)
+    monkeypatch.setattr(fixedpoint, "_walk", tampered)
     code, doc, err = run_json(capsys, ["verify", "mixed", "-n", "2", "-m", "2", "--seed", "1"])
     assert code == 3 and doc is None
     assert json.loads(err)["error"] == ("InconsistentSolve: first-family chain gave 2 where a "

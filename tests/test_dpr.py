@@ -37,7 +37,7 @@ from dprkit.dpr import (
     mirror_check,
     padding_check,
     _product_disjoint,
-    relation_value,
+    relation_values,
     weight_check,
 )
 from dprkit.algebra import UnboundVariable
@@ -617,8 +617,8 @@ def test_relation_value_matches_expanded_relation():
     for n in range(1, 7):
         for m in range(1, 7):
             point = rational_point(rng, 6)
-            assert relation_value("X", n, m, point) == build_gx(n, m).evaluate_rational(point)
-            assert relation_value("Y", n, m, point) == build_gy(n, m).evaluate_rational(point)
+            assert relation_values(n, m, point) == (build_gx(n, m).evaluate_rational(point),
+                                                    build_gy(m, n).evaluate_rational(point))
 
 
 def test_chain_values_are_ring_generic():
@@ -629,16 +629,18 @@ def test_chain_values_are_ring_generic():
             s_k = sum((images[sym(side, i)] for i in range(1, k + 1)), Polynomial.zero())
             assert t == s_k + build_e(k).to_polynomial()
             assert f == build_f(k).to_polynomial()
-    g = relation_value("X", 3, 2, images)
-    assert g == build_gx(3, 2).to_polynomial()
+    assert relation_values(3, 2, images) == (build_gx(3, 2).to_polynomial(),
+                                             build_gy(2, 3).to_polynomial())
 
 
 def relation_polynomial(kind, n, m=None):
     """The expansion oracle: the recursion run on ``Polynomial`` generators."""
     images = {s: Polynomial.variable(s) for s in rational_point(random.Random(0), 9)}
+    if kind == "GX":
+        return relation_values(n, m, images)[0]
+    if kind == "GY":
+        return relation_values(m, n, images)[1]
     side = kind[1]
-    if kind[0] == "G":
-        return relation_value(side, n, m, images)
     t, f = chain_values(side, n, images)[-1]
     if kind[0] == "F":
         return f
@@ -674,7 +676,7 @@ def test_recurrence_argument_validation():
     with pytest.raises(ValueError):
         chain_values("X", 0, point)
     with pytest.raises(ValueError):
-        relation_value("X", 1, 0, point)
+        relation_values(1, 0, point)
     with pytest.raises(UnboundVariable):
         chain_values("X", 3, point)
 

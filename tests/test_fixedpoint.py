@@ -330,13 +330,13 @@ def test_tower_images_check_the_goodness_guard(monkeypatch):
 
 def test_bad_total_class_pins_the_first_chain(monkeypatch):
     # with the total class bad the first-family chain must end at 1; a chain
-    # step that gets it wrong is an inconsistent solve, not a silent pass
-    real = fixedpoint._advance
+    # walk that gets it wrong is an inconsistent solve, not a silent pass
+    real = fixedpoint._walk
 
     def tampered(*args):
-        real(*args)  # keeps the values the step samples
+        real(*args)  # keeps the values the walk samples
         return Fraction(5)
 
-    monkeypatch.setattr(fixedpoint, "_advance", tampered)
+    monkeypatch.setattr(fixedpoint, "_walk", tampered)
     with pytest.raises(fixedpoint.InconsistentSolve):
         verify_mixed_contexts(3, 3, trials=20, seed=1)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dprkit import fixedpoint, operators
+from dprkit import dpr, fixedpoint, operators
 from dprkit.algebra import Polynomial, VarSymbol, canonical_json
 from dprkit.dpr import build_gx, build_gy, chain_symbols
 from dprkit.fixedpoint import verify_mixed_contexts
@@ -117,9 +117,10 @@ def test_report_json_field_order():
     assert canonical_json(blob) == canonical_json(verify_step_identity(2, trials=2, seed=1).to_json())
 
 
-def _tamper_f3(monkeypatch):
-    # a correction value F_3 that is off by X_1
-    real = operators.chain_values
+def _tamper_f3(monkeypatch, module):
+    # a correction value F_3 that is off by X_1, in the chain_values that
+    # `module` calls
+    real = module.chain_values
 
     def tampered(side, n, value):
         chain = real(side, n, value)
@@ -128,13 +129,13 @@ def _tamper_f3(monkeypatch):
             chain[2] = (t, f + value[VarSymbol("X", (1,))])
         return chain
 
-    monkeypatch.setattr(operators, "chain_values", tampered)
+    monkeypatch.setattr(module, "chain_values", tampered)
 
 
 def test_broken_builder_is_caught(monkeypatch):
     # the verifier reads T_k and F_k from the recursion; a wrong F_3 must
     # fail the step identity
-    _tamper_f3(monkeypatch)
+    _tamper_f3(monkeypatch, operators)
     report = verify_step_identity(3, trials=3, seed=5)
     assert not report.passed
 
@@ -142,7 +143,7 @@ def test_broken_builder_is_caught(monkeypatch):
 def test_broken_builder_fails_the_full_identity(monkeypatch):
     # the meeting value comes from the blow-up law, not from the recursion,
     # so a wrong F_3 on either side is a reported fail
-    _tamper_f3(monkeypatch)
+    _tamper_f3(monkeypatch, dpr)
     assert verify_full_identity(3, 2, trials=3, seed=5).passed is False
     assert verify_full_identity(2, 3, trials=3, seed=5).passed is False
 
@@ -162,11 +163,32 @@ def _plus_xf_chain_values(side, n, value):
 
 
 def test_plus_xf_recursion_fails_the_full_identity(monkeypatch):
-    monkeypatch.setattr(operators, "chain_values", _plus_xf_chain_values)
+    monkeypatch.setattr(dpr, "chain_values", _plus_xf_chain_values)
     assert verify_full_identity(3, 2, trials=5, seed=3).passed is False
     # F_1 = 0, so x*f first differs from -x*f at the third class: below
     # three classes on both sides the tamper changes nothing
     assert verify_full_identity(2, 2, trials=5, seed=3).passed is True
+
+
+@pytest.mark.parametrize("run, counts", [
+    (lambda: fixedpoint.all_bad_evaluation(3, 2), (3, 2)),
+    (lambda: fixedpoint.claim1_case_check(1), (2, 1)),
+    (lambda: verify_mixed_contexts(3, 2, trials=1), (3, 2)),
+    (lambda: verify_full_identity(3, 2, trials=1), (3, 2)),
+], ids=["allbad", "claim1", "mixed", "full"])
+def test_both_sides_share_one_chain_run_per_side(monkeypatch, run, counts):
+    # every comparison of GX with GY reads both from one relation_values
+    # call, which runs each side's chain once
+    real = dpr.chain_values
+    calls = []
+
+    def recorded(side, n, value):
+        calls.append((side, n))
+        return real(side, n, value)
+
+    monkeypatch.setattr(dpr, "chain_values", recorded)
+    run()
+    assert calls == [("X", counts[0]), ("Y", counts[1])]
 
 
 def test_last_class_solves_the_blow_up_law():
