@@ -12,10 +12,10 @@ the chain steps and the final class of the mixed verifier, and raises
 `ImpossibleGoodness` should exactly one member ever come out bad;
 `guard_report` brute-forces that fact over a whole group.
 
-`fprime_of_var` sends each relation-ring generator to a small polynomial in
-first-class symbols c[D], sigma1[D], and opaque tower composites p2/p3 (or
-q2/q3 on the mirrored side), with fixed integer values taking over whenever
-the relevant divisors go bad:
+The goodness table sends each relation-ring generator to an affine image
+a*s + b in one of the first-class symbols c[D], sigma1[D], or the opaque
+tower composites p2/p3 (q2/q3 on the mirrored side), with fixed integer
+values taking over whenever the relevant divisors go bad:
 
     class X_i        -> c[A_i]               or 1
     marker U1_k      -> sigma1[A_1+..+A_k]   or 2
@@ -30,6 +30,11 @@ D+A_k good; all bad.  Y and V generators mirror the table with the B-side
 divisor list.  Indices past the declared class counts map to zero.  The
 fixed integers are read from `ALL_BAD_VALUES`, the same values that
 `all_bad_evaluation` substitutes.
+
+The table is held once, in that affine form, by `_image`.  It has two
+readers: `fprime_of_var` builds the image as a polynomial (for
+`claim1_case_check` and `fprime_eval`), and the mixed verifier reads it as
+a value at the sampled point, a*point[s] + b, with no polynomial built.
 
 `claim1_case_check` runs the two-and-one base identity through every
 goodness pattern: with all three divisors good the difference of the two
@@ -47,7 +52,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .algebra import Immutable, Polynomial, VarSymbol, poly_to_json
+from .algebra import Immutable, Polynomial, UnboundVariable, VarSymbol, poly_to_json
 from .dpr import DprPolynomial, chain_symbols, relation_values
 from .operators import RelationSystem, VerificationReport, blow_up, h_expression, last_class
 
@@ -109,7 +114,7 @@ class GoodnessContext(Immutable):
     combination it names.
     """
 
-    __slots__ = ("group", "x_divisors", "y_divisors", "_residues", "_aliases")
+    __slots__ = ("group", "x_divisors", "y_divisors", "_residues", "_aliases", "_characters")
 
     def __init__(
         self,
@@ -134,6 +139,7 @@ class GoodnessContext(Immutable):
         object.__setattr__(self, "y_divisors", tuple(y_divisors))
         object.__setattr__(self, "_residues", reduced)
         object.__setattr__(self, "_aliases", dict(aliases or {}))
+        object.__setattr__(self, "_characters", {})
         for name in self.x_divisors + self.y_divisors:
             if name not in reduced:
                 raise UnknownDivisor(name)
@@ -156,7 +162,14 @@ class GoodnessContext(Immutable):
         return total
 
     def good(self, combo: Union[str, Iterable[str]]) -> bool:
-        return not any(self.character_of(combo))
+        """Whether the character of `combo` is trivial.  Each combination's
+        character is summed once per context and kept, so the chain steps and
+        the table entries that ask again read it back."""
+        key = (combo,) if isinstance(combo, str) else tuple(combo)
+        char = self._characters.get(key)
+        if char is None:
+            char = self._characters[key] = self.character_of(key)
+        return not any(char)
 
     def combo_name(self, combo: Union[str, Sequence[str]]) -> str:
         """Canonical label: alias if declared, else the joined name sum."""
@@ -233,8 +246,10 @@ def _step_goodness(ctx: GoodnessContext, names: Sequence[str], k: int) -> tuple[
     return "none", None
 
 
-def fprime_of_var(var: VarSymbol, ctx: GoodnessContext) -> Polynomial:
-    """Image of one relation-ring generator under the goodness table."""
+def _image(var: VarSymbol, ctx: GoodnessContext) -> tuple[VarSymbol | None, int, int]:
+    """Image of one relation-ring generator under the goodness table, in
+    affine form (symbol, a, b): a*symbol + b, or the integer b when symbol
+    is None."""
     fam = var.family
     if fam in ("X", "Y"):
         if len(var.indices) != 1:
@@ -244,11 +259,11 @@ def fprime_of_var(var: VarSymbol, ctx: GoodnessContext) -> Polynomial:
         if i < 1:
             raise IndexOutOfRange(f"class index must be positive: {var}")
         if i > len(names):
-            return Polynomial.zero()
+            return None, 0, 0
         name = names[i - 1]
         if ctx.good(name):
-            return Polynomial.variable(c_symbol(name))
-        return Polynomial.constant(ALL_BAD_VALUES[fam])
+            return c_symbol(name), 1, 0
+        return None, 0, ALL_BAD_VALUES[fam]
     if fam in ("U", "V"):
         if len(var.indices) != 2:
             raise IndexOutOfRange(f"malformed marker symbol {var}")
@@ -259,26 +274,48 @@ def fprime_of_var(var: VarSymbol, ctx: GoodnessContext) -> Polynomial:
             if k < 1:
                 raise IndexOutOfRange(f"marker index must be positive: {var}")
             if k > len(names):
-                return Polynomial.zero()
+                return None, 0, 0
             combo = names[:k]
             if ctx.good(combo):
-                return Polynomial.variable(sigma_symbol(ctx.combo_name(combo)))
-            return Polynomial.constant(ALL_BAD_VALUES[fam, kind])
+                return sigma_symbol(ctx.combo_name(combo)), 1, 0
+            return None, 0, ALL_BAD_VALUES[fam, kind]
         if kind in (2, 3):
             if k < 2:
                 raise IndexOutOfRange(f"tower marker needs index >= 2: {var}")
             if k > len(names):
-                return Polynomial.zero()
+                return None, 0, 0
             case, sigma = _step_goodness(ctx, names, k)
             if case == "all":
-                return Polynomial.variable(_tower_symbol(towers[kind - 2], k))
+                return _tower_symbol(towers[kind - 2], k), 1, 0
             if case == "none":
-                return Polynomial.constant(ALL_BAD_VALUES[fam, kind])
+                return None, 0, ALL_BAD_VALUES[fam, kind]
             if case == "head" and kind == 2:
-                return Polynomial.variable(sigma) * 2
-            return Polynomial.variable(sigma) + (2 if kind == 2 else 1)
+                return sigma, 2, 0
+            return sigma, 1, 2 if kind == 2 else 1
         raise IndexOutOfRange(f"unknown marker kind {kind} in {var}")
     raise IndexOutOfRange(f"{var} is not a relation-ring generator")
+
+
+def fprime_of_var(var: VarSymbol, ctx: GoodnessContext) -> Polynomial:
+    """Image of one relation-ring generator under the goodness table, as a
+    polynomial."""
+    sym, a, b = _image(var, ctx)
+    if sym is None:
+        return Polynomial.constant(b)
+    return Polynomial.variable(sym) * a + b
+
+
+def _image_value(var: VarSymbol, ctx: GoodnessContext,
+                 point: Mapping[VarSymbol, Fraction]) -> Fraction | int:
+    """Value of one generator's image at `point`, read off the table without
+    building a polynomial; what `fprime_of_var(var, ctx).evaluate_rational(point)`
+    gives."""
+    sym, a, b = _image(var, ctx)
+    if sym is None:
+        return b
+    if sym not in point:
+        raise UnboundVariable(str(sym))
+    return a * point[sym] + b
 
 
 def fprime_eval(g: Union[DprPolynomial, Polynomial], ctx: GoodnessContext) -> Polynomial:
@@ -384,9 +421,10 @@ def _walk(ctx, names, classes, val, fresh, towers) -> Fraction:
     all-good step is forced by the blow-up relation; a step whose combined
     class is bad pins the value to 1, and when only the combined class is
     good the relation is vacuous so the value is free.  Values come from
-    the samples, never through `fprime_of_var`: the recursion solves the
-    blow-up law at any generator values, so a walk read off the table would
-    let the final comparison pass whatever an all-good entry said.
+    the samples, never through the table reader `_image`: the recursion
+    solves the blow-up law at any generator values, so a walk read off the
+    table would let the final comparison pass whatever an all-good entry
+    said.
     """
     first = names[0]
     t = val(c_symbol(first)) if ctx.good(first) else Fraction(1)
@@ -404,22 +442,9 @@ def _walk(ctx, names, classes, val, fresh, towers) -> Fraction:
     return t
 
 
-def _mixed_trial(rng, n, m, group, sample_range) -> bool:
-    """One sampled goodness pattern: GX(n, m) and GY(m, n) at the images of
-    their generators must agree.
-
-    Draw characters for the A and B classes with equal totals, sample the
-    first classes and the towers, walk both chains forward by `_walk`,
-    and set the last B class so that both chains meet at the shared
-    total-class value t.  Write R = T + t*F - t for each chain at the
-    images; then
-
-        GX - GY = (1 - F^Y_m) * R_X - (1 - F^X_n) * R_Y,
-
-    so the final comparison can fail whenever a blow-up iterate stops
-    solving its chain relation at the sample, for instance under a wrong
-    table entry (`test_mixed_contexts_catch_a_wrong_table_entry`).
-    """
+def _mixed_context(rng, n, m, group) -> GoodnessContext:
+    """Characters for n A classes and m B classes with equal totals; both
+    full sums are aliased to the shared total class T."""
     def draw() -> tuple[int, ...]:
         return tuple(rng.randrange(o) for o in group)
 
@@ -430,8 +455,29 @@ def _mixed_trial(rng, n, m, group, sample_range) -> bool:
                        for i in range(len(group))))
     x_names = tuple(f"A{i}" for i in range(1, n + 1))
     y_names = tuple(f"B{j}" for j in range(1, m + 1))
-    ctx = GoodnessContext(group, x_names, y_names, dict(zip(x_names + y_names, a_res + b_res)),
-                          {x_names: "T", y_names: "T"})
+    return GoodnessContext(group, x_names, y_names, dict(zip(x_names + y_names, a_res + b_res)),
+                           {x_names: "T", y_names: "T"})
+
+
+def _mixed_trial(rng, n, m, group, sample_range) -> bool:
+    """One sampled goodness pattern: GX(n, m) and GY(m, n) at the images of
+    their generators must agree.
+
+    Draw a context by `_mixed_context`, sample the first classes and the
+    towers, walk both chains forward by `_walk`, and set the last B class
+    so that both chains meet at the shared total-class value t.  The
+    images are read off the table as values (`_image_value`), so no
+    polynomial is built.  Write R = T + t*F - t for each chain at the
+    images; then
+
+        GX - GY = (1 - F^Y_m) * R_X - (1 - F^X_n) * R_Y,
+
+    so the final comparison can fail whenever a blow-up iterate stops
+    solving its chain relation at the sample, for instance under a wrong
+    table entry (`test_mixed_contexts_catch_a_wrong_table_entry`).
+    """
+    ctx = _mixed_context(rng, n, m, group)
+    x_names, y_names = ctx.x_divisors, ctx.y_divisors
 
     point: dict[VarSymbol, Fraction] = {}
 
@@ -467,7 +513,7 @@ def _mixed_trial(rng, n, m, group, sample_range) -> bool:
                     f"first-family chain gave {t} where a bad total class pins it to 1"
                 )
 
-    images = {sym: fprime_of_var(sym, ctx).evaluate_rational(point)
+    images = {sym: _image_value(sym, ctx, point)
               for sym in chain_symbols("X", n) + chain_symbols("Y", m)}
     gx, gy = relation_values(n, m, images)
     return gx == gy

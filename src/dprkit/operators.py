@@ -196,21 +196,28 @@ def _solve_chain_value(t: Coeff, f: Coeff) -> Fraction:
 
 def blow_up(c_l: Coeff, c_m: Coeff, s1: Coeff, s23: Coeff) -> Fraction:
     """Value cLM of the blown-up class: `h_expression` solved for cLM, with
-    s23 = sigma2 - sigma3."""
-    denom = 1 - c_l * c_m * s23
+    s23 = sigma2 - sigma3.  It is worked over c_l = p/q: the numerator and
+    denominator of (c_l + c_m - c_l c_m s1) / (1 - c_l c_m s23) are taken
+    times q > 0, so one Fraction is normalised and the denominator vanishes
+    exactly when the plain one does."""
+    p, q = c_l.numerator, c_l.denominator
+    denom = q - p * c_m * s23
     if denom == 0:
         raise DegenerateSample("blow-up denominator vanished")
-    return Fraction(c_l + c_m - c_l * c_m * s1) / denom
+    return Fraction(p + q * c_m - p * c_m * s1, denom)
 
 
 def last_class(c: Coeff, c_l: Coeff, s1: Coeff, s23: Coeff) -> Fraction:
     """Value cM of the last class that makes the blow-up law reach c from
     the combined class value c_l: `blow_up(c_l, cM, s1, s23) == c` solved
-    for cM, which enters affinely."""
-    denom = 1 - c_l * s1 + c * c_l * s23
+    for cM, which enters affinely.  Worked over c_l = p/q like `blow_up`:
+    the numerator and denominator of (c - c_l) / (1 - c_l s1 + c c_l s23)
+    taken times q > 0."""
+    p, q = c_l.numerator, c_l.denominator
+    denom = q - p * s1 + c * p * s23
     if denom == 0:
         raise DegenerateSample("last-class denominator vanished")
-    return Fraction(c - c_l) / denom
+    return Fraction(q * c - p, denom)
 
 
 def _markers(point: Mapping[VarSymbol, int], symbols: list[VarSymbol], n: int,

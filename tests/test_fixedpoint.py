@@ -1,14 +1,16 @@
 """Goodness contexts, the generator evaluation table, and its identities."""
 
 import itertools
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
 from dprkit import fixedpoint
-from dprkit.algebra import Polynomial, VarSymbol, poly_to_json
-from dprkit.dpr import build_ex, build_ey, build_fx, build_fy, build_gx, build_gy
+from dprkit.algebra import Polynomial, UnboundVariable, VarSymbol, poly_to_json
+from dprkit.dpr import (build_ex, build_ey, build_fx, build_fy, build_gx, build_gy,
+                       chain_symbols)
 from dprkit.fixedpoint import (
     GoodnessContext,
     IndexOutOfRange,
@@ -266,17 +268,68 @@ def test_mixed_contexts_pass_and_replay():
 
 
 def test_mixed_contexts_catch_a_wrong_table_entry(monkeypatch):
-    real = fixedpoint.fprime_of_var
+    # both readers read the one affine table, so the tamper reaches the
+    # values the mixed verifier compares
+    real = fixedpoint._image
 
     def tampered(var, ctx):
         out = real(var, ctx)
-        if var.family == "X" and out == 1:
-            return Polynomial.constant(2)
+        if var.family == "X" and out == (None, 0, 1):
+            return None, 0, 2
         return out
 
-    monkeypatch.setattr(fixedpoint, "fprime_of_var", tampered)
+    monkeypatch.setattr(fixedpoint, "_image", tampered)
+    assert fprime_of_var(VarSymbol("X", (1,)), B_ONLY) == 2
     report = verify_mixed_contexts(3, 3, trials=8, seed=42)
     assert not report.passed
+
+
+def test_a_wrong_all_good_tower_entry_is_caught(monkeypatch):
+    # an all-good U2_k sent to p3[k] in place of p2[k]: the mixed verifier
+    # sees it where the entry fires in few steps, and claim1 case 1 sees it
+    real = fixedpoint._image
+
+    def tampered(var, ctx):
+        sym, a, b = real(var, ctx)
+        if var.family == "U" and var.indices[0] == 2 and sym is not None and sym.family == "p2":
+            return VarSymbol("p3", sym.indices), a, b
+        return sym, a, b
+
+    monkeypatch.setattr(fixedpoint, "_image", tampered)
+    for n, m in ((2, 2), (2, 1)):
+        assert not verify_mixed_contexts(n, m, trials=20, seed=42).passed, (n, m)
+    assert claim1_case_check(1)["equal"] is False
+
+
+def test_table_values_match_the_polynomial_images():
+    # the value reader against the slow path: each image built as a
+    # polynomial and evaluated, over drawn contexts and points
+    for group in fixedpoint.DEFAULT_GUARD_GROUPS + ((1,),):
+        for n, m in itertools.product(range(1, 6), repeat=2):
+            rng = random.Random(f"{group}:{n}:{m}")
+            ctx = fixedpoint._mixed_context(rng, n, m, group)
+            images = {sym: fprime_of_var(sym, ctx)
+                      for sym in chain_symbols("X", n) + chain_symbols("Y", m)}
+            point = {}
+            for image in images.values():
+                for s in sorted(image.symbols()):
+                    point.setdefault(s, Fraction(rng.randint(-50, 50), rng.randint(1, 9)))
+            for sym, image in images.items():
+                value = fixedpoint._image_value(sym, ctx, point)
+                assert value == image.evaluate_rational(point), (group, n, m, sym)
+                for s in image.symbols():
+                    unbound = {k: v for k, v in point.items() if k is not s}
+                    with pytest.raises(UnboundVariable):
+                        fixedpoint._image_value(sym, ctx, unbound)
+
+
+def test_mixed_contexts_build_no_polynomial(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a polynomial was built or evaluated")
+
+    for name in ("evaluate_rational", "variable", "_raw", "__init__"):
+        monkeypatch.setattr(Polynomial, name, refuse)
+    assert verify_mixed_contexts(4, 4).passed
 
 
 def test_large_counts_run_the_recursion_alone(no_expansion):

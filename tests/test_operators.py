@@ -200,6 +200,52 @@ def test_last_class_solves_the_blow_up_law():
         operators.last_class(Fraction(2), Fraction(1), 1, 0)
 
 
+def _plain_blow_up(c_l, c_m, s1, s23):
+    denom = 1 - c_l * c_m * s23
+    if denom == 0:
+        raise operators.DegenerateSample("blow-up denominator vanished")
+    return Fraction(c_l + c_m - c_l * c_m * s1) / denom
+
+
+def _plain_last_class(c, c_l, s1, s23):
+    denom = 1 - c_l * s1 + c * c_l * s23
+    if denom == 0:
+        raise operators.DegenerateSample("last-class denominator vanished")
+    return Fraction(c - c_l) / denom
+
+
+def test_blow_up_and_last_class_match_the_plain_formulas():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # ints as the full verifier draws them, Fractions as the walks make them
+    rationals = st.integers(-50, 50) | st.fractions(-20, 20, max_denominator=12)
+    outcomes = []
+
+    def same_outcome(fast, plain, *args):
+        try:
+            expected = plain(*args)
+        except operators.DegenerateSample:
+            with pytest.raises(operators.DegenerateSample):
+                fast(*args)
+            outcomes.append("degenerate")
+            return
+        assert fast(*args) == expected
+        outcomes.append("value")
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=300)
+    @hypothesis.given(rationals, rationals, rationals, rationals, rationals, st.booleans())
+    def check(c, c_l, c_m, s1, s23, degenerate):
+        # with `degenerate`, pick s23 (blow_up) or s1 (last_class) to zero
+        # the plain denominator wherever it can be
+        blow_s23 = Fraction(1) / (c_l * c_m) if degenerate and c_l * c_m else s23
+        same_outcome(operators.blow_up, _plain_blow_up, c_l, c_m, s1, blow_s23)
+        last_s1 = (1 + c * c_l * s23) / Fraction(c_l) if degenerate and c_l else s1
+        same_outcome(operators.last_class, _plain_last_class, c, c_l, last_s1, s23)
+
+    check()
+    assert {"value", "degenerate"} <= set(outcomes)
+
+
 def timed(call):
     start = time.perf_counter()
     result = call()

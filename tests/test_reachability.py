@@ -62,6 +62,8 @@ ALLOWED = {
     "dpr:DprPolynomial.sorted_terms": f"the tests' export oracle; {_TRACED_FOR}",
     "fixedpoint:fprime_eval": f"the table applied to a whole polynomial, a test oracle; {_TRACED_FOR}",
     "algebra:Polynomial.__rsub__": f"int - Polynomial; {_TRACED_FOR}",
+    "algebra:Polynomial.evaluate_rational": f"the tests' slow evaluation of a table image; "
+                                            f"{_TRACED_FOR}",
     "fgl:custom_mode": "a benchmark input (perfbench/worker.py); the CLI has no custom mode",
     "algebra:Immutable.__setattr__": "the one guard of the value classes: it runs only on a "
                                      "mistaken assignment",
