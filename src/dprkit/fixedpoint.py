@@ -49,10 +49,9 @@ exactly.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .algebra import Immutable, Polynomial, UnboundVariable, VarSymbol, poly_to_json
+from .algebra import Coeff, Immutable, Polynomial, UnboundVariable, VarSymbol, poly_to_json
 from .dpr import DprPolynomial, chain_symbols, relation_values
 from .operators import RelationSystem, VerificationReport, blow_up, h_expression, last_class
 
@@ -306,7 +305,7 @@ def fprime_of_var(var: VarSymbol, ctx: GoodnessContext) -> Polynomial:
 
 
 def _image_value(var: VarSymbol, ctx: GoodnessContext,
-                 point: Mapping[VarSymbol, Fraction]) -> Fraction | int:
+                 point: Mapping[VarSymbol, Coeff]) -> Coeff:
     """Value of one generator's image at `point`, read off the table without
     building a polynomial; what `fprime_of_var(var, ctx).evaluate_rational(point)`
     gives."""
@@ -413,21 +412,23 @@ def _sample_degenerate(case, sigma, last, val) -> None:
         val(sigma)
 
 
-def _walk(ctx, names, classes, val, fresh, towers) -> Fraction:
+def _walk(ctx, names, classes, val, fresh, towers) -> Coeff:
     """Combined class value of the first `classes` classes of a chain,
     sampling what each step needs.
 
     The first class takes its sampled value when good and 1 when bad.  An
     all-good step is forced by the blow-up relation; a step whose combined
     class is bad pins the value to 1, and when only the combined class is
-    good the relation is vacuous so the value is free.  Values come from
+    good the relation is vacuous so the value is free.  The value is an
+    int (a draw or the pinned 1) except after an all-good step, where
+    `blow_up` divides and returns a Fraction.  Values come from
     the samples, never through the table reader `_image`: the recursion
     solves the blow-up law at any generator values, so a walk read off the
     table would let the final comparison pass whatever an all-good entry
     said.
     """
     first = names[0]
-    t = val(c_symbol(first)) if ctx.good(first) else Fraction(1)
+    t = val(c_symbol(first)) if ctx.good(first) else 1
     for k in range(2, classes + 1):
         case, sigma = _step_goodness(ctx, names, k)
         if case == "all":
@@ -438,7 +439,7 @@ def _walk(ctx, names, classes, val, fresh, towers) -> Fraction:
             t = blow_up(t, c, s1, p2 - p3)
         else:
             _sample_degenerate(case, sigma, names[k - 1], val)
-            t = fresh() if case == "full" else Fraction(1)
+            t = fresh() if case == "full" else 1
     return t
 
 
@@ -465,10 +466,11 @@ def _mixed_trial(rng, n, m, group, sample_range) -> bool:
 
     Draw a context by `_mixed_context`, sample the first classes and the
     towers, walk both chains forward by `_walk`, and set the last B class
-    so that both chains meet at the shared total-class value t.  The
-    images are read off the table as values (`_image_value`), so no
-    polynomial is built.  Write R = T + t*F - t for each chain at the
-    images; then
+    so that both chains meet at the shared total-class value t.  Samples
+    are drawn as ints and stay ints through the table and the recursion; a
+    Fraction comes only from `blow_up` and `last_class`.  The images are
+    read off the table as values (`_image_value`), so no polynomial is
+    built.  Write R = T + t*F - t for each chain at the images; then
 
         GX - GY = (1 - F^Y_m) * R_X - (1 - F^X_n) * R_Y,
 
@@ -479,12 +481,12 @@ def _mixed_trial(rng, n, m, group, sample_range) -> bool:
     ctx = _mixed_context(rng, n, m, group)
     x_names, y_names = ctx.x_divisors, ctx.y_divisors
 
-    point: dict[VarSymbol, Fraction] = {}
+    point: dict[VarSymbol, Coeff] = {}
 
-    def fresh() -> Fraction:
-        return Fraction(rng.randint(-sample_range, sample_range))
+    def fresh() -> Coeff:
+        return rng.randint(-sample_range, sample_range)
 
-    def val(sym: VarSymbol) -> Fraction:
+    def val(sym: VarSymbol) -> Coeff:
         if sym not in point:
             point[sym] = fresh()
         return point[sym]

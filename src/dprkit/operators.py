@@ -3,10 +3,12 @@ relation polynomials.
 
 The relation polynomials assert identities between operators attached to
 class sums: a two-class correction law (the H expression) and its n-class
-iteration.  Verification substitutes random rational values for the free
+iteration.  Verification substitutes random integers for the free
 generators, solves the side conditions exactly (every solve is affine
-because the polynomials are multilinear), and compares both sides as
-Fractions.  Values come from the recursion itself (`dpr.chain_values`,
+because the polynomials are multilinear), and compares both sides
+exactly.  The draws and the arithmetic on them stay in int; a Fraction
+enters only where a solve divides: `blow_up`, `last_class` and the step
+solve.  Values come from the recursion itself (`dpr.chain_values`,
 `dpr.relation_values`), not from the expanded polynomials, and the class
 values they are compared at come from the blow-up law (`blow_up`,
 `last_class`), not from the recursion.  Nothing is approximate: a pass
@@ -191,7 +193,7 @@ def _solve_chain_value(t: Coeff, f: Coeff) -> Fraction:
     denom = 1 - f
     if denom == 0:
         raise DegenerateSample("chain denominator vanished")
-    return Fraction(t) / denom
+    return Fraction(t, denom)
 
 
 def blow_up(c_l: Coeff, c_m: Coeff, s1: Coeff, s23: Coeff) -> Fraction:
@@ -230,11 +232,11 @@ def _markers(point: Mapping[VarSymbol, int], symbols: list[VarSymbol], n: int,
 
 
 def _walk(point: Mapping[VarSymbol, int], symbols: list[VarSymbol], n: int,
-          classes: int) -> Fraction:
+          classes: int) -> Coeff:
     """Combined value of the first `classes` classes of a chain of n classes,
     by the blow-up law from the first class on (class k sits at k - 1 in
     `symbols`)."""
-    c = Fraction(point[symbols[0]])
+    c = point[symbols[0]]
     for k in range(2, classes + 1):
         c = blow_up(c, point[symbols[k - 1]], *_markers(point, symbols, n, k))
     return c

@@ -1,6 +1,7 @@
 """Operator identity verification: the H expression, images, sampled checks."""
 
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -313,3 +314,62 @@ def test_resample_totals_freeze_the_draw_order():
     for reports, total in ((step, 6), (full, 29), (mixed, 5)):
         assert all(r.passed for r in reports)
         assert sum(r.resamples for r in reports) == total
+
+
+_SMALL = [(n, m) for n in range(1, 5) for m in range(1, 5)]
+
+
+def _verifier_runs(seed, sample_range):
+    """Every verifier at n, m <= 4, as (label, call) pairs."""
+    kw = {"trials": 6, "seed": seed, "sample_range": sample_range}
+    return ([(("step", n), lambda n=n: verify_step_identity(n, **kw)) for n in range(2, 5)]
+            + [(("full", n, m), lambda n=n, m=m: verify_full_identity(n, m, **kw))
+               for n, m in _SMALL]
+            + [(("mixed", n, m), lambda n=n, m=m: verify_mixed_contexts(n, m, **kw))
+               for n, m in _SMALL])
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+@pytest.mark.parametrize("sample_range", [1000, 2, 1])
+def test_int_draws_report_what_fraction_draws_do(monkeypatch, seed, sample_range):
+    # the slow path: every randint draw made a Fraction, as the verifiers
+    # once drew them; `_mixed_context` draws by randrange and is unchanged
+    runs = _verifier_runs(seed, sample_range)
+    plain = [call().to_json() for _, call in runs]
+    real = random.Random.randint
+    monkeypatch.setattr(random.Random, "randint",
+                        lambda self, a, b: Fraction(real(self, a, b)))
+    slow = [call().to_json() for _, call in runs]
+    for (label, _), fast, old in zip(runs, plain, slow):
+        assert fast == old, label
+
+
+def test_verifiers_pass_ints_until_a_solve_divides(monkeypatch):
+    # the values each verifier hands the recursion: drawn ints, except the
+    # last second-family class, which `last_class` (or, at m = 1, the
+    # walk's `blow_up`) sets
+    seen = []
+
+    def recording(real):
+        def wrapped(*args):
+            seen.extend((sym, type(v)) for sym, v in args[-1].items())
+            return real(*args)
+        return wrapped
+
+    for module, name in ((operators, "chain_values"), (operators, "relation_values"),
+                         (fixedpoint, "relation_values")):
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    divided = set()
+    for sample_range in (1000, 2):
+        for label, call in _verifier_runs(7, sample_range):
+            seen.clear()
+            call()
+            assert seen, label
+            assert float not in {t for _, t in seen}, label
+            last_y = VarSymbol("Y", (label[2],)) if label[0] != "step" else None
+            off_int = {sym for sym, t in seen if t is not int}
+            assert off_int <= {last_y}, (label, off_int)
+            if off_int:
+                divided.add(label[0])
+    # the exception is taken: the last class does come out a Fraction
+    assert divided == {"full", "mixed"}
