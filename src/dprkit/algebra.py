@@ -18,7 +18,7 @@ import operator
 # writing JSON does not import the json package
 from _json import encode_basestring_ascii as _json_str
 from fractions import Fraction
-from math import gcd
+from math import prod
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 Coeff = Union[int, Fraction]
@@ -50,8 +50,9 @@ class CoeffRing(Immutable):
 
     Two rings are compatible only when one's inverted set contains the
     other's; the join is then the larger ring.  A denominator is admitted
-    when it divides some product of inverted integers, checked by repeated
-    gcd stripping so no factorization is needed.
+    when it divides some power of the product of the inverted integers.  No
+    prime's exponent in den reaches den.bit_length(), so one modular power
+    decides it, with no factorization.
     """
 
     __slots__ = ("inverted",)
@@ -86,20 +87,7 @@ class CoeffRing(Immutable):
 
     def admits_denominator(self, den: int) -> bool:
         den = abs(den)
-        if den == 1:
-            return True
-        if not self.inverted:
-            return False
-        stripped = True
-        while stripped and den > 1:
-            stripped = False
-            for n in self.inverted:
-                g = gcd(den, n)
-                while g > 1:
-                    den //= g
-                    g = gcd(den, n)
-                    stripped = True
-        return den == 1
+        return pow(prod(self.inverted), den.bit_length(), den) == 0
 
     def check_coeff(self, c: Coeff) -> Coeff:
         """The one admission rule for outside coefficients.

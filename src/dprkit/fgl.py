@@ -28,6 +28,16 @@ F(u, g) = 0 and division A(B(u)) = u, in ints.  The n-fold sums
 a time.  Series products, `series_apply` and `compose` are the independent
 route, which the solves never take: the inverse's own check composes the
 law with it, and `selftest`'s round trips go through `series_apply`.
+
+A series product visits only the pairs of terms inside the truncation: the
+right factor's terms are held sorted by total degree, and the scan stops at
+the first one that overflows.  A monomial factor (one term whose
+coefficient is the packed 1, such as u^i) shifts the other factor's
+exponents instead of multiplying.  Every law is commutative, so each power
+F(u, v)^x is symmetric: the associativity residues compute its
+coefficients only at u^a v^b with a <= b and mirror the rest.  They stop
+each power with x >= 2 one degree below the order, since no residue reads
+its top degree.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add, itemgetter
 from typing import Iterable, Mapping
 
 from .algebra import (
@@ -137,6 +148,41 @@ def _pmul_into(acc: Packed, d1: Packed, d2: Packed) -> None:
 def _nonzero(coeffs: dict) -> dict:
     """The entries of an exponent -> accumulator dict that did not cancel."""
     return {e: d for e, d in coeffs.items() if d}
+
+
+def _product(left: dict, right: dict, order: int, mirror: bool = False) -> dict:
+    """The exponent -> packed coefficient dict of left * right modulo total
+    degree > order, with no empty coefficient.
+
+    Only pairs inside the truncation are visited: right's terms are scanned
+    by total degree up to the first that overflows.  A factor that is a
+    monomial, one term with the packed coefficient 1, shifts the other's
+    exponents; the shifted coefficients are copies.  With `mirror`, both
+    factors are two-variable series symmetric under u <-> v: only exponents
+    (a, b) with a <= b are computed, and (b, a) shares their coefficient.
+    """
+    for mono, rest in ((left, right), (right, left)):
+        if len(mono) == 1:
+            (shift, d), = mono.items()
+            if d == {0: 1}:
+                room = order - sum(shift)
+                return {tuple(map(add, e, shift)): dict(c)
+                        for e, c in rest.items() if c and sum(e) <= room}
+    by_degree = sorted(((sum(e), e, d) for e, d in right.items()), key=itemgetter(0))
+    out: dict = {}
+    for e1, d1 in left.items():
+        room = order - sum(e1)
+        for deg2, e2, d2 in by_degree:
+            if deg2 > room:
+                break
+            e = tuple(map(add, e1, e2))
+            if mirror and e[0] > e[1]:
+                continue
+            _pmul_into(out.setdefault(e, {}), d1, d2)
+    out = _nonzero(out)
+    if mirror:
+        out.update([((b, a), d) for (a, b), d in out.items() if a < b])
+    return out
 
 
 # law modes -----------------------------------------------------------------
@@ -269,18 +315,13 @@ class TruncatedSeries(Immutable):
         )
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """The truncated product: only pairs of terms inside the truncation
+        are visited, and a monomial factor shifts the other (`_product`)."""
         if self.vars != other.vars or self.order != other.order:
             raise ValueError("series shapes differ")
         ring = self.ring.join(other.ring)
-        order = self.order
-        out: dict = {}
-        for e1, d1 in self._coeffs.items():
-            deg1 = sum(e1)
-            for e2, d2 in other._coeffs.items():
-                if deg1 + sum(e2) > order:
-                    continue
-                _pmul_into(out.setdefault(tuple(a + b for a, b in zip(e1, e2)), {}), d1, d2)
-        return TruncatedSeries(self.vars, self.order, ring, _nonzero(out))
+        return TruncatedSeries(self.vars, self.order, ring,
+                               _product(self._coeffs, other._coeffs, self.order))
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.vars}, order={self.order})"
@@ -471,19 +512,26 @@ def associativity_relations(mode: FglMode, order: int) -> dict[tuple[int, int, i
     With P = F(u, v) and the law's c_xy (c_10 = c_01 = 1), F(P, w) is the
     sum of c_xy P^x w^y and F(u, F(v, w)) the sum of c_xy u^x Q^y, where
     Q^y is P^y with (u, v) renamed (v, w); so one list of powers of P gives
-    both sides, with no three-variable product.
+    both sides, with no three-variable product.  The law is commutative, so
+    each P^x is symmetric in u and v: its coefficients are computed only at
+    u^a v^b with a <= b and mirrored, and for x >= 2 only below total degree
+    `order`, the most a residue reads.  Both sides of every residue are still
+    summed, so the residues' antisymmetry under u <-> w is a check on this
+    loop, not a consequence of it.
     """
     law = law_series(mode, order)
-    powers = [TruncatedSeries(law.vars, order, law.ring, {(0, 0): {0: 1}})]
+    # the law has no u^x or v^x term with x >= 2, so each such P^x is read
+    # only times a positive power of w (or of u)
+    powers = [{(0, 0): {0: 1}}, law._coeffs]
     while len(powers) <= order:
-        powers.append(powers[-1] * law)
+        powers.append(_product(powers[-1], law._coeffs, order - 1, mirror=True))
     total: dict = {}
     for (x, y), c in law._coeffs.items():
         minus_c = {key: -v for key, v in c.items()}
-        for (a, b), d in powers[x]._coeffs.items():  # c_xy P^x w^y
+        for (a, b), d in powers[x].items():  # c_xy P^x w^y
             if a + b + y <= order:
                 _pmul_into(total.setdefault((a, b, y), {}), c, d)
-        for (b, k), d in powers[y]._coeffs.items():  # c_xy u^x Q^y
+        for (b, k), d in powers[y].items():  # c_xy u^x Q^y
             if x + b + k <= order:
                 _pmul_into(total.setdefault((x, b, k), {}), minus_c, d)
     return {e: _unpack_poly(total[e], law.ring)

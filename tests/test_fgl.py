@@ -242,6 +242,20 @@ def test_universal_associativity_residues_are_antisymmetric():
             assert rels.get((k, j, i)) == -poly, (order, i, j, k)
 
 
+@pytest.mark.parametrize("order", [6, 8, 10, 12])
+def test_universal_associativity_residues_are_homogeneous(order):
+    # give a[i][j] the weight i + j - 1 and u, v, w the weight -1: every term
+    # of the law then weighs -1, so the residue at u^a v^b w^k is homogeneous
+    # of weight a + b + k - 1.  Unlike antisymmetry, mirroring the powers of
+    # F(u, v) cannot make this hold by itself.
+    rels = associativity_relations(U, order)
+    assert rels
+    for (i, j, k), poly in rels.items():
+        for mono in poly.terms:
+            weight = sum((sum(sym.indices) - 1) * e for sym, e in mono.pairs)
+            assert weight == i + j + k - 1, (order, i, j, k, mono)
+
+
 def test_associativity_vanishes_for_special_modes():
     assert associativity_relations(additive_mode(), 6) == {}
     assert associativity_relations(multiplicative_mode(), 6) == {}
