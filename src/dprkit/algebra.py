@@ -2,13 +2,13 @@
 
 Everything downstream (series arithmetic, relation builders, verifier
 sampling) reduces to the small kernel in this module: interned variable
-symbols with a deterministic total order, immutable monomials, and
-polynomials whose coefficients are ints or Fractions with denominators
-controlled by the coefficient ring.  All arithmetic is exact; nothing here
-ever rounds.  Coefficients are whatever exact arithmetic returns, so an
-integral value may be held as an int or as a Fraction; the two compare and
-hash alike, so equal polynomials have equal term dicts.  Inexact input (a
-float, a Decimal) raises TypeError where it comes in.
+symbols with a deterministic total order (`VarSymbol.sort_key`), immutable
+monomials, and polynomials whose coefficients are ints or Fractions with
+denominators controlled by the coefficient ring.  All arithmetic is exact;
+nothing here ever rounds.  Coefficients are whatever exact arithmetic
+returns, so an integral value may be held as an int or as a Fraction; the
+two compare alike, so equal polynomials have equal term dicts.  Inexact
+input (a float, a Decimal) raises TypeError where it comes in.
 """
 
 from __future__ import annotations
@@ -142,9 +142,6 @@ class VarSymbol(Immutable):
             cls._cache[(family, idx)] = cached
         return cached
 
-    def __lt__(self, other: "VarSymbol") -> bool:
-        return self.sort_key < other.sort_key
-
     def __repr__(self) -> str:
         return f"VarSymbol({str(self)!r})"
 
@@ -248,7 +245,7 @@ class Polynomial(Immutable):
 
     Terms live in a dict keyed by Monomial; zero coefficients are never
     stored.  An integral coefficient may be an int or a Fraction, which
-    compare and hash alike, so equal polynomials have equal term dicts.
+    compare alike, so equal polynomials have equal term dicts.
     Coefficients from outside pass `CoeffRing.check_coeff`: inexact ones
     raise TypeError.  Binary operations join the two rings and fail loudly
     when the rings are not nested.
@@ -324,9 +321,6 @@ class Polynomial(Immutable):
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
 
     def _coerce(self, other) -> "Polynomial | None":
         if isinstance(other, Polynomial):

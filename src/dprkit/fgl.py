@@ -10,11 +10,13 @@ read off the powers of F(u, v) without building a series in three variables.
 
 Internally coefficient polynomials are dicts keyed by a packed integer: each
 registered symbol owns a 6-bit exponent field, so monomial multiplication is
-integer addition.  Exponents never overflow their fields because a
-coefficient of u^k has total symbol degree below k, and orders are capped
-well under the field size.  Packed keys never leave this module; public
-surfaces speak `algebra.Polynomial`.  Symbols are only ever appended to the
-registry, so each packed key decodes to its `Monomial` once per process.
+integer addition.  A coefficient of a term of degree k has symbol degree
+below k <= MAX_ORDER, half the field size, so no exponent overflows, even
+where `eval_dim_truncated` multiplies coefficients by powers up to the order.
+Packed keys never leave this module; public surfaces (`coefficient(s)`,
+`associativity_relations`, `eval_dim_truncated`, the JSON) speak
+`algebra.Polynomial`.  Symbols are only ever appended to the registry, so
+each packed key decodes to its `Monomial` once per process.
 Packed coefficients are the ints and Fractions that exact arithmetic
 returns; they are never rewritten.  All packed arithmetic goes through one
 fused multiply-accumulate kernel, `_pmul_into` (acc += d1 * d2), which
@@ -541,22 +543,22 @@ def associativity_relations(mode: FglMode, order: int) -> dict[tuple[int, int, i
 def eval_dim_truncated(series: TruncatedSeries, syms, dim: int) -> Polynomial:
     """Evaluate the series at first-degree symbols, one per variable (a single
     VarSymbol for a one-variable series), on a space of the given dimension:
-    any product of total degree above `dim` is killed."""
+    any product of total degree above `dim` is killed.
+
+    Kept terms accumulate in one packed dict, decoded once.  A symbol that
+    also occurs in the coefficients stays inside its 6-bit field: its power
+    here is at most the order and its exponent in a coefficient is below
+    it, so their sum is below 2 * MAX_ORDER."""
     syms = [syms] if isinstance(syms, VarSymbol) else list(syms)
     if len(syms) != len(series.vars):
         raise ValueError("need one symbol per series variable")
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
-    total = Polynomial.zero(series.ring)
+    total: Packed = {}
     for exp, d in series._coeffs.items():
-        if sum(exp) > dim:
-            continue
-        piece = _unpack_poly(d, series.ring)
-        for sym, k in zip(syms, exp):
-            if k:
-                piece = piece * Polynomial.variable(sym, series.ring) ** k
-        total = total + piece
-    return total
+        if sum(exp) <= dim:
+            _pmul_into(total, d, {sum(map(_pack_symbol, syms, exp)): 1})
+    return _unpack_poly(total, series.ring)
 
 
 def denominator_profile(series: TruncatedSeries) -> list[tuple[int, int]]:

@@ -492,6 +492,10 @@ def _mixed_trial(rng, n, m, group, sample_range) -> bool:
         return point[sym]
 
     t = _walk(ctx, x_names, n, val, fresh, ("p2", "p3"))
+    if t != 1 and not ctx.good(x_names):
+        # a bad total class pins the first-family chain to 1, for every m
+        raise InconsistentSolve(
+            f"first-family chain gave {t} where a bad total class pins it to 1")
 
     if m == 1:
         if ctx.good(y_names[0]):
@@ -509,11 +513,6 @@ def _mixed_trial(rng, n, m, group, sample_range) -> bool:
             point[c_symbol(last)] = last_class(t, t_y, s1, q2 - q3)
         else:
             _sample_degenerate(case, sigma, last, val)
-            # past "all" only "full" has a good total class; a bad one pins t to 1
-            if case != "full" and t != 1:
-                raise InconsistentSolve(
-                    f"first-family chain gave {t} where a bad total class pins it to 1"
-                )
 
     images = {sym: _image_value(sym, ctx, point)
               for sym in chain_symbols("X", n) + chain_symbols("Y", m)}

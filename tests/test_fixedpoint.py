@@ -312,7 +312,7 @@ def test_table_values_match_the_polynomial_images():
                       for sym in chain_symbols("X", n) + chain_symbols("Y", m)}
             point = {}
             for image in images.values():
-                for s in sorted(image.symbols()):
+                for s in sorted(image.symbols(), key=lambda s: s.sort_key):
                     point.setdefault(s, Fraction(rng.randint(-50, 50), rng.randint(1, 9)))
             for sym, image in images.items():
                 value = fixedpoint._image_value(sym, ctx, point)
@@ -383,7 +383,8 @@ def test_tower_images_check_the_goodness_guard(monkeypatch):
 
 def test_bad_total_class_pins_the_first_chain(monkeypatch):
     # with the total class bad the first-family chain must end at 1; a chain
-    # walk that gets it wrong is an inconsistent solve, not a silent pass
+    # walk that gets it wrong is an inconsistent solve, not a silent pass,
+    # for every m: with one B class no later step compares that value
     real = fixedpoint._walk
 
     def tampered(*args):
@@ -391,5 +392,6 @@ def test_bad_total_class_pins_the_first_chain(monkeypatch):
         return Fraction(5)
 
     monkeypatch.setattr(fixedpoint, "_walk", tampered)
-    with pytest.raises(fixedpoint.InconsistentSolve):
-        verify_mixed_contexts(3, 3, trials=20, seed=1)
+    for n, m in ((3, 3), (2, 2), (3, 1), (4, 1), (5, 1)):
+        with pytest.raises(fixedpoint.InconsistentSolve):
+            verify_mixed_contexts(n, m, trials=20, seed=1)

@@ -18,6 +18,7 @@ that is reached, or that names code which no longer exists, fails the gate
 too, so the list cannot go stale.
 """
 
+import importlib.util
 import json
 import os
 import shutil
@@ -67,8 +68,6 @@ ALLOWED = {
     "fgl:custom_mode": "a benchmark input (perfbench/worker.py); the CLI has no custom mode",
     "algebra:Immutable.__setattr__": "the one guard of the value classes: it runs only on a "
                                      "mistaken assignment",
-    "algebra:VarSymbol.__lt__": "test_algebra sorts symbols",
-    "algebra:Polynomial.__hash__": "tests pin that equal polynomials hash alike",
     "fgl:FglMode.__eq__": "an equal mode built afresh hits the series caches, which only a "
                           "process that runs many commands, as the benchmark does, meets",
     **dict.fromkeys(["algebra:CoeffRing.__repr__", "algebra:VarSymbol.__repr__",
@@ -198,3 +197,16 @@ def test_gate_fails_on_stale_allowlist_entries(reached):
     stale = {**ALLOWED, "dpr:gone": "deleted code", "cli:main": "reached code"}
     assert failures(reached, stale) == ["allowlisted but missing: dpr:gone",
                                         "allowlisted but reached: cli:main"]
+
+
+def test_traced_entries_are_named_by_the_tracer():
+    # an entry kept only for the tracer goes once the tracer stops naming it;
+    # tracing.py is loaded by path and only read
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    named = {f"{module.removeprefix('dprkit.')}:{entry}"
+             for module, entries in tracing.LAYERS.values() for entry in entries}
+    traced = [key for key, why in ALLOWED.items() if _TRACED_FOR in why]
+    assert traced and [key for key in traced if key not in named] == []

@@ -4,10 +4,13 @@
 truncation and shifts the other factor when one is a monomial, and
 `associativity_relations` computes each power of the law only at u^a v^b
 with a <= b, mirrors the rest, and stops the powers past the first one
-degree below the order.  The oracles below are the routes those replace:
-every pair of terms, each checked against the order, and every coefficient
-of every power.
+degree below the order.  `eval_dim_truncated` accumulates its terms in one
+packed dict.  The oracles below are the routes those replace: every pair of
+terms, each checked against the order, every coefficient of every power,
+and the evaluation done in `algebra.Polynomial` arithmetic.
 """
+
+import random
 
 import pytest
 
@@ -15,10 +18,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from dprkit import fgl  # noqa: E402
-from dprkit.algebra import ZZ  # noqa: E402
+from dprkit.algebra import Polynomial, VarSymbol, ZZ  # noqa: E402
 from dprkit.fgl import (  # noqa: E402
-    TruncatedSeries, additive_mode, associativity_relations, custom_mode, law_series,
-    multiplicative_mode, universal_mode,
+    BETA, TruncatedSeries, additive_mode, associativity_relations, custom_mode, division_series,
+    eval_dim_truncated, f_minus, inverse_series, law_series, multiplicative_mode, n_fold_sum,
+    universal_mode,
 )
 
 
@@ -128,3 +132,76 @@ def test_powers_of_the_law_match_the_all_pairs_route(mode):
         for _ in range(3):
             got, want = got * law, product_oracle(want, law)
             assert got == want, order
+
+
+def eval_dim_oracle(series, syms, dim):
+    """eval_dim_truncated in Polynomial arithmetic: each kept coefficient
+    decoded, times each symbol's power, and summed."""
+    syms = [syms] if isinstance(syms, VarSymbol) else list(syms)
+    total = Polynomial.zero(series.ring)
+    for exp, d in series._coeffs.items():
+        if sum(exp) > dim:
+            continue
+        piece = fgl._unpack_poly(d, series.ring)
+        for sym, k in zip(syms, exp):
+            if k:
+                piece = piece * Polynomial.variable(sym, series.ring) ** k
+        total = total + piece
+    return total
+
+
+X, Y = VarSymbol("x"), VarSymbol("y")
+A11 = VarSymbol("a", (1, 1))
+
+
+def _drawn_law(seed):
+    rng = random.Random(seed)
+    return custom_mode({(i, j): rng.randint(-5, 5) for i in range(1, 12) for j in range(i, 13 - i)})
+
+
+EVAL_MODES = {"universal": universal_mode(), "additive": additive_mode(),
+              "multiplicative": multiplicative_mode(),
+              "custom-1": _drawn_law(1), "custom-2": _drawn_law(2)}
+
+# a symbol of the coefficient alphabet, evaluated at once with it: its
+# exponents from the coefficients and from the evaluation add in one field
+SHARED = {"universal": A11, "multiplicative": BETA}
+
+
+def _evaluated_series(name, order):
+    """(series, symbol lists) for one- and two-variable series of a mode."""
+    mode, shared = EVAL_MODES[name], SHARED.get(name, X)
+    one = [[X], [shared]]
+    two = [[X, Y], [shared, Y], [Y, shared], [X, X]]
+    yield law_series(mode, order), two
+    yield f_minus(mode, order), two
+    yield inverse_series(mode, order), one
+    for n in (2, 3):
+        yield n_fold_sum(mode, n, order), one
+        yield division_series(n, mode, order), one
+
+
+@pytest.mark.parametrize("name", EVAL_MODES)
+def test_eval_dim_matches_the_polynomial_route(name):
+    for order in range(1, 13):
+        for series, sym_lists in _evaluated_series(name, order):
+            for syms in sym_lists:
+                for dim in range(order + 2):
+                    got = eval_dim_truncated(series, syms, dim)
+                    want = eval_dim_oracle(series, syms, dim)
+                    assert got == want and got.ring is want.ring, (order, series, syms, dim)
+
+
+def test_eval_dim_runs_no_polynomial_arithmetic(monkeypatch):
+    cases = [(law_series(universal_mode(), 10), [A11, X], 6),
+             (n_fold_sum(multiplicative_mode(), 3, 10), BETA, 10),
+             (division_series(3, universal_mode(), 8), [X], 8)]
+    wants = [eval_dim_oracle(*case) for case in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Polynomial was added, multiplied or built")
+
+    for name in ("__add__", "__mul__", "__pow__", "zero", "variable"):
+        monkeypatch.setattr(Polynomial, name, refuse)
+    for case, want in zip(cases, wants):
+        assert eval_dim_truncated(*case) == want
