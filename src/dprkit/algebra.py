@@ -52,10 +52,10 @@ class CoeffRing(Immutable):
     other's; the join is then the larger ring.  A denominator is admitted
     when it divides some power of the product of the inverted integers.  No
     prime's exponent in den reaches den.bit_length(), so one modular power
-    decides it, with no factorization.
+    decides it, with no factorization.  The product is taken once per ring.
     """
 
-    __slots__ = ("inverted",)
+    __slots__ = ("inverted", "_product")
     _cache: dict[frozenset[int], "CoeffRing"] = {}
 
     def __new__(cls, inverted: Iterable[int] = ()) -> "CoeffRing":
@@ -67,6 +67,7 @@ class CoeffRing(Immutable):
         if cached is None:
             cached = object.__new__(cls)
             object.__setattr__(cached, "inverted", key)
+            object.__setattr__(cached, "_product", prod(key))
             cls._cache[key] = cached
         return cached
 
@@ -87,7 +88,7 @@ class CoeffRing(Immutable):
 
     def admits_denominator(self, den: int) -> bool:
         den = abs(den)
-        return pow(prod(self.inverted), den.bit_length(), den) == 0
+        return pow(self._product, den.bit_length(), den) == 0
 
     def check_coeff(self, c: Coeff) -> Coeff:
         """The one admission rule for outside coefficients.
@@ -155,6 +156,10 @@ class Monomial(Immutable):
     Sorted internally by symbol so equal monomials share one representation.
     The order on monomials is graded lexicographic: lower total degree
     first, and within a degree a higher power of an earlier symbol first.
+    The sort key is one flat tuple, the degree followed by four slots per
+    pair (the symbol's three-slot `sort_key`, then minus the exponent).
+    Every pair adds the same four slots, so comparing flat keys orders
+    monomials as comparing the nested pairs would, prefixes included.
     """
 
     # _key is the sort key, set by the first `sort_key` call only
@@ -196,7 +201,9 @@ class Monomial(Immutable):
         try:
             return self._key
         except AttributeError:
-            key = (self.degree, tuple((s.sort_key, -e) for s, e in self.pairs))
+            key = (self.degree,)
+            for s, e in self.pairs:
+                key += (*s.sort_key, -e)
             object.__setattr__(self, "_key", key)
             return key
 
@@ -489,15 +496,12 @@ def coeff_to_json(c: Coeff) -> dict:
 
 
 def poly_to_json(p: Polynomial) -> dict:
-    terms = []
-    for mono, c in p.sorted_terms():
-        terms.append(
-            {
-                "coeff": coeff_to_json(c),
-                "monomial": {str(sym): exp for sym, exp in mono.pairs},
-            }
-        )
-    return {"ring": {"inverted": sorted(p.ring.inverted)}, "terms": terms}
+    # one pass over the sorted terms: an int coefficient is rendered in
+    # place, and each name is the symbol's interned one
+    return {"ring": {"inverted": sorted(p.ring.inverted)}, "terms": [
+        {"coeff": {"num": str(c), "den": "1"} if type(c) is int else coeff_to_json(c),
+         "monomial": {sym._name: exp for sym, exp in mono.pairs}}
+        for mono, c in p.sorted_terms()]}
 
 
 def canonical_json(obj) -> str:

@@ -16,7 +16,10 @@ where `eval_dim_truncated` multiplies coefficients by powers up to the order.
 Packed keys never leave this module; public surfaces (`coefficient(s)`,
 `associativity_relations`, `eval_dim_truncated`, the JSON) speak
 `algebra.Polynomial`.  Symbols are only ever appended to the registry, so
-each packed key decodes to its `Monomial` once per process.
+each packed key decodes to its `Monomial` once per process; a decode
+visits only the key's set fields, found from the lowest set bit, and the
+terms then sort on `Monomial.sort_key`, one flat tuple.  The denominator
+profile takes one lcm per order and strips it by gcd with n.
 Packed coefficients are the ints and Fractions that exact arithmetic
 returns; they are never rewritten.  All packed arithmetic goes through one
 fused multiply-accumulate kernel, `_pmul_into` (acc += d1 * d2), which
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import add, itemgetter
 from typing import Iterable, Mapping
 
@@ -108,15 +111,15 @@ def _pack_symbol(sym: VarSymbol, exp: int = 1) -> int:
 def _unpack(key: int) -> Monomial:
     mono = _decoded.get(key)
     if mono is None:
+        # visit only the set fields, each found from the lowest set bit left
         pairs = []
-        pos = 0
         rest = key
         while rest:
-            e = rest & _FIELD_MAX
-            if e:
-                pairs.append((_syms[pos], e))
-            rest >>= _FIELD_BITS
-            pos += 1
+            pos = ((rest & -rest).bit_length() - 1) // _FIELD_BITS
+            shift = _FIELD_BITS * pos
+            e = (rest >> shift) & _FIELD_MAX
+            pairs.append((_syms[pos], e))
+            rest ^= e << shift
         pairs.sort(key=lambda p: p[0].sort_key)
         mono = _decoded[key] = Monomial._raw(tuple(pairs))
     return mono
@@ -124,9 +127,12 @@ def _unpack(key: int) -> Monomial:
 
 def _unpack_poly(d: Packed, ring: CoeffRing) -> Polynomial:
     # Distinct keys decode to distinct monomials and packed dicts hold no
-    # zeros, so only the ring's admission rule is left to run.
+    # zeros, so only the ring's admission rule is left to run, and an int
+    # passes it.  A Monomial is never false, so `or` decodes only a miss.
+    decoded = _decoded.get
     check = ring.check_coeff
-    return Polynomial._raw(ring, {_unpack(k): check(c) for k, c in d.items()})
+    return Polynomial._raw(ring, {decoded(k) or _unpack(k): c if type(c) is int else check(c)
+                                  for k, c in d.items()})
 
 
 def _pmul_into(acc: Packed, d1: Packed, d2: Packed) -> None:
@@ -493,17 +499,23 @@ def division_series(n: int, mode: FglMode, order: int) -> TruncatedSeries:
         raise ValueError("division needs n >= 2")
     nfold = n_fold_sum(mode, n, order)._coeffs
     a = [nfold.get((j,), {}) for j in range(order + 1)]
-    terms = [(0, j, {k: c * n ** (j - 2) for k, c in a[j].items()}) for j in range(2, order + 1)]
+    terms = [(0, j, _scaled(a[j], n ** (j - 2))) for j in range(2, order + 1)]
     beta = _fixed_point(1, terms, order)
-    back = [(0, i, {k: c * n ** (2 * (order - i)) for k, c in beta[i].items()})
-            for i in range(1, order + 1)]
+    back = [(0, i, _scaled(beta[i], n ** (2 * (order - i)))) for i in range(1, order + 1)]
     a_powers = _Powers(a)
     for m in range(1, order + 1):
         if _dot(back, a_powers, m) != ({0: n ** (2 * order - 1)} if m == 1 else {}):
             raise ArithmeticError("division series failed the return round trip")
-    return TruncatedSeries(("u",), order, CoeffRing([n]), {
-        (i,): {key: Fraction(c, n ** (2 * i - 1)) for key, c in d.items()}
-        for i, d in enumerate(beta) if d})
+    coeffs = {}
+    for i, d in enumerate(beta):
+        if d:
+            den = n ** (2 * i - 1)
+            coeffs[(i,)] = {key: Fraction(c, den) for key, c in d.items()}
+    return TruncatedSeries(("u",), order, CoeffRing([n]), coeffs)
+
+
+def _scaled(d: Packed, factor: int) -> Packed:
+    return {key: c * factor for key, c in d.items()}
 
 
 def associativity_relations(mode: FglMode, order: int) -> dict[tuple[int, int, int], Polynomial]:
@@ -575,18 +587,16 @@ def denominator_profile(series: TruncatedSeries) -> list[tuple[int, int]]:
     n = inv[0]
     out = []
     for (i,), d in sorted(series._coeffs.items()):
-        worst = 0
-        for c in d.values():
-            den = c.denominator
-            k = 0
-            while den > 1:
-                g = gcd(den, n)
-                if g == 1:
-                    raise ArithmeticError(f"denominator {den} is foreign to 1/{n}")
-                den //= g
-                k += 1
-            worst = max(worst, k)
-        out.append((i, worst))
+        # n^k clears every denominator exactly when it clears their lcm
+        den = lcm(*[c.denominator for c in d.values()])
+        k = 0
+        while den > 1:
+            g = gcd(den, n)
+            if g == 1:
+                raise ArithmeticError(f"denominator {den} is foreign to 1/{n}")
+            den //= g
+            k += 1
+        out.append((i, k))
     return out
 
 

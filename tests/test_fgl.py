@@ -401,6 +401,16 @@ def test_packed_keys_decode_to_the_validated_monomial():
         keys.update(_repacked(mono) for poly in associativity_relations(U, order).values()
                     for mono in poly.terms)
         _assert_decodes_like_the_constructor(keys)
+    # sparse keys: set fields far apart, high in the registry, at the field's
+    # largest exponent, where a decode that skips empty fields must land
+    law_series(U, 24)  # registers over a hundred symbols
+    top = len(fgl._syms) - 1
+    width = fgl._FIELD_BITS
+    spreads = [(40,), (40, 90), (41, 63, top), (0, 75), (top,), (1, 44, 45, top)]
+    keys = {sum(e << width * pos for pos in spread) for spread in spreads for e in (63, 32, 1)}
+    keys.update(sum((63 if i % 2 else 2) << width * pos for i, pos in enumerate(spread))
+                for spread in spreads)
+    _assert_decodes_like_the_constructor(keys)
 
 
 def test_keys_decode_alike_after_new_symbols_are_registered():
