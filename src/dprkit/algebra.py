@@ -515,29 +515,45 @@ def canonical_json(obj) -> str:
     lists, tuples, str, int, bool and None.  Any other value, a float or a
     Fraction included, and any key that is not a str raise TypeError.
     """
-    return _json_text(obj, "\n") + "\n"
+    return _json_text(obj, "\n", _KeyText()) + "\n"
 
 
-def _json_text(obj, newline: str) -> str:
+class _KeyText(dict):
+    """The `"key": ` text of each dict key one `canonical_json` call meets,
+    rendered on first use.  Only a str key is ever held: `_json_str` raises
+    TypeError for any other, so such a key raises on every lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        text = self[key] = _json_str(key) + ": "
+        return text
+
+
+def _json_text(obj, newline: str, keys: _KeyText) -> str:
     """The text of `obj`; `newline` is a newline plus the indentation of
-    the line `obj` starts on.  A str or int inside a container is written
-    in place, without a call of its own: most values are one of the two."""
+    the line `obj` starts on, and `keys` the call's key texts.  A str or int
+    inside a container is written in place, without a call of its own: most
+    values are one of the two.  A container's text is assembled by one
+    f-string, in one allocation."""
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = newline + "  "
-        # _json_str raises TypeError for a key that is not a str
-        return "{" + inner + ("," + inner).join([
-            _json_str(k) + ": "
-            + (_json_str(v) if type(v) is str else str(v) if type(v) is int else _json_text(v, inner))
-            for k, v in obj.items()]) + newline + "}"
+        body = ("," + inner).join([
+            keys[k] + (_json_str(v) if type(v) is str else str(v) if type(v) is int
+                       else _json_text(v, inner, keys))
+            for k, v in obj.items()])
+        return f"{{{inner}{body}{newline}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = newline + "  "
-        return "[" + inner + ("," + inner).join([
-            _json_str(v) if type(v) is str else str(v) if type(v) is int else _json_text(v, inner)
-            for v in obj]) + newline + "]"
+        body = ("," + inner).join([
+            _json_str(v) if type(v) is str else str(v) if type(v) is int
+            else _json_text(v, inner, keys)
+            for v in obj])
+        return f"[{inner}{body}{newline}]"
     if isinstance(obj, str):
         return _json_str(obj)
     if obj is None:

@@ -8,10 +8,11 @@ invariant breaks (a bug in dprkit, such as `InconsistentSolve`) or any
 other exception escapes a command; errors are reported as a JSON object
 on stderr.
 
-A subcommand is declared by one `_leaf` call in `build_parser`: its group,
-name, help, handler and argument specs in order (the shared ones are
+A subcommand is declared by one entry of `_COMMANDS`, under its group:
+its name, help, handler and argument specs in order (the shared ones are
 `_MODE`, `_ORDER`, `_N`, `_M` and `_SAMPLING`); `_leaf` adds `--format` to
-each.  The handlers read tables keyed by the subcommand's name: `_SERIES`
+each, and `main` declares only the top-level command its first word
+names.  The handlers read tables keyed by the subcommand's name: `_SERIES`
 for the series an `fgl` command prints, `_REPORTS` for the report of each
 `verify` and `fixedpoint` command and the key that sets its exit code;
 `gdpr check` runs a check of `dpr.PAIR_CHECKS` on GX and GY, and that
@@ -268,52 +269,73 @@ def _leaf(group, name: str, help: str, handler, *arguments) -> None:
     p.set_defaults(func=handler)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the top-level commands in help order: a group's help and its leaves, each
+# given as `_leaf` takes it, or a top-level leaf's help and handler
+_COMMANDS = {
+    "fgl": ("formal group law series", (
+        ("show", "the two-variable law", _cmd_series, _MODE, _ORDER),
+        ("inverse", "the negation series", _cmd_series, _MODE, _ORDER),
+        ("nfold", "the n-fold sum", _cmd_series, _MODE, _N, _ORDER),
+        ("divide", "the division series", _cmd_series, _MODE, _N, _ORDER,
+         _arg("--denominator-profile", action="store_true",
+              help="emit the least k with n^k clearing each coefficient")),
+        ("relations", "associativity residues of the generic law", _cmd_fgl_relations, _ORDER),
+    )),
+    "gdpr": ("relation polynomial builders and checks", (
+        ("build", "emit one polynomial", _cmd_gdpr_build,
+         _arg("kind", type=str.upper, choices=tuple(_BUILDERS)),
+         _arg("-n", type=int, required=True, help="own-side class count"),
+         _arg("-m", type=int, default=None, help="opposite-side class count (GX/GY only)")),
+        ("check", "structural checks", _cmd_gdpr_check,
+         _arg("which", choices=(*PAIR_CHECKS, "padding")), _N, _M,
+         _arg("--big-n", type=int, default=None,
+              help="embedding class count on the first side (padding)"),
+         _arg("--big-m", type=int, default=None,
+              help="embedding class count on the second side (padding)")),
+    )),
+    "verify": ("sampled exact-rational identity checks", (
+        ("step", "one chain extension step", _cmd_report, _N, *_SAMPLING),
+        ("full", "the two-sided relation identity", _cmd_report, _N, _M, *_SAMPLING),
+        ("mixed", "the two-sided identity under sampled goodness contexts",
+         _cmd_report, _N, _M, *_SAMPLING),
+    )),
+    "fixedpoint": ("goodness-table evaluations", (
+        ("claim1", "one base goodness pattern", _cmd_report,
+         _arg("--case", type=int, required=True)),
+        ("allbad", "integer evaluation with every divisor bad", _cmd_report, _N, _M),
+        ("guard", "exhaustive never-exactly-one-bad check", _cmd_report,
+         _arg("--group", type=str, required=True,
+              help='finite abelian group spec, e.g. "2", "2x2", "2x3"')),
+    )),
+    "selftest": ("run the whole acceptance suite", _cmd_selftest),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or, when `command` names a top-level
+    command, of that command alone.  A command parses, helps and fails the
+    same either way: its own parsers are declared alike, and the top-level
+    parser names the other commands only in its own usage and help, which
+    a word that names a command never reaches."""
     parser = _Parser(prog="dprkit", description=__doc__.splitlines()[0])
     top = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    fg = _group(top, "fgl", "formal group law series")
-    _leaf(fg, "show", "the two-variable law", _cmd_series, _MODE, _ORDER)
-    _leaf(fg, "inverse", "the negation series", _cmd_series, _MODE, _ORDER)
-    _leaf(fg, "nfold", "the n-fold sum", _cmd_series, _MODE, _N, _ORDER)
-    _leaf(fg, "divide", "the division series", _cmd_series, _MODE, _N, _ORDER,
-          _arg("--denominator-profile", action="store_true",
-               help="emit the least k with n^k clearing each coefficient"))
-    _leaf(fg, "relations", "associativity residues of the generic law",
-          _cmd_fgl_relations, _ORDER)
-
-    gdpr = _group(top, "gdpr", "relation polynomial builders and checks")
-    _leaf(gdpr, "build", "emit one polynomial", _cmd_gdpr_build,
-          _arg("kind", type=str.upper, choices=tuple(_BUILDERS)),
-          _arg("-n", type=int, required=True, help="own-side class count"),
-          _arg("-m", type=int, default=None, help="opposite-side class count (GX/GY only)"))
-    _leaf(gdpr, "check", "structural checks", _cmd_gdpr_check,
-          _arg("which", choices=(*PAIR_CHECKS, "padding")), _N, _M,
-          _arg("--big-n", type=int, default=None,
-               help="embedding class count on the first side (padding)"),
-          _arg("--big-m", type=int, default=None,
-               help="embedding class count on the second side (padding)"))
-
-    verify = _group(top, "verify", "sampled exact-rational identity checks")
-    _leaf(verify, "step", "one chain extension step", _cmd_report, _N, *_SAMPLING)
-    _leaf(verify, "full", "the two-sided relation identity", _cmd_report, _N, _M, *_SAMPLING)
-    _leaf(verify, "mixed", "the two-sided identity under sampled goodness contexts",
-          _cmd_report, _N, _M, *_SAMPLING)
-
-    fp = _group(top, "fixedpoint", "goodness-table evaluations")
-    _leaf(fp, "claim1", "one base goodness pattern", _cmd_report,
-          _arg("--case", type=int, required=True))
-    _leaf(fp, "allbad", "integer evaluation with every divisor bad", _cmd_report, _N, _M)
-    _leaf(fp, "guard", "exhaustive never-exactly-one-bad check", _cmd_report,
-          _arg("--group", type=str, required=True,
-               help='finite abelian group spec, e.g. "2", "2x2", "2x3"'))
-
-    _leaf(top, "selftest", "run the whole acceptance suite", _cmd_selftest)
+    for name in (command,) if command in _COMMANDS else _COMMANDS:
+        help, body = _COMMANDS[name]
+        if callable(body):
+            _leaf(top, name, help, body)
+        else:
+            group = _group(top, name, help)
+            for leaf in body:
+                _leaf(group, *leaf)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # only the named command is declared; no arguments, -h or an unknown
+    # first word get the full parser, whose usage and help name them all
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -25,16 +25,17 @@ only for a caller that iterates every term (`terms`, `ordered_terms`,
 
 What depends on a polynomial's flat terms alone is derived from them once,
 on first use, and held with them (see `_flat_derived`): the set of their
-weights, their mirror image, each term's generator keys in Monomial symbol
-order, their own support, and their kill by each cut of that support a
-padding check asks for.  A polynomial built on a flat polynomial's terms
-shares what is held with them, so what is derived for a chain in
-`_CHAIN_CACHE` lives exactly as long as the cache, and GX(n, m), which
-holds T_n itself as its flat part, shares T_n's.
+weights, their mirror image, each term's generator names in Monomial order
+and its head at each index-block width an export asks for, their own
+support, and their kill by each cut of that support a padding check asks
+for.  A polynomial built on a flat polynomial's terms shares what is held
+with them, so what is derived for a chain in `_CHAIN_CACHE` lives exactly
+as long as the cache, and GX(n, m), which holds T_n itself as its flat
+part, shares T_n's.
 So GX's weight set is W(T_n) together with W(T'_m) + W(F_n), its mirror is
 assembled from the three chains' mirrors (and `mirror_check` still
 compares that with an independently built GY, term by term), and its JSON
-merges the factors' key lists per product term.
+adds the factors' heads and joins their names per product term.
 
 Consumers that need only the value of a relation polynomial at a point do
 not expand it: `chain_values` runs the same recursion on values in any
@@ -47,12 +48,15 @@ expansion: `gdpr build` prints it, the structural checks run on it, and it
 is the slow oracle (`DprPolynomial.evaluate_rational`,
 `substitute_families`) the fast path is tested against.  Its JSON
 (`dpr_to_json`) and the CLI's text rows read one ordered term stream,
-`ordered_terms`, with no Monomial made.  `to_polynomial` is the one bridge
-to the core ring: criterion 1 compares its result with explicit
-Polynomials, and the tests hold both renderings equal to it, built apart
-from the stream's ordering table.  `sorted_terms` and `evaluate_rational`
-are oracles no command reaches; the benchmark's tracer names them, so
-`tests/test_reachability.py` allowlists them until the tracer's layers move.
+`ordered_terms`, with no Monomial made: terms sort on one int each, the
+generator count above a rank mask, and a product term's names join its
+factors' class and marker parts in an order decided once per polynomial.
+`to_polynomial` is the one bridge to the core ring: criterion 1 compares
+its result with explicit Polynomials, and the tests hold both renderings
+equal to it, built apart from the stream's rank table.  `sorted_terms`
+and `evaluate_rational` are oracles no command reaches; the benchmark's
+tracer names them, so `tests/test_reachability.py` allowlists them until
+the tracer's layers move.
 """
 
 from __future__ import annotations
@@ -116,9 +120,14 @@ def _repeat(byte: int, blocks: int) -> int:
     return byte * ((1 << (_BITS_PER_INDEX * max(blocks, 0))) - 1) // 0xFF
 
 
+def _blocks(support: int) -> int:
+    """The number of index blocks up to the last one `support` touches."""
+    return -(-support.bit_length() // _BITS_PER_INDEX)
+
+
 def _rep_mask(byte: int, support: int) -> int:
     """Repeat a byte pattern across every index block touched by `support`."""
-    return _repeat(byte, -(-support.bit_length() // _BITS_PER_INDEX))
+    return _repeat(byte, _blocks(support))
 
 
 def _mask(key: str | tuple[str, int], k: int) -> int:
@@ -141,14 +150,6 @@ def _symbol_of_bit(pos: int) -> VarSymbol:
 _OFFSETS_IN_SYMBOL_ORDER = sorted(range(_BITS_PER_INDEX),
                                   key=lambda off: _symbol_of_bit(off).sort_key)
 _RANK_AT_OFFSET = [_OFFSETS_IN_SYMBOL_ORDER.index(off) for off in range(_BITS_PER_INDEX)]
-
-
-def _bit_key(pos: int) -> int:
-    """An int that sorts the generator at bit `pos` in Monomial symbol order,
-    whatever the polynomial: its rank (family and marker kind) above its
-    index block, which has 32 bits, far more than any mask can reach."""
-    block, off = divmod(pos, _BITS_PER_INDEX)
-    return _RANK_AT_OFFSET[off] << 32 | block
 
 
 class DprPolynomial(Immutable):
@@ -633,66 +634,129 @@ PAIR_CHECKS = {
 
 # export -----------------------------------------------------------------------
 
+# the kinds X, Y, U1-U3 and V1-V3 as byte patterns, in Monomial order; a
+# term's class part holds its X and Y names, its marker part the others
+_KIND_BYTES = (0x01, 0x02, 0x54, 0xA8)
 
-def _flat_keys(p: DprPolynomial) -> list[list[int]]:
-    """Each flat term's generator keys (see `_bit_key`), ascending, in the
-    order of `p.flat`."""
-    key_of = [_bit_key(pos) for pos in range(p.support.bit_length())]
-    out = []
-    for mask in p.flat:
-        keys = []
-        while mask:
-            low = mask & -mask
-            keys.append(key_of[low.bit_length() - 1])
-            mask ^= low
-        keys.sort()
-        out.append(keys)
+
+def _rank_names(support: int, blocks: int) -> tuple[list[int], list]:
+    """Each generator bit's place in rank space at a width of `blocks` index
+    blocks, and the name at each place.  The generator at bit 8*block + off
+    has key `_RANK_AT_OFFSET[off] * blocks + block`, and its place is that
+    key counted down from the top of 8*blocks bits."""
+    width = _BITS_PER_INDEX * blocks
+    place, name_at = [0] * support.bit_length(), [None] * width
+    for pos in range(support.bit_length()):
+        if support >> pos & 1:
+            block, off = divmod(pos, _BITS_PER_INDEX)
+            at = width - 1 - (_RANK_AT_OFFSET[off] * blocks + block)
+            place[pos], name_at[at] = 1 << at, str(_symbol_of_bit(pos))
+    return place, name_at
+
+
+def _rank_mask(mask: int, place: list[int]) -> int:
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= place[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
-def ordered_terms(g: DprPolynomial) -> Iterator[tuple[Iterator[str], int]]:
-    """Each term of g in output order: its generator names in Monomial
-    order, and its coefficient.
+def _names_down(rank_mask: int, name_at: list) -> tuple[str, ...]:
+    """The names at the places of `rank_mask`, highest first: Monomial order."""
+    out = []
+    while rank_mask:
+        top = rank_mask.bit_length() - 1
+        out.append(name_at[top])
+        rank_mask ^= 1 << top
+    return tuple(out)
 
-    No Monomial is made, each generator's name is rendered once, and a
-    product term's keys are the merge of its factors' keys, which a chain
-    holds from its first export on.  Terms sort on their generators' keys,
-    ascending, after their count: every exponent is 1, so that is the
-    Monomials' graded lexicographic order, the order of `g.sorted_terms()`.
+
+def _flat_parts(p: DprPolynomial) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """Each flat term's names in Monomial order as (class part, marker part),
+    read at p's own width: their order does not depend on it."""
+    blocks = _blocks(p.support)
+    place, name_at = _rank_names(p.support, blocks)
+    markers = (1 << (_BITS_PER_INDEX - 2) * blocks) - 1  # the places below X and Y
+    parts = []
+    for mask in p.flat:
+        r = _rank_mask(mask, place)
+        parts.append((_names_down(r & ~markers, name_at), _names_down(r & markers, name_at)))
+    return parts
+
+
+def _flat_heads(p: DprPolynomial, blocks: int) -> list[int]:
+    place, width = _rank_names(p.support, blocks)[0], _BITS_PER_INDEX * blocks
+    return [mask.bit_count() << width | _rank_mask(mask, place) for mask in p.flat]
+
+
+def _order_data(p: DprPolynomial, blocks: int) -> tuple[list[tuple], int]:
+    """The rows (head, parts, coefficient) of p's flat terms, where a head is
+    a term's generator count above its rank mask at `blocks` index blocks,
+    and the kinds p holds as bits in `_KIND_BYTES` order.  The heads and
+    `_flat_parts` are made once and held with the terms."""
+    heads = _flat_derived(p, ("heads", blocks), lambda q: _flat_heads(q, blocks))
+    kinds = 0
+    for i, byte in enumerate(_KIND_BYTES):
+        if p.support & _rep_mask(byte, p.support):
+            kinds |= 1 << i
+    return [*zip(heads, _flat_derived(p, "parts", _flat_parts), p.flat.values())], kinds
+
+
+# the row of the empty term with coefficient 1, the partner of a flat term
+_UNIT = (0, ((), ()), 1)
+
+
+def ordered_terms(g: DprPolynomial) -> Iterator[tuple[tuple[str, ...], int]]:
+    """Each term of g in output order: its generator names in Monomial
+    order, and its coefficient.  No Monomial is made.
+
+    Terms sort on one int each, the term's head with its rank mask's bits
+    flipped: within one count, the term whose first differing generator
+    comes first has the higher rank mask.  Every exponent is 1, so that is
+    the Monomials' graded lexicographic order, that of `g.sorted_terms()`.
+    A product term's head is the sum of its factors' (counts add, disjoint
+    rank masks OR), and a flat term is one times `_UNIT`.  A term's names
+    are made as it is yielded: when no kind is in both factors and none of
+    the right factor's X and U names sorts before the left factor's Y and V
+    names, they are the left class part, the right one, the left marker
+    part, the right one; other factors, such as two that both hold X,
+    interleave their names, which are then read off the rank mask.
     """
-    names = {}
-    sup = g.support
-    while sup:
-        low = sup & -sup
-        pos = low.bit_length() - 1
-        names[_bit_key(pos)] = str(_symbol_of_bit(pos))
-        sup ^= low
-    keyed = [(len(keys), keys, c)
-             for keys, c in zip(_flat_derived(g, "keys", _flat_keys), g.flat.values())]
+    blocks = _blocks(g.support)
+    full = (1 << _BITS_PER_INDEX * blocks) - 1
+    keyed = [(row[0] ^ full, row, _UNIT) for row in _order_data(g, blocks)[0]]
+    interleaved = False
     if g.factors is not None:
         a, b = g.factors
         if a.support & b.support:
             raise NotMultilinear("factors share generators")
-        right = list(zip(_flat_derived(b, "keys", _flat_keys), b.flat.values()))
-        for left_keys, ca in zip(_flat_derived(a, "keys", _flat_keys), a.flat.values()):
-            for right_keys, cb in right:
-                keys = left_keys + right_keys
-                keys.sort()
-                keyed.append((len(keys), keys, ca * cb))
-    keyed.sort()  # masks are distinct, so no two keys tie and no c is compared
-    name = names.__getitem__
-    for _, keys, c in keyed:
-        yield map(name, keys), c
+        (left, kinds_l), (right, kinds_r) = _order_data(a, blocks), _order_data(b, blocks)
+        if kinds_r << 1 & kinds_l & 0b1010:
+            (left, kinds_l), (right, kinds_r) = (right, kinds_r), (left, kinds_l)
+        interleaved = kinds_l & kinds_r or kinds_r << 1 & kinds_l & 0b1010
+        keyed += [((x[0] + y[0]) ^ full, x, y) for x in left for y in right]
+    keyed.sort()  # masks are distinct, so no two keys tie and no rows are compared
+    if interleaved:
+        name_at = _rank_names(g.support, blocks)[1]
+        for key, (_, _, cl), (_, _, cr) in keyed:
+            yield _names_down(key & full ^ full, name_at), cl * cr
+    else:
+        for _, (_, (cls_l, mk_l), cl), (_, (cls_r, mk_r), cr) in keyed:
+            yield cls_l + cls_r + mk_l + mk_r, cl * cr
 
 
 def dpr_to_json(g: DprPolynomial) -> dict:
-    """`poly_to_json(g.to_polynomial())`, written from `ordered_terms(g)`,
-    each distinct coefficient rendered once."""
+    """`poly_to_json(g.to_polynomial())`, written from `ordered_terms(g)` in
+    one pass.  Each distinct coefficient is rendered once, and the terms
+    that have it share that one dict: the document is made to be rendered,
+    not edited."""
     rendered: dict = {}
     terms = []
     for names, c in ordered_terms(g):
         coeff = rendered.get(c)
         if coeff is None:
             coeff = rendered[c] = coeff_to_json(c)
-        terms.append({"coeff": coeff.copy(), "monomial": dict.fromkeys(names, 1)})
+        terms.append({"coeff": coeff, "monomial": dict.fromkeys(names, 1)})
     return {"ring": {"inverted": []}, "terms": terms}

@@ -367,6 +367,33 @@ def test_canonical_json_rejects_what_it_does_not_cover(obj):
         canonical_json(obj)
 
 
+def test_canonical_json_repeats_keys_at_every_depth():
+    # one call renders each key's text once and reuses it: at the same
+    # depth, at other depths, and beside keys that need escapes
+    leaf = {"num": "-3", "den": "1"}
+    obj = {
+        "terms": [{"coeff": dict(leaf), "monomial": {"X[1]": 1, "U[1][1]": 1}},
+                  {"coeff": dict(leaf), "monomial": {"X[1]": 1, "num": {"num": [{"den": {}}]}}}],
+        "num": {"terms": [], "caf\u00e9": {"caf\u00e9": "\"", "q\"": {"q\"": None}}},
+        "X[1]": [[{"X[1]": {"X[1]": True}}], ({"den": 0},)],
+    }
+    assert canonical_json(obj) == _json_oracle(obj)
+    # the key texts belong to one call: a second call starts afresh
+    assert canonical_json({"num": 1}) == _json_oracle({"num": 1})
+
+
+@pytest.mark.parametrize("key", [1, True, None, 1.5, (1,)], ids=repr)
+def test_canonical_json_rejects_a_key_after_str_keys(key):
+    # json.dumps would write 1, True, None and 1.5 as strings; canonical
+    # JSON must raise for them even when str keys came first in the call,
+    # at the same depth or above
+    for obj in ({"1": 0, "true": 0, "null": 0, "1.5": 0, "(1,)": 0, key: 0},
+                {"a": {"a": 1}, "b": [{"a": 1, key: 2}]},
+                [{"1": {"1": 1}}, {"x": {key: "1"}}]):
+        with pytest.raises(TypeError):
+            canonical_json(obj)
+
+
 @pytest.mark.parametrize("c, num, den", [
     (7, "7", "1"), (-12, "-12", "1"), (0, "0", "1"), (Fraction(3, 4), "3", "4"),
     (Fraction(-5, 6), "-5", "6"), (Fraction(4, 2), "2", "1"),

@@ -453,6 +453,35 @@ def with_constant():
     return masked((7, []), (-12, [X1]), (1, [X1, Y2]))
 
 
+def same_kind():
+    """X[2] times X[1]: both factors hold X, so a term's names interleave
+    the factors'."""
+    return DprPolynomial({}, (masked((1, [X2])), masked((1, [X1]))))
+
+
+def shared_kinds_past_nine():
+    """Both factors hold X and U generators across blocks 9 and 10, where
+    index 10 must sort after index 9."""
+    a = masked((2, [sym("X", 10), sym("U", 1, 9)]), (-1, [sym("X", 9)]),
+               (3, [sym("U", 3, 10), sym("Y", 2)]))
+    b = masked((-3, [X1, sym("U", 2, 10)]), (1, [X2, sym("U", 1, 10)]), (5, [sym("U", 2, 9)]))
+    return DprPolynomial({bit(X3): 7}, (a, b))
+
+
+def crossed_kinds():
+    """One factor holds X and V, the other Y and U: their class parts come
+    in one order and their marker parts in the other."""
+    a = masked((1, [X1, sym("V", 1, 1)]), (2, [X2]))
+    b = masked((-1, [Y1, U12]), (3, [Y2]))
+    return DprPolynomial({}, (a, b))
+
+
+def markers_alone():
+    """One factor holds every class, the other markers only."""
+    return DprPolynomial({}, (masked((1, [U22]), (-2, [U11, sym("U", 3, 3)])),
+                              masked((4, [X1, Y1]), (1, [X2]))))
+
+
 _JSON_CASES = [
     *((build, (n,)) for build in (build_ex, build_fx, build_ey, build_fy) for n in range(1, 5)),
     *((build, (n, m)) for build in (build_gx, build_gy) for n in range(1, 5) for m in range(1, 5)),
@@ -464,18 +493,23 @@ _JSON_CASES = [
     (build_ex, (10,)),
     (hand_built, ()),
     (with_constant, ()),
+    # products whose factors share a generator kind, or split the kinds
+    # across the class and marker parts
+    (same_kind, ()),
+    (shared_kinds_past_nine, ()),
+    (crossed_kinds, ()),
+    (markers_alone, ()),
 ]
 
 
-@pytest.mark.parametrize("build, counts", [
-    pytest.param(build, counts, id=f"{build.__name__}{counts}") for build, counts in _JSON_CASES])
-def test_json_from_masks_matches_the_decoded_polynomial(build, counts):
+def assert_renderings_match_the_oracle(g):
+    """`dpr_to_json` and the CLI's text rows against `to_polynomial()`, the
+    order of the terms and of each term's keys included."""
     def ordered(blob):
         # dict equality would not see the order of the keys, which the text shows
         return list(blob), blob["ring"], [
             (list(t), list(t["coeff"].items()), list(t["monomial"].items())) for t in blob["terms"]]
 
-    g = build(*counts)
     oracle = g.to_polynomial()
     assert ordered(dpr_to_json(g)) == ordered(poly_to_json(oracle))
     # the text rows come from the same term stream: check them against the
@@ -484,6 +518,53 @@ def test_json_from_masks_matches_the_decoded_polynomial(build, counts):
     width = max((len(c) for c, _ in rows), default=0)
     text = "".join(f"{c:<{width}}  {mono}\n" for c, mono in rows)
     assert cli._poly_text(g) == (text or "0\n")
+
+
+@pytest.mark.parametrize("build, counts", [
+    pytest.param(build, counts, id=f"{build.__name__}{counts}") for build, counts in _JSON_CASES])
+def test_json_from_masks_matches_the_decoded_polynomial(build, counts):
+    assert_renderings_match_the_oracle(build(*counts))
+
+
+def test_drawn_polynomials_render_as_the_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeffs = st.integers(-40, 40).filter(bool)
+
+    @st.composite
+    def flat_terms(draw, pool):
+        # each term a subset of the pool's generator bits
+        picks = draw(st.lists(st.integers(0, (1 << len(pool)) - 1), max_size=6))
+        masks = {sum(b for i, b in enumerate(pool) if pick >> i & 1) for pick in picks}
+        return {mask: draw(coeffs) for mask in sorted(masks)}
+
+    @st.composite
+    def polynomials(draw):
+        # generator bits over ten index blocks, so that index 10 occurs
+        gens = draw(st.lists(st.integers(0, 10 * dpr._BITS_PER_INDEX - 1), max_size=10,
+                             unique=True))
+        split = draw(st.sampled_from(["flat", "sides", "anyhow"]))
+        if split == "flat":
+            return DprPolynomial(draw(flat_terms([1 << pos for pos in gens])))
+        if split == "sides":
+            # one factor on each side, as a glued relation polynomial has them
+            in_a = [pos % 2 == 0 for pos in gens]
+        else:
+            # factors that may share every kind
+            in_a = draw(st.lists(st.booleans(), min_size=len(gens), max_size=len(gens)))
+        a = DprPolynomial(draw(flat_terms([1 << p for p, x in zip(gens, in_a) if x])))
+        b = DprPolynomial(draw(flat_terms([1 << p for p, x in zip(gens, in_a) if not x])))
+        product = {ma | mb for ma in a.flat for mb in b.flat}
+        flat = {m: c for m, c in draw(flat_terms([1 << pos for pos in gens])).items()
+                if m not in product}
+        return DprPolynomial(flat, (a, b))
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @hypothesis.given(polynomials())
+    def check(g):
+        assert_renderings_match_the_oracle(g)
+
+    check()
 
 
 def _held():
@@ -523,7 +604,7 @@ def test_derived_data_is_made_once_per_chain(monkeypatch):
     assert weight_check(g, 1) and check_index_bounds(g, 3, 2)
     assert g.swap_sides() == build_gy(3, 2)
     assert dpr_to_json(g) == dpr_to_json(build_gx(3, 2))
-    assert set(g._derived) == {"weights", "mirror", "keys"} and _held() == held
+    assert set(g._derived) == {"weights", "mirror", "parts", ("heads", 3)} and _held() == held
 
 
 def test_builder_argument_validation():
