@@ -11,8 +11,7 @@ on stderr.
 A subcommand is declared by one entry of `_COMMANDS`, under its group:
 its name, help, handler and argument specs in order (the shared ones are
 `_MODE`, `_ORDER`, `_N`, `_M` and `_SAMPLING`); `_leaf` adds `--format` to
-each, and `main` declares only the top-level command its first word
-names.  The handlers read tables keyed by the subcommand's name: `_SERIES`
+each.  The handlers read tables keyed by the subcommand's name: `_SERIES`
 for the series an `fgl` command prints, `_REPORTS` for the report of each
 `verify` and `fixedpoint` command and the key that sets its exit code;
 `gdpr check` runs a check of `dpr.PAIR_CHECKS` on GX and GY, and that
@@ -311,16 +310,10 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or, when `command` names a top-level
-    command, of that command alone.  A command parses, helps and fails the
-    same either way: its own parsers are declared alike, and the top-level
-    parser names the other commands only in its own usage and help, which
-    a word that names a command never reaches."""
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dprkit", description=__doc__.splitlines()[0])
     top = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name in (command,) if command in _COMMANDS else _COMMANDS:
-        help, body = _COMMANDS[name]
+    for name, (help, body) in _COMMANDS.items():
         if callable(body):
             _leaf(top, name, help, body)
         else:
@@ -331,11 +324,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # only the named command is declared; no arguments, -h or an unknown
-    # first word get the full parser, whose usage and help name them all
-    parser = build_parser(argv[0] if argv else None)
+    parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -50,7 +50,9 @@ is the slow oracle (`DprPolynomial.evaluate_rational`,
 (`dpr_to_json`) and the CLI's text rows read one ordered term stream,
 `ordered_terms`, with no Monomial made: terms sort on one int each, the
 generator count above a rank mask, and a product term's names join its
-factors' class and marker parts in an order decided once per polynomial.
+factors' class and marker parts when one factor lies above the other in
+rank space, as every builder's product does, and are read off the rank
+mask otherwise.
 `to_polynomial` is the one bridge to the core ring: criterion 1 compares
 its result with explicit Polynomials, and the tests hold both renderings
 equal to it, built apart from the stream's rank table.  `sorted_terms`
@@ -634,24 +636,23 @@ PAIR_CHECKS = {
 
 # export -----------------------------------------------------------------------
 
-# the kinds X, Y, U1-U3 and V1-V3 as byte patterns, in Monomial order; a
-# term's class part holds its X and Y names, its marker part the others
-_KIND_BYTES = (0x01, 0x02, 0x54, 0xA8)
-
-
-def _rank_names(support: int, blocks: int) -> tuple[list[int], list]:
+def _rank_places(support: int, blocks: int) -> list[int]:
     """Each generator bit's place in rank space at a width of `blocks` index
-    blocks, and the name at each place.  The generator at bit 8*block + off
-    has key `_RANK_AT_OFFSET[off] * blocks + block`, and its place is that
-    key counted down from the top of 8*blocks bits."""
+    blocks.  The generator at bit 8*block + off has key
+    `_RANK_AT_OFFSET[off] * blocks + block`, and its place is that key
+    counted down from the top of 8*blocks bits."""
     width = _BITS_PER_INDEX * blocks
-    place, name_at = [0] * support.bit_length(), [None] * width
+    place = [0] * support.bit_length()
     for pos in range(support.bit_length()):
         if support >> pos & 1:
             block, off = divmod(pos, _BITS_PER_INDEX)
-            at = width - 1 - (_RANK_AT_OFFSET[off] * blocks + block)
-            place[pos], name_at[at] = 1 << at, str(_symbol_of_bit(pos))
-    return place, name_at
+            place[pos] = 1 << width - 1 - (_RANK_AT_OFFSET[off] * blocks + block)
+    return place
+
+
+def _rank_names(place: list[int]) -> dict[int, str]:
+    """The name of the generator at each place, by the place's bit number."""
+    return {at.bit_length() - 1: str(_symbol_of_bit(pos)) for pos, at in enumerate(place) if at}
 
 
 def _rank_mask(mask: int, place: list[int]) -> int:
@@ -663,7 +664,7 @@ def _rank_mask(mask: int, place: list[int]) -> int:
     return out
 
 
-def _names_down(rank_mask: int, name_at: list) -> tuple[str, ...]:
+def _names_down(rank_mask: int, name_at: dict[int, str]) -> tuple[str, ...]:
     """The names at the places of `rank_mask`, highest first: Monomial order."""
     out = []
     while rank_mask:
@@ -673,35 +674,39 @@ def _names_down(rank_mask: int, name_at: list) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _class_places(blocks: int) -> int:
+    """The places of X and Y at `blocks` index blocks: the top two ranks."""
+    return ((1 << 2 * blocks) - 1) << (_BITS_PER_INDEX - 2) * blocks
+
+
 def _flat_parts(p: DprPolynomial) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Each flat term's names in Monomial order as (class part, marker part),
     read at p's own width: their order does not depend on it."""
     blocks = _blocks(p.support)
-    place, name_at = _rank_names(p.support, blocks)
-    markers = (1 << (_BITS_PER_INDEX - 2) * blocks) - 1  # the places below X and Y
+    place = _rank_places(p.support, blocks)
+    name_at, classes = _rank_names(place), _class_places(blocks)
     parts = []
     for mask in p.flat:
         r = _rank_mask(mask, place)
-        parts.append((_names_down(r & ~markers, name_at), _names_down(r & markers, name_at)))
+        parts.append((_names_down(r & classes, name_at), _names_down(r & ~classes, name_at)))
     return parts
 
 
-def _flat_heads(p: DprPolynomial, blocks: int) -> list[int]:
-    place, width = _rank_names(p.support, blocks)[0], _BITS_PER_INDEX * blocks
-    return [mask.bit_count() << width | _rank_mask(mask, place) for mask in p.flat]
-
-
-def _order_data(p: DprPolynomial, blocks: int) -> tuple[list[tuple], int]:
+def _flat_rows(p: DprPolynomial, blocks: int) -> list[tuple]:
     """The rows (head, parts, coefficient) of p's flat terms, where a head is
-    a term's generator count above its rank mask at `blocks` index blocks,
-    and the kinds p holds as bits in `_KIND_BYTES` order.  The heads and
-    `_flat_parts` are made once and held with the terms."""
-    heads = _flat_derived(p, ("heads", blocks), lambda q: _flat_heads(q, blocks))
-    kinds = 0
-    for i, byte in enumerate(_KIND_BYTES):
-        if p.support & _rep_mask(byte, p.support):
-            kinds |= 1 << i
-    return [*zip(heads, _flat_derived(p, "parts", _flat_parts), p.flat.values())], kinds
+    a term's generator count above its rank mask at `blocks` index blocks.
+    The heads and `_flat_parts` are made once and held with the terms."""
+    def heads(q):
+        place, width = _rank_places(q.support, blocks), _BITS_PER_INDEX * blocks
+        return [mask.bit_count() << width | _rank_mask(mask, place) for mask in q.flat]
+
+    return [*zip(_flat_derived(p, ("heads", blocks), heads),
+                 _flat_derived(p, "parts", _flat_parts), p.flat.values())]
+
+
+def _above(high: int, low: int) -> bool:
+    """Every place of `high` is above every place of `low`."""
+    return not high or low < high & -high
 
 
 # the row of the empty term with coefficient 1, the partner of a flat term
@@ -717,29 +722,35 @@ def ordered_terms(g: DprPolynomial) -> Iterator[tuple[tuple[str, ...], int]]:
     comes first has the higher rank mask.  Every exponent is 1, so that is
     the Monomials' graded lexicographic order, that of `g.sorted_terms()`.
     A product term's head is the sum of its factors' (counts add, disjoint
-    rank masks OR), and a flat term is one times `_UNIT`.  A term's names
-    are made as it is yielded: when no kind is in both factors and none of
-    the right factor's X and U names sorts before the left factor's Y and V
-    names, they are the left class part, the right one, the left marker
-    part, the right one; other factors, such as two that both hold X,
-    interleave their names, which are then read off the rank mask.
+    rank masks OR), and a flat term is one times `_UNIT`.
+
+    A term's names are made as it is yielded.  When one factor's X and Y
+    places all lie above the other's, and so do its U and V places, they
+    are the upper factor's class part, the lower one's, the upper marker
+    part, the lower one: every builder's product is of this kind.  Other
+    factors, such as one that holds X and V and one that holds Y and U,
+    interleave their names, which are then read off the rank mask, at
+    about twice the cost per term.
     """
     blocks = _blocks(g.support)
     full = (1 << _BITS_PER_INDEX * blocks) - 1
-    keyed = [(row[0] ^ full, row, _UNIT) for row in _order_data(g, blocks)[0]]
+    keyed = [(row[0] ^ full, row, _UNIT) for row in _flat_rows(g, blocks)]
     interleaved = False
     if g.factors is not None:
         a, b = g.factors
         if a.support & b.support:
             raise NotMultilinear("factors share generators")
-        (left, kinds_l), (right, kinds_r) = _order_data(a, blocks), _order_data(b, blocks)
-        if kinds_r << 1 & kinds_l & 0b1010:
-            (left, kinds_l), (right, kinds_r) = (right, kinds_r), (left, kinds_l)
-        interleaved = kinds_l & kinds_r or kinds_r << 1 & kinds_l & 0b1010
-        keyed += [((x[0] + y[0]) ^ full, x, y) for x in left for y in right]
+        place, classes = _rank_places(g.support, blocks), _class_places(blocks)
+        ra, rb = _rank_mask(a.support, place), _rank_mask(b.support, place)
+        if _above(rb & classes, ra & classes) and _above(rb & ~classes, ra & ~classes):
+            a, b = b, a
+        elif not (_above(ra & classes, rb & classes) and _above(ra & ~classes, rb & ~classes)):
+            interleaved = True
+        right = _flat_rows(b, blocks)
+        keyed += [((x[0] + y[0]) ^ full, x, y) for x in _flat_rows(a, blocks) for y in right]
     keyed.sort()  # masks are distinct, so no two keys tie and no rows are compared
     if interleaved:
-        name_at = _rank_names(g.support, blocks)[1]
+        name_at = _rank_names(place)
         for key, (_, _, cl), (_, _, cr) in keyed:
             yield _names_down(key & full ^ full, name_at), cl * cr
     else:
@@ -751,7 +762,7 @@ def dpr_to_json(g: DprPolynomial) -> dict:
     """`poly_to_json(g.to_polynomial())`, written from `ordered_terms(g)` in
     one pass.  Each distinct coefficient is rendered once, and the terms
     that have it share that one dict: the document is made to be rendered,
-    not edited."""
+    and a caller that edits one term's coefficient edits them all."""
     rendered: dict = {}
     terms = []
     for names, c in ordered_terms(g):

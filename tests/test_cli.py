@@ -17,7 +17,6 @@ import pytest
 from dprkit import cli, dpr, fgl, fixedpoint, operators
 from dprkit.acceptance import CRITERIA, report_json, report_text, run_all
 from dprkit.algebra import Monomial, Polynomial, canonical_json
-from test_cli_contract import LEAVES, USAGE_ERRORS
 
 
 def run(argv):
@@ -410,54 +409,6 @@ def _subparser(parser, *names):
         (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         parser = sub.choices[name]
     return parser
-
-
-def _parsed_by(parse, capsys, argv):
-    """Exit code, stdout and stderr of parsing `argv`; None when it parses."""
-    try:
-        parse(argv)
-        code = None
-    except SystemExit as e:
-        code = e.code
-    out = capsys.readouterr()
-    return code, out.out, out.err
-
-
-@pytest.mark.parametrize("argv", [
-    "-h", *(f"{name} -h" for name in cli._COMMANDS), *(f"{leaf} -h" for leaf in LEAVES),
-    *USAGE_ERRORS, "gdpr build GX -n x", "fgl --bogus", "verify step -n 3 --seed 1 extra",
-])
-def test_main_parses_as_the_full_parser(capsys, monkeypatch, argv):
-    # main declares only the command its first word names: help text and
-    # usage errors must be the full parser's, byte for byte
-    def refuse(args):
-        raise AssertionError("a command ran")
-
-    for name in ("_cmd_series", "_cmd_fgl_relations", "_cmd_gdpr_build", "_cmd_gdpr_check",
-                 "_cmd_report", "_cmd_selftest"):
-        monkeypatch.setattr(cli, name, refuse)
-    full = _parsed_by(cli.build_parser().parse_args, capsys, argv.split())
-    assert full[0] is not None
-    assert _parsed_by(cli.main, capsys, argv.split()) == full
-
-
-def test_main_declares_only_the_named_command(monkeypatch):
-    declared = []
-    build = cli.build_parser
-
-    def spy(command=None):
-        parser = build(command)
-        (top,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        declared.append(sorted(top.choices))
-        return parser
-
-    monkeypatch.setattr(cli, "build_parser", spy)
-    for argv in (["gdpr", "-h"], ["selftest", "--extra"], ["-h"], [], ["nosuch"]):
-        with pytest.raises(SystemExit):
-            cli.main(argv)
-    everything = sorted(cli._COMMANDS)
-    assert declared == [["gdpr"], ["selftest"], everything, everything, everything]
-    assert list(cli._COMMANDS) == ["fgl", "gdpr", "verify", "fixedpoint", "selftest"]
 
 
 def test_pair_checks_are_declared_once(capsys, monkeypatch):

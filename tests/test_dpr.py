@@ -439,6 +439,17 @@ def test_json_is_graded_lex():
     assert blob["ring"] == {"inverted": []}
 
 
+def test_json_terms_share_one_dict_per_coefficient():
+    # the document is made to be rendered: each distinct coefficient is one
+    # dict, held by every term that has it, so no per-term copy is made
+    terms = dpr_to_json(build_gx(3, 3))["terms"]
+    by_value = defaultdict(set)
+    for t in terms:
+        by_value[tuple(t["coeff"].items())].add(id(t["coeff"]))
+    assert len(by_value) < len(terms)
+    assert all(len(ids) == 1 for ids in by_value.values())
+
+
 def hand_built():
     """A product whose factors are no chains, with coefficients 2 and -3,
     past index 9 on one side."""
@@ -454,8 +465,8 @@ def with_constant():
 
 
 def same_kind():
-    """X[2] times X[1]: both factors hold X, so a term's names interleave
-    the factors'."""
+    """X[2] times X[1]: both factors hold X, and the second one's comes
+    first."""
     return DprPolynomial({}, (masked((1, [X2])), masked((1, [X1]))))
 
 
@@ -524,6 +535,25 @@ def assert_renderings_match_the_oracle(g):
     pytest.param(build, counts, id=f"{build.__name__}{counts}") for build, counts in _JSON_CASES])
 def test_json_from_masks_matches_the_decoded_polynomial(build, counts):
     assert_renderings_match_the_oracle(build(*counts))
+
+
+@pytest.mark.parametrize("build, counts", [
+    (build_gx, (3, 4)), (build_gy, (4, 3)), (build_gx, (2, 9)), (build_gy, (9, 2))])
+def test_builder_products_join_their_factors_parts(monkeypatch, build, counts):
+    # one factor of a glued relation polynomial lies above the other in rank
+    # space, so its terms' names are joined from the factors' held parts and
+    # never read off the rank mask, the slower way
+    def refuse(place):
+        raise AssertionError("names read off the rank mask")
+
+    g, h = build(*counts), crossed_kinds()
+    expected, interleaved = dpr_to_json(g), dpr_to_json(h)  # the parts are now held
+    monkeypatch.setattr(dpr, "_rank_names", refuse)
+    assert dpr_to_json(g) == expected
+    with pytest.raises(AssertionError, match="rank mask"):
+        dpr_to_json(h)
+    monkeypatch.undo()
+    assert dpr_to_json(h) == interleaved
 
 
 def test_drawn_polynomials_render_as_the_oracle():
