@@ -14,51 +14,35 @@ Representation: a term is a bitmask, a plain Python int.  Index k owns the
 byte at bit 8*(k-1), with bit offsets X=0, Y=1, U1=2, V1=3, U2=4, V2=5,
 U3=6, V3=7 inside the byte, and Python ints have any width, so one code path
 serves every index.  A polynomial is a dict {mask: coeff} plus at most one
-product of two such dicts on disjoint generators, kept as its factors.  The
-relation polynomial GX(n, m) is stored as T^X_n plus the product of T^Y_m
-and F^X_n: 3^(n-1) + 3^(m-1) + 3^(n-1) - 1 stored terms for the
+product of two such dicts on disjoint generators, kept as its factors, the
+upper one first: all its classes, and all its markers, sort before the
+other's in Monomial order, as the constructor checks.  GX(n, m) is T^X_n
+plus F^X_n times T^Y_m: 3^(n-1) + 3^(n-1) - 1 + 3^(m-1) stored terms for the
 3^(n+m-2) + 3^(n-1) - 3^(m-1) it stands for.  The structural checks run on
 the factors (a term count multiplies, supports OR, weight sets add, a mirror
 or a padding kill acts on each factor), and the product is multiplied out
 only for a caller that iterates every term (`terms`, `ordered_terms`,
 `to_polynomial`, or an equality test whose factors differ).
 
-What depends on a polynomial's flat terms alone is derived from them once,
-on first use, and held with them (see `_flat_derived`): the set of their
-weights, their mirror image, each term's generator names in Monomial order
-and its head at each index-block width an export asks for, their own
-support, and their kill by each cut of that support a padding check asks
-for.  A polynomial built on a flat polynomial's terms shares what is held
-with them, so what is derived for a chain in `_CHAIN_CACHE` lives exactly
-as long as the cache, and GX(n, m), which holds T_n itself as its flat
-part, shares T_n's.
-So GX's weight set is W(T_n) together with W(T'_m) + W(F_n), its mirror is
-assembled from the three chains' mirrors (and `mirror_check` still
-compares that with an independently built GY, term by term), and its JSON
-adds the factors' heads and joins their names per product term.
+What depends on a polynomial's flat terms alone (weights, mirror, support,
+first and last class and marker, each term's names and heads, kills) is
+derived once, on first use, and held with them (`_flat_derived`), shared
+by every polynomial built on them: a chain in `_CHAIN_CACHE` holds its
+own, and GX(n, m), whose flat part is T_n itself, shares T_n's.
 
 Consumers that need only the value of a relation polynomial at a point do
 not expand it: `chain_values` runs the same recursion on values in any
 commutative ring, and `relation_values` glues the two chains' last values
-into both sides of the relation, in O(n + m) ring operations.  A chain's
-generators are held once, as one interned tuple per (side, n) in
-`chain_symbols` order, and `chain_values` reads the point's values off it
-in one pass, with no symbol built per lookup.  The mask form is the one
-expansion: `gdpr build` prints it, the structural checks run on it, and it
-is the slow oracle (`DprPolynomial.evaluate_rational`,
-`substitute_families`) the fast path is tested against.  Its JSON
+into both sides of the relation, in O(n + m) ring operations.  The mask form is
+the one expansion: `gdpr build` prints it, the structural checks run on it,
+and it is the slow oracle the fast path is tested against.  Its JSON
 (`dpr_to_json`) and the CLI's text rows read one ordered term stream,
-`ordered_terms`, with no Monomial made: terms sort on one int each, the
-generator count above a rank mask, and a product term's names join its
-factors' class and marker parts when one factor lies above the other in
-rank space, as every builder's product does, and are read off the rank
-mask otherwise.
-`to_polynomial` is the one bridge to the core ring: criterion 1 compares
-its result with explicit Polynomials, and the tests hold both renderings
-equal to it, built apart from the stream's rank table.  `sorted_terms`
-and `evaluate_rational` are oracles no command reaches; the benchmark's
-tracer names them, so `tests/test_reachability.py` allowlists them until
-the tracer's layers move.
+`ordered_terms`: terms sort on one int each, the generator count above a
+rank mask, and a product term's names join its factors' class and marker
+parts.  The tests hold both renderings equal to `to_polynomial`, the one
+bridge to the core ring.  `sorted_terms` and `evaluate_rational` are
+oracles no command reaches; the benchmark's tracer names them, so
+`tests/test_reachability.py` allowlists them.
 """
 
 from __future__ import annotations
@@ -66,6 +50,7 @@ from __future__ import annotations
 import operator
 from collections import defaultdict
 from fractions import Fraction
+from functools import reduce
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -76,6 +61,7 @@ __all__ = [
     "DprPolynomial",
     "NotMultilinear",
     "TermCollision",
+    "InterleavedFactors",
     "build_ex",
     "build_fx",
     "build_ey",
@@ -112,6 +98,11 @@ class NotMultilinear(ValueError):
 
 class TermCollision(AssertionError):
     """Two chunks the recursion keeps apart produced the same term."""
+
+
+class InterleavedFactors(ValueError):
+    """Neither factor of a product has all its classes and all its markers
+    sort before the other's."""
 
 
 def _repeat(byte: int, blocks: int) -> int:
@@ -159,15 +150,14 @@ class DprPolynomial(Immutable):
 
     `flat` maps each term's bitmask to its coefficient; no coefficient is
     zero.  `factors` is None or a pair (a, b) of flat polynomials on
-    disjoint generators whose product belongs to the polynomial too, and no
-    mask of `flat` is a mask of that product.  So the polynomial has
-    len(flat) + len(a) * len(b) distinct terms.  Instances are immutable,
-    and `flat` is a read-only view: the builders share it through a cache.
+    disjoint generators whose product belongs to the polynomial too, a the
+    upper one, and no mask of `flat` is a mask of that product (`_shaped`
+    checks both).  So the polynomial has len(flat) + len(a) * len(b)
+    distinct terms.  Instances are immutable; `flat` is a read-only view.
 
-    `_derived` is the dict of what `_flat_derived` has computed from the
-    terms of `flat` so far.  `flat` may also be given as a flat
-    DprPolynomial, whose terms and dict are then shared: a relation
-    polynomial glued from chains holds its T_n's that way.
+    `_derived` is what `_flat_derived` has computed from the terms of `flat`
+    so far.  `flat` may also be a flat DprPolynomial, whose terms, support
+    and dict are then shared.
     """
 
     __slots__ = ("flat", "factors", "support", "_derived")
@@ -175,17 +165,21 @@ class DprPolynomial(Immutable):
     def __init__(self, flat: Mapping[int, int] | DprPolynomial,
                  factors: tuple[DprPolynomial, DprPolynomial] | None = None,
                  support: int | None = None):
-        derived = {}
+        derived, flat_support = {}, None
         if isinstance(flat, DprPolynomial):
             if flat.factors is not None:
                 raise ValueError("a flat part must be flat")
-            derived, flat = flat._derived, flat.flat
+            derived, flat_support, flat = flat._derived, flat.support, flat.flat
         elif not isinstance(flat, MappingProxyType):
             flat = MappingProxyType(flat)
         if factors is not None and (factors[0].is_zero() or factors[1].is_zero()):
             factors = None  # a zero factor kills the whole product
+        if flat_support is None and (support is None or factors is not None):
+            flat_support = _union(flat)
+        if factors is not None:
+            factors = _shaped(flat, flat_support, *factors)
         if support is None:
-            support = _union(flat)
+            support = flat_support
             if factors is not None:
                 support |= factors[0].support | factors[1].support
         object.__setattr__(self, "flat", flat)
@@ -222,7 +216,8 @@ class DprPolynomial(Immutable):
     # arithmetic ------------------------------------------------------------
 
     def swap_sides(self) -> "DprPolynomial":
-        """Exchange the two families: X <-> Y and U <-> V, coefficients kept."""
+        """Exchange X <-> Y and U <-> V, coefficients kept.  Mirrored factors
+        may interleave (InterleavedFactors), but never a glued product's."""
         flat = _flat_derived(self, "mirror", _flat_mirror)
         if self.factors is None:
             return flat
@@ -299,10 +294,10 @@ class DprPolynomial(Immutable):
 def _flat_derived(g: DprPolynomial, name: str, compute):
     """compute(g), made once and held in `g._derived` under `name`.
 
-    `compute` reads `g.flat` alone (and `g.support` for block patterns, to
-    which a wider support does no harm), so its result belongs to the flat
-    terms, and every polynomial that shares them shares it: on a cached
-    chain it lives as long as the chain cache does.
+    `compute` reads `g.flat`, and `g.support` for block patterns (a wider
+    one does no harm) or, on a flat factor, as its terms' own, so its result
+    belongs to the flat terms, and every polynomial that shares them shares
+    it: on a cached chain it lives as long as the chain cache does.
     """
     held = g._derived
     if name not in held:
@@ -312,10 +307,7 @@ def _flat_derived(g: DprPolynomial, name: str, compute):
 
 def _union(masks: Iterable[int]) -> int:
     """The generators that any of `masks` mentions, as one mask."""
-    out = 0
-    for mask in masks:
-        out |= mask
-    return out
+    return reduce(operator.or_, masks, 0)
 
 
 def _swap_families(support: int) -> int:
@@ -331,6 +323,43 @@ def _flat_mirror(p: DprPolynomial) -> DprPolynomial:
     return DprPolynomial(flat, None, None if p.factors else _swap_families(p.support))
 
 
+def _flat_ends(p: DprPolynomial) -> tuple:
+    """The sort keys (rank, block) of p's first and last class, then of its
+    first and last marker, read off each family's byte mask of p.support in
+    Monomial order.  A part p lacks is ((8, 0), (-1, 0)): above and below any."""
+    keys, ones = [[(8, 0), (-1, 0)], [(8, 0), (-1, 0)]], _rep_mask(1, p.support)
+    for off in _OFFSETS_IN_SYMBOL_ORDER:
+        family = p.support & ones << off
+        if family:
+            rank = _RANK_AT_OFFSET[off]
+            part = keys[rank > 1]
+            part[0] = min(part[0], (rank, ((family & -family).bit_length() - 1) // _BITS_PER_INDEX))
+            part[1] = (rank, (family.bit_length() - 1) // _BITS_PER_INDEX)
+    return (*keys[0], *keys[1])
+
+
+def _shaped(flat: Mapping[int, int], flat_support: int,
+            a: DprPolynomial, b: DprPolynomial) -> tuple[DprPolynomial, DprPolynomial]:
+    """A product's factors, the upper one first.  Factors that share a
+    generator are kept as given, for `check_multilinear`.  A product term
+    meets both factors' supports unless one holds the constant term, so only
+    then, or when the flat support meets both, are flat terms looked up."""
+    if a.support & b.support:
+        return a, b
+    (a_lo, a_hi, a_mlo, a_mhi), (b_lo, b_hi, b_mlo, b_mhi) = (
+        _flat_derived(a, "ends", _flat_ends), _flat_derived(b, "ends", _flat_ends))
+    if not (a_hi < b_lo and a_mhi < b_mlo):
+        if not (b_hi < a_lo and b_mhi < a_mlo):
+            raise InterleavedFactors("the factors' generators interleave in Monomial order")
+        a, b = b, a
+    sa, sb = a.support, b.support
+    if 0 in a.flat or 0 in b.flat or (flat_support & sa and flat_support & sb):
+        for m in flat:
+            if not m & ~(sa | sb) and (m & sa) in a.flat and (m & sb) in b.flat:
+                raise TermCollision("a flat term is also a product term")
+    return a, b
+
+
 def _product_terms(a: DprPolynomial, b: DprPolynomial) -> Iterator[tuple[int, int]]:
     """Multiply out the product of two flat polynomials on disjoint generators."""
     if a.support & b.support:
@@ -341,14 +370,16 @@ def _product_terms(a: DprPolynomial, b: DprPolynomial) -> Iterator[tuple[int, in
             yield ma | mb, ca * cb
 
 
-def _product_disjoint(a: DprPolynomial, b: DprPolynomial) -> DprPolynomial:
-    """The product of two flat polynomials with disjoint symbol supports,
-    kept as its factors."""
+def _product_disjoint(a: DprPolynomial, b: DprPolynomial,
+                      flat: Mapping[int, int] | DprPolynomial = MappingProxyType({}),
+                      ) -> DprPolynomial:
+    """`flat` plus the product of two flat polynomials with disjoint symbol
+    supports, the product kept as its factors."""
     if a.factors is not None or b.factors is not None:
         raise ValueError("product factors must be flat")
     if a.support & b.support:
         raise NotMultilinear("factors share generators")
-    return DprPolynomial({}, (a, b))
+    return DprPolynomial(flat, (a, b))
 
 
 def _concat_chunks(chunks: Iterable[Mapping[int, int]]) -> dict[int, int]:
@@ -437,13 +468,7 @@ def _glue(side: str, n: int, m: int) -> DprPolynomial:
     if n < 1 or m < 1:
         raise ValueError("both counts must be >= 1")
     t, f = _chain(side, n)
-    t_other = _chain(_other_side(side), m)[0]
-    # a product term contains a term of T'_m; one without a constant term
-    # and on other generators than T_n can meet no term of T_n
-    if 0 in t_other.flat or t_other.support & t.support:
-        raise TermCollision("the glued product may share terms with the chain")
-    product = _product_disjoint(t_other, f)
-    return DprPolynomial(t, product.factors, t.support | product.support)
+    return _product_disjoint(f, _chain(_other_side(side), m)[0], t)
 
 
 def build_gx(n: int, m: int) -> DprPolynomial:
@@ -489,12 +514,7 @@ def chain_values(side: str, n: int, value: Mapping[VarSymbol, object]) -> list[t
     """[(T_1, F_1), ..., (T_n, F_n)] for one side's chain at `value`.
 
     T_k = S_k + E_k is the class sum plus the excess polynomial and F_k the
-    correction polynomial of `_chain`, evaluated by the recursion itself:
-
-        T_1 = X_1,  F_1 = 0,
-        T_k = T_{k-1} + X_k - T_{k-1}*X_k*U1_{k-1} - X_k*F_{k-1},
-        F_k = F_{k-1} + T_{k-1}*X_k*(U2_k - U3_k).
-
+    correction polynomial, evaluated by `_chain`'s recursion itself.
     `value` binds generators (Y and V on the Y side) to elements of any
     commutative ring that mixes with int: ints, Fractions, Polynomials.  The
     values are read in one pass over the chain's held generator tuple, in
@@ -704,11 +724,6 @@ def _flat_rows(p: DprPolynomial, blocks: int) -> list[tuple]:
                  _flat_derived(p, "parts", _flat_parts), p.flat.values())]
 
 
-def _above(high: int, low: int) -> bool:
-    """Every place of `high` is above every place of `low`."""
-    return not high or low < high & -high
-
-
 # the row of the empty term with coefficient 1, the partner of a flat term
 _UNIT = (0, ((), ()), 1)
 
@@ -724,38 +739,21 @@ def ordered_terms(g: DprPolynomial) -> Iterator[tuple[tuple[str, ...], int]]:
     A product term's head is the sum of its factors' (counts add, disjoint
     rank masks OR), and a flat term is one times `_UNIT`.
 
-    A term's names are made as it is yielded.  When one factor's X and Y
-    places all lie above the other's, and so do its U and V places, they
-    are the upper factor's class part, the lower one's, the upper marker
-    part, the lower one: every builder's product is of this kind.  Other
-    factors, such as one that holds X and V and one that holds Y and U,
-    interleave their names, which are then read off the rank mask, at
-    about twice the cost per term.
+    A product term's names, made as it is yielded, are its upper (first)
+    factor's class part, the other's, then their marker parts in that order.
     """
     blocks = _blocks(g.support)
     full = (1 << _BITS_PER_INDEX * blocks) - 1
     keyed = [(row[0] ^ full, row, _UNIT) for row in _flat_rows(g, blocks)]
-    interleaved = False
     if g.factors is not None:
         a, b = g.factors
         if a.support & b.support:
             raise NotMultilinear("factors share generators")
-        place, classes = _rank_places(g.support, blocks), _class_places(blocks)
-        ra, rb = _rank_mask(a.support, place), _rank_mask(b.support, place)
-        if _above(rb & classes, ra & classes) and _above(rb & ~classes, ra & ~classes):
-            a, b = b, a
-        elif not (_above(ra & classes, rb & classes) and _above(ra & ~classes, rb & ~classes)):
-            interleaved = True
         right = _flat_rows(b, blocks)
         keyed += [((x[0] + y[0]) ^ full, x, y) for x in _flat_rows(a, blocks) for y in right]
     keyed.sort()  # masks are distinct, so no two keys tie and no rows are compared
-    if interleaved:
-        name_at = _rank_names(place)
-        for key, (_, _, cl), (_, _, cr) in keyed:
-            yield _names_down(key & full ^ full, name_at), cl * cr
-    else:
-        for _, (_, (cls_l, mk_l), cl), (_, (cls_r, mk_r), cr) in keyed:
-            yield cls_l + cls_r + mk_l + mk_r, cl * cr
+    for _, (_, (cls_l, mk_l), cl), (_, (cls_r, mk_r), cr) in keyed:
+        yield cls_l + cls_r + mk_l + mk_r, cl * cr
 
 
 def dpr_to_json(g: DprPolynomial) -> dict:

@@ -32,7 +32,8 @@ F(u, g) = 0 and division A(B(u)) = u, in ints.  The n-fold sums
 [k](u) = F(u, [k-1](u)) are read off the same cached powers, one degree at
 a time.  Series products, `series_apply` and `compose` are the independent
 route, which the solves never take: the inverse's own check composes the
-law with it, and `selftest`'s round trips go through `series_apply`.
+law with it, and `selftest`'s round trips go through `series_apply`, which
+makes each argument power only to the degree its terms read.
 
 A series product visits only the pairs of terms inside the truncation: the
 right factor's terms are held sorted by total degree, and the scan stops at
@@ -355,25 +356,34 @@ def series_apply(outer: TruncatedSeries, args: list[TruncatedSeries]) -> Truncat
     if outer.order < order:
         raise ValueError("outer series is not known to the target order")
 
-    pows: list[list[TruncatedSeries]] = [[s] for s in args]  # pows[t][e - 1] = args[t]^e
-
-    def power(t: int, e: int) -> TruncatedSeries:
-        cache = pows[t]
-        while len(cache) < e:
-            cache.append(cache[-1] * cache[0])
-        return cache[e - 1]
+    # args vanish at 0, so in a term of total exponent s the power args[t]^e
+    # is read only to degree order - (s - e), and args[t]^(e - 1), of which
+    # it is made, to one less
+    terms = [(exp, outer._coeffs[exp]) for exp in sorted(outer._coeffs, key=sum)
+             if sum(exp) <= order]
+    pows = []  # pows[t][e] = args[t]^e to degree cuts[e]
+    for t, arg in enumerate(args):
+        cuts = [0] * (order + 2)
+        for exp, _ in terms:
+            if exp[t]:
+                cuts[exp[t]] = max(cuts[exp[t]], order - sum(exp) + exp[t])
+        for e in range(order, 0, -1):
+            cuts[e] = max(cuts[e], cuts[e + 1] - 1)
+        held = [None, arg._coeffs]
+        for e in range(2, order + 1):
+            if not cuts[e]:
+                break
+            held.append(_product(held[-1], arg._coeffs, cuts[e]))
+        pows.append(held)
 
     origin = (0,) * len(vars)
     total: dict = {}
-    for exp in sorted(outer._coeffs, key=sum):
-        if sum(exp) > order:
-            continue  # args vanish at 0, so this contributes nothing
-        coeff = outer._coeffs[exp]
+    for exp, coeff in terms:
         prod = None
         for t, e in enumerate(exp):
             if e:
-                prod = power(t, e) if prod is None else prod * power(t, e)
-        for e_out, d in (prod._coeffs.items() if prod is not None else [(origin, {0: 1})]):
+                prod = pows[t][e] if prod is None else _product(prod, pows[t][e], order)
+        for e_out, d in (prod.items() if prod is not None else [(origin, {0: 1})]):
             _pmul_into(total.setdefault(e_out, {}), coeff, d)
     return TruncatedSeries(vars, order, ring, _nonzero(total))
 

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from dprkit import cli
+from dprkit import cli, fixedpoint
 from dprkit.algebra import canonical_json
 
 
@@ -25,6 +25,8 @@ def run(capsys, command):
     out = capsys.readouterr()
     return code, out.out, out.err
 
+
+MIXED_ALL_GOOD = "verify mixed -n 3 -m 3 --seed 42 --trials 20"
 
 # "argv": (exit code, sha256 of stdout)
 PINNED = {
@@ -152,6 +154,11 @@ PINNED = {
         (0, "e296a4272513ff0cea80370b3a7e3abd85a9428d3a1e031909b708bac9584a5f"),
     "verify mixed -n 3 -m 2 --seed 5 --trials 4 --format text":
         (0, "bd63b763c9853350431f1377e7c9b702fd67472c73f17f73ad42ff60e44841f7"),
+    # walks all-good steps, which the command above never takes
+    MIXED_ALL_GOOD + " --format json":
+        (0, "25b0d0d7c194105987c9f733de1543100ea5e57837fe5be00290ffa535b5230b"),
+    MIXED_ALL_GOOD + " --format text":
+        (0, "02c2cfd86d78f93d3ba3fa6531cf0abd04004210b156a4950b1b27ebe0aeee15"),
     "fixedpoint claim1 --case 1 --format json":
         (0, "a1f8b625544d0bd44f4ac7b6a73f5e50bb79165e406f9288a9c42d644e37b277"),
     "fixedpoint claim1 --case 1 --format text":
@@ -259,6 +266,21 @@ LEAVES = [
 def test_output_is_pinned(capsys, command):
     code, out, err = run(capsys, command)
     assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (*PINNED[command], "")
+
+
+def test_the_mixed_pin_walks_an_all_good_step(capsys, monkeypatch):
+    # so the pins cover the mixed verifier's blow-up step, not only the
+    # degenerate ones
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return blow_up(*args)
+
+    blow_up = fixedpoint.blow_up
+    monkeypatch.setattr(fixedpoint, "blow_up", counted)
+    assert run(capsys, MIXED_ALL_GOOD)[0] == 0
+    assert calls
 
 
 @pytest.mark.parametrize("command", list(ERRORS))

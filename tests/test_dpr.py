@@ -10,6 +10,8 @@ gives the closed forms |T_n| = 3^(n-1), |F_n| = 3^(n-1) - 1 and
 """
 
 import random
+import subprocess
+import sys
 import time
 from collections import defaultdict
 from fractions import Fraction
@@ -165,10 +167,17 @@ def test_concat_chunks_rejects_colliding_chunks():
 
 
 def test_glue_rejects_a_product_that_may_meet_the_chain(monkeypatch):
-    # a second chain with a constant term would put T^X_n's own terms into
-    # the product, and the term count would no longer add up
+    # a second chain with a constant term puts F^X_n's own terms into the
+    # product; no term of T^X_n is one of them, so the terms still add up
     y_chain = masked((1, []), (1, [Y1]))
     monkeypatch.setitem(dpr._CHAIN_CACHE, ("Y", 1), (y_chain, DprPolynomial({})))
+    g = build_gx(2, 1)
+    assert len(g) == len(dict(g.terms())) == 3 + 2 * 2
+    assert_renderings_match_the_oracle(g)
+    # with a correction chain that holds a term of T^X_2, one term would be
+    # stored twice, and the constructor refuses it
+    t, f = dpr._chain("X", 2)
+    monkeypatch.setitem(dpr._CHAIN_CACHE, ("X", 2), (t, DprPolynomial({**f.flat, bit(X1): 1})))
     with pytest.raises(TermCollision):
         build_gx(2, 1)
 
@@ -472,7 +481,9 @@ def same_kind():
 
 def shared_kinds_past_nine():
     """Both factors hold X and U generators across blocks 9 and 10, where
-    index 10 must sort after index 9."""
+    index 10 sorts after index 9: the second one's classes come first, the
+    first one's U[1][9] before the second one's U[1][10], but its U[3][10]
+    after the second one's U[2][9]."""
     a = masked((2, [sym("X", 10), sym("U", 1, 9)]), (-1, [sym("X", 9)]),
                (3, [sym("U", 3, 10), sym("Y", 2)]))
     b = masked((-3, [X1, sym("U", 2, 10)]), (1, [X2, sym("U", 1, 10)]), (5, [sym("U", 2, 9)]))
@@ -504,11 +515,8 @@ _JSON_CASES = [
     (build_ex, (10,)),
     (hand_built, ()),
     (with_constant, ()),
-    # products whose factors share a generator kind, or split the kinds
-    # across the class and marker parts
+    # products whose factors share a generator kind, or hold one part each
     (same_kind, ()),
-    (shared_kinds_past_nine, ()),
-    (crossed_kinds, ()),
     (markers_alone, ()),
 ]
 
@@ -540,25 +548,88 @@ def test_json_from_masks_matches_the_decoded_polynomial(build, counts):
 @pytest.mark.parametrize("build, counts", [
     (build_gx, (3, 4)), (build_gy, (4, 3)), (build_gx, (2, 9)), (build_gy, (9, 2))])
 def test_builder_products_join_their_factors_parts(monkeypatch, build, counts):
-    # one factor of a glued relation polynomial lies above the other in rank
-    # space, so its terms' names are joined from the factors' held parts and
-    # never read off the rank mask, the slower way
+    # a glued relation polynomial stores its upper factor, the one on X and
+    # U, first, so its terms' names are joined from the factors' held parts
+    # and no name is read off a rank mask once those are held
     def refuse(place):
         raise AssertionError("names read off the rank mask")
 
-    g, h = build(*counts), crossed_kinds()
-    expected, interleaved = dpr_to_json(g), dpr_to_json(h)  # the parts are now held
+    g = build(*counts)
+    odd = dpr._repeat(dpr._ODD_BYTE, 10)
+    assert not g.factors[0].support & odd and g.factors[1].support == g.factors[1].support & odd
+    expected = dpr_to_json(g)  # the parts are now held
     monkeypatch.setattr(dpr, "_rank_names", refuse)
     assert dpr_to_json(g) == expected
-    with pytest.raises(AssertionError, match="rank mask"):
-        dpr_to_json(h)
-    monkeypatch.undo()
-    assert dpr_to_json(h) == interleaved
 
 
-def test_drawn_polynomials_render_as_the_oracle():
+@pytest.mark.parametrize("build", [crossed_kinds, shared_kinds_past_nine],
+                         ids=lambda build: build.__name__)
+def test_interleaved_factors_are_refused(build):
+    # neither factor's classes and markers all sort before the other's, so
+    # a product term's names would not join its factors' parts
+    with pytest.raises(dpr.InterleavedFactors):
+        build()
+
+
+def test_a_flat_term_that_is_a_product_term_is_refused():
+    # X[1]*Y[1] stored flat and as X[1] times Y[1] would print two rows for
+    # one monomial
+    x1, y1, x2 = bit(X1), bit(Y1), bit(X2)
+    with pytest.raises(TermCollision):
+        DprPolynomial({x1 | y1: 5}, (DprPolynomial({x1: 1}), DprPolynomial({y1: 2})))
+    # a factor that holds the constant term puts the other's terms into the
+    # product, and its own when both do
+    with pytest.raises(TermCollision):
+        DprPolynomial({x1: 5}, (DprPolynomial({x1: 1}), DprPolynomial({0: 1, y1: 2})))
+    with pytest.raises(TermCollision):
+        DprPolynomial({0: 5}, (DprPolynomial({0: 1, x1: 1}), DprPolynomial({0: 1, y1: 2})))
+    # a flat term with a generator past both factors' is no product term
+    g = DprPolynomial({x1 | y1 | x2: 5, x1: 3}, (DprPolynomial({x1: 1}), DprPolynomial({y1: 2})))
+    assert len(g) == 3
+    assert_renderings_match_the_oracle(g)
+
+
+def test_shape_errors_survive_optimisation(cli_env):
+    # the errors are raised, not asserted, so python -O keeps them
+    script = ("from dprkit import dpr\n"
+              "x1, y1, u11 = dpr._mask('X', 1), dpr._mask('Y', 1), dpr._mask(('U', 1), 1)\n"
+              "cases = [({}, {x1: 1, dpr._mask(('V', 1), 1): 1}, {y1 | u11: 1}),\n"
+              "         ({x1 | y1: 5}, {x1: 1}, {y1: 2})]\n"
+              "for flat, a, b in cases:\n"
+              "    try:\n"
+              "        dpr.DprPolynomial(flat, (dpr.DprPolynomial(a), dpr.DprPolynomial(b)))\n"
+              "    except (dpr.InterleavedFactors, dpr.TermCollision) as err:\n"
+              "        print(type(err).__name__)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                         check=True, env=cli_env)
+    assert out.stdout == "InterleavedFactors\nTermCollision\n"
+
+
+def _keys_by_part(poly):
+    """The VarSymbol sort keys of a Polynomial's classes, then of its markers."""
+    symbols = poly.symbols()
+    return ([s.sort_key for s in symbols if s.family in ("X", "Y")],
+            [s.sort_key for s in symbols if s.family not in ("X", "Y")])
+
+
+def upper(high, low):
+    """Every class of the Polynomial `high` sorts before each of `low`'s,
+    and so does every marker: read off the symbols, apart from the masks."""
+    pairs = zip(_keys_by_part(high), _keys_by_part(low))
+    return all(not h or not l or max(h) < min(l) for h, l in pairs)
+
+
+def upper_first(g):
+    """g's first factor is upper."""
+    return g.factors is None or upper(*(f.to_polynomial() for f in g.factors))
+
+
+def _hypothesis():
     hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
+    return hypothesis, hypothesis.strategies
+
+
+def _flat_terms(st):
     coeffs = st.integers(-40, 40).filter(bool)
 
     @st.composite
@@ -568,31 +639,118 @@ def test_drawn_polynomials_render_as_the_oracle():
         masks = {sum(b for i, b in enumerate(pool) if pick >> i & 1) for pick in picks}
         return {mask: draw(coeffs) for mask in sorted(masks)}
 
+    return flat_terms
+
+
+def _sort_key(pos):
+    return dpr._symbol_of_bit(pos).sort_key
+
+
+def _ordered_products(st):
+    """Flat polynomials and products over ten index blocks, so that index 10
+    occurs.  A product's first factor holds the classes below a drawn one
+    and the markers below another in sort-key order, and the factors come
+    in either order."""
+    flat_terms = _flat_terms(st)
+
     @st.composite
     def polynomials(draw):
-        # generator bits over ten index blocks, so that index 10 occurs
         gens = draw(st.lists(st.integers(0, 10 * dpr._BITS_PER_INDEX - 1), max_size=10,
                              unique=True))
-        split = draw(st.sampled_from(["flat", "sides", "anyhow"]))
+        split = draw(st.sampled_from(["flat", "sides", "ordered"]))
         if split == "flat":
             return DprPolynomial(draw(flat_terms([1 << pos for pos in gens])))
         if split == "sides":
             # one factor on each side, as a glued relation polynomial has them
             in_a = [pos % 2 == 0 for pos in gens]
         else:
-            # factors that may share every kind
-            in_a = draw(st.lists(st.booleans(), min_size=len(gens), max_size=len(gens)))
+            # a drawn class and a drawn marker mark where the first factor's
+            # part of each ends, each at its own place in sort-key order
+            cuts = st.sampled_from(sorted(map(_sort_key, gens)) or [None])
+            cut_class, cut_marker = draw(cuts), draw(cuts)
+            in_a = [_sort_key(pos) < (cut_class if pos % 8 < 2 else cut_marker) for pos in gens]
         a = DprPolynomial(draw(flat_terms([1 << p for p, x in zip(gens, in_a) if x])))
         b = DprPolynomial(draw(flat_terms([1 << p for p, x in zip(gens, in_a) if not x])))
         product = {ma | mb for ma in a.flat for mb in b.flat}
         flat = {m: c for m, c in draw(flat_terms([1 << pos for pos in gens])).items()
                 if m not in product}
-        return DprPolynomial(flat, (a, b))
+        return DprPolynomial(flat, (b, a) if draw(st.booleans()) else (a, b))
+
+    return polynomials()
+
+
+def test_drawn_polynomials_render_as_the_oracle():
+    hypothesis, st = _hypothesis()
 
     @hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
-    @hypothesis.given(polynomials())
+    @hypothesis.given(_ordered_products(st))
     def check(g):
+        assert upper_first(g)
         assert_renderings_match_the_oracle(g)
+
+    check()
+
+
+def test_crossed_splits_are_refused():
+    # the first factor holds the first of two classes and the last of two
+    # markers, the second factor the other two, and the rest go anywhere
+    hypothesis, st = _hypothesis()
+    flat_terms = _flat_terms(st)
+    blocks = st.integers(0, 9)
+    classes = st.lists(st.tuples(blocks, st.integers(0, 1)), min_size=2, max_size=4, unique=True)
+    markers = st.lists(st.tuples(blocks, st.integers(2, 7)), min_size=2, max_size=4, unique=True)
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @hypothesis.given(classes, markers, st.data())
+    def check(class_gens, marker_gens, data):
+        (c_lo, *c_rest, c_hi), (m_lo, *m_rest, m_hi) = (
+            sorted((8 * block + off for block, off in gens), key=_sort_key)
+            for gens in (class_gens, marker_gens))
+        rest = c_rest + m_rest
+        in_a = data.draw(st.lists(st.booleans(), min_size=len(rest), max_size=len(rest)))
+        a = {1 << c_lo | 1 << m_hi: 1, **data.draw(flat_terms([1 << p for p, x in zip(rest, in_a) if x]))}
+        b = {1 << c_hi | 1 << m_lo: -1, **data.draw(flat_terms([1 << p for p, x in zip(rest, in_a) if not x]))}
+        for factors in ((a, b), (b, a)):
+            with pytest.raises(dpr.InterleavedFactors):
+                DprPolynomial({}, tuple(map(DprPolynomial, factors)))
+
+    check()
+
+
+def _swapped(poly):
+    """poly with X <-> Y and U <-> V, built on its symbols."""
+    other = {"X": "Y", "Y": "X", "U": "V", "V": "U"}
+    return Polynomial(ZZ, (
+        (Monomial({VarSymbol(other[s.family], s.indices): 1 for s in mono.symbols()}), c)
+        for mono, c in poly.sorted_terms()))
+
+
+def test_swapped_and_killed_products_keep_the_upper_factor_first():
+    hypothesis, st = _hypothesis()
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @hypothesis.given(_ordered_products(st), st.data())
+    def check(g, data):
+        # the mirror of a product is a product when the mirrored factors do
+        # not interleave, as a glued relation polynomial's never do
+        mirrored = [_swapped(f.to_polynomial()) for f in g.factors or ()]
+        if mirrored and not (upper(*mirrored) or upper(*reversed(mirrored))):
+            with pytest.raises(dpr.InterleavedFactors):
+                g.swap_sides()
+        else:
+            swapped = g.swap_sides()
+            assert upper_first(swapped)
+            assert swapped.to_polynomial() == _swapped(g.to_polynomial())
+            assert_renderings_match_the_oracle(swapped)
+        bits = [1 << pos for pos in range(g.support.bit_length()) if g.support >> pos & 1]
+        cut = sum(data.draw(st.lists(st.sampled_from(bits), unique=True)) if bits else [])
+        killed = dpr._kill(g, cut)
+        assert upper_first(killed)
+        kept = {bit(s) for s in g.to_polynomial().symbols()} - {b for b in bits if b & cut}
+        assert killed.to_polynomial() == Polynomial(ZZ, (
+            (mono, c) for mono, c in g.to_polynomial().sorted_terms()
+            if all(bit(s) in kept for s in mono.symbols())))
+        assert_renderings_match_the_oracle(killed)
 
     check()
 

@@ -122,6 +122,64 @@ def test_products_match_the_all_pairs_route(pair):
     assert not any(d is f for d in got._coeffs.values() for f in factors)  # copies
 
 
+def apply_oracle(outer, args):
+    """series_apply with every power of every argument made to the whole
+    order by `product_oracle`, one factor at a time."""
+    vars, order = args[0].vars, args[0].order
+    total = {}
+    for exp, coeff in outer._coeffs.items():
+        if sum(exp) > order:
+            continue
+        prod = TruncatedSeries(vars, order, ZZ, {(0,) * len(vars): {0: 1}})
+        for arg, e in zip(args, exp):
+            for _ in range(e):
+                prod = product_oracle(prod, arg)
+        for e_out, d in prod._coeffs.items():
+            fgl._pmul_into(total.setdefault(e_out, {}), coeff, d)
+    return TruncatedSeries(vars, order, outer.ring, fgl._nonzero(total))
+
+
+@st.composite
+def applications(draw):
+    """An outer series in one or two variables, with terms past the order,
+    and one argument per outer variable in one or two variables, each
+    vanishing at 0 to a drawn lowest degree, 1 or 2."""
+    order = draw(st.integers(min_value=1, max_value=8))
+
+    def series(vars, low, high):
+        exps = st.tuples(*[st.integers(0, high)] * len(vars))
+        coeffs = draw(st.dictionaries(exps, COEFFS, max_size=8))
+        return TruncatedSeries(vars, order, ZZ,
+                               {e: d for e, d in coeffs.items() if low <= sum(e) <= high})
+
+    outer_vars, arg_vars = (("u", "v")[:draw(st.integers(1, 2))] for _ in range(2))
+    outer = series(outer_vars, 0, order + 1)
+    return outer, [series(arg_vars, draw(st.integers(1, 2)), order) for _ in outer_vars]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(application=applications())
+def test_series_apply_matches_the_uncut_route(application):
+    # each power is cut to the degree its terms read
+    outer, args = application
+    assert fgl.series_apply(outer, args) == apply_oracle(outer, args)
+
+
+@pytest.mark.parametrize("mode", [universal_mode(), multiplicative_mode()],
+                         ids=["universal", "multiplicative"])
+def test_law_compositions_match_the_uncut_route(mode):
+    # the inverse's own check, F(u, g(u)) = 0, and f_minus's F(u, g(v))
+    for order in range(1, 11):
+        law, g = law_series(mode, order), inverse_series(mode, order)
+        u = TruncatedSeries.variable("u", ("u",), order)
+        assert fgl.series_apply(law, [u, g]) == apply_oracle(law, [u, g])
+        assert apply_oracle(law, [u, g]).is_zero()
+        gamma_v = TruncatedSeries(("u", "v"), order, g.ring,
+                                  {(0, k): d for (k,), d in g._coeffs.items()})
+        u2 = TruncatedSeries.variable("u", ("u", "v"), order)
+        assert f_minus(mode, order) == apply_oracle(law, [u2, gamma_v]), order
+
+
 @pytest.mark.parametrize("mode", [universal_mode(), multiplicative_mode()],
                          ids=["universal", "multiplicative"])
 def test_powers_of_the_law_match_the_all_pairs_route(mode):
@@ -205,3 +263,17 @@ def test_eval_dim_runs_no_polynomial_arithmetic(monkeypatch):
         monkeypatch.setattr(Polynomial, name, refuse)
     for case, want in zip(cases, wants):
         assert eval_dim_truncated(*case) == want
+
+
+@pytest.mark.parametrize("name", ["universal", "custom-1"])
+def test_a_bumped_top_coefficient_of_the_inverse_is_seen(name):
+    # F(u, g + u^N) = F(u, g) + u^N modulo degree > N, so the cut powers
+    # must still read g's top degree where v itself does
+    mode = EVAL_MODES[name]
+    for order in range(1, 13):
+        g = inverse_series(mode, order)
+        top = dict(g._coeffs.get((order,), {}))
+        fgl._pmul_into(top, {0: 1}, {0: 1})
+        bumped = TruncatedSeries(("u",), order, g.ring, {**g._coeffs, (order,): top})
+        got = fgl.compose(law_series(mode, order), "v", bumped)
+        assert got._coeffs == {(order,): {0: 1}}, order
