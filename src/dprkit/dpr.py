@@ -16,8 +16,11 @@ U3=6, V3=7 inside the byte, and Python ints have any width, so one code path
 serves every index.  A polynomial is a dict {mask: coeff} plus at most one
 product of two such dicts on disjoint generators, kept as its factors, the
 upper one first: all its classes, and all its markers, sort before the
-other's in Monomial order, as the constructor checks.  GX(n, m) is T^X_n
-plus F^X_n times T^Y_m: 3^(n-1) + 3^(n-1) - 1 + 3^(m-1) stored terms for the
+other's in Monomial order, as the constructor checks.  The constructor,
+`DprPolynomial(flat, factors)`, is the one way a polynomial is made: its
+support is always the union of its terms' generators, and a factor that
+is itself a product is refused.  GX(n, m) is T^X_n plus F^X_n times
+T^Y_m: 3^(n-1) + 3^(n-1) - 1 + 3^(m-1) stored terms for the
 3^(n+m-2) + 3^(n-1) - 3^(m-1) it stands for.  The structural checks run on
 the factors (a term count multiplies, supports OR, weight sets add, a mirror
 or a padding kill acts on each factor), and the product is multiplied out
@@ -148,12 +151,16 @@ _RANK_AT_OFFSET = [_OFFSETS_IN_SYMBOL_ORDER.index(off) for off in range(_BITS_PE
 class DprPolynomial(Immutable):
     """An element of the multilinear relation ring over Z.
 
-    `flat` maps each term's bitmask to its coefficient; no coefficient is
-    zero.  `factors` is None or a pair (a, b) of flat polynomials on
-    disjoint generators whose product belongs to the polynomial too, a the
-    upper one, and no mask of `flat` is a mask of that product (`_shaped`
-    checks both).  So the polynomial has len(flat) + len(a) * len(b)
-    distinct terms.  Instances are immutable; `flat` is a read-only view.
+    The constructor is the one way a relation polynomial is made, from its
+    terms and factors alone.  `flat` maps each term's bitmask to its
+    coefficient; no coefficient is zero.  `factors` is None or a pair (a, b)
+    of flat polynomials on disjoint generators whose product belongs to the
+    polynomial too, a the upper one, and no mask of `flat` is a mask of that
+    product (`_shaped` checks both, and refuses a factor that is not flat
+    with ValueError).  So the polynomial has len(flat) + len(a) * len(b)
+    distinct terms.  `support` is always the union of the generators of
+    the flat terms and of the factors.  Instances are immutable; `flat` is a
+    read-only view.
 
     `_derived` is what `_flat_derived` has computed from the terms of `flat`
     so far.  `flat` may also be a flat DprPolynomial, whose terms, support
@@ -163,25 +170,20 @@ class DprPolynomial(Immutable):
     __slots__ = ("flat", "factors", "support", "_derived")
 
     def __init__(self, flat: Mapping[int, int] | DprPolynomial,
-                 factors: tuple[DprPolynomial, DprPolynomial] | None = None,
-                 support: int | None = None):
-        derived, flat_support = {}, None
+                 factors: tuple[DprPolynomial, DprPolynomial] | None = None):
+        derived = {}
         if isinstance(flat, DprPolynomial):
             if flat.factors is not None:
                 raise ValueError("a flat part must be flat")
-            derived, flat_support, flat = flat._derived, flat.support, flat.flat
-        elif not isinstance(flat, MappingProxyType):
-            flat = MappingProxyType(flat)
-        if factors is not None and (factors[0].is_zero() or factors[1].is_zero()):
-            factors = None  # a zero factor kills the whole product
-        if flat_support is None and (support is None or factors is not None):
-            flat_support = _union(flat)
+            derived, support, flat = flat._derived, flat.support, flat.flat
+        else:
+            if not isinstance(flat, MappingProxyType):
+                flat = MappingProxyType(flat)
+            support = _union(flat)
         if factors is not None:
-            factors = _shaped(flat, flat_support, *factors)
-        if support is None:
-            support = flat_support
-            if factors is not None:
-                support |= factors[0].support | factors[1].support
+            factors = _shaped(flat, support, *factors)
+        if factors is not None:
+            support |= factors[0].support | factors[1].support
         object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "support", support)
@@ -221,8 +223,7 @@ class DprPolynomial(Immutable):
         flat = _flat_derived(self, "mirror", _flat_mirror)
         if self.factors is None:
             return flat
-        factors = (self.factors[0].swap_sides(), self.factors[1].swap_sides())
-        return DprPolynomial(flat, factors, _swap_families(self.support))
+        return DprPolynomial(flat, (self.factors[0].swap_sides(), self.factors[1].swap_sides()))
 
     # evaluation and export --------------------------------------------------
 
@@ -310,17 +311,10 @@ def _union(masks: Iterable[int]) -> int:
     return reduce(operator.or_, masks, 0)
 
 
-def _swap_families(support: int) -> int:
-    """A support with the two families exchanged."""
-    even, odd = _rep_mask(_EVEN_BYTE, support), _rep_mask(_ODD_BYTE, support)
-    return ((support & even) << 1) | ((support & odd) >> 1)
-
-
 def _flat_mirror(p: DprPolynomial) -> DprPolynomial:
     """The flat terms of p with the two families exchanged."""
     even, odd = _rep_mask(_EVEN_BYTE, p.support), _rep_mask(_ODD_BYTE, p.support)
-    flat = {((m & even) << 1) | ((m & odd) >> 1): c for m, c in p.flat.items()}
-    return DprPolynomial(flat, None, None if p.factors else _swap_families(p.support))
+    return DprPolynomial({((m & even) << 1) | ((m & odd) >> 1): c for m, c in p.flat.items()})
 
 
 def _flat_ends(p: DprPolynomial) -> tuple:
@@ -339,11 +333,17 @@ def _flat_ends(p: DprPolynomial) -> tuple:
 
 
 def _shaped(flat: Mapping[int, int], flat_support: int,
-            a: DprPolynomial, b: DprPolynomial) -> tuple[DprPolynomial, DprPolynomial]:
-    """A product's factors, the upper one first.  Factors that share a
-    generator are kept as given, for `check_multilinear`.  A product term
-    meets both factors' supports unless one holds the constant term, so only
-    then, or when the flat support meets both, are flat terms looked up."""
+            a: DprPolynomial, b: DprPolynomial) -> tuple[DprPolynomial, DprPolynomial] | None:
+    """A product's factors, the upper one first, or None when one is zero:
+    a zero factor kills the whole product.  A factor that is not flat is
+    refused.  Factors that share a generator are kept as given, for
+    `check_multilinear`.  A product term meets both factors' supports unless
+    one holds the constant term, so only then, or when the flat support
+    meets both, are flat terms looked up."""
+    if a.factors is not None or b.factors is not None:
+        raise ValueError("product factors must be flat")
+    if a.is_zero() or b.is_zero():
+        return None
     if a.support & b.support:
         return a, b
     (a_lo, a_hi, a_mlo, a_mhi), (b_lo, b_hi, b_mlo, b_mhi) = (
@@ -368,18 +368,6 @@ def _product_terms(a: DprPolynomial, b: DprPolynomial) -> Iterator[tuple[int, in
     for ma, ca in a.flat.items():
         for mb, cb in right:
             yield ma | mb, ca * cb
-
-
-def _product_disjoint(a: DprPolynomial, b: DprPolynomial,
-                      flat: Mapping[int, int] | DprPolynomial = MappingProxyType({}),
-                      ) -> DprPolynomial:
-    """`flat` plus the product of two flat polynomials with disjoint symbol
-    supports, the product kept as its factors."""
-    if a.factors is not None or b.factors is not None:
-        raise ValueError("product factors must be flat")
-    if a.support & b.support:
-        raise NotMultilinear("factors share generators")
-    return DprPolynomial(flat, (a, b))
 
 
 def _concat_chunks(chunks: Iterable[Mapping[int, int]]) -> dict[int, int]:
@@ -468,7 +456,7 @@ def _glue(side: str, n: int, m: int) -> DprPolynomial:
     if n < 1 or m < 1:
         raise ValueError("both counts must be >= 1")
     t, f = _chain(side, n)
-    return _product_disjoint(f, _chain(_other_side(side), m)[0], t)
+    return DprPolynomial(t, (f, _chain(_other_side(side), m)[0]))
 
 
 def build_gx(n: int, m: int) -> DprPolynomial:

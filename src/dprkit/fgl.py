@@ -202,14 +202,23 @@ class FglMode(Immutable):
 
     kind is one of "universal", "additive", "multiplicative", "custom".
     For multiplicative, the free symbol beta is the coefficient of the uv
-    cross term.  For custom, table maps (i, j) with i <= j to the numeric
-    coefficient of u^i v^j.  Modes are equal when kind and table are, so an
-    equal mode built afresh hits the series caches.
+    cross term.  For custom, table maps (i, j) with 1 <= i <= j to the
+    numeric coefficient of u^i v^j; no other kind takes a table.  The
+    constructor raises ValueError for any other kind, table or key.  Modes
+    are equal when kind and table are, so an equal mode built afresh hits
+    the series caches.
     """
 
     __slots__ = ("kind", "table", "_lookup")
 
     def __init__(self, kind: str, table: tuple = ()):
+        if kind not in ("universal", "additive", "multiplicative", "custom"):
+            raise ValueError(f"unknown group law kind {kind!r}")
+        if table and kind != "custom":
+            raise ValueError(f"a {kind} law takes no table")
+        for (i, j), _ in table:
+            if not 1 <= i <= j:
+                raise ValueError(f"custom table key {(i, j)} is not 1 <= i <= j")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_lookup", dict(table))
@@ -255,8 +264,6 @@ def custom_mode(table: Mapping[tuple[int, int], Coeff]) -> FglMode:
     raises IncompatibleRings."""
     entries = {}
     for (i, j), c in table.items():
-        if i < 1 or j < 1:
-            raise ValueError("custom table indexes start at (1, 1)")
         c = ZZ.check_coeff(c)
         key = (min(i, j), max(i, j))
         if key in entries and entries[key] != c:

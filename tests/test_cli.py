@@ -397,7 +397,9 @@ def test_checks_pass_at_every_size(capsys):
 
 
 def test_failing_check_exits_one(capsys, monkeypatch):
-    # a mirror that forgets the markers: the check is false, not an error
+    # a mirror that forgets the markers: the check is false, not an error.
+    # Chains built afresh hold the tampered mirrors, not the cached ones.
+    monkeypatch.setattr(dpr, "_CHAIN_CACHE", {})
     monkeypatch.setattr(dpr, "_EVEN_BYTE", 0x01)
     monkeypatch.setattr(dpr, "_ODD_BYTE", 0x02)
     code, doc, err = run_json(capsys, ["gdpr", "check", "mirror", "-n", "3", "-m", "2"])

@@ -38,7 +38,6 @@ from dprkit.dpr import (
     dpr_to_json,
     mirror_check,
     padding_check,
-    _product_disjoint,
     relation_values,
     weight_check,
 )
@@ -210,8 +209,8 @@ def test_multilinear_check_fails_on_factors_that_share_a_generator():
     assert not check_multilinear(tampered)
     with pytest.raises(NotMultilinear):
         list(tampered.terms())
-    with pytest.raises(NotMultilinear):
-        _product_disjoint(left, right)
+    # the constructor keeps such factors as given, for the check to report
+    assert tampered.factors == (left, right)
     assert check_multilinear(DprPolynomial({}, (left, masked((1, [Y1])))))
 
 
@@ -250,6 +249,11 @@ def test_index_bounds():
     bad = masked((1, [X1, X2, sym("U", 1, 2)]))
     assert not check_index_bounds(bad, 2, 1)
     assert check_index_bounds(bad, 3, 1)
+    # the support is always the terms' own: no caller can pass a narrower one
+    x9 = {bit(sym("X", 9)): 1}
+    with pytest.raises(TypeError):
+        DprPolynomial(x9, None, 0)
+    assert not check_index_bounds(DprPolynomial(x9), 8, 8)
 
 
 def test_allowed_support_is_the_chain_generators():
@@ -347,7 +351,7 @@ def test_recursion_checks_can_fail(monkeypatch):
 
     def negated(p):
         factors = None if p.factors is None else (negated(p.factors[0]), p.factors[1])
-        return DprPolynomial({mask: -c for mask, c in p.flat.items()}, factors, p.support)
+        return DprPolynomial({mask: -c for mask, c in p.flat.items()}, factors)
 
     monkeypatch.setattr(dpr, "build_gx", lambda n, m: negated(real(n, m)) if n < 3 else real(n, m))
     assert not padding_check(1, 1, 3, 2)
@@ -355,16 +359,15 @@ def test_recursion_checks_can_fail(monkeypatch):
 
 
 def test_product_guards_multilinearity():
-    x1 = masked((1, [X1]))
-    with pytest.raises(NotMultilinear):
-        _product_disjoint(x1, x1)
-    mixed = masked((1, [X1]), (1, [X2]))
-    with pytest.raises(NotMultilinear):
-        _product_disjoint(mixed, mixed)
+    for shared in (masked((1, [X1])), masked((1, [X1]), (1, [X2]))):
+        square = DprPolynomial({}, (shared, shared))
+        assert not check_multilinear(square)
+        with pytest.raises(NotMultilinear):
+            list(square.terms())
     # coefficients are Python ints, so products stay exact at any size
     a = masked((1 << 31, [X1]))
     b = masked((-(1 << 80) - 1, [X2]))
-    (term,) = _product_disjoint(a, b).terms()
+    (term,) = DprPolynomial({}, (a, b)).terms()
     assert term == (bit(X1) | bit(X2), -(1 << 111) - (1 << 31))
 
 
@@ -583,6 +586,10 @@ def test_a_flat_term_that_is_a_product_term_is_refused():
         DprPolynomial({x1: 5}, (DprPolynomial({x1: 1}), DprPolynomial({0: 1, y1: 2})))
     with pytest.raises(TermCollision):
         DprPolynomial({0: 5}, (DprPolynomial({0: 1, x1: 1}), DprPolynomial({0: 1, y1: 2})))
+    # a factor that is itself a product would be counted in len() but never
+    # multiplied out, so it is refused
+    with pytest.raises(ValueError, match="product factors must be flat"):
+        DprPolynomial({}, (build_gx(2, 1), DprPolynomial({bit(sym("V", 1, 5)): 1})))
     # a flat term with a generator past both factors' is no product term
     g = DprPolynomial({x1 | y1 | x2: 5, x1: 3}, (DprPolynomial({x1: 1}), DprPolynomial({y1: 2})))
     assert len(g) == 3
@@ -592,17 +599,19 @@ def test_a_flat_term_that_is_a_product_term_is_refused():
 def test_shape_errors_survive_optimisation(cli_env):
     # the errors are raised, not asserted, so python -O keeps them
     script = ("from dprkit import dpr\n"
+              "P = dpr.DprPolynomial\n"
               "x1, y1, u11 = dpr._mask('X', 1), dpr._mask('Y', 1), dpr._mask(('U', 1), 1)\n"
-              "cases = [({}, {x1: 1, dpr._mask(('V', 1), 1): 1}, {y1 | u11: 1}),\n"
-              "         ({x1 | y1: 5}, {x1: 1}, {y1: 2})]\n"
+              "cases = [({}, P({x1: 1, dpr._mask(('V', 1), 1): 1}), P({y1 | u11: 1})),\n"
+              "         ({x1 | y1: 5}, P({x1: 1}), P({y1: 2})),\n"
+              "         ({}, dpr.build_gx(2, 1), P({dpr._mask(('V', 1), 5): 1}))]\n"
               "for flat, a, b in cases:\n"
               "    try:\n"
-              "        dpr.DprPolynomial(flat, (dpr.DprPolynomial(a), dpr.DprPolynomial(b)))\n"
-              "    except (dpr.InterleavedFactors, dpr.TermCollision) as err:\n"
+              "        P(flat, (a, b))\n"
+              "    except (ValueError, dpr.TermCollision) as err:\n"
               "        print(type(err).__name__)\n")
     out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
                          check=True, env=cli_env)
-    assert out.stdout == "InterleavedFactors\nTermCollision\n"
+    assert out.stdout == "InterleavedFactors\nTermCollision\nValueError\n"
 
 
 def _keys_by_part(poly):

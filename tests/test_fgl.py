@@ -18,6 +18,7 @@ from dprkit.algebra import CoeffRing, IncompatibleRings, Monomial, Polynomial, V
 from dprkit.fgl import (
     BETA,
     AliasedAccumulator,
+    FglMode,
     NonzeroConstantTerm,
     TruncatedSeries,
     additive_mode,
@@ -73,6 +74,19 @@ def test_custom_mode_symmetry():
     assert law_series(m, 4).coefficient((2, 1)) == const(5)
     with pytest.raises(ValueError):
         custom_mode({(1, 2): 5, (2, 1): 7})
+
+
+def test_a_mode_takes_only_its_kinds_and_ordered_keys():
+    # a misspelt kind must not expand the additive law, and a key with
+    # i > j must not leave u^2 v and u v^2 at 0
+    for kind, table in [("universl", ()), ("custom", (((2, 1), 5),)), ("custom", (((0, 1), 5),)),
+                        ("custom", (((1, 0), 5),)), ("additive", (((1, 1), 5),))]:
+        with pytest.raises(ValueError):
+            FglMode(kind, table)
+    with pytest.raises(ValueError):
+        custom_mode({(0, 2): 1})
+    # custom_mode still merges a symmetric table into ordered keys
+    assert custom_mode({(2, 1): 5}) == FglMode("custom", (((1, 2), 5),))
 
 
 def test_modes_are_immutable_values():
