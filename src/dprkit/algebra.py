@@ -514,54 +514,142 @@ def canonical_json(obj) -> str:
     outside ASCII written as \\u escapes.  It covers dicts with str keys,
     lists, tuples, str, int, bool and None.  Any other value, a float or a
     Fraction included, and any key that is not a str raise TypeError.
+
+    The writer, `_write_pieces`, appends the text's pieces to one list,
+    joined once, so each byte is copied once at any depth.  Per call it
+    renders each `"key": value` text of a str or int value once per depth,
+    and a dict value met again under one key at one depth once more, on
+    its own, then reuses that text.  `write_json` hands the pieces on in
+    chunks.
     """
-    return _json_text(obj, "\n", _KeyText()) + "\n"
+    out: list[str] = []
+    _write_pieces(obj, out, None)
+    return "".join(out)
 
 
-class _KeyText(dict):
-    """The `"key": ` text of each dict key one `canonical_json` call meets,
-    rendered on first use.  Only a str key is ever held: `_json_str` raises
-    TypeError for any other, so such a key raises on every lookup."""
+def write_json(obj, write: Callable[[str], object]) -> None:
+    """Write `canonical_json(obj)` through `write` in chunks: at the end of a
+    list element, once over `_CHUNK` pieces are pending, they are joined and
+    handed on, so a long text is never held whole.  A TypeError midway
+    leaves the chunks before it written."""
+    out: list[str] = []
+    _write_pieces(obj, out, write)
+    write("".join(out))
 
-    __slots__ = ()
+
+# pieces pending before `write_json` hands them on; ids each (key, depth)
+# remembers for holding
+_CHUNK = 4096
+_HELD_IDS = 32
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with `make(key)` and keeps it."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable):
+        self.make = make
 
     def __missing__(self, key):
-        text = self[key] = _json_str(key) + ": "
-        return text
+        value = self[key] = self.make(key)
+        return value
 
 
-def _json_text(obj, newline: str, keys: _KeyText) -> str:
-    """The text of `obj`; `newline` is a newline plus the indentation of
-    the line `obj` starts on, and `keys` the call's key texts.  A str or int
-    inside a container is written in place, without a call of its own: most
-    values are one of the two.  A container's text is assembled by one
-    f-string, in one allocation."""
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = newline + "  "
-        body = ("," + inner).join([
-            keys[k] + (_json_str(v) if type(v) is str else str(v) if type(v) is int
-                       else _json_text(v, inner, keys))
-            for k, v in obj.items()])
-        return f"{{{inner}{body}{newline}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = newline + "  "
-        body = ("," + inner).join([
-            _json_str(v) if type(v) is str else str(v) if type(v) is int
-            else _json_text(v, inner, keys)
-            for v in obj])
-        return f"[{inner}{body}{newline}]"
-    if isinstance(obj, str):
-        return _json_str(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+def _pair_text(item) -> str:
+    """The `"key": value` text of a (key, str or int) item; a key that is not
+    a str raises TypeError."""
+    key, value = item
+    return _json_str(key) + ": " + (_json_str(value) if type(value) is str else int.__repr__(value))
+
+
+def _level(depth: int) -> tuple:
+    """The fixed texts of one depth: a list's opening and separator, the two
+    closings, then memos of texts that carry the opening or separator
+    before them: the `"key": value` texts of a dict's first items and of
+    its later ones, and for each key its two `"key": ` texts and the ids
+    seen under it."""
+    nl = "\n" + "  " * depth
+    inner = nl + "  "
+    opening, comma = "{" + inner, "," + inner
+    return ("[" + inner, comma, nl + "}", nl + "]",
+            _Memo(lambda item: opening + _pair_text(item)),
+            _Memo(lambda item: comma + _pair_text(item)),
+            _Memo(lambda key: (opening + _json_str(key) + ": ", comma + _json_str(key) + ": ", {})))
+
+
+def _write_pieces(obj, top: list, write) -> None:
+    """Append the pieces of `canonical_json(obj)` to `top`, handing whole
+    list elements to `write` unless it is None.
+
+    A dict item is one piece with the text before it, and one with a str
+    or int value is taken whole from its depth's texts.  Any other dict
+    value is looked up by id under its key and depth: a first sighting is
+    written in place and only its id kept (at most `_HELD_IDS` each); a
+    second is rendered on its own and its text held for the rest.  So
+    terms that share a few coefficient dicts render each twice, and no
+    text of a value seen once is held.
+    """
+    levels = _Memo(_level)
+
+    def put(obj, depth: int, out: list) -> None:
+        append = out.append
+        if isinstance(obj, dict):
+            if not obj:
+                return append("{}")
+            _, _, close, _, first, later, fields = levels[depth]
+            pairs = first
+            for item in obj.items():
+                value = item[1]
+                if type(value) is str or type(value) is int:
+                    append(pairs[item])
+                    pairs = later
+                    continue
+                head, tail, ids = fields[item[0]]
+                append(head if pairs is first else tail)
+                pairs = later
+                text = ids.get(id(value), 0)
+                if text is None:
+                    held: list[str] = []
+                    put(value, depth + 1, held)
+                    text = ids[id(value)] = "".join(held)
+                if text:
+                    append(text)
+                    continue
+                if len(ids) < _HELD_IDS:
+                    ids[id(value)] = None
+                put(value, depth + 1, out)
+            append(close)
+        elif isinstance(obj, (list, tuple)):
+            if not obj:
+                return append("[]")
+            sep, comma, _, close, _, _, _ = levels[depth]
+            for value in obj:
+                append(sep)
+                sep = comma
+                if type(value) is str:
+                    append(_json_str(value))
+                elif type(value) is int:
+                    append(int.__repr__(value))
+                else:
+                    put(value, depth + 1, out)
+                if write is not None and len(out) > _CHUNK and out is top:
+                    write("".join(out))
+                    out.clear()
+            append(close)
+        elif isinstance(obj, str):
+            append(_json_str(obj))
+        elif obj is None or obj is True or obj is False:
+            append("null" if obj is None else "true" if obj else "false")
+        elif isinstance(obj, int):
+            append(int.__repr__(obj))
+        else:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    try:
+        put(obj, 0, top)
+    finally:
+        # `put` reaches itself through its closure: without this the cycle
+        # keeps the pieces and texts alive until a garbage collection
+        del put
+    top.append("\n")

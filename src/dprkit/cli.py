@@ -6,7 +6,9 @@ success, 1 when a verification-style command finds its check false, 2 on
 usage or domain errors or when memory runs out, 3 when an internal
 invariant breaks (a bug in dprkit, such as `InconsistentSolve`) or any
 other exception escapes a command; errors are reported as a JSON object
-on stderr.
+on stderr.  JSON goes out through `algebra.write_json`, whole list
+elements a chunk at a time, so an error while a document is written leaves
+its start on stdout.
 
 A subcommand is declared by one entry of `_COMMANDS`, under its group:
 its name, help, handler and argument specs in order (the shared ones are
@@ -37,7 +39,7 @@ import importlib.util
 import sys
 from typing import Callable
 
-from .algebra import canonical_json, poly_to_json
+from .algebra import canonical_json, poly_to_json, write_json
 from .dpr import (
     PAIR_CHECKS,
     DprPolynomial,
@@ -89,11 +91,12 @@ def _fail(message: str):
 
 
 def _emit(args, payload: Callable[[], dict], render: Callable[[], str] | None = None) -> None:
-    """Write what `payload` returns as JSON; under --format text write what
-    `render` returns, or else the payload as key-value lines.  Each callable
-    runs only when its rendering is the one written."""
+    """Write what `payload` returns as JSON, streamed in chunks by
+    `write_json`; under --format text write what `render` returns, or else
+    the payload as key-value lines.  Each callable runs only when its
+    rendering is the one written."""
     if args.format == "json":
-        sys.stdout.write(canonical_json(payload()))
+        write_json(payload(), sys.stdout.write)
     elif render is not None:
         sys.stdout.write(render())
     else:

@@ -202,11 +202,12 @@ class FglMode(Immutable):
 
     kind is one of "universal", "additive", "multiplicative", "custom".
     For multiplicative, the free symbol beta is the coefficient of the uv
-    cross term.  For custom, table maps (i, j) with 1 <= i <= j to the
-    numeric coefficient of u^i v^j; no other kind takes a table.  The
-    constructor raises ValueError for any other kind, table or key.  Modes
-    are equal when kind and table are, so an equal mode built afresh hits
-    the series caches.
+    cross term.  For custom, table lists the nonzero coefficients of u^i v^j
+    as ((i, j), c) with 1 <= i <= j, keys strictly increasing; no other
+    kind takes a table.  The constructor raises ValueError for any other
+    kind, table, key order or a zero coefficient, so one law has one table.
+    Modes are equal when kind and table are, so an equal mode built afresh
+    hits the series caches.
     """
 
     __slots__ = ("kind", "table", "_lookup")
@@ -216,9 +217,13 @@ class FglMode(Immutable):
             raise ValueError(f"unknown group law kind {kind!r}")
         if table and kind != "custom":
             raise ValueError(f"a {kind} law takes no table")
-        for (i, j), _ in table:
+        for n, ((i, j), c) in enumerate(table):
             if not 1 <= i <= j:
                 raise ValueError(f"custom table key {(i, j)} is not 1 <= i <= j")
+            if n and table[n - 1][0] >= (i, j):
+                raise ValueError(f"custom table keys are not strictly increasing at {(i, j)}")
+            if c == 0:
+                raise ValueError(f"custom table coefficient at {(i, j)} is zero")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_lookup", dict(table))
@@ -261,7 +266,8 @@ def multiplicative_mode() -> FglMode:
 def custom_mode(table: Mapping[tuple[int, int], Coeff]) -> FglMode:
     """A law with integer coefficients: the table entries pass ZZ's
     admission rule, so a float raises TypeError and a proper Fraction
-    raises IncompatibleRings."""
+    raises IncompatibleRings.  A zero entry gives no coefficient, so it is
+    dropped."""
     entries = {}
     for (i, j), c in table.items():
         c = ZZ.check_coeff(c)
@@ -269,7 +275,7 @@ def custom_mode(table: Mapping[tuple[int, int], Coeff]) -> FglMode:
         if key in entries and entries[key] != c:
             raise ValueError(f"asymmetric custom table at {key}")
         entries[key] = c
-    return FglMode("custom", table=tuple(sorted(entries.items())))
+    return FglMode("custom", table=tuple(sorted((k, c) for k, c in entries.items() if c)))
 
 
 MODE_NAMES = {

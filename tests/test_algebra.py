@@ -1,5 +1,6 @@
 """Core polynomial kernel: rings, symbols, monomials, arithmetic, JSON."""
 
+import gc
 import json
 import random
 import re
@@ -8,6 +9,7 @@ from typing import Mapping
 
 import pytest
 
+from dprkit import algebra
 from dprkit.algebra import (
     UNIT,
     CoeffRing,
@@ -21,6 +23,7 @@ from dprkit.algebra import (
     canonical_json,
     coeff_to_json,
     poly_to_json,
+    write_json,
 )
 
 X1 = VarSymbol("X", (1,))
@@ -322,6 +325,13 @@ def _json_oracle(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
+def _both_writers(obj) -> tuple[str, str]:
+    """`canonical_json(obj)`, and the chunks `write_json` hands on, joined."""
+    chunks: list[str] = []
+    write_json(obj, chunks.append)
+    return canonical_json(obj), "".join(chunks)
+
+
 def test_json_strings_are_written_by_the_encoder_json_uses():
     # algebra takes the string encoder from _json so that it need not import
     # the json package; it must be the very function json.dumps calls
@@ -351,20 +361,94 @@ def test_canonical_json_matches_json_dumps():
     check()
 
 
+def test_both_writers_match_json_dumps_on_shared_values():
+    # one object placed several times: under one key or several, at one
+    # depth or several, so that the writer holds some texts and not others
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # few keys, so that a value often meets its key again, at another depth
+    # too (the property above draws arbitrary keys)
+    keys = st.sampled_from(["a", "b", "caf\u00e9"])
+    scalars = st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+
+    def containers(children):
+        return (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                | st.dictionaries(keys, children, max_size=4))
+
+    # `st.shared` gives one object per example, wherever it is drawn
+    pool = st.one_of([st.shared(st.recursive(scalars, containers, max_leaves=6), key=k)
+                      for k in range(3)])
+    documents = st.recursive(scalars | pool | pool, containers, max_leaves=30)
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=300)
+    @hypothesis.given(documents)
+    def check(obj):
+        assert _both_writers(obj) == (_json_oracle(obj),) * 2
+
+    check()
+
+
+def test_shared_values_past_the_held_cap_are_written_in_place():
+    # more distinct values placed twice under one key at one depth than the
+    # writer remembers, and the same values under other keys and depths
+    shared = [{"num": str(i), "den": "1"} for i in range(algebra._HELD_IDS + 8)]
+    obj = {"terms": [{"coeff": c, "monomial": {}} for c in shared * 2],
+           "deeper": [[{"coeff": c, "other": c}] for c in reversed(shared)]}
+    assert _both_writers(obj) == (_json_oracle(obj),) * 2
+
+
+def test_write_json_hands_on_whole_list_elements():
+    # a long document goes out in several chunks, each ending where a list
+    # element ends, and the string writer is the same pieces joined
+    obj = {"terms": [{"coeff": {"num": "1"}, "monomial": {"X[1]": i}} for i in range(3000)]}
+    chunks: list[str] = []
+    write_json(obj, chunks.append)
+    assert len(chunks) > 2 and "".join(chunks) == canonical_json(obj) == _json_oracle(obj)
+    assert all(chunk.endswith("\n    }") for chunk in chunks[:-1])
+    # a long value whose text is held is rendered whole, not handed on
+    obj = [{"held": obj["terms"]}, {"held": obj["terms"]}]
+    assert _both_writers(obj) == (_json_oracle(obj),) * 2
+
+
+def test_writing_leaves_no_garbage_cycle():
+    # a cycle would keep a call's pieces and texts alive until a collection,
+    # and that collection would run in whatever code comes next
+    shared = {"num": "1", "den": "1"}
+    obj = {"terms": [{"coeff": shared, "monomial": {"X[1]": 1}}] * 3}
+    gc.disable()
+    try:
+        gc.collect()
+        canonical_json(obj)
+        write_json(obj, [].append)
+        try:
+            canonical_json([obj, {"a": [0.5]}])
+        except TypeError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("obj", [
     {}, [], (), "", 0, True, None, {"a": {}, "b": []}, [[[]]], (1, (2,), [3]),
     {"k": [-1, 1 << 100, False, None, "x"]}, "caf\u00e9 \"q\" \\ \x01",
 ])
 def test_canonical_json_matches_json_dumps_on_edges(obj):
-    assert canonical_json(obj) == _json_oracle(obj)
+    assert _both_writers(obj) == (_json_oracle(obj),) * 2
 
 
-@pytest.mark.parametrize("obj", [
-    1.5, Fraction(1, 2), {1, 2}, {1: "a"}, {"a": [0.5]}, [Fraction(1, 3)], {"a": {None: 1}},
-])
+_UNCOVERED = [1.5, Fraction(1, 2), {1, 2}, {1: "a"}, {"a": [0.5]}, [Fraction(1, 3)],
+              {"a": {None: 1}}]
+
+
+@pytest.mark.parametrize("obj", _UNCOVERED + [
+    # the same value where the writer would hold its text
+    [{"c": bad}, {"c": bad}, {"d": [{"c": bad}]}] for bad in _UNCOVERED])
 def test_canonical_json_rejects_what_it_does_not_cover(obj):
     with pytest.raises(TypeError):
         canonical_json(obj)
+    with pytest.raises(TypeError):
+        write_json(obj, [].append)
 
 
 def test_canonical_json_repeats_keys_at_every_depth():
@@ -392,6 +476,8 @@ def test_canonical_json_rejects_a_key_after_str_keys(key):
                 [{"1": {"1": 1}}, {"x": {key: "1"}}]):
         with pytest.raises(TypeError):
             canonical_json(obj)
+        with pytest.raises(TypeError):
+            write_json(obj, [].append)
 
 
 @pytest.mark.parametrize("c, num, den", [

@@ -10,6 +10,7 @@ import importlib
 import json
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -382,6 +383,15 @@ def test_build_prints_the_mask_engine_expansion(capsys):
                        (["EX", "-n", "1"], dpr.build_ex(1))]:
         assert run(["gdpr", "build", *argv]) == 0
         assert capsys.readouterr().out == canonical_json(dpr.dpr_to_json(poly)), argv
+
+
+def test_json_output_is_streamed_in_chunks(monkeypatch):
+    # a long document reaches stdout a chunk at a time, never whole
+    chunks = []
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=chunks.append))
+    assert run(["gdpr", "build", "GX", "-n", "5", "-m", "5"]) == 0
+    text = canonical_json(dpr.dpr_to_json(dpr.build_gx(5, 5)))
+    assert len(chunks) > 2 and "".join(chunks) == text
 
 
 def test_checks_pass_at_every_size(capsys):

@@ -27,6 +27,8 @@ def run(capsys, command):
 
 
 MIXED_ALL_GOOD = "verify mixed -n 3 -m 3 --seed 42 --trials 20"
+# takes the m = 1 branch with a good class in 6 of its 20 trials
+MIXED_ONE_GOOD = "verify mixed -n 3 -m 1 --seed 42 --trials 20"
 
 # "argv": (exit code, sha256 of stdout)
 PINNED = {
@@ -159,6 +161,10 @@ PINNED = {
         (0, "25b0d0d7c194105987c9f733de1543100ea5e57837fe5be00290ffa535b5230b"),
     MIXED_ALL_GOOD + " --format text":
         (0, "02c2cfd86d78f93d3ba3fa6531cf0abd04004210b156a4950b1b27ebe0aeee15"),
+    MIXED_ONE_GOOD + " --format json":
+        (0, "f6f8a14035982a68c6432aac002730a294cd2955ae345f73e57d9afd448f43fe"),
+    MIXED_ONE_GOOD + " --format text":
+        (0, "2b66433e39f89bc634a3f75ee18eab827544dfc36c8e19db0d69fb14eef627a5"),
     "fixedpoint claim1 --case 1 --format json":
         (0, "a1f8b625544d0bd44f4ac7b6a73f5e50bb79165e406f9288a9c42d644e37b277"),
     "fixedpoint claim1 --case 1 --format text":
@@ -269,18 +275,17 @@ def test_output_is_pinned(capsys, command):
 
 
 def test_the_mixed_pin_walks_an_all_good_step(capsys, monkeypatch):
-    # so the pins cover the mixed verifier's blow-up step, not only the
-    # degenerate ones
-    calls = []
+    # so the pins cover the mixed verifier's blow-up step and its last-class
+    # solve, not only the degenerate steps
+    calls = {"blow_up": [], "last_class": []}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(fixedpoint, name)):
+            calls[name].append(args)
+            return original(*args)
 
-    def counted(*args):
-        calls.append(args)
-        return blow_up(*args)
-
-    blow_up = fixedpoint.blow_up
-    monkeypatch.setattr(fixedpoint, "blow_up", counted)
+        monkeypatch.setattr(fixedpoint, name, counted)
     assert run(capsys, MIXED_ALL_GOOD)[0] == 0
-    assert calls
+    assert calls["blow_up"] and calls["last_class"]
 
 
 @pytest.mark.parametrize("command", list(ERRORS))

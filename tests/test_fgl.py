@@ -79,14 +79,21 @@ def test_custom_mode_symmetry():
 def test_a_mode_takes_only_its_kinds_and_ordered_keys():
     # a misspelt kind must not expand the additive law, and a key with
     # i > j must not leave u^2 v and u v^2 at 0
+    # and one law must have one table: a repeated key, keys out of order
+    # or a zero coefficient would make a mode unequal to the same law's
     for kind, table in [("universl", ()), ("custom", (((2, 1), 5),)), ("custom", (((0, 1), 5),)),
-                        ("custom", (((1, 0), 5),)), ("additive", (((1, 1), 5),))]:
+                        ("custom", (((1, 0), 5),)), ("additive", (((1, 1), 5),)),
+                        ("custom", (((1, 1), 2), ((1, 1), 3))),
+                        ("custom", (((1, 2), 1), ((1, 1), 1))), ("custom", (((1, 1), 0),))]:
         with pytest.raises(ValueError):
             FglMode(kind, table)
     with pytest.raises(ValueError):
         custom_mode({(0, 2): 1})
-    # custom_mode still merges a symmetric table into ordered keys
+    # custom_mode still merges a symmetric table into ordered keys, and
+    # drops a zero entry, which gives no coefficient
     assert custom_mode({(2, 1): 5}) == FglMode("custom", (((1, 2), 5),))
+    assert custom_mode({(1, 1): 0}) == custom_mode({}) == FglMode("custom")
+    assert custom_mode({(1, 2): 0, (2, 1): 0, (1, 1): 4}) == custom_mode({(1, 1): 4})
 
 
 def test_modes_are_immutable_values():
