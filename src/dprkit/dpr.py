@@ -28,30 +28,31 @@ only for a caller that iterates every term (`terms`, `ordered_terms`,
 `to_polynomial`, or an equality test whose factors differ).
 
 What depends on a polynomial's flat terms alone (weights, mirror, support,
-first and last class and marker, each term's names and heads, kills) is
-derived once, on first use, and held with them (`_flat_derived`), shared
-by every polynomial built on them: a chain in `_CHAIN_CACHE` holds its
-own, and GX(n, m), whose flat part is T_n itself, shares T_n's.
+first and last class and marker, kills, and per output width each term's
+row) is derived once, on first use, and held with them (`_flat_derived`),
+shared by every polynomial built on them: a chain in `_CHAIN_CACHE` holds
+its own, and GX(n, m), whose flat part is T_n itself, shares T_n's.
 
 Consumers that need only the value of a relation polynomial at a point do
 not expand it: `chain_values` runs the same recursion on values in any
 commutative ring, and `relation_values` glues the two chains' last values
 into both sides of the relation, in O(n + m) ring operations.  The mask form is
 the one expansion: `gdpr build` prints it, the structural checks run on it,
-and it is the slow oracle the fast path is tested against.  Its JSON
-(`dpr_to_json`) and the CLI's text rows read one ordered term stream,
-`ordered_terms`: terms sort on one int each, the generator count above a
-rank mask, and a product term's names join its factors' class and marker
-parts.  The tests hold both renderings equal to `to_polynomial`, the one
-bridge to the core ring.  `sorted_terms` and `evaluate_rational` are
-oracles no command reaches; the benchmark's tracer names them, so
-`tests/test_reachability.py` allowlists them.
+and it is the slow oracle the fast path is tested against.  It has one
+evaluator, `evaluate_rational`; `substitute_families`, which the all-bad
+table check of `selftest` runs, calls it at the point where each family
+takes one value.  Its JSON (`dpr_to_json`) and the CLI's text rows read one
+ordered term stream, `ordered_terms`: each flat term's row, its sort int
+(the generator count above a rank mask) and its class and marker names,
+comes from one rank pass, and a product term joins its factors' rows.
+The tests hold both renderings equal to `to_polynomial`, the one bridge to
+the core ring.  `sorted_terms` is an oracle no command reaches; the
+benchmark's tracer names it, so `tests/test_reachability.py` allowlists it.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
 from types import MappingProxyType
@@ -227,8 +228,12 @@ class DprPolynomial(Immutable):
 
     # evaluation and export --------------------------------------------------
 
-    def evaluate_rational(self, point: Mapping[VarSymbol, Coeff]) -> Fraction:
-        values: dict[int, Fraction] = {}
+    def evaluate_rational(self, point: Mapping[VarSymbol, Coeff]) -> Coeff:
+        """The value at `point`, which binds every generator of the support:
+        the one evaluator of the expanded form.  An int value stays an int
+        and any other becomes a Fraction, so the value at an int point is
+        an int."""
+        values: dict[int, Coeff] = {}
         sup = self.support
         pos = 0
         while sup:
@@ -236,12 +241,13 @@ class DprPolynomial(Immutable):
                 sym = _symbol_of_bit(pos)
                 if sym not in point:
                     raise UnboundVariable(str(sym))
-                values[pos] = Fraction(point[sym])
+                v = point[sym]
+                values[pos] = v if type(v) is int else Fraction(v)
             sup >>= 1
             pos += 1
-        total = Fraction(0)
+        total = 0
         for mask, c in self.flat.items():
-            prod = Fraction(c)
+            prod = c
             m = mask
             while m:
                 low = m & -m
@@ -254,28 +260,15 @@ class DprPolynomial(Immutable):
         return total
 
     def substitute_families(self, values: Mapping[str | tuple[str, int], int]) -> int:
-        """Exact integer value when every generator of a family gets one value.
+        """Exact integer value when every generator of a family gets one value:
+        `evaluate_rational` at that point.
 
         `values` must bind all eight families, keyed "X", "Y", and
         ("U", p) / ("V", p) for the marker kinds.
         """
         vals = [operator.index(values[key]) for key in _KEYS]
-        patterns = [_rep_mask(1 << off, self.support) for off in range(_BITS_PER_INDEX)]
-        # group the terms by their per-family generator counts: distinct
-        # exponent profiles are few even when terms are many
-        sums: dict[tuple[int, ...], int] = defaultdict(int)
-        for mask, c in self.flat.items():
-            sums[tuple((mask & p).bit_count() for p in patterns)] += c
-        total = 0
-        for profile, s in sums.items():
-            prod = s
-            for v, e in zip(vals, profile):
-                prod *= v ** e
-            total += prod
-        if self.factors is not None:
-            a, b = self.factors
-            total += a.substitute_families(values) * b.substitute_families(values)
-        return total
+        return self.evaluate_rational({_symbol_of_bit(pos): vals[pos % _BITS_PER_INDEX]
+                                       for pos in range(self.support.bit_length())})
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         return self.to_polynomial().sorted_terms()
@@ -298,7 +291,8 @@ def _flat_derived(g: DprPolynomial, name: str, compute):
     `compute` reads `g.flat`, and `g.support` for block patterns (a wider
     one does no harm) or, on a flat factor, as its terms' own, so its result
     belongs to the flat terms, and every polynomial that shares them shares
-    it: on a cached chain it lives as long as the chain cache does.
+    it: on a cached chain it lives as long as the chain cache does.  What
+    depends on anything else is keyed by it too, as rows are by their width.
     """
     held = g._derived
     if name not in held:
@@ -658,11 +652,6 @@ def _rank_places(support: int, blocks: int) -> list[int]:
     return place
 
 
-def _rank_names(place: list[int]) -> dict[int, str]:
-    """The name of the generator at each place, by the place's bit number."""
-    return {at.bit_length() - 1: str(_symbol_of_bit(pos)) for pos, at in enumerate(place) if at}
-
-
 def _rank_mask(mask: int, place: list[int]) -> int:
     out = 0
     while mask:
@@ -687,29 +676,25 @@ def _class_places(blocks: int) -> int:
     return ((1 << 2 * blocks) - 1) << (_BITS_PER_INDEX - 2) * blocks
 
 
-def _flat_parts(p: DprPolynomial) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Each flat term's names in Monomial order as (class part, marker part),
-    read at p's own width: their order does not depend on it."""
-    blocks = _blocks(p.support)
-    place = _rank_places(p.support, blocks)
-    name_at, classes = _rank_names(place), _class_places(blocks)
-    parts = []
-    for mask in p.flat:
-        r = _rank_mask(mask, place)
-        parts.append((_names_down(r & classes, name_at), _names_down(r & ~classes, name_at)))
-    return parts
-
-
 def _flat_rows(p: DprPolynomial, blocks: int) -> list[tuple]:
-    """The rows (head, parts, coefficient) of p's flat terms, where a head is
-    a term's generator count above its rank mask at `blocks` index blocks.
-    The heads and `_flat_parts` are made once and held with the terms."""
-    def heads(q):
+    """The rows (head, parts, coefficient) of p's flat terms at `blocks`
+    index blocks, made once per width and held with the terms.  A head is
+    a term's generator count above its rank mask, and its parts are its
+    names in Monomial order as (class part, marker part): both are read off
+    that one rank mask."""
+    def rows(q):
         place, width = _rank_places(q.support, blocks), _BITS_PER_INDEX * blocks
-        return [mask.bit_count() << width | _rank_mask(mask, place) for mask in q.flat]
+        name_at = {at.bit_length() - 1: str(_symbol_of_bit(pos))
+                   for pos, at in enumerate(place) if at}
+        classes = _class_places(blocks)
+        out = []
+        for mask, c in q.flat.items():
+            r = _rank_mask(mask, place)
+            out.append((mask.bit_count() << width | r,
+                        (_names_down(r & classes, name_at), _names_down(r & ~classes, name_at)), c))
+        return out
 
-    return [*zip(_flat_derived(p, ("heads", blocks), heads),
-                 _flat_derived(p, "parts", _flat_parts), p.flat.values())]
+    return _flat_derived(p, ("rows", blocks), rows)
 
 
 # the row of the empty term with coefficient 1, the partner of a flat term

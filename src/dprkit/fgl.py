@@ -205,7 +205,9 @@ class FglMode(Immutable):
     cross term.  For custom, table lists the nonzero coefficients of u^i v^j
     as ((i, j), c) with 1 <= i <= j, keys strictly increasing; no other
     kind takes a table.  The constructor raises ValueError for any other
-    kind, table, key order or a zero coefficient, so one law has one table.
+    kind, table, key order or a zero coefficient, so one law has one table,
+    and TypeError for a coefficient that is not an int, as `custom_mode`
+    admits none.
     Modes are equal when kind and table are, so an equal mode built afresh
     hits the series caches.
     """
@@ -222,6 +224,8 @@ class FglMode(Immutable):
                 raise ValueError(f"custom table key {(i, j)} is not 1 <= i <= j")
             if n and table[n - 1][0] >= (i, j):
                 raise ValueError(f"custom table keys are not strictly increasing at {(i, j)}")
+            if type(c) is not int:
+                raise TypeError(f"custom table coefficient at {(i, j)} is not an int: {c!r}")
             if c == 0:
                 raise ValueError(f"custom table coefficient at {(i, j)} is zero")
         object.__setattr__(self, "kind", kind)
@@ -266,11 +270,11 @@ def multiplicative_mode() -> FglMode:
 def custom_mode(table: Mapping[tuple[int, int], Coeff]) -> FglMode:
     """A law with integer coefficients: the table entries pass ZZ's
     admission rule, so a float raises TypeError and a proper Fraction
-    raises IncompatibleRings.  A zero entry gives no coefficient, so it is
-    dropped."""
+    raises IncompatibleRings, and an integral Fraction becomes an int.  A
+    zero entry gives no coefficient, so it is dropped."""
     entries = {}
     for (i, j), c in table.items():
-        c = ZZ.check_coeff(c)
+        c = int(ZZ.check_coeff(c))
         key = (min(i, j), max(i, j))
         if key in entries and entries[key] != c:
             raise ValueError(f"asymmetric custom table at {key}")

@@ -173,14 +173,12 @@ def verify_step_identity(
         raise ValueError("the step identity needs n >= 2")
     system = RelationSystem(seed, trials, sample_range)
     symbols = chain_symbols("X", n)
-    x_n, u1 = VarSymbol("X", (n,)), VarSymbol("U", (1, n - 1))
-    u2, u3 = VarSymbol("U", (2, n)), VarSymbol("U", (3, n))
 
     def trial(number: int, rng: random.Random) -> bool:
         point = system.draw(rng, symbols)
         chain = chain_values("X", n, point)
         c_c = _solve_chain_value(*chain[-2])
-        c_b = blow_up(c_c, point[x_n], point[u1], point[u2] - point[u3])
+        c_b = blow_up(c_c, point[symbols[n - 1]], *_markers(point, symbols, n, n))
         t_n, f_n = chain[-1]
         return c_b == t_n + c_b * f_n
 

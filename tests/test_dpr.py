@@ -432,6 +432,18 @@ def test_evaluation_agrees_with_core_engine():
         assert g.evaluate_rational(point) == g.to_polynomial().evaluate_rational(point)
 
 
+def test_evaluation_keeps_an_int_point_in_the_integers():
+    # an int point gives an int, the same point as Fractions an equal Fraction
+    rng = random.Random(5)
+    for g in (build_gx(3, 2), build_ex(4), build_gy(2, 3)):
+        syms = sorted(g.to_polynomial().symbols(), key=lambda s: s.sort_key)
+        point = {s: rng.randint(-9, 9) for s in syms}
+        value = g.evaluate_rational(point)
+        assert type(value) is int
+        as_fractions = g.evaluate_rational({s: Fraction(v) for s, v in point.items()})
+        assert type(as_fractions) is Fraction and as_fractions == value
+
+
 def test_high_indices_fall_back_to_wide_masks():
     e = build_ex(10)  # past the 64 bits of eight index blocks
     assert e.support.bit_length() > 64
@@ -552,16 +564,16 @@ def test_json_from_masks_matches_the_decoded_polynomial(build, counts):
     (build_gx, (3, 4)), (build_gy, (4, 3)), (build_gx, (2, 9)), (build_gy, (9, 2))])
 def test_builder_products_join_their_factors_parts(monkeypatch, build, counts):
     # a glued relation polynomial stores its upper factor, the one on X and
-    # U, first, so its terms' names are joined from the factors' held parts
-    # and no name is read off a rank mask once those are held
-    def refuse(place):
-        raise AssertionError("names read off the rank mask")
+    # U, first, so its terms' names are joined from the factors' held rows
+    # and no term is named again once those are held
+    def refuse(mask, place):
+        raise AssertionError("a held row was named again")
 
     g = build(*counts)
     odd = dpr._repeat(dpr._ODD_BYTE, 10)
     assert not g.factors[0].support & odd and g.factors[1].support == g.factors[1].support & odd
-    expected = dpr_to_json(g)  # the parts are now held
-    monkeypatch.setattr(dpr, "_rank_names", refuse)
+    expected = dpr_to_json(g)  # the rows are now held
+    monkeypatch.setattr(dpr, "_rank_mask", refuse)
     assert dpr_to_json(g) == expected
 
 
@@ -801,7 +813,7 @@ def test_derived_data_is_made_once_per_chain(monkeypatch):
     assert weight_check(g, 1) and check_index_bounds(g, 3, 2)
     assert g.swap_sides() == build_gy(3, 2)
     assert dpr_to_json(g) == dpr_to_json(build_gx(3, 2))
-    assert set(g._derived) == {"weights", "mirror", "parts", ("heads", 3)} and _held() == held
+    assert set(g._derived) == {"weights", "mirror", ("rows", 3)} and _held() == held
 
 
 def test_builder_argument_validation():
@@ -814,23 +826,27 @@ def test_builder_argument_validation():
 
 
 def test_family_substitution_matches_pointwise_evaluation():
-    vals = {"X": 1, "Y": 1, ("U", 1): 2, ("V", 1): 2,
-            ("U", 2): 4, ("V", 2): 4, ("U", 3): 3, ("V", 3): 3}
+    # the oracle substitutes into the decoded Polynomial, so it shares no
+    # code with `evaluate_rational`, which `substitute_families` calls;
+    # every family takes a value of its own
+    vals = {"X": 1, "Y": -2, ("U", 1): 2, ("V", 1): 5,
+            ("U", 2): 4, ("V", 2): -1, ("U", 3): 3, ("V", 3): 7}
 
     def pointwise(g):
-        point = {}
-        for mono, _ in g.sorted_terms():
-            for s in mono.symbols():
-                key = s.family if s.family in ("X", "Y") else (s.family, s.indices[0])
-                point[s] = vals[key]
-        return g.evaluate_rational(point)
+        p = g.to_polynomial()
+        return p.substitute({s: vals[s.family if s.family in ("X", "Y") else
+                                     (s.family, s.indices[0])]
+                             for s in p.symbols()}).constant_value()
 
-    for g in (build_gx(3, 2), build_ex(4), build_fx(4), build_gy(2, 3)):
-        assert g.substitute_families(vals) == pointwise(g)
-    assert build_gx(1, 1).substitute_families(vals) == 1
-    # masks wider than 64 bits
-    wide = build_ex(9)
-    assert wide.substitute_families(vals) == -9
+    # masks wider than 64 bits included
+    for g in (build_gx(3, 2), build_ex(4), build_fx(4), build_gy(2, 3), build_gy(3, 3),
+              build_ex(9)):
+        value = g.substitute_families(vals)
+        assert type(value) is int and value == pointwise(g)
+    ones = {"X": 1, "Y": 1, ("U", 1): 2, ("V", 1): 2,
+            ("U", 2): 4, ("V", 2): 4, ("U", 3): 3, ("V", 3): 3}
+    assert build_gx(1, 1).substitute_families(ones) == 1
+    assert build_ex(9).substitute_families(ones) == -9
 
 
 def test_family_substitution_admits_only_integers():

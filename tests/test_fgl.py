@@ -89,6 +89,12 @@ def test_a_mode_takes_only_its_kinds_and_ordered_keys():
             FglMode(kind, table)
     with pytest.raises(ValueError):
         custom_mode({(0, 2): 1})
+    # a law's coefficients are ints, as custom_mode admits them: a float or
+    # a Fraction is refused when the mode is built, not when a series using
+    # it is printed
+    for c in (0.5, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            FglMode("custom", (((1, 1), c),))
     # custom_mode still merges a symmetric table into ordered keys, and
     # drops a zero entry, which gives no coefficient
     assert custom_mode({(2, 1): 5}) == FglMode("custom", (((1, 2), 5),))
@@ -121,6 +127,8 @@ def test_custom_mode_admits_only_integers():
     with pytest.raises(IncompatibleRings):
         custom_mode({(1, 1): Fraction(1, 2)})
     assert custom_mode({(1, 1): Fraction(4, 2)}) == custom_mode({(1, 1): 2})
+    # which FglMode admits: its table holds ints alone
+    assert type(custom_mode({(1, 1): Fraction(4, 2)}).table[0][1]) is int
 
 
 def test_inverse_series_frozen_coefficients():

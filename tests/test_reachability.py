@@ -59,7 +59,6 @@ _TRACED_FOR = "named by perfbench/tracing.py LAYERS, which a benchmark change mu
 
 # code no command runs: key -> why it stays
 ALLOWED = {
-    "dpr:DprPolynomial.evaluate_rational": f"the tests' slow evaluation oracle; {_TRACED_FOR}",
     "dpr:DprPolynomial.sorted_terms": f"the tests' export oracle; {_TRACED_FOR}",
     "fixedpoint:fprime_eval": f"the table applied to a whole polynomial, a test oracle; {_TRACED_FOR}",
     "algebra:Polynomial.__rsub__": f"int - Polynomial; {_TRACED_FOR}",
