@@ -474,8 +474,11 @@ def _marker_family(side: str) -> str:
 _CHAIN_SYMBOLS: dict[tuple[str, int], tuple[VarSymbol, ...]] = {}
 
 
-def _held_symbols(side: str, n: int) -> tuple[VarSymbol, ...]:
-    """The generators of `chain_symbols(side, n)`, made once and held."""
+def chain_symbols(side: str, n: int) -> tuple[VarSymbol, ...]:
+    """The generators of a chain of n classes on one side, in a fixed order:
+    classes 1..n, first markers 1..n-1, then second and third markers 2..n.
+    The tuple is made once per (side, n) and held: every call returns the
+    same object."""
     held = _CHAIN_SYMBOLS.get((side, n))
     if held is None:
         marker = _marker_family(side)
@@ -486,12 +489,6 @@ def _held_symbols(side: str, n: int) -> tuple[VarSymbol, ...]:
     return held
 
 
-def chain_symbols(side: str, n: int) -> list[VarSymbol]:
-    """The generators of a chain of n classes on one side, in a fixed order:
-    classes 1..n, first markers 1..n-1, then second and third markers 2..n."""
-    return list(_held_symbols(side, n))
-
-
 def chain_values(side: str, n: int, value: Mapping[VarSymbol, object]) -> list[tuple]:
     """[(T_1, F_1), ..., (T_n, F_n)] for one side's chain at `value`.
 
@@ -499,8 +496,8 @@ def chain_values(side: str, n: int, value: Mapping[VarSymbol, object]) -> list[t
     correction polynomial, evaluated by `_chain`'s recursion itself.
     `value` binds generators (Y and V on the Y side) to elements of any
     commutative ring that mixes with int: ints, Fractions, Polynomials.  The
-    values are read in one pass over the chain's held generator tuple, in
-    `chain_symbols` order, and the recursion runs on its four slices: classes
+    values are read in one pass over `chain_symbols(side, n)`, the chain's
+    held generator tuple, and the recursion runs on its four slices: classes
     [0, n), first markers [n, 2n-1), second markers [2n-1, 3n-2) and third
     markers [3n-2, 4n-3).  Membership is tested before each read, so a
     `defaultdict` gains no key and an unbound generator raises
@@ -509,7 +506,7 @@ def chain_values(side: str, n: int, value: Mapping[VarSymbol, object]) -> list[t
     if n < 1:
         raise ValueError("n must be >= 1")
     vals = []
-    for sym in _held_symbols(side, n):
+    for sym in chain_symbols(side, n):
         if sym not in value:
             raise UnboundVariable(str(sym))
         vals.append(value[sym])

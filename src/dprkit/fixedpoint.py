@@ -53,7 +53,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .algebra import Coeff, Immutable, Polynomial, UnboundVariable, VarSymbol, poly_to_json
 from .dpr import DprPolynomial, chain_symbols, relation_values
-from .operators import RelationSystem, VerificationReport, blow_up, h_expression, last_class
+from .operators import VerificationReport, blow_up, h_expression, last_class, run_trials
 
 __all__ = [
     "GoodnessContext",
@@ -530,10 +530,9 @@ def verify_mixed_contexts(
     """Sample random goodness patterns and compare both sides exactly."""
     if n < 1 or m < 1:
         raise ValueError("class counts must be positive")
-    system = RelationSystem(seed, trials, sample_range)
 
     def trial(number, rng) -> bool:
         group = DEFAULT_GUARD_GROUPS[number % len(DEFAULT_GUARD_GROUPS)]
         return _mixed_trial(rng, n, m, group, sample_range)
 
-    return system.run("mixed", n, m, None, trial)
+    return run_trials("mixed", n, m, None, trial, seed, trials, sample_range)

@@ -14,10 +14,10 @@ values they are compared at come from the blow-up law (`blow_up`,
 `last_class`), not from the recursion.  Nothing is approximate: a pass
 means bit-equal rationals.
 
-`RelationSystem.run` is the one trial loop: it seeds every draw per
-(seed, trial, retry), so reports are reproducible byte for byte, retries a
-degenerate draw up to `RESAMPLE_LIMIT` times, counts the resamples and
-builds the report.  Each verifier supplies only the trial itself.
+`run_trials` is the one trial loop: it seeds every draw per (seed, trial,
+retry), so reports are reproducible byte for byte, retries a degenerate
+draw up to `RESAMPLE_LIMIT` times, counts the resamples and builds the
+report.  Each verifier supplies only the trial itself.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ __all__ = [
     "DegenerateSample",
     "ResampleLimitExceeded",
     "RESAMPLE_LIMIT",
-    "RelationSystem",
+    "run_trials",
     "VerificationReport",
     "h_expression",
     "blow_up",
@@ -68,60 +68,47 @@ def h_expression() -> Polynomial:
     return cl + cm - cl * cm * s1 + cl * cm * clm * (s2 - s3) - clm
 
 
-class RelationSystem(Immutable):
-    """Deterministic sampling harness shared by the verifiers."""
+def _trial_rng(seed: int, trial: int, retry: int) -> random.Random:
+    # string seeding hashes with sha512 and so ignores PYTHONHASHSEED
+    return random.Random(f"{seed}:{trial}:{retry}")
 
-    __slots__ = ("seed", "trials", "sample_range")
 
-    def __init__(self, seed: int, trials: int = 20, sample_range: int = 1000):
-        # zero or negative counts would run no trial, or sample only the
-        # origin, and still report a pass
-        for name, value in (("trials", trials), ("sample_range", sample_range)):
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "sample_range", sample_range)
+def _draw(rng: random.Random, symbols: tuple[VarSymbol, ...],
+          sample_range: int) -> dict[VarSymbol, int]:
+    return {s: rng.randint(-sample_range, sample_range) for s in symbols}
 
-    def rng(self, trial: int, retry: int) -> random.Random:
-        # string seeding hashes with sha512 and so ignores PYTHONHASHSEED
-        return random.Random(f"{self.seed}:{trial}:{retry}")
 
-    def draw(self, rng: random.Random, symbols: list[VarSymbol]) -> dict[VarSymbol, int]:
-        r = self.sample_range
-        return {s: rng.randint(-r, r) for s in symbols}
+def run_trials(identity: str, n: int, m: int | None, degree_bound: int | None,
+               trial: Callable[[int, random.Random], bool], seed: int, trials: int,
+               sample_range: int) -> VerificationReport:
+    """Run every trial and report whether all of them held.
 
-    def run(
-        self,
-        identity: str,
-        n: int,
-        m: int | None,
-        degree_bound: int | None,
-        trial: Callable[[int, random.Random], bool],
-    ) -> VerificationReport:
-        """Run every trial and report whether all of them held.
-
-        `trial(number, rng)` checks the identity at one draw and raises
-        DegenerateSample when a solve denominator vanishes there; the draw is
-        then retried with the next rng, up to RESAMPLE_LIMIT draws per trial.
-        """
-        resamples = 0
-        passed = True
-        for number in range(self.trials):
-            for retry in range(RESAMPLE_LIMIT):
-                try:
-                    held = trial(number, self.rng(number, retry))
-                except DegenerateSample:
-                    resamples += 1
-                    continue
-                break
-            else:
-                counts = f"n={n}" if m is None else f"({n},{m})"
-                raise ResampleLimitExceeded(f"trial {number} of {identity} {counts}")
-            if not held:
-                passed = False
-        return VerificationReport(identity, n, m, self.trials, resamples, passed,
-                                  self.seed, degree_bound, self.sample_range)
+    `trial(number, rng)` checks the identity at one draw and raises
+    DegenerateSample when a solve denominator vanishes there; the draw is
+    then retried with the next rng, up to RESAMPLE_LIMIT draws per trial.
+    """
+    # zero or negative counts would run no trial, or sample only the
+    # origin, and still report a pass
+    for name, value in (("trials", trials), ("sample_range", sample_range)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    resamples = 0
+    passed = True
+    for number in range(trials):
+        for retry in range(RESAMPLE_LIMIT):
+            try:
+                held = trial(number, _trial_rng(seed, number, retry))
+            except DegenerateSample:
+                resamples += 1
+                continue
+            break
+        else:
+            counts = f"n={n}" if m is None else f"({n},{m})"
+            raise ResampleLimitExceeded(f"trial {number} of {identity} {counts}")
+        if not held:
+            passed = False
+    return VerificationReport(identity, n, m, trials, resamples, passed,
+                              seed, degree_bound, sample_range)
 
 
 class VerificationReport(Immutable):
@@ -171,18 +158,17 @@ def verify_step_identity(
     """
     if n < 2:
         raise ValueError("the step identity needs n >= 2")
-    system = RelationSystem(seed, trials, sample_range)
     symbols = chain_symbols("X", n)
 
     def trial(number: int, rng: random.Random) -> bool:
-        point = system.draw(rng, symbols)
+        point = _draw(rng, symbols, sample_range)
         chain = chain_values("X", n, point)
         c_c = _solve_chain_value(*chain[-2])
         c_b = blow_up(c_c, point[symbols[n - 1]], *_markers(point, symbols, n, n))
         t_n, f_n = chain[-1]
         return c_b == t_n + c_b * f_n
 
-    return system.run("step", n, None, 2 * n - 1, trial)
+    return run_trials("step", n, None, 2 * n - 1, trial, seed, trials, sample_range)
 
 
 def _solve_chain_value(t: Coeff, f: Coeff) -> Fraction:
@@ -220,16 +206,16 @@ def last_class(c: Coeff, c_l: Coeff, s1: Coeff, s23: Coeff) -> Fraction:
     return Fraction(q * c - p, denom)
 
 
-def _markers(point: Mapping[VarSymbol, int], symbols: list[VarSymbol], n: int,
+def _markers(point: Mapping[VarSymbol, int], symbols: tuple[VarSymbol, ...], n: int,
              k: int) -> tuple[int, int]:
     """(U1_{k-1}, U2_k - U3_k) of a chain of n classes at `point`, read by
-    index from its `chain_symbols` list: first marker k - 1 at n + k - 2,
+    index from its `chain_symbols` tuple: first marker k - 1 at n + k - 2,
     second and third markers k at 2n + k - 3 and 3n + k - 4."""
     return (point[symbols[n + k - 2]],
             point[symbols[2 * n + k - 3]] - point[symbols[3 * n + k - 4]])
 
 
-def _walk(point: Mapping[VarSymbol, int], symbols: list[VarSymbol], n: int,
+def _walk(point: Mapping[VarSymbol, int], symbols: tuple[VarSymbol, ...], n: int,
           classes: int) -> Coeff:
     """Combined value of the first `classes` classes of a chain of n classes,
     by the blow-up law from the first class on (class k sits at k - 1 in
@@ -264,13 +250,12 @@ def verify_full_identity(
     """
     if n < 1 or m < 1:
         raise ValueError("both class counts must be >= 1")
-    system = RelationSystem(seed, trials, sample_range)
     x_symbols, y_symbols = chain_symbols("X", n), chain_symbols("Y", m)
     last_y = y_symbols[m - 1]
-    symbols = x_symbols + [s for s in y_symbols if s is not last_y]
+    symbols = x_symbols + tuple(s for s in y_symbols if s is not last_y)
 
     def trial(number: int, rng: random.Random) -> bool:
-        point = system.draw(rng, symbols)
+        point = _draw(rng, symbols, sample_range)
         c = _walk(point, x_symbols, n, n)
         if m == 1:
             point[last_y] = c
@@ -280,4 +265,4 @@ def verify_full_identity(
         gx, gy = relation_values(n, m, point)
         return gx == gy
 
-    return system.run("full", n, m, 2 * (n + m) - 2, trial)
+    return run_trials("full", n, m, 2 * (n + m) - 2, trial, seed, trials, sample_range)

@@ -494,7 +494,7 @@ def _value_instances():
     from dprkit.dpr import build_gx
     from dprkit.fgl import law_series, universal_mode
     from dprkit.fixedpoint import GoodnessContext
-    from dprkit.operators import RelationSystem, verify_step_identity
+    from dprkit.operators import verify_step_identity
 
     return {
         "CoeffRing": ZZ,
@@ -505,7 +505,6 @@ def _value_instances():
         "FglMode": universal_mode(),
         "TruncatedSeries": law_series(universal_mode(), 3),
         "GoodnessContext": GoodnessContext((2,), ("A",), ("B",), {"A": (0,), "B": (1,)}),
-        "RelationSystem": RelationSystem(1),
         "VerificationReport": verify_step_identity(2, trials=1, seed=1),
         "CriterionResult": CriterionResult(1, "one", True, ()),
     }

@@ -983,13 +983,9 @@ def test_chain_symbols_are_the_chain_generators_in_order():
             for p in (2, 3):
                 expected += [sym(marker, p, k) for k in range(2, n + 1)]
             got = chain_symbols(side, n)
-            assert got == expected and type(got) is list, (side, n)
-    # each call returns a fresh list: the generators are held apart from it
-    got = chain_symbols("X", 3)
-    kept = list(got)
-    got.append(sym("Y", 1))
-    got[0] = sym("Y", 2)
-    assert chain_symbols("X", 3) == kept
+            assert got == tuple(expected) and type(got) is tuple, (side, n)
+            # the tuple is made once per (side, n) and held
+            assert chain_symbols(side, n) is got, (side, n)
 
 
 def test_chain_values_name_the_unbound_generator():

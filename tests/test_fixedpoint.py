@@ -284,9 +284,8 @@ def test_mixed_contexts_catch_a_wrong_table_entry(monkeypatch):
     assert not report.passed
 
 
-def test_a_wrong_all_good_tower_entry_is_caught(monkeypatch):
-    # an all-good U2_k sent to p3[k] in place of p2[k]: the mixed verifier
-    # sees it where the entry fires in few steps, and claim1 case 1 sees it
+def _send_all_good_u2_to_p3(monkeypatch):
+    """Tamper the table: an all-good U2_k goes to p3[k] in place of p2[k]."""
     real = fixedpoint._image
 
     def tampered(var, ctx):
@@ -296,9 +295,25 @@ def test_a_wrong_all_good_tower_entry_is_caught(monkeypatch):
         return sym, a, b
 
     monkeypatch.setattr(fixedpoint, "_image", tampered)
+
+
+def test_a_wrong_all_good_tower_entry_is_caught(monkeypatch):
+    # the mixed verifier sees the tamper where the entry fires in few steps,
+    # and claim1 case 1 sees it
+    _send_all_good_u2_to_p3(monkeypatch)
     for n, m in ((2, 2), (2, 1)):
         assert not verify_mixed_contexts(n, m, trials=20, seed=42).passed, (n, m)
     assert claim1_case_check(1)["equal"] is False
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (3, 3), (4, 4), (5, 5)])
+def test_every_divisor_good_exposes_a_wrong_all_good_tower_entry(monkeypatch, n, m):
+    # over the trivial group every step is all good, so every U2_k reads
+    # the tampered entry; the clean table passes the same trials
+    monkeypatch.setattr(fixedpoint, "DEFAULT_GUARD_GROUPS", ((1,),))
+    assert verify_mixed_contexts(n, m, trials=20, seed=42).passed
+    _send_all_good_u2_to_p3(monkeypatch)
+    assert not verify_mixed_contexts(n, m, trials=20, seed=42).passed
 
 
 def test_table_values_match_the_polynomial_images():

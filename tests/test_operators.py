@@ -74,15 +74,20 @@ def test_verifiers_reject_counts_below_one():
             verify_mixed_contexts(2, 2, seed=1, **bad)
 
 
+@pytest.mark.parametrize("bad", [{"trials": 0}, {"trials": -1},
+                                 {"sample_range": 0}, {"sample_range": -1}], ids=str)
+def test_verifiers_reject_counts_below_one_before_any_draw(monkeypatch, bad):
+    draws = []
+    monkeypatch.setattr(operators, "_trial_rng", lambda *args: draws.append(args))
+    for call in (lambda: verify_step_identity(3, seed=1, **bad),
+                 lambda: verify_full_identity(2, 2, seed=1, **bad),
+                 lambda: verify_mixed_contexts(2, 2, seed=1, **bad)):
+        with pytest.raises(ValueError):
+            call()
+    assert draws == []
+
+
 def test_sampling_harness_and_reports_are_immutable():
-    with pytest.raises(ValueError):
-        operators.RelationSystem(1, trials=0)
-    with pytest.raises(ValueError):
-        operators.RelationSystem(1, sample_range=0)
-    system = operators.RelationSystem(1)
-    assert (system.seed, system.trials, system.sample_range) == (1, 20, 1000)
-    with pytest.raises(AttributeError):
-        system.trials = 0
     report = verify_step_identity(2, trials=2, seed=1)
     with pytest.raises(AttributeError):
         report.passed = False
@@ -284,13 +289,13 @@ def test_resample_limit_ends_a_trial_of_degenerate_draws(monkeypatch, target, na
     # every draw degenerate: the first trial gives up after exactly
     # RESAMPLE_LIMIT draws, each from its own (trial, retry) rng
     draws = []
-    real_rng = operators.RelationSystem.rng
+    real_rng = operators._trial_rng
 
-    def counted(self, trial, retry):
+    def counted(seed, trial, retry):
         draws.append((trial, retry))
-        return real_rng(self, trial, retry)
+        return real_rng(seed, trial, retry)
 
-    monkeypatch.setattr(operators.RelationSystem, "rng", counted)
+    monkeypatch.setattr(operators, "_trial_rng", counted)
     monkeypatch.setattr(target, name, _degenerate)
     with pytest.raises(operators.ResampleLimitExceeded) as err:
         call()
