@@ -518,9 +518,9 @@ def canonical_json(obj) -> str:
     The writer, `_write_pieces`, appends the text's pieces to one list,
     joined once, so each byte is copied once at any depth.  Per call it
     renders each `"key": value` text of a str or int value once per depth,
-    and a dict value met again under one key at one depth once more, on
-    its own, then reuses that text.  `write_json` hands the pieces on in
-    chunks.
+    looked up key first and then by value, and a dict value met again under
+    one key at one depth once more, on its own, then reuses that text.
+    `write_json` hands the pieces on in chunks.
     """
     out: list[str] = []
     _write_pieces(obj, out, None)
@@ -543,71 +543,60 @@ _CHUNK = 4096
 _HELD_IDS = 32
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with `make(key)` and keeps it."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable):
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
-def _pair_text(item) -> str:
-    """The `"key": value` text of a (key, str or int) item; a key that is not
-    a str raises TypeError."""
-    key, value = item
-    return _json_str(key) + ": " + (_json_str(value) if type(value) is str else int.__repr__(value))
-
-
 def _level(depth: int) -> tuple:
-    """The fixed texts of one depth: a list's opening and separator, the two
-    closings, then memos of texts that carry the opening or separator
-    before them: the `"key": value` texts of a dict's first items and of
-    its later ones, and for each key its two `"key": ` texts and the ids
-    seen under it."""
+    """The fixed texts of one depth: a list's opening, the separator, a
+    dict's opening, the two closings, then dicts keyed by a dict key: the
+    {value: `"key": value` text} of a str or int value after a dict's
+    opening and after the separator, and any other value's two `"key": `
+    texts with the ids seen under it."""
     nl = "\n" + "  " * depth
     inner = nl + "  "
-    opening, comma = "{" + inner, "," + inner
-    return ("[" + inner, comma, nl + "}", nl + "]",
-            _Memo(lambda item: opening + _pair_text(item)),
-            _Memo(lambda item: comma + _pair_text(item)),
-            _Memo(lambda key: (opening + _json_str(key) + ": ", comma + _json_str(key) + ": ", {})))
+    return ("[" + inner, "," + inner, "{" + inner, nl + "}", nl + "]", {}, {}, {})
 
 
 def _write_pieces(obj, top: list, write) -> None:
     """Append the pieces of `canonical_json(obj)` to `top`, handing whole
     list elements to `write` unless it is None.
 
-    A dict item is one piece with the text before it, and one with a str
-    or int value is taken whole from its depth's texts.  Any other dict
-    value is looked up by id under its key and depth: a first sighting is
-    written in place and only its id kept (at most `_HELD_IDS` each); a
+    A dict item is one piece with the text before it.  One whose value is
+    of type exactly str or int (so never a bool) is read key first from its
+    depth's texts, `texts[key][value]`, and made on a KeyError.  Any other
+    dict value is looked up by id under its key and depth: a first sighting
+    is written in place and only its id kept (at most `_HELD_IDS` each); a
     second is rendered on its own and its text held for the rest.  So
     terms that share a few coefficient dicts render each twice, and no
     text of a value seen once is held.
     """
-    levels = _Memo(_level)
+    levels: list[tuple] = []  # `_level(depth)` at index depth
 
     def put(obj, depth: int, out: list) -> None:
         append = out.append
+        if depth == len(levels):
+            levels.append(_level(depth))
         if isinstance(obj, dict):
             if not obj:
                 return append("{}")
-            _, _, close, _, first, later, fields = levels[depth]
-            pairs = first
-            for item in obj.items():
-                value = item[1]
-                if type(value) is str or type(value) is int:
-                    append(pairs[item])
-                    pairs = later
+            _, comma, opening, close, _, first, later, fields = levels[depth]
+            texts = first
+            for key, value in obj.items():
+                if (kind := type(value)) is int or kind is str:
+                    try:
+                        append(texts[key][value])
+                    except KeyError:
+                        # a key that is not a str raises before any text is kept
+                        text = texts.setdefault(key, {})[value] = (
+                            (opening if texts is first else comma) + _json_str(key) + ": "
+                            + (_json_str(value) if kind is str else int.__repr__(value)))
+                        append(text)
+                    texts = later
                     continue
-                head, tail, ids = fields[item[0]]
-                append(head if pairs is first else tail)
-                pairs = later
+                try:
+                    head, tail, ids = fields[key]
+                except KeyError:
+                    name = _json_str(key) + ": "
+                    head, tail, ids = fields[key] = (opening + name, comma + name, {})
+                append(head if texts is first else tail)
+                texts = later
                 text = ids.get(id(value), 0)
                 if text is None:
                     held: list[str] = []
@@ -623,7 +612,7 @@ def _write_pieces(obj, top: list, write) -> None:
         elif isinstance(obj, (list, tuple)):
             if not obj:
                 return append("[]")
-            sep, comma, _, close, _, _, _ = levels[depth]
+            sep, comma, _, _, close, _, _, _ = levels[depth]
             for value in obj:
                 append(sep)
                 sep = comma

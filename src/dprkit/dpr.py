@@ -41,10 +41,11 @@ the one expansion: `gdpr build` prints it, the structural checks run on it,
 and it is the slow oracle the fast path is tested against.  It has one
 evaluator, `evaluate_rational`; `substitute_families`, which the all-bad
 table check of `selftest` runs, calls it at the point where each family
-takes one value.  Its JSON (`dpr_to_json`) and the CLI's text rows read one
-ordered term stream, `ordered_terms`: each flat term's row, its sort int
-(the generator count above a rank mask) and its class and marker names,
-comes from one rank pass, and a product term joins its factors' rows.
+takes one value.  Its JSON (`dpr_to_json`) and the CLI's text rows
+(`ordered_terms`) each loop once over one sorted row list, `_sorted_rows`:
+each flat term's row, its sort int (the generator count above a rank mask)
+and its class and marker names, comes from one rank pass, and a product
+term pairs its factors' rows.
 The tests hold both renderings equal to `to_polynomial`, the one bridge to
 the core ring.  `sorted_terms` is an oracle no command reaches; the
 benchmark's tracer names it, so `tests/test_reachability.py` allowlists it.
@@ -698,19 +699,15 @@ def _flat_rows(p: DprPolynomial, blocks: int) -> list[tuple]:
 _UNIT = (0, ((), ()), 1)
 
 
-def ordered_terms(g: DprPolynomial) -> Iterator[tuple[tuple[str, ...], int]]:
-    """Each term of g in output order: its generator names in Monomial
-    order, and its coefficient.  No Monomial is made.
+def _sorted_rows(g: DprPolynomial) -> list[tuple]:
+    """g's terms in output order as (sort int, upper row, lower row).
 
     Terms sort on one int each, the term's head with its rank mask's bits
     flipped: within one count, the term whose first differing generator
     comes first has the higher rank mask.  Every exponent is 1, so that is
     the Monomials' graded lexicographic order, that of `g.sorted_terms()`.
     A product term's head is the sum of its factors' (counts add, disjoint
-    rank masks OR), and a flat term is one times `_UNIT`.
-
-    A product term's names, made as it is yielded, are its upper (first)
-    factor's class part, the other's, then their marker parts in that order.
+    rank masks OR), and a flat term is one row times `_UNIT`.
     """
     blocks = _blocks(g.support)
     full = (1 << _BITS_PER_INDEX * blocks) - 1
@@ -722,20 +719,30 @@ def ordered_terms(g: DprPolynomial) -> Iterator[tuple[tuple[str, ...], int]]:
         right = _flat_rows(b, blocks)
         keyed += [((x[0] + y[0]) ^ full, x, y) for x in _flat_rows(a, blocks) for y in right]
     keyed.sort()  # masks are distinct, so no two keys tie and no rows are compared
-    for _, (_, (cls_l, mk_l), cl), (_, (cls_r, mk_r), cr) in keyed:
+    return keyed
+
+
+def ordered_terms(g: DprPolynomial) -> Iterator[tuple[tuple[str, ...], int]]:
+    """Each term of g in output order: its generator names in Monomial
+    order, and its coefficient.  No Monomial is made.  The names, made as
+    the term is yielded, are its upper row's class part, the lower's, then
+    their marker parts in that order.
+    """
+    for _, (_, (cls_l, mk_l), cl), (_, (cls_r, mk_r), cr) in _sorted_rows(g):
         yield cls_l + cls_r + mk_l + mk_r, cl * cr
 
 
 def dpr_to_json(g: DprPolynomial) -> dict:
-    """`poly_to_json(g.to_polynomial())`, written from `ordered_terms(g)` in
-    one pass.  Each distinct coefficient is rendered once, and the terms
-    that have it share that one dict: the document is made to be rendered,
-    and a caller that edits one term's coefficient edits them all."""
+    """`poly_to_json(g.to_polynomial())`, each term dict filled in one loop
+    over `_sorted_rows(g)` with the names `ordered_terms` gives.  Each
+    distinct coefficient is rendered once, and the terms that have it share
+    that one dict: the document is made to be rendered, and a caller that
+    edits one term's coefficient edits them all."""
     rendered: dict = {}
     terms = []
-    for names, c in ordered_terms(g):
-        coeff = rendered.get(c)
+    for _, (_, (cls_l, mk_l), cl), (_, (cls_r, mk_r), cr) in _sorted_rows(g):
+        coeff = rendered.get(c := cl * cr)
         if coeff is None:
             coeff = rendered[c] = coeff_to_json(c)
-        terms.append({"coeff": coeff, "monomial": dict.fromkeys(names, 1)})
+        terms.append({"coeff": coeff, "monomial": dict.fromkeys(cls_l + cls_r + mk_l + mk_r, 1)})
     return {"ring": {"inverted": []}, "terms": terms}

@@ -397,6 +397,18 @@ def test_shared_values_past_the_held_cap_are_written_in_place():
     assert _both_writers(obj) == (_json_oracle(obj),) * 2
 
 
+def test_scalar_values_that_hash_or_compare_alike_stay_apart():
+    # the writer reads a `"key": value` text key first, then by value: 1 and
+    # True compare equal, 0, False and "" hash alike, -1 hashes as -2 and
+    # 2**64 as 8, and each must keep its own text, as a dict's first item
+    # and as a later one, at two depths, met in either order
+    values = [1, True, "1", 0, False, "", -1, -2, 2**64, 8]
+    for order in (values, values[::-1]):
+        items = [{"k": v} for v in order] + [{"j": 0, "k": v} for v in order]
+        obj = {"k": order[0], "rows": items, "deeper": [[items, {"k": order[-1]}]]}
+        assert _both_writers(obj) == (_json_oracle(obj),) * 2
+
+
 def test_write_json_hands_on_whole_list_elements():
     # a long document goes out in several chunks, each ending where a list
     # element ends, and the string writer is the same pieces joined

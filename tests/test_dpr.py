@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from dprkit import cli, dpr
-from dprkit.algebra import Monomial, Polynomial, VarSymbol, ZZ, poly_to_json
+from dprkit.algebra import Monomial, Polynomial, VarSymbol, ZZ, coeff_to_json, poly_to_json
 from dprkit.dpr import (
     DprPolynomial,
     NotMultilinear,
@@ -472,6 +472,24 @@ def test_json_terms_share_one_dict_per_coefficient():
         by_value[tuple(t["coeff"].items())].add(id(t["coeff"]))
     assert len(by_value) < len(terms)
     assert all(len(ids) == 1 for ids in by_value.values())
+
+
+@pytest.mark.parametrize("build, counts", [
+    *[(build, (n, m)) for build in (build_gx, build_gy) for n in range(1, 5) for m in range(1, 5)],
+    *[(build, (n,)) for build in (build_ex, build_ey, build_fx, build_fy) for n in range(1, 7)]],
+    ids=lambda arg: getattr(arg, "__name__", str(arg)))
+def test_json_and_ordered_terms_agree_term_for_term(build, counts):
+    # both read the sorted rows side by side, neither through the other: the
+    # same names in the same order, the same coefficients, and one dict per
+    # coefficient shared by all its terms
+    g = build(*counts)
+    terms = dpr_to_json(g)["terms"]
+    assert [(list(t["monomial"].items()), t["coeff"]) for t in terms] == [
+        ([(name, 1) for name in names], coeff_to_json(c)) for names, c in dpr.ordered_terms(g)]
+    assert len(terms) == len(g)
+    shared: dict = {}
+    assert all(shared.setdefault(tuple(t["coeff"].items()), t["coeff"]) is t["coeff"]
+               for t in terms)
 
 
 def hand_built():
