@@ -518,9 +518,8 @@ def canonical_json(obj) -> str:
     The writer, `_write_pieces`, appends the text's pieces to one list,
     joined once, so each byte is copied once at any depth.  Per call it
     renders each `"key": value` text of a str or int value once per depth,
-    looked up key first and then by value, and a dict value met again under
-    one key at one depth once more, on its own, then reuses that text.
-    `write_json` hands the pieces on in chunks.
+    looked up key first and then by value; every other value is written in
+    place each time it is met.  `write_json` hands the pieces on in chunks.
     """
     out: list[str] = []
     _write_pieces(obj, out, None)
@@ -530,17 +529,15 @@ def canonical_json(obj) -> str:
 def write_json(obj, write: Callable[[str], object]) -> None:
     """Write `canonical_json(obj)` through `write` in chunks: at the end of a
     list element, once over `_CHUNK` pieces are pending, they are joined and
-    handed on, so a long text is never held whole.  A TypeError midway
-    leaves the chunks before it written."""
+    handed on, so a long text is never held whole, even one met twice.  A
+    TypeError midway leaves the chunks before it written."""
     out: list[str] = []
     _write_pieces(obj, out, write)
     write("".join(out))
 
 
-# pieces pending before `write_json` hands them on; ids each (key, depth)
-# remembers for holding
+# pieces pending before `write_json` hands them on
 _CHUNK = 4096
-_HELD_IDS = 32
 
 
 def _level(depth: int) -> tuple:
@@ -548,7 +545,7 @@ def _level(depth: int) -> tuple:
     dict's opening, the two closings, then dicts keyed by a dict key: the
     {value: `"key": value` text} of a str or int value after a dict's
     opening and after the separator, and any other value's two `"key": `
-    texts with the ids seen under it."""
+    texts."""
     nl = "\n" + "  " * depth
     inner = nl + "  "
     return ("[" + inner, "," + inner, "{" + inner, nl + "}", nl + "]", {}, {}, {})
@@ -561,16 +558,14 @@ def _write_pieces(obj, top: list, write) -> None:
     A dict item is one piece with the text before it.  One whose value is
     of type exactly str or int (so never a bool) is read key first from its
     depth's texts, `texts[key][value]`, and made on a KeyError.  Any other
-    dict value is looked up by id under its key and depth: a first sighting
-    is written in place and only its id kept (at most `_HELD_IDS` each); a
-    second is rendered on its own and its text held for the rest.  So
-    terms that share a few coefficient dicts render each twice, and no
-    text of a value seen once is held.
+    value follows its `"key": ` text and is written in place every time, so
+    no value's text is held and a list met twice is streamed in chunks both
+    times.
     """
     levels: list[tuple] = []  # `_level(depth)` at index depth
+    append = top.append
 
-    def put(obj, depth: int, out: list) -> None:
-        append = out.append
+    def put(obj, depth: int) -> None:
         if depth == len(levels):
             levels.append(_level(depth))
         if isinstance(obj, dict):
@@ -591,23 +586,13 @@ def _write_pieces(obj, top: list, write) -> None:
                     texts = later
                     continue
                 try:
-                    head, tail, ids = fields[key]
+                    head, tail = fields[key]
                 except KeyError:
                     name = _json_str(key) + ": "
-                    head, tail, ids = fields[key] = (opening + name, comma + name, {})
+                    head, tail = fields[key] = (opening + name, comma + name)
                 append(head if texts is first else tail)
                 texts = later
-                text = ids.get(id(value), 0)
-                if text is None:
-                    held: list[str] = []
-                    put(value, depth + 1, held)
-                    text = ids[id(value)] = "".join(held)
-                if text:
-                    append(text)
-                    continue
-                if len(ids) < _HELD_IDS:
-                    ids[id(value)] = None
-                put(value, depth + 1, out)
+                put(value, depth + 1)
             append(close)
         elif isinstance(obj, (list, tuple)):
             if not obj:
@@ -621,10 +606,10 @@ def _write_pieces(obj, top: list, write) -> None:
                 elif type(value) is int:
                     append(int.__repr__(value))
                 else:
-                    put(value, depth + 1, out)
-                if write is not None and len(out) > _CHUNK and out is top:
-                    write("".join(out))
-                    out.clear()
+                    put(value, depth + 1)
+                if write is not None and len(top) > _CHUNK:
+                    write("".join(top))
+                    top.clear()
             append(close)
         elif isinstance(obj, str):
             append(_json_str(obj))
@@ -636,7 +621,7 @@ def _write_pieces(obj, top: list, write) -> None:
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
     try:
-        put(obj, 0, top)
+        put(obj, 0)
     finally:
         # `put` reaches itself through its closure: without this the cycle
         # keeps the pieces and texts alive until a garbage collection

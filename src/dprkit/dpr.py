@@ -735,9 +735,9 @@ def ordered_terms(g: DprPolynomial) -> Iterator[tuple[tuple[str, ...], int]]:
 def dpr_to_json(g: DprPolynomial) -> dict:
     """`poly_to_json(g.to_polynomial())`, each term dict filled in one loop
     over `_sorted_rows(g)` with the names `ordered_terms` gives.  Each
-    distinct coefficient is rendered once, and the terms that have it share
-    that one dict: the document is made to be rendered, and a caller that
-    edits one term's coefficient edits them all."""
+    distinct coefficient's dict is made once, and the terms that have it
+    share that one dict: the document is made to be rendered, and a caller
+    that edits one term's coefficient edits them all."""
     rendered: dict = {}
     terms = []
     for _, (_, (cls_l, mk_l), cl), (_, (cls_r, mk_r), cr) in _sorted_rows(g):

@@ -363,7 +363,7 @@ def test_canonical_json_matches_json_dumps():
 
 def test_both_writers_match_json_dumps_on_shared_values():
     # one object placed several times: under one key or several, at one
-    # depth or several, so that the writer holds some texts and not others
+    # depth or several, and written in place every time
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     # few keys, so that a value often meets its key again, at another depth
@@ -388,10 +388,10 @@ def test_both_writers_match_json_dumps_on_shared_values():
     check()
 
 
-def test_shared_values_past_the_held_cap_are_written_in_place():
-    # more distinct values placed twice under one key at one depth than the
-    # writer remembers, and the same values under other keys and depths
-    shared = [{"num": str(i), "den": "1"} for i in range(algebra._HELD_IDS + 8)]
+def test_many_shared_values_are_written_in_place():
+    # 40 distinct coefficient dicts, each placed twice under one key at one
+    # depth, and again under other keys and depths
+    shared = [{"num": str(i), "den": "1"} for i in range(40)]
     obj = {"terms": [{"coeff": c, "monomial": {}} for c in shared * 2],
            "deeper": [[{"coeff": c, "other": c}] for c in reversed(shared)]}
     assert _both_writers(obj) == (_json_oracle(obj),) * 2
@@ -417,9 +417,18 @@ def test_write_json_hands_on_whole_list_elements():
     write_json(obj, chunks.append)
     assert len(chunks) > 2 and "".join(chunks) == canonical_json(obj) == _json_oracle(obj)
     assert all(chunk.endswith("\n    }") for chunk in chunks[:-1])
-    # a long value whose text is held is rendered whole, not handed on
-    obj = [{"held": obj["terms"]}, {"held": obj["terms"]}]
-    assert _both_writers(obj) == (_json_oracle(obj),) * 2
+
+
+def test_write_json_streams_a_long_value_met_twice():
+    # no value's text is held, so a long list placed twice under one key at
+    # one depth goes out in chunks both times, none of them the whole list
+    terms = [{"coeff": {"num": "1"}, "monomial": {"X[1]": i}} for i in range(3000)]
+    obj = [{"a": terms}, {"a": terms}]
+    chunks: list[str] = []
+    write_json(obj, chunks.append)
+    whole = len(canonical_json(terms))
+    assert all(len(chunk) < whole for chunk in chunks)
+    assert "".join(chunks) == canonical_json(obj) == _json_oracle(obj)
 
 
 def test_writing_leaves_no_garbage_cycle():
@@ -454,7 +463,7 @@ _UNCOVERED = [1.5, Fraction(1, 2), {1, 2}, {1: "a"}, {"a": [0.5]}, [Fraction(1, 
 
 
 @pytest.mark.parametrize("obj", _UNCOVERED + [
-    # the same value where the writer would hold its text
+    # the same value met twice under one key at one depth, and again deeper
     [{"c": bad}, {"c": bad}, {"d": [{"c": bad}]}] for bad in _UNCOVERED])
 def test_canonical_json_rejects_what_it_does_not_cover(obj):
     with pytest.raises(TypeError):

@@ -464,8 +464,8 @@ def test_json_is_graded_lex():
 
 
 def test_json_terms_share_one_dict_per_coefficient():
-    # the document is made to be rendered: each distinct coefficient is one
-    # dict, held by every term that has it, so no per-term copy is made
+    # each distinct coefficient's dict is made once and held by every term
+    # that has it, so no per-term coefficient dict is made
     terms = dpr_to_json(build_gx(3, 3))["terms"]
     by_value = defaultdict(set)
     for t in terms:

@@ -1,7 +1,7 @@
 """Relation output: the bytes of `gdpr build` where term order is rich.
 
-Both renderings read `dpr.ordered_terms`, which sorts on one int per term
-and joins each product term's names from its factors' parts.  The cases
+Both renderings read `dpr._sorted_rows`, which sorts on one int per term;
+each joins a product term's names from its factors' parts.  The cases
 below are glued relations on both sides, one past index 8 (blocks 9 and
 10 of the masks), and a lone excess and correction polynomial.
 """
