@@ -10,45 +10,42 @@ module builds is multilinear in all generators: each recursion step
 multiplies previously built terms by brand-new symbols, so no exponent can
 ever reach 2.
 
-Representation: a term is a bitmask, a plain Python int.  Index k owns the
-byte at bit 8*(k-1), with bit offsets X=0, Y=1, U1=2, V1=3, U2=4, V2=5,
-U3=6, V3=7 inside the byte, and Python ints have any width, so one code path
-serves every index.  A polynomial is a dict {mask: coeff} plus at most one
+Representation: a term is a bitmask, a plain Python int.  The eight
+generator families, in the order a Monomial sorts them (X, Y, U1, U2, U3,
+V1, V2, V3), each own a run of 16 bits, the first the top run, and index 1
+is the top bit of its run: a generator's bit order is its Monomial order,
+and indices run from 1 to 16 (`_mask` refuses 17).  One set of constant
+family masks serves the mirror, the weights, the index bounds and the
+product shape.  A polynomial is a dict {mask: coeff} plus at most one
 product of two such dicts on disjoint generators, kept as its factors, the
-upper one first: all its classes, and all its markers, sort before the
-other's in Monomial order, as the constructor checks.  The constructor,
-`DprPolynomial(flat, factors)`, is the one way a polynomial is made: its
-support is always the union of its terms' generators, and a factor that
-is itself a product is refused.  GX(n, m) is T^X_n plus F^X_n times
-T^Y_m: 3^(n-1) + 3^(n-1) - 1 + 3^(m-1) stored terms for the
-3^(n+m-2) + 3^(n-1) - 3^(m-1) it stands for.  The structural checks run on
-the factors (a term count multiplies, supports OR, weight sets add, a mirror
-or a padding kill acts on each factor), and the product is multiplied out
-only for a caller that iterates every term (`terms`, `ordered_terms`,
-`to_polynomial`, or an equality test whose factors differ).
-
-What depends on a polynomial's flat terms alone (weights, mirror, support,
-first and last class and marker, kills, and per output width each term's
-row) is derived once, on first use, and held with them (`_flat_derived`),
-shared by every polynomial built on them: a chain in `_CHAIN_CACHE` holds
-its own, and GX(n, m), whose flat part is T_n itself, shares T_n's.
+upper one first: all its classes, and all its markers, lie above the
+other's, as the constructor `DprPolynomial(flat, factors)` checks.
+GX(n, m) is T^X_n plus F^X_n times T^Y_m: 3^(n-1) + 3^(n-1) - 1 + 3^(m-1)
+stored terms for the 3^(n+m-2) + 3^(n-1) - 3^(m-1) it stands for.  The
+structural checks run on the factors (a term count multiplies, supports
+OR, weight sets add, a mirror or a padding kill acts on each factor), and
+the product is multiplied out only for a caller that iterates every term
+(`terms`, `ordered_terms`, `to_polynomial`, or an equality test whose
+factors differ).  What depends on a polynomial's flat terms alone
+(weights, mirror, support, kills, output rows) is derived once, on first
+use, and held with them (`_flat_derived`), shared by every polynomial
+built on them: GX(n, m), whose flat part is T_n itself, shares T_n's.
 
 Consumers that need only the value of a relation polynomial at a point do
 not expand it: `chain_values` runs the same recursion on values in any
 commutative ring, and `relation_values` glues the two chains' last values
-into both sides of the relation, in O(n + m) ring operations.  The mask form is
-the one expansion: `gdpr build` prints it, the structural checks run on it,
-and it is the slow oracle the fast path is tested against.  It has one
-evaluator, `evaluate_rational`; `substitute_families`, which the all-bad
-table check of `selftest` runs, calls it at the point where each family
-takes one value.  Its JSON (`dpr_to_json`) and the CLI's text rows
-(`ordered_terms`) each loop once over one sorted row list, `_sorted_rows`:
-each flat term's row, its sort int (the generator count above a rank mask)
-and its class and marker names, comes from one rank pass, and a product
-term pairs its factors' rows.
-The tests hold both renderings equal to `to_polynomial`, the one bridge to
-the core ring.  `sorted_terms` is an oracle no command reaches; the
-benchmark's tracer names it, so `tests/test_reachability.py` allowlists it.
+into both sides of the relation, in O(n + m) ring operations, at any n.
+The mask form is the one expansion: `gdpr build` prints it, the structural
+checks run on it, and it is the slow oracle the fast path is tested
+against.  Its one evaluator is `evaluate_rational`, which
+`substitute_families` calls.  Its JSON (`dpr_to_json`) and the CLI's text
+rows (`ordered_terms`) each loop once over one sorted row list,
+`_sorted_rows`: a flat term's row holds its sort int (the generator count
+above its mask) and its class and marker names, and a product term pairs
+its factors' rows.  The tests hold both renderings equal to
+`to_polynomial`, the one bridge to the core ring.  `sorted_terms` is an
+oracle no command reaches; the benchmark's tracer names it, so
+`tests/test_reachability.py` allowlists it.
 """
 
 from __future__ import annotations
@@ -86,15 +83,38 @@ __all__ = [
     "dpr_to_json",
 ]
 
-_BITS_PER_INDEX = 8
-
-# the generator families in their bit order inside an index block, keyed as
-# `substitute_families` and fixedpoint's tables key them
-_KEYS = ("X", "Y", ("U", 1), ("V", 1), ("U", 2), ("V", 2), ("U", 3), ("V", 3))
 _MARKER_FAMILY = {"X": "U", "Y": "V"}
 
-_XY_BYTE, _M1_BYTE, _M23_BYTE = 0x03, 0x0C, 0xF0
-_EVEN_BYTE, _ODD_BYTE = 0x55, 0xAA
+
+def _family_symbol(key: str | tuple[str, int], k: int) -> VarSymbol:
+    if isinstance(key, str):
+        return VarSymbol(key, (k,))
+    return VarSymbol(key[0], (key[1], k))
+
+
+# the families, keyed as fixedpoint's tables key them, in Monomial order
+_KEYS = tuple(sorted(["X", "Y", *((kind, p) for kind in "UV" for p in (1, 2, 3))],
+                     key=lambda key: _family_symbol(key, 1).sort_key))
+
+_MAX_INDEX = 16  # the bits of one family's run, index 1 the top one
+_WIDTH = _MAX_INDEX * len(_KEYS)
+
+
+def _families(*keys: str | tuple[str, int]) -> int:
+    """Every bit of the families `keys`."""
+    run = (1 << _MAX_INDEX) - 1
+    return sum(run << _WIDTH - _MAX_INDEX * (_KEYS.index(key) + 1) for key in keys)
+
+
+_X, _Y = _families("X"), _families("Y")
+_U, _V = (_families(*((kind, p) for p in (1, 2, 3))) for kind in "UV")
+_CLASSES, _MARKERS = _X | _Y, _U | _V
+_FIRST_MARKERS = _families(("U", 1), ("V", 1))
+_LATER_MARKERS = _MARKERS & ~_FIRST_MARKERS
+_RUN_ENDS = _families(*_KEYS) // ((1 << _MAX_INDEX) - 1)  # the lowest bit of every run
+# the mirror moves X down onto Y, and each U[p] down onto V[p] by one shift
+_XY_SHIFT = _MAX_INDEX * (_KEYS.index("Y") - _KEYS.index("X"))
+_UV_SHIFT = _MAX_INDEX * (_KEYS.index(("V", 1)) - _KEYS.index(("U", 1)))
 
 
 class NotMultilinear(ValueError):
@@ -110,44 +130,24 @@ class InterleavedFactors(ValueError):
     sort before the other's."""
 
 
-def _repeat(byte: int, blocks: int) -> int:
-    """A byte pattern in each of the first `blocks` index blocks.
-
-    0x0101...01 = (2^(8b) - 1) / 0xFF.
-    """
-    return byte * ((1 << (_BITS_PER_INDEX * max(blocks, 0))) - 1) // 0xFF
-
-
-def _blocks(support: int) -> int:
-    """The number of index blocks up to the last one `support` touches."""
-    return -(-support.bit_length() // _BITS_PER_INDEX)
-
-
-def _rep_mask(byte: int, support: int) -> int:
-    """Repeat a byte pattern across every index block touched by `support`."""
-    return _repeat(byte, _blocks(support))
-
-
 def _mask(key: str | tuple[str, int], k: int) -> int:
     """The bit of the generator of family `key` (a member of `_KEYS`) at index k."""
-    if k < 1 or key not in _KEYS:
-        raise ValueError(f"no relation generator {key!r} at index {k}")
-    return 1 << (_BITS_PER_INDEX * (k - 1) + _KEYS.index(key))
+    if not 1 <= k <= _MAX_INDEX or key not in _KEYS:
+        raise ValueError(f"no relation generator {key!r} at index {k} (max {_MAX_INDEX})")
+    return 1 << _WIDTH - _MAX_INDEX * _KEYS.index(key) - k
 
 
 def _symbol_of_bit(pos: int) -> VarSymbol:
-    block, off = divmod(pos, _BITS_PER_INDEX)
-    key = _KEYS[off]
-    if isinstance(key, str):
-        return VarSymbol(key, (block + 1,))
-    return VarSymbol(key[0], (key[1], block + 1))
+    family, index = divmod(_WIDTH - 1 - pos, _MAX_INDEX)
+    return _family_symbol(_KEYS[family], index + 1)
 
 
-# the bit offsets in the order a Monomial sorts their generators:
-# X, Y, U1, U2, U3, V1, V2, V3
-_OFFSETS_IN_SYMBOL_ORDER = sorted(range(_BITS_PER_INDEX),
-                                  key=lambda off: _symbol_of_bit(off).sort_key)
-_RANK_AT_OFFSET = [_OFFSETS_IN_SYMBOL_ORDER.index(off) for off in range(_BITS_PER_INDEX)]
+def _positions(mask: int) -> Iterator[int]:
+    """The positions of the bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class DprPolynomial(Immutable):
@@ -235,17 +235,12 @@ class DprPolynomial(Immutable):
         and any other becomes a Fraction, so the value at an int point is
         an int."""
         values: dict[int, Coeff] = {}
-        sup = self.support
-        pos = 0
-        while sup:
-            if sup & 1:
-                sym = _symbol_of_bit(pos)
-                if sym not in point:
-                    raise UnboundVariable(str(sym))
-                v = point[sym]
-                values[pos] = v if type(v) is int else Fraction(v)
-            sup >>= 1
-            pos += 1
+        for pos in _positions(self.support):
+            sym = _symbol_of_bit(pos)
+            if sym not in point:
+                raise UnboundVariable(str(sym))
+            v = point[sym]
+            values[pos] = v if type(v) is int else Fraction(v)
         total = 0
         for mask, c in self.flat.items():
             prod = c
@@ -268,8 +263,8 @@ class DprPolynomial(Immutable):
         ("U", p) / ("V", p) for the marker kinds.
         """
         vals = [operator.index(values[key]) for key in _KEYS]
-        return self.evaluate_rational({_symbol_of_bit(pos): vals[pos % _BITS_PER_INDEX]
-                                       for pos in range(self.support.bit_length())})
+        return self.evaluate_rational({_symbol_of_bit(pos): vals[(_WIDTH - 1 - pos) // _MAX_INDEX]
+                                       for pos in _positions(self.support)})
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         return self.to_polynomial().sorted_terms()
@@ -277,9 +272,8 @@ class DprPolynomial(Immutable):
     def to_polynomial(self) -> Polynomial:
         """The terms as a Polynomial built by the checked Monomial
         constructor: the oracle that `ordered_terms` is tested against."""
-        symbols = [_symbol_of_bit(pos) for pos in range(self.support.bit_length())]
-        return Polynomial(ZZ, ((Monomial((symbols[pos], 1)
-                                         for pos in range(m.bit_length()) if m >> pos & 1), c)
+        symbols = {pos: _symbol_of_bit(pos) for pos in _positions(self.support)}
+        return Polynomial(ZZ, ((Monomial((symbols[pos], 1) for pos in _positions(m)), c)
                                for m, c in self.terms()))
 
     def __repr__(self) -> str:
@@ -289,11 +283,11 @@ class DprPolynomial(Immutable):
 def _flat_derived(g: DprPolynomial, name: str, compute):
     """compute(g), made once and held in `g._derived` under `name`.
 
-    `compute` reads `g.flat`, and `g.support` for block patterns (a wider
-    one does no harm) or, on a flat factor, as its terms' own, so its result
-    belongs to the flat terms, and every polynomial that shares them shares
-    it: on a cached chain it lives as long as the chain cache does.  What
-    depends on anything else is keyed by it too, as rows are by their width.
+    `compute` reads `g.flat`, and `g.support` only where a wider one does
+    no harm, so its result belongs to the flat terms, and every polynomial
+    that shares them shares it: on a cached chain it lives as long as the
+    chain cache does.  What depends on anything else is keyed by it too, as
+    a kill is by its cut.
     """
     held = g._derived
     if name not in held:
@@ -307,24 +301,25 @@ def _union(masks: Iterable[int]) -> int:
 
 
 def _flat_mirror(p: DprPolynomial) -> DprPolynomial:
-    """The flat terms of p with the two families exchanged."""
-    even, odd = _rep_mask(_EVEN_BYTE, p.support), _rep_mask(_ODD_BYTE, p.support)
-    return DprPolynomial({((m & even) << 1) | ((m & odd) >> 1): c for m, c in p.flat.items()})
+    """p's flat terms with X <-> Y and U <-> V: two moves each when p lies on
+    one side, as a chain does, and four otherwise."""
+    x, y, u, v, xy, uv = _X, _Y, _U, _V, _XY_SHIFT, _UV_SHIFT
+    if not p.support & (y | v):
+        return DprPolynomial({(m & x) >> xy | (m & u) >> uv: c for m, c in p.flat.items()})
+    if not p.support & (x | u):
+        return DprPolynomial({(m & y) << xy | (m & v) << uv: c for m, c in p.flat.items()})
+    return DprPolynomial({(m & x) >> xy | (m & y) << xy | (m & u) >> uv | (m & v) << uv: c
+                          for m, c in p.flat.items()})
 
 
-def _flat_ends(p: DprPolynomial) -> tuple:
-    """The sort keys (rank, block) of p's first and last class, then of its
-    first and last marker, read off each family's byte mask of p.support in
-    Monomial order.  A part p lacks is ((8, 0), (-1, 0)): above and below any."""
-    keys, ones = [[(8, 0), (-1, 0)], [(8, 0), (-1, 0)]], _rep_mask(1, p.support)
-    for off in _OFFSETS_IN_SYMBOL_ORDER:
-        family = p.support & ones << off
-        if family:
-            rank = _RANK_AT_OFFSET[off]
-            part = keys[rank > 1]
-            part[0] = min(part[0], (rank, ((family & -family).bit_length() - 1) // _BITS_PER_INDEX))
-            part[1] = (rank, (family.bit_length() - 1) // _BITS_PER_INDEX)
-    return (*keys[0], *keys[1])
+def _upper(a: int, b: int) -> bool:
+    """Every class of support `a` lies above every class of support `b`, and
+    every marker likewise (a part that either lacks has no pair to compare)."""
+    for part in (_CLASSES, _MARKERS):
+        high, low = a & part, b & part
+        if high and low >= high & -high:
+            return False
+    return True
 
 
 def _shaped(flat: Mapping[int, int], flat_support: int,
@@ -341,10 +336,8 @@ def _shaped(flat: Mapping[int, int], flat_support: int,
         return None
     if a.support & b.support:
         return a, b
-    (a_lo, a_hi, a_mlo, a_mhi), (b_lo, b_hi, b_mlo, b_mhi) = (
-        _flat_derived(a, "ends", _flat_ends), _flat_derived(b, "ends", _flat_ends))
-    if not (a_hi < b_lo and a_mhi < b_mlo):
-        if not (b_hi < a_lo and b_mhi < a_mlo):
+    if not _upper(a.support, b.support):
+        if not _upper(b.support, a.support):
             raise InterleavedFactors("the factors' generators interleave in Monomial order")
         a, b = b, a
     sa, sb = a.support, b.support
@@ -451,7 +444,7 @@ def _glue(side: str, n: int, m: int) -> DprPolynomial:
     if n < 1 or m < 1:
         raise ValueError("both counts must be >= 1")
     t, f = _chain(side, n)
-    return DprPolynomial(t, (f, _chain(_other_side(side), m)[0]))
+    return DprPolynomial(t, (f, _chain("Y" if side == "X" else "X", m)[0]))
 
 
 def build_gx(n: int, m: int) -> DprPolynomial:
@@ -532,10 +525,6 @@ def relation_values(n: int, m: int, value: Mapping[VarSymbol, object]) -> tuple:
     return t_x + t_y * f_x, t_y + t_x * f_y
 
 
-def _other_side(side: str) -> str:
-    return "X" if side == "Y" else "Y"
-
-
 # checks ----------------------------------------------------------------------
 
 
@@ -548,13 +537,20 @@ def check_multilinear(g: DprPolynomial) -> bool:
     return g.factors is None or not g.factors[0].support & g.factors[1].support
 
 
+def _indices(count: int) -> int:
+    """Indices 1..count (as far as they go) of every family, by one product."""
+    count = min(max(count, 0), _MAX_INDEX)
+    return ((1 << count) - 1 << _MAX_INDEX - count) * _RUN_ENDS
+
+
 def _allowed_support(n: int, m: int) -> int:
     """The mask of `chain_symbols("X", n) + chain_symbols("Y", m)`: per side,
     classes 1..count, first markers 1..count-1, second/third markers 2..count."""
     allowed = 0
-    for side, count in ((_EVEN_BYTE, n), (_ODD_BYTE, m)):
-        allowed |= (_repeat(_XY_BYTE & side, count) | _repeat(_M1_BYTE & side, count - 1)
-                    | _repeat(_M23_BYTE & side, count - 1) << _BITS_PER_INDEX)
+    for side, count in ((_X | _U, n), (_Y | _V, m)):
+        upto = _indices(count)
+        allowed |= side & (_CLASSES & upto | _FIRST_MARKERS & _indices(count - 1)
+                           | _LATER_MARKERS & upto & ~_indices(1))
     return allowed
 
 
@@ -566,8 +562,8 @@ def check_index_bounds(g: DprPolynomial, n: int, m: int) -> bool:
 
 
 def _flat_weights(p: DprPolynomial) -> set[int]:
-    xy, m1, m23 = (_rep_mask(byte, p.support) for byte in (_XY_BYTE, _M1_BYTE, _M23_BYTE))
-    return {(m & xy).bit_count() - (m & m1).bit_count() - 2 * (m & m23).bit_count()
+    classes, first, later = _CLASSES, _FIRST_MARKERS, _LATER_MARKERS
+    return {(m & classes).bit_count() - (m & first).bit_count() - 2 * (m & later).bit_count()
             for m in p.flat}
 
 
@@ -636,63 +632,28 @@ PAIR_CHECKS = {
 
 # export -----------------------------------------------------------------------
 
-def _rank_places(support: int, blocks: int) -> list[int]:
-    """Each generator bit's place in rank space at a width of `blocks` index
-    blocks.  The generator at bit 8*block + off has key
-    `_RANK_AT_OFFSET[off] * blocks + block`, and its place is that key
-    counted down from the top of 8*blocks bits."""
-    width = _BITS_PER_INDEX * blocks
-    place = [0] * support.bit_length()
-    for pos in range(support.bit_length()):
-        if support >> pos & 1:
-            block, off = divmod(pos, _BITS_PER_INDEX)
-            place[pos] = 1 << width - 1 - (_RANK_AT_OFFSET[off] * blocks + block)
-    return place
-
-
-def _rank_mask(mask: int, place: list[int]) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= place[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
-def _names_down(rank_mask: int, name_at: dict[int, str]) -> tuple[str, ...]:
-    """The names at the places of `rank_mask`, highest first: Monomial order."""
+def _names_down(mask: int, name_at: dict[int, str]) -> tuple[str, ...]:
+    """The names of the generators of `mask`, highest bit first: Monomial order."""
     out = []
-    while rank_mask:
-        top = rank_mask.bit_length() - 1
+    while mask:
+        top = mask.bit_length() - 1
         out.append(name_at[top])
-        rank_mask ^= 1 << top
+        mask ^= 1 << top
     return tuple(out)
 
 
-def _class_places(blocks: int) -> int:
-    """The places of X and Y at `blocks` index blocks: the top two ranks."""
-    return ((1 << 2 * blocks) - 1) << (_BITS_PER_INDEX - 2) * blocks
-
-
-def _flat_rows(p: DprPolynomial, blocks: int) -> list[tuple]:
-    """The rows (head, parts, coefficient) of p's flat terms at `blocks`
-    index blocks, made once per width and held with the terms.  A head is
-    a term's generator count above its rank mask, and its parts are its
-    names in Monomial order as (class part, marker part): both are read off
-    that one rank mask."""
+def _flat_rows(p: DprPolynomial) -> list[tuple]:
+    """The rows (head, parts, coefficient) of p's flat terms, held with them.
+    A head is a term's generator count above its mask, and its parts are
+    its names in Monomial order as (class part, marker part)."""
     def rows(q):
-        place, width = _rank_places(q.support, blocks), _BITS_PER_INDEX * blocks
-        name_at = {at.bit_length() - 1: str(_symbol_of_bit(pos))
-                   for pos, at in enumerate(place) if at}
-        classes = _class_places(blocks)
-        out = []
-        for mask, c in q.flat.items():
-            r = _rank_mask(mask, place)
-            out.append((mask.bit_count() << width | r,
-                        (_names_down(r & classes, name_at), _names_down(r & ~classes, name_at)), c))
-        return out
+        name_at = {pos: str(_symbol_of_bit(pos)) for pos in _positions(q.support)}
+        classes, markers, width = _CLASSES, _MARKERS, _WIDTH
+        return [(mask.bit_count() << width | mask,
+                 (_names_down(mask & classes, name_at), _names_down(mask & markers, name_at)), c)
+                for mask, c in q.flat.items()]
 
-    return _flat_derived(p, ("rows", blocks), rows)
+    return _flat_derived(p, "rows", rows)
 
 
 # the row of the empty term with coefficient 1, the partner of a flat term
@@ -702,22 +663,21 @@ _UNIT = (0, ((), ()), 1)
 def _sorted_rows(g: DprPolynomial) -> list[tuple]:
     """g's terms in output order as (sort int, upper row, lower row).
 
-    Terms sort on one int each, the term's head with its rank mask's bits
+    Terms sort on one int each, the term's head with its mask's bits
     flipped: within one count, the term whose first differing generator
-    comes first has the higher rank mask.  Every exponent is 1, so that is
-    the Monomials' graded lexicographic order, that of `g.sorted_terms()`.
-    A product term's head is the sum of its factors' (counts add, disjoint
-    rank masks OR), and a flat term is one row times `_UNIT`.
+    comes first has the higher mask.  Every exponent is 1, so that is the
+    Monomials' graded lexicographic order, that of `g.sorted_terms()`.  A
+    product term's head is the sum of its factors' (counts add, disjoint
+    masks OR), and a flat term is one row times `_UNIT`.
     """
-    blocks = _blocks(g.support)
-    full = (1 << _BITS_PER_INDEX * blocks) - 1
-    keyed = [(row[0] ^ full, row, _UNIT) for row in _flat_rows(g, blocks)]
+    full = (1 << _WIDTH) - 1
+    keyed = [(row[0] ^ full, row, _UNIT) for row in _flat_rows(g)]
     if g.factors is not None:
         a, b = g.factors
         if a.support & b.support:
             raise NotMultilinear("factors share generators")
-        right = _flat_rows(b, blocks)
-        keyed += [((x[0] + y[0]) ^ full, x, y) for x in _flat_rows(a, blocks) for y in right]
+        right = _flat_rows(b)
+        keyed += [((x[0] + y[0]) ^ full, x, y) for x in _flat_rows(a) for y in right]
     keyed.sort()  # masks are distinct, so no two keys tie and no rows are compared
     return keyed
 

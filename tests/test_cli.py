@@ -10,6 +10,7 @@ import importlib
 import json
 import subprocess
 import sys
+import time
 import types
 from fractions import Fraction
 
@@ -132,6 +133,17 @@ def test_domain_error_exits_two(capsys):
     code, doc, err = run_json(capsys, ["gdpr", "build", "GX", "-n", "0", "-m", "1"])
     assert code == 2 and doc is None
     assert json.loads(err)["error"].startswith("ValueError")
+
+
+def test_index_past_the_mask_form_exits_two_at_once(capsys):
+    # the mask form holds indices 1 to 16: index 17 is refused before any
+    # term is built, where the recursion would start on 3^16 flat terms
+    start = time.perf_counter()
+    code, doc, err = run_json(capsys, ["gdpr", "build", "EX", "-n", "17"])
+    elapsed = time.perf_counter() - start
+    assert code == 2 and doc is None
+    assert json.loads(err)["error"].startswith("ValueError")
+    assert elapsed < 0.5, elapsed
 
 
 def test_inconsistent_solve_exits_three(capsys, monkeypatch):
@@ -410,8 +422,8 @@ def test_failing_check_exits_one(capsys, monkeypatch):
     # a mirror that forgets the markers: the check is false, not an error.
     # Chains built afresh hold the tampered mirrors, not the cached ones.
     monkeypatch.setattr(dpr, "_CHAIN_CACHE", {})
-    monkeypatch.setattr(dpr, "_EVEN_BYTE", 0x01)
-    monkeypatch.setattr(dpr, "_ODD_BYTE", 0x02)
+    monkeypatch.setattr(dpr, "_U", 0)
+    monkeypatch.setattr(dpr, "_V", 0)
     code, doc, err = run_json(capsys, ["gdpr", "check", "mirror", "-n", "3", "-m", "2"])
     assert code == 1 and doc["pass"] is False and err == ""
 

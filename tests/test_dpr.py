@@ -229,7 +229,7 @@ def test_weights():
     # both the least and the greatest weight must match
     assert not weight_check(masked((1, [X1]), (1, [X1, X2])), 1)
     assert not weight_check(masked((1, [X1]), (1, [X1, U11])), 1)
-    # past index 8 (masks wider than 64 bits)
+    # past index 8
     assert not weight_check(masked((1, [X1]), (1, [X1, sym("X", 10)])), 1)
     assert weight_check(build_gx(9, 2), 1)
     # a product's weights are the sums of its factors' weights
@@ -257,10 +257,10 @@ def test_index_bounds():
 
 
 def test_allowed_support_is_the_chain_generators():
-    # the mask built by arithmetic against the fold over the generator list;
-    # past n = 8 the masks are wider than 64 bits
-    for n in range(1, 13):
-        for m in range(1, 13):
+    # the mask built by arithmetic against the fold over the generator list,
+    # up to the highest index the mask form holds
+    for n in range(1, dpr._MAX_INDEX + 1):
+        for m in range(1, dpr._MAX_INDEX + 1):
             folded = 0
             for s in chain_symbols("X", n) + chain_symbols("Y", m):
                 folded |= bit(s)
@@ -277,7 +277,7 @@ def test_mirror():
 
 
 def test_padding():
-    # the last two kill classes past index 8, in masks wider than 64 bits
+    # the last two kill classes past index 8
     for n, m, big_n, big_m in [(1, 1, 3, 3), (2, 1, 4, 2), (2, 2, 2, 2), (3, 2, 5, 4),
                                (1, 2, 4, 4), (8, 1, 9, 1), (2, 2, 9, 2)]:
         assert padding_check(n, m, big_n, big_m)
@@ -332,8 +332,8 @@ def test_recursion_checks_can_fail(monkeypatch):
     monkeypatch.setattr(dpr, "_CHAIN_CACHE", {})
     # a mirror that swaps the classes but not their markers: the factors
     # differ, so the comparison falls back to the terms and finds them apart
-    monkeypatch.setattr(dpr, "_EVEN_BYTE", 0x01)
-    monkeypatch.setattr(dpr, "_ODD_BYTE", 0x02)
+    monkeypatch.setattr(dpr, "_U", 0)
+    monkeypatch.setattr(dpr, "_V", 0)
     assert not mirror_check(2, 2)
     assert not mirror_check(3, 2)
     monkeypatch.undo()
@@ -341,7 +341,7 @@ def test_recursion_checks_can_fail(monkeypatch):
     # family's first markers
     assert weight_check(build_gx(2, 2), 1) and weight_check(build_gy(2, 2), 1)
     monkeypatch.setattr(dpr, "_CHAIN_CACHE", {})
-    monkeypatch.setattr(dpr, "_M1_BYTE", 0x04)
+    monkeypatch.setattr(dpr, "_FIRST_MARKERS", dpr._families(("U", 1)))
     assert not weight_check(build_gx(2, 2), 1)
     assert not weight_check(build_gy(2, 2), 1)
     monkeypatch.undo()
@@ -373,12 +373,16 @@ def test_product_guards_multilinearity():
 
 def test_cached_terms_are_read_only():
     # the builders hand out the same chain dicts to every caller
+    # (a mappingproxy raises IndexError, not TypeError, for an int key of
+    # 2^63 or more, as the masks of most generators are)
     f = build_fx(3)
     with pytest.raises(TypeError):
+        f.flat[0] = 1
+    with pytest.raises((TypeError, IndexError)):
         f.flat[bit(X1)] = 1
     with pytest.raises(AttributeError):
         f.support = 0
-    assert bit(X1) not in build_fx(3).flat
+    assert 0 not in build_fx(3).flat and bit(X1) not in build_fx(3).flat
 
 
 def test_interned_symbols_are_found_by_identity():
@@ -394,18 +398,21 @@ def test_interned_symbols_are_found_by_identity():
 
 
 def test_mask_names_every_generator_once():
-    # each family key at indices 1, 2 and 10 (past 64 bits) round-trips
-    # through the bit's symbol, and the masks are distinct bits
+    # each family key at indices 1, 2, 10 and 16, the highest the mask form
+    # holds, round-trips through the bit's symbol, and the masks are
+    # distinct bits; index 17 is refused
     masks = set()
     for key in dpr._KEYS:
-        for k in (1, 2, 10):
+        with pytest.raises(ValueError):
+            dpr._mask(key, dpr._MAX_INDEX + 1)
+        for k in (1, 2, 10, dpr._MAX_INDEX):
             mask = dpr._mask(key, k)
             assert mask & (mask - 1) == 0
             masks.add(mask)
             s = dpr._symbol_of_bit(mask.bit_length() - 1)
             assert s is (VarSymbol(key, (k,)) if isinstance(key, str)
                          else VarSymbol(key[0], (key[1], k))), (key, k)
-    assert len(masks) == 3 * len(dpr._KEYS)
+    assert len(masks) == 4 * len(dpr._KEYS)
     for key, k in [("X", 0), (("V", 3), 0), ("Z", 1), (("U", 4), 1), (("X", 1), 1)]:
         with pytest.raises(ValueError):
             dpr._mask(key, k)
@@ -445,7 +452,7 @@ def test_evaluation_keeps_an_int_point_in_the_integers():
 
 
 def test_high_indices_fall_back_to_wide_masks():
-    e = build_ex(10)  # past the 64 bits of eight index blocks
+    e = build_ex(10)  # past index 8, to a two-digit index
     assert e.support.bit_length() > 64
     e9 = 2 * E_COUNTS[8] + F_COUNTS[8] + 8
     f9 = F_COUNTS[8] + 2 * (8 + E_COUNTS[8])
@@ -513,7 +520,7 @@ def same_kind():
 
 
 def shared_kinds_past_nine():
-    """Both factors hold X and U generators across blocks 9 and 10, where
+    """Both factors hold X and U generators at indices 9 and 10, where
     index 10 sorts after index 9: the second one's classes come first, the
     first one's U[1][9] before the second one's U[1][10], but its U[3][10]
     after the second one's U[2][9]."""
@@ -531,6 +538,17 @@ def crossed_kinds():
     return DprPolynomial({}, (a, b))
 
 
+def nested_classes():
+    """One factor's classes lie on both sides of the other's: X[1] and X[3]
+    around X[2]."""
+    return DprPolynomial({}, (masked((1, [X1]), (1, [X3])), masked((1, [X2]))))
+
+
+def nested_markers():
+    """Likewise for markers: U[1][1] and U[3][3] around U[2][2]."""
+    return DprPolynomial({}, (masked((1, [X1, U22])), masked((1, [Y1, U11]), (1, [sym("U", 3, 3)]))))
+
+
 def markers_alone():
     """One factor holds every class, the other markers only."""
     return DprPolynomial({}, (masked((1, [U22]), (-2, [U11, sym("U", 3, 3)])),
@@ -541,7 +559,7 @@ _JSON_CASES = [
     *((build, (n,)) for build in (build_ex, build_fx, build_ey, build_fy) for n in range(1, 5)),
     *((build, (n, m)) for build in (build_gx, build_gy) for n in range(1, 5) for m in range(1, 5)),
     (build_gx, (5, 5)),
-    # past index 8, where the key order crosses blocks 9 and 10
+    # past index 8, where index 10 sorts after index 9 but its name before
     (build_gx, (9, 1)),
     (build_gy, (1, 9)),
     (build_gx, (2, 9)),
@@ -584,18 +602,22 @@ def test_builder_products_join_their_factors_parts(monkeypatch, build, counts):
     # a glued relation polynomial stores its upper factor, the one on X and
     # U, first, so its terms' names are joined from the factors' held rows
     # and no term is named again once those are held
-    def refuse(mask, place):
+    def refuse(mask, name_at):
         raise AssertionError("a held row was named again")
 
+    def families(p):
+        return {dpr._symbol_of_bit(pos).family for pos in range(p.support.bit_length())
+                if p.support >> pos & 1}
+
     g = build(*counts)
-    odd = dpr._repeat(dpr._ODD_BYTE, 10)
-    assert not g.factors[0].support & odd and g.factors[1].support == g.factors[1].support & odd
+    assert families(g.factors[0]) <= {"X", "U"} and families(g.factors[1]) <= {"Y", "V"}
     expected = dpr_to_json(g)  # the rows are now held
-    monkeypatch.setattr(dpr, "_rank_mask", refuse)
+    monkeypatch.setattr(dpr, "_names_down", refuse)
     assert dpr_to_json(g) == expected
 
 
-@pytest.mark.parametrize("build", [crossed_kinds, shared_kinds_past_nine],
+@pytest.mark.parametrize("build", [crossed_kinds, shared_kinds_past_nine, nested_classes,
+                                   nested_markers],
                          ids=lambda build: build.__name__)
 def test_interleaved_factors_are_refused(build):
     # neither factor's classes and markers all sort before the other's, so
@@ -685,8 +707,19 @@ def _sort_key(pos):
     return dpr._symbol_of_bit(pos).sort_key
 
 
+def _drawn_position(i):
+    """The bit position of drawn generator i: index i // 8 + 1 of family
+    i % 8 of `dpr._KEYS`."""
+    key, k = dpr._KEYS[i % len(dpr._KEYS)], i // len(dpr._KEYS) + 1
+    return dpr._mask(key, k).bit_length() - 1
+
+
+def _family(pos):
+    return dpr._symbol_of_bit(pos).family
+
+
 def _ordered_products(st):
-    """Flat polynomials and products over ten index blocks, so that index 10
+    """Flat polynomials and products over indices 1 to 10, so that index 10
     occurs.  A product's first factor holds the classes below a drawn one
     and the markers below another in sort-key order, and the factors come
     in either order."""
@@ -694,20 +727,21 @@ def _ordered_products(st):
 
     @st.composite
     def polynomials(draw):
-        gens = draw(st.lists(st.integers(0, 10 * dpr._BITS_PER_INDEX - 1), max_size=10,
-                             unique=True))
+        gens = [_drawn_position(i) for i in draw(st.lists(
+            st.integers(0, 10 * len(dpr._KEYS) - 1), max_size=10, unique=True))]
         split = draw(st.sampled_from(["flat", "sides", "ordered"]))
         if split == "flat":
             return DprPolynomial(draw(flat_terms([1 << pos for pos in gens])))
         if split == "sides":
             # one factor on each side, as a glued relation polynomial has them
-            in_a = [pos % 2 == 0 for pos in gens]
+            in_a = [_family(pos) in ("X", "U") for pos in gens]
         else:
             # a drawn class and a drawn marker mark where the first factor's
             # part of each ends, each at its own place in sort-key order
             cuts = st.sampled_from(sorted(map(_sort_key, gens)) or [None])
             cut_class, cut_marker = draw(cuts), draw(cuts)
-            in_a = [_sort_key(pos) < (cut_class if pos % 8 < 2 else cut_marker) for pos in gens]
+            in_a = [_sort_key(pos) < (cut_class if _family(pos) in ("X", "Y") else cut_marker)
+                    for pos in gens]
         a = DprPolynomial(draw(flat_terms([1 << p for p, x in zip(gens, in_a) if x])))
         b = DprPolynomial(draw(flat_terms([1 << p for p, x in zip(gens, in_a) if not x])))
         product = {ma | mb for ma in a.flat for mb in b.flat}
@@ -735,15 +769,19 @@ def test_crossed_splits_are_refused():
     # markers, the second factor the other two, and the rest go anywhere
     hypothesis, st = _hypothesis()
     flat_terms = _flat_terms(st)
-    blocks = st.integers(0, 9)
-    classes = st.lists(st.tuples(blocks, st.integers(0, 1)), min_size=2, max_size=4, unique=True)
-    markers = st.lists(st.tuples(blocks, st.integers(2, 7)), min_size=2, max_size=4, unique=True)
+    indices = st.integers(1, 10)
+    class_keys = [key for key in dpr._KEYS if key in ("X", "Y")]
+    marker_keys = [key for key in dpr._KEYS if key not in ("X", "Y")]
+    classes = st.lists(st.tuples(indices, st.sampled_from(class_keys)), min_size=2, max_size=4,
+                       unique=True)
+    markers = st.lists(st.tuples(indices, st.sampled_from(marker_keys)), min_size=2, max_size=4,
+                       unique=True)
 
     @hypothesis.settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @hypothesis.given(classes, markers, st.data())
     def check(class_gens, marker_gens, data):
         (c_lo, *c_rest, c_hi), (m_lo, *m_rest, m_hi) = (
-            sorted((8 * block + off for block, off in gens), key=_sort_key)
+            sorted((dpr._mask(key, k).bit_length() - 1 for k, key in gens), key=_sort_key)
             for gens in (class_gens, marker_gens))
         rest = c_rest + m_rest
         in_a = data.draw(st.lists(st.booleans(), min_size=len(rest), max_size=len(rest)))
@@ -831,7 +869,7 @@ def test_derived_data_is_made_once_per_chain(monkeypatch):
     assert weight_check(g, 1) and check_index_bounds(g, 3, 2)
     assert g.swap_sides() == build_gy(3, 2)
     assert dpr_to_json(g) == dpr_to_json(build_gx(3, 2))
-    assert set(g._derived) == {"weights", "mirror", ("rows", 3)} and _held() == held
+    assert set(g._derived) == {"weights", "mirror", "rows"} and _held() == held
 
 
 def test_builder_argument_validation():
@@ -856,7 +894,7 @@ def test_family_substitution_matches_pointwise_evaluation():
                                      (s.family, s.indices[0])]
                              for s in p.symbols()}).constant_value()
 
-    # masks wider than 64 bits included
+    # indices past 8 included
     for g in (build_gx(3, 2), build_ex(4), build_fx(4), build_gy(2, 3), build_gy(3, 3),
               build_ex(9)):
         value = g.substitute_families(vals)
@@ -965,7 +1003,7 @@ def test_relation_polynomial_matches_the_mask_engine():
     for kind, build in builders.items():
         for n in range(1, 7):
             assert relation_polynomial(kind, n) == build(n).to_polynomial(), (kind, n)
-    # past index 8 the masks are wider than 64 bits
+    # and past index 8
     assert relation_polynomial("FX", 9) == build_fx(9).to_polynomial()
     for n in range(1, 5):
         for m in range(1, 5):

@@ -90,8 +90,7 @@ SELFTEST_UNREACHED = {
                      "fixedpoint:_sample_degenerate", "fixedpoint:_image_value"],
                     _NO_CRITERION.format("the mixed verifier")),
     **dict.fromkeys(["dpr:ordered_terms", "dpr:dpr_to_json", "dpr:_sorted_rows",
-                     "dpr:_flat_rows", "dpr:_rank_places", "dpr:_rank_mask",
-                     "dpr:_names_down", "dpr:_class_places"],
+                     "dpr:_flat_rows", "dpr:_names_down"],
                     _NO_CRITERION.format("relation output")),
     **dict.fromkeys(["algebra:VarSymbol.__str__", "algebra:Monomial.__str__",
                      "algebra:Polynomial.__str__", "algebra:coeff_to_json",
