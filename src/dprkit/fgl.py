@@ -35,6 +35,20 @@ route, which the solves never take: the inverse's own check composes the
 law with it, and `selftest`'s round trips go through `series_apply`, which
 makes each argument power only to the degree its terms read.
 
+A coefficient of degree k, once solved, does not change with the order
+asked, so each law (`FglMode`) keeps its series work for the life of the
+process.  The inverse keeps its solve (the coefficients, their `_Powers`
+and the highest order whose check has passed): an order above that one
+extends the solve degree by degree and composes the law with the result;
+any other order is a truncation of a series that passed the check at a
+higher order.  The associativity residues of the highest order asked are
+kept, and a lower order reads those of total degree <= order.  Each [k](u)
+keeps one `_Powers`, read by the next n-fold step and by division by k,
+whose round trip still runs on every call.  Nothing kept is freed: for the
+universal law the inverse at order 16 holds about 0.4 MB more than its
+series, the residues at order 16 about 2.6 MB, and the tables of [1](u) to
+[9](u) at order 16 about 5.6 MB.
+
 A series product visits only the pairs of terms inside the truncation: the
 right factor's terms are held sorted by total degree, and the scan stops at
 the first one that overflows.  A monomial factor (one term whose
@@ -300,14 +314,18 @@ def _canon_vars(names: Iterable[str]) -> tuple[str, ...]:
     return tuple(v for v in VAR_CANON if v in names)
 
 
+def _check_order(order: int) -> None:
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be in 1..{MAX_ORDER}")
+
+
 class TruncatedSeries(Immutable):
     """A series in u, v or both, exact modulo total degree > order."""
 
     __slots__ = ("vars", "order", "ring", "_coeffs")
 
     def __init__(self, vars: tuple[str, ...], order: int, ring: CoeffRing, coeffs: dict):
-        if not 1 <= order <= MAX_ORDER:
-            raise ValueError(f"order must be in 1..{MAX_ORDER}")
+        _check_order(order)
         object.__setattr__(self, "vars", _canon_vars(vars))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "ring", ring)
@@ -458,25 +476,40 @@ def _dot(terms: list, powers: _Powers, k: int) -> Packed:
     return acc
 
 
-def _fixed_point(first: Coeff, terms: list, order: int) -> list:
-    """s[0..order] for s = first x - sum of c x^i s^j, solved degree by
-    degree: each term has i + j >= 2, so [x^k] of the sum reads s_t, t < k."""
-    s: list = [{}, {0: first}]
-    powers = _Powers(s)
-    for k in range(2, order + 1):
+def _fixed_point(powers: _Powers, terms: list, order: int) -> list:
+    """powers.s extended to s[0..order], for s = s_1 x - sum of c x^i s^j,
+    solved degree by degree from the first degree it lacks: each term has
+    i + j >= 2, so [x^k] of the sum reads s_t, t < k.  The terms must hold
+    every (i, j) with i + j <= order."""
+    s = powers.s
+    for k in range(len(s), order + 1):
         s.append({key: -c for key, c in _dot(terms, powers, k).items()})
     return s
+
+
+# law -> (powers of its inverse's partial solution, the highest order whose
+# check has passed); each coefficient of g is solved once per process
+_inverse_solves: dict[FglMode, tuple[_Powers, int]] = {}
 
 
 @lru_cache(maxsize=None)
 def inverse_series(mode: FglMode, order: int) -> TruncatedSeries:
     """The series g with F(u, g(u)) = 0, solved from g = -u - sum over
-    i, j >= 1 of c_ij u^i g^j and checked by composing the law with it."""
-    law = law_series(mode, order)
-    g = _fixed_point(-1, [(i, j, c) for (i, j), c in law._coeffs.items() if i and j], order)
-    result = TruncatedSeries(("u",), order, ZZ, {(k,): d for k, d in enumerate(g) if d})
-    if not compose(law, "v", result).is_zero():
-        raise ArithmeticError("inverse series failed to cancel the law")
+    i, j >= 1 of c_ij u^i g^j and checked by composing the law with it.
+
+    The solve is kept per law: an order above every order checked so far
+    extends it and composes the law with the result; any other order is a
+    truncation of a series that has passed that check at a higher order."""
+    powers, checked = _inverse_solves.get(mode) or (_Powers([{}, {0: -1}]), 0)
+    if order > checked:
+        law = law_series(mode, order)
+        _fixed_point(powers, [(i, j, c) for (i, j), c in law._coeffs.items() if i and j], order)
+    result = TruncatedSeries(("u",), order, ZZ,
+                             {(k,): d for k, d in enumerate(powers.s[:order + 1]) if d})
+    if order > checked:
+        if not compose(law, "v", result).is_zero():
+            raise ArithmeticError("inverse series failed to cancel the law")
+        _inverse_solves[mode] = powers, order
     return result
 
 
@@ -488,9 +521,12 @@ def f_minus(mode: FglMode, order: int) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=None)
-def _n_fold_sums(mode: FglMode, order: int) -> list[TruncatedSeries]:
-    """[1](u), [2](u), ... as far as n_fold_sum has extended the list."""
-    return [TruncatedSeries.variable("u", ("u",), order)]
+def _n_fold_sums(mode: FglMode, order: int) -> list[tuple[TruncatedSeries, _Powers]]:
+    """[1](u), [2](u), ... as far as n_fold_sum has extended the list, each
+    with the one table of its powers, which the next n-fold step and
+    division by its k both read."""
+    u = TruncatedSeries.variable("u", ("u",), order)
+    return [(u, _Powers([{} if m != 1 else {0: 1} for m in range(order + 1)]))]
 
 
 def n_fold_sum(mode: FglMode, n: int, order: int) -> TruncatedSeries:
@@ -505,12 +541,12 @@ def n_fold_sum(mode: FglMode, n: int, order: int) -> TruncatedSeries:
     if len(sums) < n:
         terms = [(i, j, c) for (i, j), c in law_series(mode, order)._coeffs.items() if j]
     while len(sums) < n:
-        prev = sums[-1]._coeffs
-        powers = _Powers([prev.get((m,), {}) for m in range(order + 1)])
-        coeffs = {(m,): _dot(terms, powers, m) for m in range(1, order + 1)}
-        _pmul_into(coeffs[(1,)], {0: 1}, {0: 1})  # the u of F(u, v)
-        sums.append(TruncatedSeries(("u",), order, ZZ, _nonzero(coeffs)))
-    return sums[n - 1]
+        powers = sums[-1][1]
+        s = [{}] + [_dot(terms, powers, m) for m in range(1, order + 1)]
+        _pmul_into(s[1], {0: 1}, {0: 1})  # the u of F(u, v)
+        sums.append((TruncatedSeries(("u",), order, ZZ, {(m,): d for m, d in enumerate(s) if d}),
+                     _Powers(s)))
+    return sums[n - 1][0]
 
 
 def division_series(n: int, mode: FglMode, order: int) -> TruncatedSeries:
@@ -524,12 +560,12 @@ def division_series(n: int, mode: FglMode, order: int) -> TruncatedSeries:
     """
     if n < 2:
         raise ValueError("division needs n >= 2")
-    nfold = n_fold_sum(mode, n, order)._coeffs
-    a = [nfold.get((j,), {}) for j in range(order + 1)]
+    n_fold_sum(mode, n, order)
+    a_powers = _n_fold_sums(mode, order)[n - 1][1]
+    a = a_powers.s
     terms = [(0, j, _scaled(a[j], n ** (j - 2))) for j in range(2, order + 1)]
-    beta = _fixed_point(1, terms, order)
+    beta = _fixed_point(_Powers([{}, {0: 1}]), terms, order)
     back = [(0, i, _scaled(beta[i], n ** (2 * (order - i)))) for i in range(1, order + 1)]
-    a_powers = _Powers(a)
     for m in range(1, order + 1):
         if _dot(back, a_powers, m) != ({0: n ** (2 * order - 1)} if m == 1 else {}):
             raise ArithmeticError("division series failed the return round trip")
@@ -545,10 +581,18 @@ def _scaled(d: Packed, factor: int) -> Packed:
     return {key: c * factor for key, c in d.items()}
 
 
+# law -> (the highest order its residues were asked at, those residues)
+_residues: dict[FglMode, tuple[int, dict[tuple[int, int, int], Polynomial]]] = {}
+
+
 def associativity_relations(mode: FglMode, order: int) -> dict[tuple[int, int, int], Polynomial]:
     """Nonzero coefficients of F(F(u,v),w) - F(u,F(v,w)) up to total degree
     `order`, keyed by the exponent (a, b, k) of u^a v^b w^k in (sum(e), e)
-    order.
+    order, as a fresh dict.
+
+    A residue does not depend on the order it is asked at, so the residues
+    of the highest order asked are kept per law, and a lower order reads
+    those of total degree <= order from them.
 
     With P = F(u, v) and the law's c_xy (c_10 = c_01 = 1), F(P, w) is the
     sum of c_xy P^x w^y and F(u, F(v, w)) the sum of c_xy u^x Q^y, where
@@ -560,23 +604,28 @@ def associativity_relations(mode: FglMode, order: int) -> dict[tuple[int, int, i
     summed, so the residues' antisymmetry under u <-> w is a check on this
     loop, not a consequence of it.
     """
-    law = law_series(mode, order)
-    # the law has no u^x or v^x term with x >= 2, so each such P^x is read
-    # only times a positive power of w (or of u)
-    powers = [{(0, 0): {0: 1}}, law._coeffs]
-    while len(powers) <= order:
-        powers.append(_product(powers[-1], law._coeffs, order - 1, mirror=True))
-    total: dict = {}
-    for (x, y), c in law._coeffs.items():
-        minus_c = {key: -v for key, v in c.items()}
-        for (a, b), d in powers[x].items():  # c_xy P^x w^y
-            if a + b + y <= order:
-                _pmul_into(total.setdefault((a, b, y), {}), c, d)
-        for (b, k), d in powers[y].items():  # c_xy u^x Q^y
-            if x + b + k <= order:
-                _pmul_into(total.setdefault((x, b, k), {}), minus_c, d)
-    return {e: _unpack_poly(total[e], law.ring)
-            for e in sorted(total, key=lambda e: (sum(e), e)) if total[e]}
+    _check_order(order)
+    top, rels = _residues.get(mode, (0, {}))
+    if order > top:
+        law = law_series(mode, order)
+        # the law has no u^x or v^x term with x >= 2, so each such P^x is read
+        # only times a positive power of w (or of u)
+        powers = [{(0, 0): {0: 1}}, law._coeffs]
+        while len(powers) <= order:
+            powers.append(_product(powers[-1], law._coeffs, order - 1, mirror=True))
+        total: dict = {}
+        for (x, y), c in law._coeffs.items():
+            minus_c = {key: -v for key, v in c.items()}
+            for (a, b), d in powers[x].items():  # c_xy P^x w^y
+                if a + b + y <= order:
+                    _pmul_into(total.setdefault((a, b, y), {}), c, d)
+            for (b, k), d in powers[y].items():  # c_xy u^x Q^y
+                if x + b + k <= order:
+                    _pmul_into(total.setdefault((x, b, k), {}), minus_c, d)
+        rels = {e: _unpack_poly(total[e], law.ring)
+                for e in sorted(total, key=lambda e: (sum(e), e)) if total[e]}
+        _residues[mode] = order, rels
+    return {e: poly for e, poly in rels.items() if sum(e) <= order}
 
 
 def eval_dim_truncated(series: TruncatedSeries, syms, dim: int) -> Polynomial:

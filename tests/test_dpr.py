@@ -451,9 +451,10 @@ def test_evaluation_keeps_an_int_point_in_the_integers():
         assert type(as_fractions) is Fraction and as_fractions == value
 
 
-def test_high_indices_fall_back_to_wide_masks():
+def test_a_two_digit_index_has_its_own_bit_and_bound():
     e = build_ex(10)  # past index 8, to a two-digit index
-    assert e.support.bit_length() > 64
+    assert e.support & dpr._mask("X", 10)
+    assert check_index_bounds(e, 10, 1) and not check_index_bounds(e, 9, 1)
     e9 = 2 * E_COUNTS[8] + F_COUNTS[8] + 8
     f9 = F_COUNTS[8] + 2 * (8 + E_COUNTS[8])
     assert len(e) == 2 * e9 + f9 + 9

@@ -14,7 +14,8 @@ from fractions import Fraction
 import pytest
 
 from dprkit import fgl
-from dprkit.algebra import CoeffRing, IncompatibleRings, Monomial, Polynomial, VarSymbol, ZZ
+from dprkit.algebra import (CoeffRing, IncompatibleRings, Monomial, Polynomial, VarSymbol, ZZ,
+                            canonical_json, poly_to_json)
 from dprkit.fgl import (
     BETA,
     AliasedAccumulator,
@@ -349,11 +350,13 @@ def test_n_fold_sum_is_a_loop_over_cached_sums():
 def _clear_solve_caches():
     inverse_series.cache_clear()
     fgl._n_fold_sums.cache_clear()
+    fgl._inverse_solves.clear()
+    fgl._residues.clear()
 
 
 def _bump_degree_three(solve):
-    def tampered(first, terms, order):
-        s = solve(first, terms, order)
+    def tampered(powers, terms, order):
+        s = solve(powers, terms, order)
         s[3] = {**s[3], 0: s[3].get(0, 0) + 1}
         return s
     return tampered
@@ -598,3 +601,121 @@ def test_compose_uses_no_solve_kernel(monkeypatch):
     monkeypatch.setattr(fgl, "_Powers", refuse)
     monkeypatch.setattr(fgl, "_dot", refuse)
     assert compose(law_series(U, 6), "v", g).is_zero()
+
+
+# what is kept per law between calls ----------------------------------------
+
+
+def _series_texts(mode, order):
+    """Canonical JSON of every kept series of one law at one order."""
+    rels = associativity_relations(mode, order)
+    return {
+        "inverse": canonical_json(series_to_json(inverse_series(mode, order))),
+        "nfold": canonical_json(series_to_json(n_fold_sum(mode, 4, order))),
+        "divisions": [canonical_json(series_to_json(division_series(n, mode, order)))
+                      for n in (3, 2)],
+        "residues": canonical_json([{"exp": list(e), "poly": poly_to_json(p)}
+                                    for e, p in rels.items()]),
+    }
+
+
+@pytest.mark.parametrize("mode", [
+    U, additive_mode(), multiplicative_mode(), custom_mode(_custom_table(5, 10)),
+], ids=["universal", "additive", "multiplicative", "custom"])
+def test_kept_series_equal_a_fresh_computation(mode):
+    fresh = {}
+    for order in (3, 6, 9):
+        _clear_solve_caches()
+        fresh[order] = _series_texts(mode, order)
+    try:
+        for orders in ((3, 6, 9), (9, 6, 3), (6, 3, 9, 6, 3)):
+            _clear_solve_caches()
+            for order in orders:
+                assert _series_texts(mode, order) == fresh[order], (orders, order)
+    finally:
+        _clear_solve_caches()
+
+
+def test_a_lower_order_reads_fresh_residues_of_the_kept_polynomials():
+    _clear_solve_caches()
+    high = associativity_relations(U, 7)
+    low = associativity_relations(U, 5)
+    assert low == {e: p for e, p in high.items() if sum(e) <= 5}
+    assert all(low[e] is high[e] for e in low)
+    low.clear()  # the caller's dict, not the kept one
+    assert associativity_relations(U, 5) == {e: p for e, p in high.items() if sum(e) <= 5}
+    assert associativity_relations(U, 7) is not high
+
+
+def test_kept_series_still_refuse_a_bad_order():
+    _clear_solve_caches()
+    inverse_series(U, 6)
+    associativity_relations(U, 6)
+    for order in (0, 33):
+        for call in (inverse_series, associativity_relations):
+            with pytest.raises(ValueError, match="order must be in 1..32"):
+                call(U, order)
+
+
+def _truncated(series, order):
+    return TruncatedSeries(series.vars, order, series.ring,
+                           {e: d for e, d in series._coeffs.items() if sum(e) <= order})
+
+
+def test_the_inverse_is_checked_only_above_every_checked_order(monkeypatch):
+    calls = []
+    real_compose = fgl.compose
+
+    def counting(outer, var, inner):
+        calls.append(outer.order)
+        return real_compose(outer, var, inner)
+
+    monkeypatch.setattr(fgl, "compose", counting)
+    _clear_solve_caches()
+    try:
+        for order in (6, 8, 5, 8, 7):
+            inverse_series(U, order)
+        assert calls == [6, 8]
+        # a compose that never cancels, once order 8 has passed, fails every
+        # order above 8; an order below it is a truncation of order 8
+        monkeypatch.setattr(fgl, "compose", lambda outer, var, inner: law_series(U, outer.order))
+        for order in (10, 9, 10):
+            with pytest.raises(ArithmeticError, match="inverse"):
+                inverse_series(U, order)
+        assert inverse_series(U, 4) == _truncated(inverse_series(U, 8), 4)
+    finally:
+        _clear_solve_caches()
+
+
+def test_division_reads_the_table_the_n_fold_step_built(monkeypatch):
+    n, order = 3, 8
+    _clear_solve_caches()
+    try:
+        n_fold_sum(U, n + 1, order)  # the step to [4](u) reads [3](u)'s table
+        sums = fgl._n_fold_sums(U, order)
+        table = sums[n - 1][1]
+        assert table.s[1:] == [sums[n - 1][0]._coeffs.get((m,), {}) for m in range(1, order + 1)]
+        held = dict(table)
+        assert any(j >= 2 for j, _ in held)
+        made, read = [], set()
+        missing = fgl._Powers.__missing__
+
+        class Counted(fgl._Powers):
+            def __init__(self, s):
+                made.append(self)
+                super().__init__(s)
+
+        def recorded(self, key):
+            read.add(id(self))
+            return missing(self, key)
+
+        monkeypatch.setattr(fgl, "_Powers", Counted)
+        monkeypatch.setattr(Counted, "__missing__", recorded)
+        monkeypatch.setattr(type(table), "__missing__", recorded)
+        division_series(n, U, order)
+        assert len(made) == 1  # beta's own table: [3](u)'s is not made again
+        assert read == {id(table), id(made[0])}
+        assert all(table[key] is d for key, d in held.items())
+        assert len(table) > len(held)
+    finally:
+        _clear_solve_caches()

@@ -2,8 +2,8 @@
 
 Both renderings read `dpr._sorted_rows`, which sorts on one int per term;
 each joins a product term's names from its factors' parts.  The cases
-below are glued relations on both sides, one past index 8 (blocks 9 and
-10 of the masks), and a lone excess and correction polynomial.
+below are glued relations on both sides, one with a chain of nine steps
+(GX(2, 9)), and a lone excess and correction polynomial.
 """
 
 import hashlib
