@@ -160,10 +160,15 @@ class Monomial(Immutable):
     pair (the symbol's three-slot `sort_key`, then minus the exponent).
     Every pair adds the same four slots, so comparing flat keys orders
     monomials as comparing the nested pairs would, prefixes included.
+
+    A monomial also holds its JSON names dict, ``{name: exponent}`` in
+    Monomial order, made by the first `json_names` call: every document
+    `poly_to_json` makes with this monomial shares that one dict.
     """
 
-    # _key is the sort key, set by the first `sort_key` call only
-    __slots__ = ("pairs", "degree", "_hash", "_key")
+    # _key is the sort key, set by the first `sort_key` call only, and
+    # _names the names dict, set by the first `json_names` call only
+    __slots__ = ("pairs", "degree", "_hash", "_key", "_names")
 
     def __init__(self, exponents: Mapping[VarSymbol, int] | Iterable[tuple[VarSymbol, int]] = ()):
         items = exponents.items() if isinstance(exponents, Mapping) else exponents
@@ -206,6 +211,18 @@ class Monomial(Immutable):
                 key += (*s.sort_key, -e)
             object.__setattr__(self, "_key", key)
             return key
+
+    def json_names(self) -> dict[str, int]:
+        """The held ``{name: exponent}`` dict of the JSON export, the same
+        object on every call: it is for rendering, and editing it edits the
+        monomial in every document that holds it."""
+        # getattr's default costs less than a caught AttributeError on the
+        # miss, which every exported monomial meets once
+        names = getattr(self, "_names", None)
+        if names is None:
+            names = {sym._name: exp for sym, exp in self.pairs}
+            object.__setattr__(self, "_names", names)
+        return names
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not self.pairs:
@@ -496,11 +513,23 @@ def coeff_to_json(c: Coeff) -> dict:
 
 
 def poly_to_json(p: Polynomial) -> dict:
-    # one pass over the sorted terms: an int coefficient is rendered in
-    # place, and each name is the symbol's interned one
+    """The JSON document of p: its ring, then its terms in `sorted_terms`
+    order, each a coefficient dict and a monomial names dict.
+
+    Each repeated piece is made once.  A term's monomial dict is the one
+    its Monomial holds (`Monomial.json_names`), shared by every document
+    that has the monomial, and within one document the terms with one int
+    coefficient share one ``{"num": ..., "den": "1"}`` dict.  A Fraction
+    coefficient, an integral one included, gets a dict of its own per term:
+    keying by a Fraction would run its Python-level `__hash__` per term.
+    The document is made to be rendered: editing a shared dict edits every
+    term, and every document, that holds it.
+    """
+    ints: dict[int, dict] = {}
     return {"ring": {"inverted": sorted(p.ring.inverted)}, "terms": [
-        {"coeff": {"num": str(c), "den": "1"} if type(c) is int else coeff_to_json(c),
-         "monomial": {sym._name: exp for sym, exp in mono.pairs}}
+        {"coeff": (ints.get(c) or ints.setdefault(c, {"num": str(c), "den": "1"}))
+         if type(c) is int else coeff_to_json(c),
+         "monomial": mono.json_names()}
         for mono, c in p.sorted_terms()]}
 
 

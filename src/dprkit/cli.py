@@ -7,8 +7,9 @@ usage or domain errors or when memory runs out, 3 when an internal
 invariant breaks (a bug in dprkit, such as `InconsistentSolve`) or any
 other exception escapes a command; errors are reported as a JSON object
 on stderr.  JSON goes out through `algebra.write_json`, whole list
-elements a chunk at a time, so an error while a document is written leaves
-its start on stdout.
+elements a chunk at a time, and the text of `gdpr build` about 4,096 rows
+at a time, so an error while a document is written leaves its start on
+stdout.
 
 A subcommand is declared by one entry of `_COMMANDS`, under its group:
 its name, help, handler and argument specs in order (the shared ones are
@@ -90,15 +91,16 @@ def _fail(message: str):
     raise SystemExit(2)
 
 
-def _emit(args, payload: Callable[[], dict], render: Callable[[], str] | None = None) -> None:
+def _emit(args, payload: Callable[[], dict],
+          render: Callable[[Callable[[str], object]], None] | None = None) -> None:
     """Write what `payload` returns as JSON, streamed in chunks by
-    `write_json`; under --format text write what `render` returns, or else
-    the payload as key-value lines.  Each callable runs only when its
-    rendering is the one written."""
+    `write_json`; under --format text `render` writes its text through the
+    write it is given, or else the payload goes out as key-value lines.
+    Each callable runs only when its rendering is the one written."""
     if args.format == "json":
         write_json(payload(), sys.stdout.write)
     elif render is not None:
-        sys.stdout.write(render())
+        render(sys.stdout.write)
     else:
         sys.stdout.write(_kv_text(payload()))
 
@@ -129,8 +131,29 @@ def _series_text(series: fgl.TruncatedSeries) -> str:
                      for exp, poly in series.coefficients()])
 
 
-def _poly_text(g: DprPolynomial) -> str:
-    return _columns([(f"{c:+d}", "*".join(names) or "1") for names, c in ordered_terms(g)])
+def _poly_text(g: DprPolynomial, write: Callable[[str], object]) -> None:
+    """Write g's terms as `_columns` rows (signed coefficient, then names)
+    through `write`, about 4,096 rows at a time, so the text is never held
+    whole.  The column width is known before any row is made: it is that
+    of the widest distinct coefficient, the flat part's or a product of
+    one coefficient of each factor."""
+    coeffs = set(g.flat.values())
+    if g.factors is not None:
+        a, b = g.factors
+        right = set(b.flat.values())
+        coeffs.update(x * y for x in set(a.flat.values()) for y in right)
+    if not coeffs:
+        write("0\n")
+        return
+    width = max(len(f"{c:+d}") for c in coeffs)
+    labels = {c: f"{c:<+{width}d}  " for c in coeffs}
+    rows: list[str] = []
+    for names, c in ordered_terms(g):
+        rows.append(labels[c] + ("*".join(names) or "1") + "\n")
+        if len(rows) >= 4096:
+            write("".join(rows))
+            rows.clear()
+    write("".join(rows))
 
 
 # command handlers -----------------------------------------------------------
@@ -155,7 +178,8 @@ def _cmd_series(args) -> int:
         }
         _emit(args, lambda: payload)
     else:
-        _emit(args, lambda: fgl.series_to_json(series), lambda: _series_text(series))
+        _emit(args, lambda: fgl.series_to_json(series),
+              lambda write: write(_series_text(series)))
     return 0
 
 
@@ -165,8 +189,8 @@ def _cmd_fgl_relations(args) -> int:
         "order": args.order,
         "count": len(rels),
         "relations": [{"exp": list(e), "poly": poly_to_json(p)} for e, p in rels.items()],
-    }, lambda: "".join(
-        f"({e[0]},{e[1]},{e[2]})  {p}\n" for e, p in rels.items()) or "none\n")
+    }, lambda write: write("".join(
+        f"({e[0]},{e[1]},{e[2]})  {p}\n" for e, p in rels.items()) or "none\n"))
     return 0
 
 
@@ -185,7 +209,7 @@ def _cmd_gdpr_build(args) -> int:
     else:
         counts = (args.n,)
     g = _BUILDERS[kind](*counts)
-    _emit(args, lambda: dpr_to_json(g), lambda: _poly_text(g))
+    _emit(args, lambda: dpr_to_json(g), lambda write: _poly_text(g, write))
     return 0
 
 
@@ -233,7 +257,7 @@ def _cmd_report(args) -> int:
 def _cmd_selftest(args) -> int:
     results = acceptance.run_all()
     _emit(args, lambda: acceptance.report_json(results),
-          lambda: acceptance.report_text(results))
+          lambda write: write(acceptance.report_text(results)))
     return 0 if all(r.passed for r in results) else 1
 
 

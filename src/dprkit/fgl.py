@@ -47,7 +47,10 @@ keeps one `_Powers`, read by the next n-fold step and by division by k,
 whose round trip still runs on every call.  Nothing kept is freed: for the
 universal law the inverse at order 16 holds about 0.4 MB more than its
 series, the residues at order 16 about 2.6 MB, and the tables of [1](u) to
-[9](u) at order 16 about 5.6 MB.
+[9](u) at order 16 about 5.6 MB.  A decoded Monomial also keeps the JSON
+names dict of its first export (`Monomial.json_names`): about 0.47 MB for
+the 2,621 monomials of the universal residues at order 16, and about
+0.62 MB for the ~3,450 of a benchmark `series` pass.
 
 A series product visits only the pairs of terms inside the truncation: the
 right factor's terms are held sorted by total degree, and the scan stops at

@@ -316,6 +316,79 @@ def test_json_terms_are_graded_lex_sorted():
     assert poly_to_json(p)["terms"][3]["monomial"] == {"X[1]": 2}
 
 
+def test_documents_share_the_names_dict_their_monomial_holds():
+    m = Monomial({X1: 1, Y1: 2})
+    p = Polynomial(ZZ, {m: 3, UNIT: 1})
+    q = Polynomial(ZZ, {m: -2, Monomial({X2: 1}): 1})
+    (_, in_p), (_, in_q) = ([t["monomial"] for t in poly_to_json(r)["terms"]] for r in (p, q))
+    assert in_p is in_q is m.json_names()
+    assert in_p == {"X[1]": 1, "Y[1]": 2}
+    # the empty monomial holds its own empty dict
+    assert poly_to_json(p)["terms"][0]["monomial"] is UNIT.json_names() == {}
+
+
+def test_the_held_names_dict_is_in_monomial_order():
+    m = Monomial({U11: 1, Y1: 3, A11: 2, X2: 1})
+    assert list(m.json_names().items()) == [(str(s), e) for s, e in m.pairs]
+    assert list(m.json_names()) == ["X[2]", "Y[1]", "U[1][1]", "a[1][1]"]
+    # equal monomials made apart hold equal dicts, each its own
+    again = Monomial({X2: 1, Y1: 3, U11: 1, A11: 2})
+    assert again.json_names() == m.json_names() and again.json_names() is not m.json_names()
+
+
+def test_int_coefficients_share_one_dict_per_value_within_a_document():
+    p = Polynomial(ZZ, {UNIT: 3, Monomial({X1: 1}): 3, Monomial({X2: 1}): -3,
+                        Monomial({Y1: 1}): 3, Monomial({X1: 2}): -3, Monomial({U11: 1}): 7})
+    first, second = poly_to_json(p), poly_to_json(p)
+    by_value: dict = {}
+    for t in first["terms"]:
+        by_value.setdefault(t["coeff"]["num"], set()).add(id(t["coeff"]))
+    assert {num: len(ids) for num, ids in by_value.items()} == {"3": 1, "-3": 1, "7": 1}
+    assert first["terms"][0]["coeff"] == {"num": "3", "den": "1"}
+    # a second document makes its own coefficient dicts
+    assert first == second
+    assert not {id(t["coeff"]) for t in first["terms"]} & {id(t["coeff"]) for t in second["terms"]}
+
+
+def test_fraction_coefficients_get_a_dict_per_term():
+    half = CoeffRing([2])
+    two = Fraction(4, 2)
+    assert type(two) is Fraction
+    p = Polynomial(half, {UNIT: Fraction(1, 2), Monomial({X1: 1}): Fraction(1, 2),
+                          Monomial({X2: 1}): two, Monomial({Y1: 1}): two, Monomial({U11: 1}): 2})
+    terms = poly_to_json(p)["terms"]
+    assert [t["coeff"] for t in terms] == [
+        {"num": "1", "den": "2"}, {"num": "1", "den": "2"}, {"num": "2", "den": "1"},
+        {"num": "2", "den": "1"}, {"num": "2", "den": "1"}]
+    assert len({id(t["coeff"]) for t in terms}) == len(terms)
+    assert canonical_json(poly_to_json(p)) == _json_oracle(_term_by_term(p))
+
+
+def _term_by_term(p: Polynomial) -> dict:
+    """The document of p built afresh from `sorted_terms`, holding no dict
+    that any other document holds."""
+    return {"ring": {"inverted": sorted(p.ring.inverted)}, "terms": [
+        {"coeff": {"num": str(Fraction(c).numerator), "den": str(Fraction(c).denominator)},
+         "monomial": {str(s): e for s, e in mono.pairs}}
+        for mono, c in p.sorted_terms()]}
+
+
+def test_exported_documents_render_as_fresh_ones():
+    # shared names dicts and coefficient dicts change no byte, even when a
+    # polynomial sharing the monomials is rendered between two exports
+    rng = random.Random(4545)
+    ring = CoeffRing([2, 3])
+    for _ in range(60):
+        p = _random_poly(rng, ring=ring, max_terms=8)
+        p = p + Polynomial(ring, {m: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6)))
+                                  for m in list(p.terms)[::2]})
+        other = Polynomial(ring, {m: rng.randint(-3, 3) for m in p.terms})
+        expected = _json_oracle(_term_by_term(p))
+        assert canonical_json(poly_to_json(p)) == expected
+        assert canonical_json(poly_to_json(other)) == _json_oracle(_term_by_term(other))
+        assert canonical_json(poly_to_json(p)) == expected
+
+
 def test_str_rendering():
     p = Polynomial(ZZ, {UNIT: -1, Monomial({X1: 1}): 1, Monomial({X1: 1, U11: 2}): -3})
     assert str(p) == "-1 + X[1] - 3*X[1]*U[1][1]^2"

@@ -514,6 +514,16 @@ def with_constant():
     return masked((7, []), (-12, [X1]), (1, [X1, Y2]))
 
 
+def zero():
+    """No terms: the text is the one row "0"."""
+    return DprPolynomial({})
+
+
+def flat_only():
+    """Terms and no factors, coefficients of three widths."""
+    return masked((-100, [X2]), (3, [X1, Y1]), (12, [Y2]), (-1, [X1, X2, U12]))
+
+
 def same_kind():
     """X[2] times X[1]: both factors hold X, and the second one's comes
     first."""
@@ -570,7 +580,26 @@ _JSON_CASES = [
     # products whose factors share a generator kind, or hold one part each
     (same_kind, ()),
     (markers_alone, ()),
+    (zero, ()),
+    (flat_only, ()),
 ]
+
+
+def rows_at_once(g) -> str:
+    """The relation text with every row made first, then padded to the
+    widest coefficient and joined: the reference for `cli._poly_text`."""
+    rows = [(f"{c:+d}", "*".join(names) or "1") for names, c in dpr.ordered_terms(g)]
+    if not rows:
+        return "0\n"
+    width = max(len(a) for a, _ in rows)
+    return "".join(f"{a:<{width}}  {b}\n" for a, b in rows)
+
+
+def written_text(g) -> tuple[str, list[str]]:
+    """What `cli._poly_text` writes for g, joined, and its chunks."""
+    chunks: list[str] = []
+    cli._poly_text(g, chunks.append)
+    return "".join(chunks), chunks
 
 
 def assert_renderings_match_the_oracle(g):
@@ -588,13 +617,25 @@ def assert_renderings_match_the_oracle(g):
     rows = [(f"{c:+d}", str(mono)) for mono, c in oracle.sorted_terms()]
     width = max((len(c) for c, _ in rows), default=0)
     text = "".join(f"{c:<{width}}  {mono}\n" for c, mono in rows)
-    assert cli._poly_text(g) == (text or "0\n")
+    assert written_text(g)[0] == rows_at_once(g) == (text or "0\n")
 
 
 @pytest.mark.parametrize("build, counts", [
     pytest.param(build, counts, id=f"{build.__name__}{counts}") for build, counts in _JSON_CASES])
 def test_json_from_masks_matches_the_decoded_polynomial(build, counts):
     assert_renderings_match_the_oracle(build(*counts))
+
+
+@pytest.mark.parametrize("build, counts", [(build_gx, (5, 5)), (build_ex, (9,))],
+                         ids=lambda arg: getattr(arg, "__name__", str(arg)))
+def test_relation_text_is_written_in_chunks_of_whole_rows(build, counts):
+    # 6,561 and 6,552 rows: one full chunk of 4,096 rows, then the rest
+    g = build(*counts)
+    text, chunks = written_text(g)
+    assert text == rows_at_once(g)
+    rows = [chunk.count("\n") for chunk in chunks]
+    assert rows == [4096, len(g) - 4096]
+    assert all(chunk.endswith("\n") for chunk in chunks)
 
 
 @pytest.mark.parametrize("build, counts", [
