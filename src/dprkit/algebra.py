@@ -203,14 +203,13 @@ class Monomial(Immutable):
         return isinstance(other, Monomial) and self.pairs == other.pairs
 
     def sort_key(self):
-        try:
-            return self._key
-        except AttributeError:
+        key = getattr(self, "_key", None)  # as in `json_names`
+        if key is None:
             key = (self.degree,)
             for s, e in self.pairs:
                 key += (*s.sort_key, -e)
             object.__setattr__(self, "_key", key)
-            return key
+        return key
 
     def json_names(self) -> dict[str, int]:
         """The held ``{name: exponent}`` dict of the JSON export, the same

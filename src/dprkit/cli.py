@@ -18,7 +18,9 @@ each.  The handlers read tables keyed by the subcommand's name: `_SERIES`
 for the series an `fgl` command prints, `_REPORTS` for the report of each
 `verify` and `fixedpoint` command and the key that sets its exit code;
 `gdpr check` runs a check of `dpr.PAIR_CHECKS` on GX and GY, and that
-table's names and padding are its choices.
+table's names and padding are its choices.  `gdpr build` only formats: a
+relation's terms come from `dpr.ordered_terms`, in output order, and its
+coefficient set from `DprPolynomial.distinct_coefficients`.
 
 Only `algebra` and `dpr` are imported up front; `fgl`, `operators`,
 `fixedpoint` and `acceptance` are registered by `_lazy` and execute on the
@@ -134,14 +136,10 @@ def _series_text(series: fgl.TruncatedSeries) -> str:
 def _poly_text(g: DprPolynomial, write: Callable[[str], object]) -> None:
     """Write g's terms as `_columns` rows (signed coefficient, then names)
     through `write`, about 4,096 rows at a time, so the text is never held
-    whole.  The column width is known before any row is made: it is that
-    of the widest distinct coefficient, the flat part's or a product of
-    one coefficient of each factor."""
-    coeffs = set(g.flat.values())
-    if g.factors is not None:
-        a, b = g.factors
-        right = set(b.flat.values())
-        coeffs.update(x * y for x in set(a.flat.values()) for y in right)
+    whole.  The rows come from `ordered_terms`, and the column width and
+    each row's label from `g.distinct_coefficients()`, before any row is
+    made."""
+    coeffs = g.distinct_coefficients()
     if not coeffs:
         write("0\n")
         return

@@ -38,14 +38,14 @@ into both sides of the relation, in O(n + m) ring operations, at any n.
 The mask form is the one expansion: `gdpr build` prints it, the structural
 checks run on it, and it is the slow oracle the fast path is tested
 against.  Its one evaluator is `evaluate_rational`, which
-`substitute_families` calls.  Its JSON (`dpr_to_json`) and the CLI's text
-rows (`ordered_terms`) each loop once over one sorted row list,
-`_sorted_rows`: a flat term's row holds its sort int (the generator count
-above its mask) and its class and marker names, and a product term pairs
-its factors' rows.  The tests hold both renderings equal to
-`to_polynomial`, the one bridge to the core ring.  `sorted_terms` is an
-oracle no command reaches; the benchmark's tracer names it, so
-`tests/test_reachability.py` allowlists it.
+`substitute_families` calls.  Relation output has one owner: `ordered_terms`
+sorts the rows once (a flat term's row holds its sort int, the generator
+count above its mask, and its names; a product term pairs its factors'),
+and `distinct_coefficients` gives the coefficient set, nothing multiplied
+out.  The JSON (`dpr_to_json`) and the CLI's text only format these.  The
+tests hold both renderings equal to `to_polynomial`, the core ring's bridge.
+`sorted_terms` is an oracle no command reaches; the benchmark's tracer
+names it, so `tests/test_reachability.py` allowlists it.
 """
 
 from __future__ import annotations
@@ -201,6 +201,16 @@ class DprPolynomial(Immutable):
 
     def is_zero(self) -> bool:
         return not self.flat and self.factors is None
+
+    def distinct_coefficients(self) -> set[int]:
+        """The coefficients of the terms, each once: the flat part's, and each
+        product of one coefficient of each factor, nothing multiplied out."""
+        out = set(self.flat.values())
+        if self.factors is not None:
+            a, b = self.factors
+            right = set(b.flat.values())
+            out.update(x * y for x in set(a.flat.values()) for y in right)
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DprPolynomial):
@@ -660,15 +670,18 @@ def _flat_rows(p: DprPolynomial) -> list[tuple]:
 _UNIT = (0, ((), ()), 1)
 
 
-def _sorted_rows(g: DprPolynomial) -> list[tuple]:
-    """g's terms in output order as (sort int, upper row, lower row).
+def ordered_terms(g: DprPolynomial) -> Iterator[tuple[tuple[str, ...], int]]:
+    """Each term of g in output order: its generator names in Monomial
+    order, and its coefficient.  No Monomial is made.
 
-    Terms sort on one int each, the term's head with its mask's bits
-    flipped: within one count, the term whose first differing generator
-    comes first has the higher mask.  Every exponent is 1, so that is the
-    Monomials' graded lexicographic order, that of `g.sorted_terms()`.  A
-    product term's head is the sum of its factors' (counts add, disjoint
-    masks OR), and a flat term is one row times `_UNIT`.
+    The rows are sorted once, on one int each: the term's head with its
+    mask's bits flipped.  Within one count, the term whose first differing
+    generator comes first has the higher mask; every exponent is 1, so that
+    is the Monomials' graded lexicographic order, that of
+    `g.sorted_terms()`.  A product term's head is the sum of its factors'
+    (counts add, disjoint masks OR), and a flat term is one row times
+    `_UNIT`.  A term's names, made as it is yielded, are its upper row's
+    class part, the lower's, then their marker parts in that order.
     """
     full = (1 << _WIDTH) - 1
     keyed = [(row[0] ^ full, row, _UNIT) for row in _flat_rows(g)]
@@ -679,30 +692,17 @@ def _sorted_rows(g: DprPolynomial) -> list[tuple]:
         right = _flat_rows(b)
         keyed += [((x[0] + y[0]) ^ full, x, y) for x in _flat_rows(a) for y in right]
     keyed.sort()  # masks are distinct, so no two keys tie and no rows are compared
-    return keyed
-
-
-def ordered_terms(g: DprPolynomial) -> Iterator[tuple[tuple[str, ...], int]]:
-    """Each term of g in output order: its generator names in Monomial
-    order, and its coefficient.  No Monomial is made.  The names, made as
-    the term is yielded, are its upper row's class part, the lower's, then
-    their marker parts in that order.
-    """
-    for _, (_, (cls_l, mk_l), cl), (_, (cls_r, mk_r), cr) in _sorted_rows(g):
+    for _, (_, (cls_l, mk_l), cl), (_, (cls_r, mk_r), cr) in keyed:
         yield cls_l + cls_r + mk_l + mk_r, cl * cr
 
 
 def dpr_to_json(g: DprPolynomial) -> dict:
-    """`poly_to_json(g.to_polynomial())`, each term dict filled in one loop
-    over `_sorted_rows(g)` with the names `ordered_terms` gives.  Each
-    distinct coefficient's dict is made once, and the terms that have it
-    share that one dict: the document is made to be rendered, and a caller
-    that edits one term's coefficient edits them all."""
-    rendered: dict = {}
-    terms = []
-    for _, (_, (cls_l, mk_l), cl), (_, (cls_r, mk_r), cr) in _sorted_rows(g):
-        coeff = rendered.get(c := cl * cr)
-        if coeff is None:
-            coeff = rendered[c] = coeff_to_json(c)
-        terms.append({"coeff": coeff, "monomial": dict.fromkeys(cls_l + cls_r + mk_l + mk_r, 1)})
-    return {"ring": {"inverted": []}, "terms": terms}
+    """`poly_to_json(g.to_polynomial())`, one term dict per term that
+    `ordered_terms` gives.  Each distinct coefficient's dict is made up
+    front, from `distinct_coefficients`, and the terms that have it share
+    that one dict: the document is made to be rendered, and a caller that
+    edits one term's coefficient edits them all."""
+    coeffs = {c: coeff_to_json(c) for c in g.distinct_coefficients()}
+    return {"ring": {"inverted": []},
+            "terms": [{"coeff": coeffs[c], "monomial": dict.fromkeys(names, 1)}
+                      for names, c in ordered_terms(g)]}

@@ -216,8 +216,8 @@ def test_text_format_listing(capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_relation_output_makes_no_monomial(capsys, monkeypatch, fmt):
-    # both renderings read dpr._sorted_rows; the Polynomial route is only
-    # the tests' oracle
+    # both renderings format what dpr.ordered_terms gives; the Polynomial
+    # route is only the tests' oracle
     def refuse(*args, **kwargs):
         raise AssertionError("a Monomial or Polynomial was made")
 

@@ -487,9 +487,10 @@ def test_json_terms_share_one_dict_per_coefficient():
     *[(build, (n,)) for build in (build_ex, build_ey, build_fx, build_fy) for n in range(1, 7)]],
     ids=lambda arg: getattr(arg, "__name__", str(arg)))
 def test_json_and_ordered_terms_agree_term_for_term(build, counts):
-    # both read the sorted rows side by side, neither through the other: the
-    # same names in the same order, the same coefficients, and one dict per
-    # coefficient shared by all its terms
+    # the JSON is made from ordered_terms, so this pins that it formats each
+    # term as given: the same names in the same order, the same
+    # coefficients, and one dict per coefficient shared by all its terms;
+    # assert_renderings_match_the_oracle checks both against to_polynomial
     g = build(*counts)
     terms = dpr_to_json(g)["terms"]
     assert [(list(t["monomial"].items()), t["coeff"]) for t in terms] == [
@@ -604,12 +605,14 @@ def written_text(g) -> tuple[str, list[str]]:
 
 def assert_renderings_match_the_oracle(g):
     """`dpr_to_json` and the CLI's text rows against `to_polynomial()`, the
-    order of the terms and of each term's keys included."""
+    order of the terms and of each term's keys included, and the
+    coefficient set both read against the multiplied-out terms'."""
     def ordered(blob):
         # dict equality would not see the order of the keys, which the text shows
         return list(blob), blob["ring"], [
             (list(t), list(t["coeff"].items()), list(t["monomial"].items())) for t in blob["terms"]]
 
+    assert g.distinct_coefficients() == {c for _, c in g.terms()}
     oracle = g.to_polynomial()
     assert ordered(dpr_to_json(g)) == ordered(poly_to_json(oracle))
     # the text rows come from the same term stream: check them against the

@@ -87,7 +87,8 @@ SELFTEST_UNREACHED = {
                      "fixedpoint:_mixed_context", "fixedpoint:_walk",
                      "fixedpoint:_sample_degenerate", "fixedpoint:_image_value"],
                     _NO_CRITERION.format("the mixed verifier")),
-    **dict.fromkeys(["dpr:ordered_terms", "dpr:dpr_to_json", "dpr:_sorted_rows",
+    **dict.fromkeys(["dpr:ordered_terms", "dpr:dpr_to_json",
+                     "dpr:DprPolynomial.distinct_coefficients",
                      "dpr:_flat_rows", "dpr:_names_down"],
                     _NO_CRITERION.format("relation output")),
     **dict.fromkeys(["algebra:VarSymbol.__str__", "algebra:Monomial.__str__",

@@ -1,7 +1,7 @@
 """Relation output: the bytes of `gdpr build` where term order is rich.
 
-Both renderings read `dpr._sorted_rows`, which sorts on one int per term;
-each joins a product term's names from its factors' parts.  The cases
+Both renderings format what `dpr.ordered_terms` gives, which sorts on one
+int per term and joins a product term's names from its factors' parts.  The cases
 below are glued relations on both sides, one with a chain of nine steps
 (GX(2, 9)), and a lone excess and correction polynomial.
 """
