@@ -36,6 +36,14 @@ readers: `fprime_of_var` builds the image as a polynomial (for
 `claim1_case_check` and `fprime_eval`), and the mixed verifier reads it as
 a value at the sampled point, a*point[s] + b, with no polynomial built.
 
+A context keeps, for as long as it lives, the character of each
+combination it was asked about and the case of each chain step
+(`GoodnessContext.step`), so a chain walk and the U2_k and U3_k entries of
+the table classify a step once between them; `_step_goodness` itself stays
+pure.  The table's symbols (`c_symbol`, `sigma_symbol` and the p2/p3/q2/q3
+towers) are held by name for the whole process; they are interned
+`VarSymbol`s, which live that long anyway.
+
 `claim1_case_check` runs the two-and-one base identity through every
 goodness pattern: with all three divisors good the difference of the two
 sides is exactly the blow-up defect expression (verified to vanish by the
@@ -111,9 +119,15 @@ class GoodnessContext(Immutable):
     equivalent sums on the two sides share one sigma1 label.  An alias target
     that is itself a bound name must carry the same character as the
     combination it names.
+
+    A context keeps what it classifies: the character of each combination
+    `good` was asked about, and the case `step` found for each chain step,
+    keyed by (names, k).  Both live as long as the context does; a trial of
+    the mixed verifier draws a fresh one.
     """
 
-    __slots__ = ("group", "x_divisors", "y_divisors", "_residues", "_aliases", "_characters")
+    __slots__ = ("group", "x_divisors", "y_divisors", "_residues", "_aliases", "_characters",
+                 "_steps")
 
     def __init__(
         self,
@@ -139,6 +153,7 @@ class GoodnessContext(Immutable):
         object.__setattr__(self, "_residues", reduced)
         object.__setattr__(self, "_aliases", dict(aliases or {}))
         object.__setattr__(self, "_characters", {})
+        object.__setattr__(self, "_steps", {})
         for name in self.x_divisors + self.y_divisors:
             if name not in reduced:
                 raise UnknownDivisor(name)
@@ -169,6 +184,16 @@ class GoodnessContext(Immutable):
         if char is None:
             char = self._characters[key] = self.character_of(key)
         return not any(char)
+
+    def step(self, names: tuple[str, ...], k: int) -> tuple[str, VarSymbol | None]:
+        """`_step_goodness(self, names, k)`, classified on the first ask for
+        `(names, k)` and kept, so a chain walk and the U2_k and U3_k entries
+        of the table read one case.  A raise is not kept."""
+        key = (names, k)
+        case = self._steps.get(key)
+        if case is None:
+            case = self._steps[key] = _step_goodness(self, names, k)
+        return case
 
     def combo_name(self, combo: Union[str, Sequence[str]]) -> str:
         """Canonical label: alias if declared, else the joined name sum."""
@@ -211,16 +236,32 @@ def parse_group_spec(text: str) -> tuple[int, ...]:
 # the evaluation table ------------------------------------------------------
 
 
+# the table's symbols by name, held for the whole process like the interned
+# VarSymbols themselves: one dict lookup per ask after the first
+_C_SYMBOLS: dict[str, VarSymbol] = {}
+_SIGMA_SYMBOLS: dict[str, VarSymbol] = {}
+_TOWER_SYMBOLS: dict[tuple[str, int], VarSymbol] = {}
+
+
 def c_symbol(name: str) -> VarSymbol:
-    return VarSymbol(f"c[{name}]")
+    held = _C_SYMBOLS.get(name)
+    if held is None:
+        held = _C_SYMBOLS[name] = VarSymbol(f"c[{name}]")
+    return held
 
 
 def sigma_symbol(name: str) -> VarSymbol:
-    return VarSymbol(f"sigma1[{name}]")
+    held = _SIGMA_SYMBOLS.get(name)
+    if held is None:
+        held = _SIGMA_SYMBOLS[name] = VarSymbol(f"sigma1[{name}]")
+    return held
 
 
 def _tower_symbol(prefix: str, k: int) -> VarSymbol:
-    return VarSymbol(prefix, (k,))
+    held = _TOWER_SYMBOLS.get((prefix, k))
+    if held is None:
+        held = _TOWER_SYMBOLS[prefix, k] = VarSymbol(prefix, (k,))
+    return held
 
 
 def _step_goodness(ctx: GoodnessContext, names: Sequence[str], k: int) -> tuple[str, VarSymbol | None]:
@@ -283,7 +324,7 @@ def _image(var: VarSymbol, ctx: GoodnessContext) -> tuple[VarSymbol | None, int,
                 raise IndexOutOfRange(f"tower marker needs index >= 2: {var}")
             if k > len(names):
                 return None, 0, 0
-            case, sigma = _step_goodness(ctx, names, k)
+            case, sigma = ctx.step(names, k)
             if case == "all":
                 return _tower_symbol(towers[kind - 2], k), 1, 0
             if case == "none":
@@ -430,7 +471,7 @@ def _walk(ctx, names, classes, val, fresh, towers) -> Coeff:
     first = names[0]
     t = val(c_symbol(first)) if ctx.good(first) else 1
     for k in range(2, classes + 1):
-        case, sigma = _step_goodness(ctx, names, k)
+        case, sigma = ctx.step(names, k)
         if case == "all":
             s1 = val(sigma)
             c = val(c_symbol(names[k - 1]))
@@ -460,17 +501,17 @@ def _mixed_context(rng, n, m, group) -> GoodnessContext:
                            {x_names: "T", y_names: "T"})
 
 
-def _mixed_trial(rng, n, m, group, sample_range) -> bool:
+def _mixed_trial(rng, ctx: GoodnessContext, sample_range) -> bool:
     """One sampled goodness pattern: GX(n, m) and GY(m, n) at the images of
-    their generators must agree.
+    their generators must agree, for the n A classes and m B classes of a
+    context `_mixed_context` drew.
 
-    Draw a context by `_mixed_context`, sample the first classes and the
-    towers, walk both chains forward by `_walk`, and set the last B class
-    so that both chains meet at the shared total-class value t.  Samples
-    are drawn as ints and stay ints through the table and the recursion; a
-    Fraction comes only from `blow_up` and `last_class`.  The images are
-    read off the table as values (`_image_value`), so no polynomial is
-    built.  Write R = T + t*F - t for each chain at the images; then
+    Sample the first classes and the towers, walk both chains forward by
+    `_walk`, and set the last B class so that both chains meet at the
+    shared total-class value t.  Samples are drawn as ints and stay ints
+    through the table and the recursion; a Fraction comes only from
+    `blow_up` and `last_class`.  The images are read off the table as
+    values (`_image_value`), so no polynomial is built.  Write R = T + t*F - t for each chain at the images; then
 
         GX - GY = (1 - F^Y_m) * R_X - (1 - F^X_n) * R_Y,
 
@@ -478,8 +519,8 @@ def _mixed_trial(rng, n, m, group, sample_range) -> bool:
     solving its chain relation at the sample, for instance under a wrong
     table entry (`test_mixed_contexts_catch_a_wrong_table_entry`).
     """
-    ctx = _mixed_context(rng, n, m, group)
     x_names, y_names = ctx.x_divisors, ctx.y_divisors
+    n, m = len(x_names), len(y_names)
 
     point: dict[VarSymbol, Coeff] = {}
 
@@ -502,7 +543,7 @@ def _mixed_trial(rng, n, m, group, sample_range) -> bool:
             point[c_symbol(y_names[0])] = t
     else:
         t_y = _walk(ctx, y_names, m - 1, val, fresh, ("q2", "q3"))
-        case, sigma = _step_goodness(ctx, y_names, m)
+        case, sigma = ctx.step(y_names, m)
         last = y_names[m - 1]
         if case == "all":
             # solve the final class value so both chains meet at the
@@ -533,6 +574,7 @@ def verify_mixed_contexts(
 
     def trial(number, rng) -> bool:
         group = DEFAULT_GUARD_GROUPS[number % len(DEFAULT_GUARD_GROUPS)]
-        return _mixed_trial(rng, n, m, group, sample_range)
+        # the context is the first draw of each trial, its samples follow
+        return _mixed_trial(rng, _mixed_context(rng, n, m, group), sample_range)
 
     return run_trials("mixed", n, m, None, trial, seed, trials, sample_range)

@@ -316,6 +316,53 @@ def test_every_divisor_good_exposes_a_wrong_all_good_tower_entry(monkeypatch, n,
     assert not verify_mixed_contexts(n, m, trials=20, seed=42).passed
 
 
+class Replay:
+    """Stands in for the rng of `_mixed_context`: each draw is the next of
+    the given residues, reduced, so a product over residue tuples
+    enumerates every context the verifier can draw."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def randrange(self, order):
+        return next(self._values) % order
+
+
+def _goodness_pattern(ctx):
+    """Goodness of every class and every chain prefix, both sides: all the
+    verifier's walks and table entries read."""
+    sides = (ctx.x_divisors, ctx.y_divisors)
+    return (tuple(ctx.good(names[:k]) for names in sides for k in range(2, len(names) + 1))
+            + tuple(ctx.good(name) for names in sides for name in names))
+
+
+# (contexts, distinct goodness patterns) of DEFAULT_GUARD_GROUPS by (n, m)
+_PATTERN_COUNTS = {
+    (1, 1): (15, 2), (1, 2): (65, 5), (1, 3): (315, 13),
+    (2, 1): (65, 5), (2, 2): (315, 13), (2, 3): (1649, 34),
+    (3, 1): (315, 13), (3, 2): (1649, 34), (3, 3): (9075, 89),
+}
+
+
+def test_every_goodness_pattern_gets_a_trial():
+    # every context the default groups can draw up to (3, 3), one mixed
+    # trial at the first context of each distinct pattern
+    cases = set()
+    for (n, m), counts in _PATTERN_COUNTS.items():
+        contexts, first = 0, {}
+        for group in fixedpoint.DEFAULT_GUARD_GROUPS:
+            for values in itertools.product(*[range(o) for o in group] * (n + m - 1)):
+                ctx = fixedpoint._mixed_context(Replay(values), n, m, group)
+                contexts += 1
+                first.setdefault(_goodness_pattern(ctx), ctx)
+        assert (contexts, len(first)) == counts, (n, m)
+        for pattern, ctx in first.items():
+            rng = random.Random(f"{n}:{m}:{pattern}")
+            assert fixedpoint._mixed_trial(rng, ctx, 1000), (n, m, pattern)
+            cases.update(case for case, _ in ctx._steps.values())
+    assert cases == {"all", "head", "last", "full", "none"}
+
+
 def test_table_values_match_the_polynomial_images():
     # the value reader against the slow path: each image built as a
     # polynomial and evaluated, over drawn contexts and points
