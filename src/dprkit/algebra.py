@@ -1,14 +1,19 @@
 """Exact sparse multivariate polynomials over localized integer coefficient rings.
 
-Everything downstream (series arithmetic, relation builders, verifier
-sampling) reduces to the small kernel in this module: interned variable
-symbols with a deterministic total order (`VarSymbol.sort_key`), immutable
-monomials, and polynomials whose coefficients are ints or Fractions with
-denominators controlled by the coefficient ring.  All arithmetic is exact;
-nothing here ever rounds.  Coefficients are whatever exact arithmetic
-returns, so an integral value may be held as an int or as a Fraction; the
-two compare alike, so equal polynomials have equal term dicts.  Inexact
-input (a float, a Decimal) raises TypeError where it comes in.
+Interned variable symbols with a deterministic total order
+(`VarSymbol.sort_key`), immutable monomials, and polynomials whose
+coefficients are ints or Fractions with denominators controlled by the
+coefficient ring.  All arithmetic is exact; nothing here ever rounds.
+Coefficients are whatever exact arithmetic returns, so an integral value
+may be held as an int or as a Fraction; the two compare alike, so equal
+polynomials have equal term dicts.  Inexact input (a float, a Decimal)
+raises TypeError where it comes in.
+
+Series arithmetic runs on `fgl`'s packed kernel, relation polynomials on
+`dpr`'s bitmask form, and the verifiers sample ints.  `Polynomial` runs
+`fixedpoint claim1` and `selftest`'s explicit forms and residue
+specialisations, and holds what the fast forms hand out, which tests
+compare with it.  As the reference it keeps one plain path per operation.
 """
 
 from __future__ import annotations
@@ -357,8 +362,6 @@ class Polynomial(Immutable):
         if other is None:
             return NotImplemented
         ring = self.ring.join(other.ring)
-        if not self.terms:
-            return other if other.ring is ring else Polynomial._raw(ring, dict(other.terms))
         out = dict(self.terms)
         for mono, c in other.terms.items():
             acc = out.get(mono, 0) + c
@@ -386,23 +389,13 @@ class Polynomial(Immutable):
         return other + (-self)
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.check_coeff(other)
-            if other == 0:
-                return Polynomial._raw(self.ring, {})
-            if other == 1:
-                return self
-            return Polynomial._raw(self.ring, {m: c * other for m, c in self.terms.items()})
-        if not isinstance(other, Polynomial):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         ring = self.ring.join(other.ring)
         out: dict[Monomial, Coeff] = {}
-        # iterate the smaller factor outside
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        for ma, ca in a.items():
-            for mb, cb in b.items():
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
                 mono = ma * mb
                 acc = out.get(mono, 0) + ca * cb
                 if acc == 0:
@@ -417,41 +410,25 @@ class Polynomial(Immutable):
         if n < 0:
             raise ValueError("negative power of a polynomial")
         result = Polynomial.constant(1, self.ring)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        for _ in range(n):
+            result = result * self
         return result
 
     def substitute(self, bindings: Mapping[VarSymbol, "Polynomial | Coeff"]) -> "Polynomial":
-        """Ring morphism: replace bound symbols, keep unbound ones as themselves."""
+        """Ring morphism: replace bound symbols, keep unbound ones as themselves.
+        A number bound to a symbol must be admitted by this ring."""
         ring = self.ring
-        cache: dict[tuple[VarSymbol, int], Polynomial] = {}
-
-        def image_power(sym: VarSymbol, exp: int) -> Polynomial:
-            got = cache.get((sym, exp))
-            if got is None:
-                val = bindings[sym]
-                if not isinstance(val, Polynomial):
-                    val = Polynomial.constant(val, ring)
-                got = val**exp
-                cache[(sym, exp)] = got
-            return got
-
         total = Polynomial.zero(ring)
         for mono, c in self.terms.items():
-            kept: list[tuple[VarSymbol, int]] = []
-            factor: Polynomial | None = None
+            kept = tuple((sym, exp) for sym, exp in mono.pairs if sym not in bindings)
+            term = Polynomial._raw(ring, {Monomial._raw(kept): c})
             for sym, exp in mono.pairs:
                 if sym in bindings:
-                    piece = image_power(sym, exp)
-                    factor = piece if factor is None else factor * piece
-                else:
-                    kept.append((sym, exp))
-            term = Polynomial._raw(self.ring, {Monomial._raw(tuple(kept)): c})
-            total = total + (term if factor is None else term * factor)
+                    image = bindings[sym]
+                    if not isinstance(image, Polynomial):
+                        image = Polynomial.constant(image, ring)
+                    term = term * image**exp
+            total = total + term
         return total
 
     def evaluate_rational(self, point: Mapping[VarSymbol, Coeff]) -> Fraction:
@@ -467,16 +444,10 @@ class Polynomial(Immutable):
         return total
 
     def map_symbols(self, mapping: Callable[[VarSymbol], VarSymbol]) -> "Polynomial":
-        """Rename symbols; the map must stay injective on each monomial."""
-        out: dict[Monomial, Coeff] = {}
-        for mono, c in self.terms.items():
-            renamed = Monomial((mapping(s), e) for s, e in mono.pairs)
-            acc = out.get(renamed, 0) + c
-            if acc == 0:
-                out.pop(renamed, None)
-            else:
-                out[renamed] = acc
-        return Polynomial._raw(self.ring, out)
+        """Rename symbols; the map must stay injective on each monomial.
+        Terms that meet are summed by the constructor."""
+        return Polynomial(self.ring, ((Monomial((mapping(s), e) for s, e in mono.pairs), c)
+                                      for mono, c in self.terms.items()))
 
     def __str__(self) -> str:
         if not self.terms:

@@ -3,7 +3,8 @@
 Output is canonical JSON by default or aligned text with `--format text`;
 identical invocations produce byte-identical stdout.  Exit codes: 0 on
 success, 1 when a verification-style command finds its check false, 2 on
-usage or domain errors or when memory runs out, 3 when an internal
+usage or domain errors, when memory runs out or when stdout's reader has
+gone (a broken pipe, as under `| head`), 3 when an internal
 invariant breaks (a bug in dprkit, such as `InconsistentSolve`) or any
 other exception escapes a command; errors are reported as a JSON object
 on stderr.  JSON goes out through `algebra.write_json`, whole list
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import os
 import sys
 from typing import Callable
 
@@ -352,10 +354,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone by now is met here, not at exit
+        return code
     except SystemExit:
         raise
-    except (ValueError, KeyError, ArithmeticError, RuntimeError, MemoryError) as e:
+    except (ValueError, KeyError, ArithmeticError, RuntimeError, MemoryError,
+            BrokenPipeError) as e:
         _report_error(e)
         return 2
     except Exception as e:
@@ -366,8 +371,26 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _report_error(e: Exception) -> None:
-    detail = str(e.args[0]) if e.args else type(e).__name__
-    sys.stderr.write(canonical_json({"error": f"{type(e).__name__}: {detail}"}))
+    # a BrokenPipeError is stdout's reader gone, as under `| head`
+    broken = [sys.stdout] if isinstance(e, BrokenPipeError) else []
+    detail = str(e) if isinstance(e, OSError) else str(e.args[0]) if e.args else type(e).__name__
+    try:
+        sys.stderr.write(canonical_json({"error": f"{type(e).__name__}: {detail}"}))
+    except BrokenPipeError:
+        broken.append(sys.stderr)
+    for stream in broken:
+        # point its descriptor at os.devnull, keeping the stream object, so
+        # that no flush of what it holds, the one at exit included, raises
+        try:
+            fd = stream.fileno()
+        except (OSError, ValueError):  # no descriptor, as for a StringIO
+            continue
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, fd)
+        finally:
+            os.close(devnull)
+        stream.flush()
 
 
 if __name__ == "__main__":

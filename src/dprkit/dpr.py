@@ -312,7 +312,10 @@ def _union(masks: Iterable[int]) -> int:
 
 def _flat_mirror(p: DprPolynomial) -> DprPolynomial:
     """p's flat terms with X <-> Y and U <-> V: two moves each when p lies on
-    one side, as a chain does, and four otherwise."""
+    one side, as a chain does, and four otherwise.  The one-sided paths
+    stay: with the four-move path alone, the 64 mirror checks of the (8, 8)
+    grid ran 1-2 ms slower in a fresh process, about 1% of building and
+    checking the grid."""
     x, y, u, v, xy, uv = _X, _Y, _U, _V, _XY_SHIFT, _UV_SHIFT
     if not p.support & (y | v):
         return DprPolynomial({(m & x) >> xy | (m & u) >> uv: c for m, c in p.flat.items()})

@@ -264,14 +264,17 @@ def test_evaluate_requires_every_symbol():
 
 
 def test_power_matches_repeated_product():
+    # the power is a repeated product, so its check is at points: the value
+    # of p**k is the k-th power of p's value
     rng = random.Random(4)
     for _ in range(20):
         p = _random_poly(rng, max_terms=3)
-        direct = Polynomial.constant(1)
-        for _ in range(3):
-            direct = direct * p
-        assert p**3 == direct
+        point = {s: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for s in [X1, X2, Y1, U11, A11]}
+        for k in range(5):
+            assert (p**k).evaluate_rational(point) == p.evaluate_rational(point) ** k
     assert (Polynomial.variable(X1) + 1) ** 0 == Polynomial.constant(1)
+    with pytest.raises(ValueError):
+        Polynomial.variable(X1) ** -1
 
 
 def test_incompatible_ring_operations_raise():
@@ -281,6 +284,8 @@ def test_incompatible_ring_operations_raise():
         p + q
     with pytest.raises(IncompatibleRings):
         Polynomial.constant(1) + Fraction(1, 3)
+    with pytest.raises(IncompatibleRings):
+        Polynomial.variable(X1).substitute({X1: Fraction(1, 3)})
 
 
 def test_comparison_with_a_number_needs_no_ring_check():

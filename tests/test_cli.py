@@ -8,6 +8,7 @@ import argparse
 import ast
 import importlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -166,17 +167,46 @@ def test_inconsistent_solve_exits_three(capsys, monkeypatch):
                                         "bad total class pins it to 1")
 
 
-@pytest.mark.parametrize("error, code", [(MemoryError, 2), (TypeError, 3)])
+@pytest.mark.parametrize("error, code", [(MemoryError, 2), (BrokenPipeError, 2), (TypeError, 3)])
 def test_unforeseen_errors_do_not_exit_one(capsys, monkeypatch, error, code):
     # exit 1 means a check found false; running out of memory is a limit the
-    # command hit, like a domain error, and any other escape is a bug
+    # command hit, like a domain error, and so is a stdout whose reader has
+    # gone; any other escape is a bug.  An in-process caller keeps its stdout
     def fail(case):
         raise error("from the handler")
 
     monkeypatch.setattr(fixedpoint, "claim1_case_check", fail)
+    stdout = sys.stdout
     got, doc, err = run_json(capsys, ["fixedpoint", "claim1", "--case", "5"])
+    assert sys.stdout is stdout
     assert got == code and doc is None
     assert json.loads(err) == {"error": f"{error.__name__}: from the handler"}
+
+
+@pytest.mark.parametrize("args", [["gdpr", "build", "GX", "-n", "5", "-m", "5"],
+                                  ["fixedpoint", "claim1", "--case", "5"]])
+@pytest.mark.parametrize("close_stderr", [False, True])
+def test_a_closed_stdout_exits_two(cli_env, args, close_stderr):
+    # a reader that has gone, as `| head` leaves it, is a usage of the pipe,
+    # not a bug: exit 2 with the OS message, and nothing more at shutdown.
+    # A long document meets it in a large write; a short one is still
+    # buffered when the command returns, and meets it at main's flush.  With
+    # stderr closed as well nothing raises, so the exit code stays 2
+    env = {k: v for k, v in cli_env.items() if k != "PYTHONUNBUFFERED"}
+    read_out, write_out = os.pipe()
+    os.close(read_out)
+    read_err, write_err = os.pipe()
+    if close_stderr:
+        os.close(read_err)
+    with subprocess.Popen([sys.executable, "-m", "dprkit", *args],
+                          stdout=write_out, stderr=write_err, env=env) as proc:
+        os.close(write_out)
+        os.close(write_err)
+        if not close_stderr:
+            with os.fdopen(read_err, "rb") as err:
+                assert err.read() == canonical_json(
+                    {"error": "BrokenPipeError: [Errno 32] Broken pipe"}).encode()
+        assert proc.wait(timeout=60) == 2
 
 
 def test_stray_m_rejected(capsys):
@@ -400,7 +430,8 @@ def test_build_prints_the_mask_engine_expansion(capsys):
 def test_json_output_is_streamed_in_chunks(monkeypatch):
     # a long document reaches stdout a chunk at a time, never whole
     chunks = []
-    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=chunks.append))
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=chunks.append,
+                                                             flush=lambda: None))
     assert run(["gdpr", "build", "GX", "-n", "5", "-m", "5"]) == 0
     text = canonical_json(dpr.dpr_to_json(dpr.build_gx(5, 5)))
     assert len(chunks) > 2 and "".join(chunks) == text
