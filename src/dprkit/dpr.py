@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -397,6 +397,8 @@ def _times(p: DprPolynomial, mask: int, coeff: int) -> dict[int, int]:
 
 # builders -------------------------------------------------------------------
 
+# a plain dict, not a function cache: the tests swap in a private one per
+# test, inject tampered chains into it and read back what it holds
 _CHAIN_CACHE: dict[tuple[str, int], tuple[DprPolynomial, DprPolynomial]] = {}
 
 
@@ -478,22 +480,17 @@ def _marker_family(side: str) -> str:
     return _MARKER_FAMILY[side]
 
 
-_CHAIN_SYMBOLS: dict[tuple[str, int], tuple[VarSymbol, ...]] = {}
-
-
+@cache
 def chain_symbols(side: str, n: int) -> tuple[VarSymbol, ...]:
     """The generators of a chain of n classes on one side, in a fixed order:
     classes 1..n, first markers 1..n-1, then second and third markers 2..n.
-    The tuple is made once per (side, n) and held: every call returns the
-    same object."""
-    held = _CHAIN_SYMBOLS.get((side, n))
-    if held is None:
-        marker = _marker_family(side)
-        held = tuple([VarSymbol(side, (i,)) for i in range(1, n + 1)]
-                     + [VarSymbol(marker, (1, k)) for k in range(1, n)]
-                     + [VarSymbol(marker, (p, k)) for p in (2, 3) for k in range(2, n + 1)])
-        _CHAIN_SYMBOLS[(side, n)] = held
-    return held
+    The tuple is made once per (side, n) and cached: every call returns the
+    same object.  A bad side raises ValueError on every call, since a raise
+    is never cached."""
+    marker = _marker_family(side)
+    return tuple([VarSymbol(side, (i,)) for i in range(1, n + 1)]
+                 + [VarSymbol(marker, (1, k)) for k in range(1, n)]
+                 + [VarSymbol(marker, (p, k)) for p in (2, 3) for k in range(2, n + 1)])
 
 
 def chain_values(side: str, n: int, value: Mapping[VarSymbol, object]) -> list[tuple]:

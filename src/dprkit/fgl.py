@@ -103,7 +103,8 @@ _FIELD_BITS = 6
 _FIELD_MAX = (1 << _FIELD_BITS) - 1
 
 # The registry only appends, so a key's meaning never changes: decoded keys
-# are kept for the life of the process, like VarSymbol's interning table.
+# are kept for the life of the process, like VarSymbol's interning table, in
+# a dict, which `_unpack_poly`'s decode loop reads through a bound `.get`.
 _pos: dict[VarSymbol, int] = {}
 _syms: list[VarSymbol] = []
 _decoded: dict[int, Monomial] = {}
@@ -223,15 +224,17 @@ class FglMode(Immutable):
     as ((i, j), c) with 1 <= i <= j, keys strictly increasing; no other
     kind takes a table.  The constructor raises ValueError for any other
     kind, table, key order or a zero coefficient, so one law has one table,
-    and TypeError for a coefficient that is not an int, as `custom_mode`
-    admits none.
-    Modes are equal when kind and table are, so an equal mode built afresh
-    hits the series caches.
+    and TypeError for a key index or coefficient that is not an int, as
+    `custom_mode` admits none.  It checks before it looks up: a mode is
+    interned, one object per law like `VarSymbol`, and 1.0 or True would
+    find the int law.  So the identity `__eq__` and `__hash__` hold, and a
+    law built afresh meets the series work its first object kept.
     """
 
     __slots__ = ("kind", "table", "_lookup")
+    _cache: dict[tuple[str, tuple], "FglMode"] = {}
 
-    def __init__(self, kind: str, table: tuple = ()):
+    def __new__(cls, kind: str, table: tuple = ()) -> "FglMode":
         if kind not in ("universal", "additive", "multiplicative", "custom"):
             raise ValueError(f"unknown group law kind {kind!r}")
         if table and kind != "custom":
@@ -241,21 +244,20 @@ class FglMode(Immutable):
                 raise ValueError(f"custom table key {(i, j)} is not 1 <= i <= j")
             if n and table[n - 1][0] >= (i, j):
                 raise ValueError(f"custom table keys are not strictly increasing at {(i, j)}")
+            if type(i) is not int or type(j) is not int:
+                raise TypeError(f"custom table key {(i, j)} is not a pair of ints")
             if type(c) is not int:
                 raise TypeError(f"custom table coefficient at {(i, j)} is not an int: {c!r}")
             if c == 0:
                 raise ValueError(f"custom table coefficient at {(i, j)} is zero")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_lookup", dict(table))
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not FglMode:
-            return NotImplemented
-        return self.kind == other.kind and self.table == other.table
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.table))
+        cached = cls._cache.get((kind, table))
+        if cached is None:
+            cached = object.__new__(cls)
+            object.__setattr__(cached, "kind", kind)
+            object.__setattr__(cached, "table", table)
+            object.__setattr__(cached, "_lookup", dict(table))
+            cls._cache[kind, table] = cached
+        return cached
 
     def __repr__(self) -> str:
         return f"FglMode(kind={self.kind!r}, table={self.table!r})"
@@ -491,7 +493,7 @@ def _fixed_point(powers: _Powers, terms: list, order: int) -> list:
 
 
 # law -> (powers of its inverse's partial solution, the highest order whose
-# check has passed); each coefficient of g is solved once per process
+# check has passed), a dict that a higher order extends in place
 _inverse_solves: dict[FglMode, tuple[_Powers, int]] = {}
 
 
@@ -502,7 +504,11 @@ def inverse_series(mode: FglMode, order: int) -> TruncatedSeries:
 
     The solve is kept per law: an order above every order checked so far
     extends it and composes the law with the result; any other order is a
-    truncation of a series that has passed that check at a higher order."""
+    truncation of a series that has passed that check at a higher order.
+
+    The lru_cache adds nothing to that (a benchmark `series` pass reads it
+    0 hits to 9 misses); it stays for the tracer's `fgl.cache.*` counters,
+    which read its `cache_info()`, as tests/test_tracing_hooks.py pins."""
     powers, checked = _inverse_solves.get(mode) or (_Powers([{}, {0: -1}]), 0)
     if order > checked:
         law = law_series(mode, order)

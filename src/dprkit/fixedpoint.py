@@ -41,8 +41,9 @@ combination it was asked about and the case of each chain step
 (`GoodnessContext.step`), so a chain walk and the U2_k and U3_k entries of
 the table classify a step once between them; `_step_goodness` itself stays
 pure.  The table's symbols (`c_symbol`, `sigma_symbol` and the p2/p3/q2/q3
-towers) are held by name for the whole process; they are interned
-`VarSymbol`s, which live that long anyway.
+towers, `_tower_symbol`) are `functools.cache` functions of their names:
+pure, so a process-wide cache changes no output, and what they return are
+interned `VarSymbol`s, which live that long anyway.
 
 `claim1_case_check` runs the two-and-one base identity through every
 goodness pattern: with all three divisors good the difference of the two
@@ -57,6 +58,7 @@ exactly.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from typing import Iterable, Mapping, Sequence, Union
 
 from .algebra import Coeff, Immutable, Polynomial, UnboundVariable, VarSymbol, poly_to_json
@@ -236,32 +238,20 @@ def parse_group_spec(text: str) -> tuple[int, ...]:
 # the evaluation table ------------------------------------------------------
 
 
-# the table's symbols by name, held for the whole process like the interned
-# VarSymbols themselves: one dict lookup per ask after the first
-_C_SYMBOLS: dict[str, VarSymbol] = {}
-_SIGMA_SYMBOLS: dict[str, VarSymbol] = {}
-_TOWER_SYMBOLS: dict[tuple[str, int], VarSymbol] = {}
-
-
+# the table's symbols, cached by name: a repeat ask builds no name string
+@cache
 def c_symbol(name: str) -> VarSymbol:
-    held = _C_SYMBOLS.get(name)
-    if held is None:
-        held = _C_SYMBOLS[name] = VarSymbol(f"c[{name}]")
-    return held
+    return VarSymbol(f"c[{name}]")
 
 
+@cache
 def sigma_symbol(name: str) -> VarSymbol:
-    held = _SIGMA_SYMBOLS.get(name)
-    if held is None:
-        held = _SIGMA_SYMBOLS[name] = VarSymbol(f"sigma1[{name}]")
-    return held
+    return VarSymbol(f"sigma1[{name}]")
 
 
+@cache
 def _tower_symbol(prefix: str, k: int) -> VarSymbol:
-    held = _TOWER_SYMBOLS.get((prefix, k))
-    if held is None:
-        held = _TOWER_SYMBOLS[prefix, k] = VarSymbol(prefix, (k,))
-    return held
+    return VarSymbol(prefix, (k,))
 
 
 def _step_goodness(ctx: GoodnessContext, names: Sequence[str], k: int) -> tuple[str, VarSymbol | None]:

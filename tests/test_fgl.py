@@ -96,6 +96,13 @@ def test_a_mode_takes_only_its_kinds_and_ordered_keys():
     for c in (0.5, Fraction(1, 2)):
         with pytest.raises(TypeError):
             FglMode("custom", (((1, 1), c),))
+    # modes are interned, and the table is checked before the lookup: 1.0
+    # and True hash and compare equal to 1, so a lookup made first would
+    # hand them the int law, and so would a key (1.0, 1)
+    FglMode("custom", (((1, 1), 1),))
+    for table in ((((1, 1), 1.0),), (((1, 1), True),), (((1.0, 1), 1),), (((1, True), 1),)):
+        with pytest.raises(TypeError):
+            FglMode("custom", table)
     # custom_mode still merges a symmetric table into ordered keys, and
     # drops a zero entry, which gives no coefficient
     assert custom_mode({(2, 1): 5}) == FglMode("custom", (((1, 2), 5),))
@@ -112,6 +119,10 @@ def test_modes_are_immutable_values():
         mode.table = ()
     assert custom_mode(table) == mode and hash(custom_mode(table)) == hash(mode)
     assert universal_mode() == U and hash(universal_mode()) == hash(U)
+    # one object per law, as for symbols and rings
+    assert custom_mode(table) is custom_mode(table) is mode
+    assert FglMode("universal") is universal_mode() is U
+    assert FglMode("custom", (((1, 1), 3), ((1, 2), -1), ((2, 2), 4))) is mode
     assert custom_mode({(1, 1): 3}) != mode and additive_mode() != U
     # an equal mode built afresh is a hit of the series caches
     inverse_series(mode, 8)

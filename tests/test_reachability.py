@@ -98,9 +98,6 @@ SELFTEST_UNREACHED = {
                     "renders a single document: output, not a check"),
     **dict.fromkeys(["fgl:multiplicative_mode", "fixedpoint:parse_group_spec"],
                     "reads a CLI input that selftest does not take"),
-    "fgl:FglMode.__eq__": "an equal law built afresh meets a law's kept series only in a "
-                          "process that runs two commands with it; selftest asks each "
-                          "law's series through one law object",
 }
 
 # runs in a fresh interpreter: the commands come in as a JSON list of argv
