@@ -229,29 +229,10 @@ class Monomial(Immutable):
         return names
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        if not self.pairs:
-            return other
-        if not other.pairs:
-            return self
-        # merge two symbol-sorted pair lists
-        a, b = self.pairs, other.pairs
-        out: list[tuple[VarSymbol, int]] = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            sa, sb = a[i][0], b[j][0]
-            if sa is sb:
-                out.append((sa, a[i][1] + b[j][1]))
-                i += 1
-                j += 1
-            elif sa.sort_key < sb.sort_key:
-                out.append(a[i])
-                i += 1
-            else:
-                out.append(b[j])
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return Monomial._raw(tuple(out))
+        exps = dict(self.pairs)
+        for sym, e in other.pairs:
+            exps[sym] = exps.get(sym, 0) + e
+        return Monomial(exps)
 
     def symbols(self) -> Iterator[VarSymbol]:
         return (s for s, _ in self.pairs)

@@ -315,7 +315,8 @@ def _flat_mirror(p: DprPolynomial) -> DprPolynomial:
     one side, as a chain does, and four otherwise.  The one-sided paths
     stay: with the four-move path alone, the 64 mirror checks of the (8, 8)
     grid ran 1-2 ms slower in a fresh process, about 1% of building and
-    checking the grid."""
+    checking the grid, and a benchmark `expand` run read cmd_p90_ms +9.8%
+    (slower in 10 of 12 pairs, Python 3.11.7 on 2 vCPUs)."""
     x, y, u, v, xy, uv = _X, _Y, _U, _V, _XY_SHIFT, _UV_SHIFT
     if not p.support & (y | v):
         return DprPolynomial({(m & x) >> xy | (m & u) >> uv: c for m, c in p.flat.items()})

@@ -166,6 +166,17 @@ def test_monomial_product_merges_sorted():
     m = Monomial({X1: 1, U11: 2}) * Monomial({X1: 1, Y1: 1})
     assert m == Monomial({X1: 2, Y1: 1, U11: 2})
     assert m * UNIT == m
+    assert UNIT * m == m
+    # late-rank families (a[i][j], sigma1[D]) sort after X, Y and U, from
+    # either side; a shared symbol's exponents sum
+    a12, sigma = VarSymbol("a", (1, 2)), VarSymbol("sigma1[A]")
+    late = Monomial({a12: 1, sigma: 2, U11: 1})
+    for got in (m * late, late * m):
+        want = Monomial({X1: 2, Y1: 1, U11: 3, a12: 1, sigma: 2})
+        assert got == want
+        assert got.pairs == want.pairs
+        assert hash(got) == hash(want)
+    assert (late * late).pairs == Monomial({U11: 2, a12: 2, sigma: 4}).pairs
 
 
 def test_monomial_graded_lex_order():
