@@ -71,6 +71,7 @@ __all__ = [
     "build_gx",
     "build_gy",
     "chain_symbols",
+    "chain_steps",
     "chain_values",
     "relation_values",
     "check_multilinear",
@@ -494,31 +495,38 @@ def chain_symbols(side: str, n: int) -> tuple[VarSymbol, ...]:
                  + [VarSymbol(marker, (p, k)) for p in (2, 3) for k in range(2, n + 1)])
 
 
+@cache
+def chain_steps(side: str, n: int) -> tuple[tuple[VarSymbol, ...], ...]:
+    """(X_k, U1_{k-1}, U2_k, U3_k) for each step k = 2..n of a chain of n
+    classes (Y and V on the Y side), sliced from `chain_symbols(side, n)`:
+    the one owner of that tuple's layout, cached like it."""
+    symbols = chain_symbols(side, n)
+    return tuple(zip(symbols[1:n], symbols[n:2 * n - 1], symbols[2 * n - 1:3 * n - 2],
+                     symbols[3 * n - 2:4 * n - 3]))
+
+
 def chain_values(side: str, n: int, value: Mapping[VarSymbol, object]) -> list[tuple]:
     """[(T_1, F_1), ..., (T_n, F_n)] for one side's chain at `value`.
 
     T_k = S_k + E_k is the class sum plus the excess polynomial and F_k the
     correction polynomial, evaluated by `_chain`'s recursion itself.
     `value` binds generators (Y and V on the Y side) to elements of any
-    commutative ring that mixes with int: ints, Fractions, Polynomials.  The
-    values are read in one pass over `chain_symbols(side, n)`, the chain's
-    held generator tuple, and the recursion runs on its four slices: classes
-    [0, n), first markers [n, 2n-1), second markers [2n-1, 3n-2) and third
-    markers [3n-2, 4n-3).  Membership is tested before each read, so a
-    `defaultdict` gains no key and an unbound generator raises
-    UnboundVariable naming it.
+    commutative ring that mixes with int: ints, Fractions, Polynomials.
+    Membership of every generator in `chain_symbols(side, n)` is tested
+    first, so a `defaultdict` gains no key and an unbound generator raises
+    UnboundVariable naming the first missing one; the recursion then reads
+    each step's class and markers from `chain_steps(side, n)`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    vals = []
-    for sym in chain_symbols(side, n):
+    symbols = chain_symbols(side, n)
+    for sym in symbols:
         if sym not in value:
             raise UnboundVariable(str(sym))
-        vals.append(value[sym])
-    t, f = vals[0], 0
+    t, f = value[symbols[0]], 0
     out = [(t, f)]
-    for x, u1, u2, u3 in zip(vals[1:n], vals[n:2 * n - 1], vals[2 * n - 1:3 * n - 2],
-                             vals[3 * n - 2:]):
+    for step in chain_steps(side, n):
+        x, u1, u2, u3 = map(value.__getitem__, step)
         t, f = t + x - t * x * u1 - x * f, f + t * x * (u2 - u3)
         out.append((t, f))
     return out

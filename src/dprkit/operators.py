@@ -11,7 +11,8 @@ enters only where a solve divides: `blow_up`, `last_class` and the step
 solve.  Values come from the recursion itself (`dpr.chain_values`,
 `dpr.relation_values`), not from the expanded polynomials, and the class
 values they are compared at come from the blow-up law (`blow_up`,
-`last_class`), not from the recursion.  Nothing is approximate: a pass
+`last_class`), not from the recursion.  Both read each step's class and
+markers from `dpr.chain_steps`.  Nothing is approximate: a pass
 means bit-equal rationals.
 
 `run_trials` is the one trial loop: it seeds every draw per (seed, trial,
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .algebra import Coeff, Immutable, Polynomial, VarSymbol
-from .dpr import chain_symbols, chain_values, relation_values
+from .dpr import chain_steps, chain_symbols, chain_values, relation_values
 
 __all__ = [
     "DegenerateSample",
@@ -158,13 +159,12 @@ def verify_step_identity(
     """
     if n < 2:
         raise ValueError("the step identity needs n >= 2")
-    symbols = chain_symbols("X", n)
+    symbols, last_step = chain_symbols("X", n), chain_steps("X", n)[-1:]
 
     def trial(number: int, rng: random.Random) -> bool:
         point = _draw(rng, symbols, sample_range)
         chain = chain_values("X", n, point)
-        c_c = _solve_chain_value(*chain[-2])
-        c_b = blow_up(c_c, point[symbols[n - 1]], *_markers(point, symbols, n, n))
+        c_b = _walk(point, _solve_chain_value(*chain[-2]), last_step)
         t_n, f_n = chain[-1]
         return c_b == t_n + c_b * f_n
 
@@ -206,23 +206,13 @@ def last_class(c: Coeff, c_l: Coeff, s1: Coeff, s23: Coeff) -> Fraction:
     return Fraction(q * c - p, denom)
 
 
-def _markers(point: Mapping[VarSymbol, int], symbols: tuple[VarSymbol, ...], n: int,
-             k: int) -> tuple[int, int]:
-    """(U1_{k-1}, U2_k - U3_k) of a chain of n classes at `point`, read by
-    index from its `chain_symbols` tuple: first marker k - 1 at n + k - 2,
-    second and third markers k at 2n + k - 3 and 3n + k - 4."""
-    return (point[symbols[n + k - 2]],
-            point[symbols[2 * n + k - 3]] - point[symbols[3 * n + k - 4]])
-
-
-def _walk(point: Mapping[VarSymbol, int], symbols: tuple[VarSymbol, ...], n: int,
-          classes: int) -> Coeff:
-    """Combined value of the first `classes` classes of a chain of n classes,
-    by the blow-up law from the first class on (class k sits at k - 1 in
-    `symbols`)."""
-    c = point[symbols[0]]
-    for k in range(2, classes + 1):
-        c = blow_up(c, point[symbols[k - 1]], *_markers(point, symbols, n, k))
+def _walk(point: Mapping[VarSymbol, int], first: Coeff,
+          steps: tuple[tuple[VarSymbol, ...], ...]) -> Coeff:
+    """Combined class value after `steps`, a run of a chain's `chain_steps`,
+    by the blow-up law from the class value `first` on."""
+    c = first
+    for x, u1, u2, u3 in steps:
+        c = blow_up(c, point[x], point[u1], point[u2] - point[u3])
     return c
 
 
@@ -251,17 +241,19 @@ def verify_full_identity(
     if n < 1 or m < 1:
         raise ValueError("both class counts must be >= 1")
     x_symbols, y_symbols = chain_symbols("X", n), chain_symbols("Y", m)
-    last_y = y_symbols[m - 1]
+    x_steps, y_steps = chain_steps("X", n), chain_steps("Y", m)
+    last_y = y_steps[-1][0] if y_steps else y_symbols[0]
     symbols = x_symbols + tuple(s for s in y_symbols if s is not last_y)
 
     def trial(number: int, rng: random.Random) -> bool:
         point = _draw(rng, symbols, sample_range)
-        c = _walk(point, x_symbols, n, n)
+        c = _walk(point, point[x_symbols[0]], x_steps)
         if m == 1:
             point[last_y] = c
         else:
-            c_l = _walk(point, y_symbols, m, m - 1)
-            point[last_y] = last_class(c, c_l, *_markers(point, y_symbols, m, m))
+            c_l = _walk(point, point[y_symbols[0]], y_steps[:-1])
+            _, u1, u2, u3 = y_steps[-1]
+            point[last_y] = last_class(c, c_l, point[u1], point[u2] - point[u3])
         gx, gy = relation_values(n, m, point)
         return gx == gy
 

@@ -1007,6 +1007,21 @@ def test_tampered_builder_fails_the_cross_check():
     assert chain_mismatches(builders, 4, [rational_point(rng, 4)]) == {("X", 3)}
 
 
+def test_a_wrong_step_layout_fails_the_cross_check(monkeypatch):
+    # chain_steps is the one owner of where a step's generators sit, so the
+    # blow-up walks share a wrong layout with the recursion; the expansion is
+    # the reference that sees it
+    real = dpr.chain_steps
+
+    def swapped(side, n):
+        return tuple((x, u1, u3, u2) for x, u1, u2, u3 in real(side, n))
+
+    monkeypatch.setattr(dpr, "chain_steps", swapped)
+    rng = random.Random(5)
+    points = [rational_point(rng, 4) for _ in range(2)]
+    assert chain_mismatches(BUILDERS, 4, points) >= {("X", 2), ("Y", 2)}
+
+
 def test_relation_value_matches_expanded_relation():
     rng = random.Random(7)
     for n in range(1, 7):
@@ -1087,6 +1102,11 @@ def test_chain_symbols_are_the_chain_generators_in_order():
             assert got == tuple(expected) and type(got) is tuple, (side, n)
             # the tuple is made once per (side, n) and held
             assert chain_symbols(side, n) is got, (side, n)
+            # and so is what each step k adds: X_k, U1_{k-1}, U2_k, U3_k
+            steps = dpr.chain_steps(side, n)
+            assert steps == tuple((sym(side, k), sym(marker, 1, k - 1), sym(marker, 2, k),
+                                   sym(marker, 3, k)) for k in range(2, n + 1)), (side, n)
+            assert dpr.chain_steps(side, n) is steps, (side, n)
 
 
 def test_chain_values_name_the_unbound_generator():

@@ -156,13 +156,10 @@ def test_broken_builder_fails_the_full_identity(monkeypatch):
 
 def _plus_xf_chain_values(side, n, value):
     # the recursion with + x*f in place of - x*f
-    symbols = chain_symbols(side, n)
-    vals = [value[s] for s in symbols]
-    t, f = vals[0], 0
+    t, f = value[chain_symbols(side, n)[0]], 0
     out = [(t, f)]
-    for k in range(2, n + 1):
-        x, u1 = vals[k - 1], vals[n + k - 2]
-        u2, u3 = vals[2 * n + k - 3], vals[3 * n + k - 4]
+    for step in dpr.chain_steps(side, n):
+        x, u1, u2, u3 = (value[s] for s in step)
         t, f = t + x - t * x * u1 + x * f, f + t * x * (u2 - u3)
         out.append((t, f))
     return out
