@@ -44,7 +44,7 @@ import os
 import sys
 from typing import Callable
 
-from .algebra import canonical_json, poly_to_json, write_json
+from .algebra import Monomial, VarSymbol, canonical_json, poly_to_json, write_json
 from .dpr import (
     PAIR_CHECKS,
     DprPolynomial,
@@ -125,13 +125,9 @@ def _kv_text(payload: dict) -> str:
                      for k, v in payload.items()])
 
 
-def _exp_label(exp, names) -> str:
-    parts = [f"{v}^{k}" if k > 1 else v for v, k in zip(names, exp) if k]
-    return "*".join(parts) if parts else "1"
-
-
 def _series_text(series: fgl.TruncatedSeries) -> str:
-    return _columns([(_exp_label(exp, series.vars), poly)
+    names = tuple(map(VarSymbol, series.vars))
+    return _columns([(str(Monomial(zip(names, exp))), poly)
                      for exp, poly in series.coefficients()])
 
 

@@ -15,7 +15,7 @@ generator families, in the order a Monomial sorts them (X, Y, U1, U2, U3,
 V1, V2, V3), each own a run of 16 bits, the first the top run, and index 1
 is the top bit of its run: a generator's bit order is its Monomial order,
 and indices run from 1 to 16 (`_mask` refuses 17).  One set of constant
-family masks serves the mirror, the weights, the index bounds and the
+family masks serves the mirror, the weights and the
 product shape.  A polynomial is a dict {mask: coeff} plus at most one
 product of two such dicts on disjoint generators, kept as its factors, the
 upper one first: all its classes, and all its markers, lie above the
@@ -35,6 +35,8 @@ Consumers that need only the value of a relation polynomial at a point do
 not expand it: `chain_values` runs the same recursion on values in any
 commutative ring, and `relation_values` glues the two chains' last values
 into both sides of the relation, in O(n + m) ring operations, at any n.
+A pair's generators are `relation_symbols(n, m)`, and `family_key` reads
+each one's family: the bounds check compares them with the mask recursion.
 The mask form is the one expansion: `gdpr build` prints it, the structural
 checks run on it, and it is the slow oracle the fast path is tested
 against.  Its one evaluator is `evaluate_rational`, which
@@ -72,6 +74,8 @@ __all__ = [
     "build_gy",
     "chain_symbols",
     "chain_steps",
+    "relation_symbols",
+    "family_key",
     "chain_values",
     "relation_values",
     "check_multilinear",
@@ -112,7 +116,6 @@ _U, _V = (_families(*((kind, p) for p in (1, 2, 3))) for kind in "UV")
 _CLASSES, _MARKERS = _X | _Y, _U | _V
 _FIRST_MARKERS = _families(("U", 1), ("V", 1))
 _LATER_MARKERS = _MARKERS & ~_FIRST_MARKERS
-_RUN_ENDS = _families(*_KEYS) // ((1 << _MAX_INDEX) - 1)  # the lowest bit of every run
 # the mirror moves X down onto Y, and each U[p] down onto V[p] by one shift
 _XY_SHIFT = _MAX_INDEX * (_KEYS.index("Y") - _KEYS.index("X"))
 _UV_SHIFT = _MAX_INDEX * (_KEYS.index(("V", 1)) - _KEYS.index(("U", 1)))
@@ -136,6 +139,12 @@ def _mask(key: str | tuple[str, int], k: int) -> int:
     if not 1 <= k <= _MAX_INDEX or key not in _KEYS:
         raise ValueError(f"no relation generator {key!r} at index {k} (max {_MAX_INDEX})")
     return 1 << _WIDTH - _MAX_INDEX * _KEYS.index(key) - k
+
+
+def family_key(sym: VarSymbol) -> str | tuple[str, int]:
+    """`_family_symbol`'s inverse: the `_KEYS` key of generator `sym`, "X" or
+    "Y" for a class and (family, kind) for a marker."""
+    return sym.family if sym.family in ("X", "Y") else (sym.family, sym.indices[0])
 
 
 def _symbol_of_bit(pos: int) -> VarSymbol:
@@ -273,9 +282,9 @@ class DprPolynomial(Immutable):
         `values` must bind all eight families, keyed "X", "Y", and
         ("U", p) / ("V", p) for the marker kinds.
         """
-        vals = [operator.index(values[key]) for key in _KEYS]
-        return self.evaluate_rational({_symbol_of_bit(pos): vals[(_WIDTH - 1 - pos) // _MAX_INDEX]
-                                       for pos in _positions(self.support)})
+        vals = {key: operator.index(values[key]) for key in _KEYS}
+        return self.evaluate_rational({sym: vals[family_key(sym)]
+                                       for sym in map(_symbol_of_bit, _positions(self.support))})
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         return self.to_polynomial().sorted_terms()
@@ -505,6 +514,13 @@ def chain_steps(side: str, n: int) -> tuple[tuple[VarSymbol, ...], ...]:
                      symbols[3 * n - 2:4 * n - 3]))
 
 
+@cache
+def relation_symbols(n: int, m: int) -> tuple[VarSymbol, ...]:
+    """The generators of GX(n, m) and GY(m, n), the X chain's then the Y
+    chain's, cached like `chain_symbols`."""
+    return chain_symbols("X", n) + chain_symbols("Y", m)
+
+
 def chain_values(side: str, n: int, value: Mapping[VarSymbol, object]) -> list[tuple]:
     """[(T_1, F_1), ..., (T_n, F_n)] for one side's chain at `value`.
 
@@ -556,28 +572,18 @@ def check_multilinear(g: DprPolynomial) -> bool:
     return g.factors is None or not g.factors[0].support & g.factors[1].support
 
 
-def _indices(count: int) -> int:
-    """Indices 1..count (as far as they go) of every family, by one product."""
-    count = min(max(count, 0), _MAX_INDEX)
-    return ((1 << count) - 1 << _MAX_INDEX - count) * _RUN_ENDS
-
-
-def _allowed_support(n: int, m: int) -> int:
-    """The mask of `chain_symbols("X", n) + chain_symbols("Y", m)`: per side,
-    classes 1..count, first markers 1..count-1, second/third markers 2..count."""
-    allowed = 0
-    for side, count in ((_X | _U, n), (_Y | _V, m)):
-        upto = _indices(count)
-        allowed |= side & (_CLASSES & upto | _FIRST_MARKERS & _indices(count - 1)
-                           | _LATER_MARKERS & upto & ~_indices(1))
-    return allowed
+@cache
+def _chain_support(side: str, n: int) -> int:
+    """The mask of `chain_symbols(side, n)`, placed through `family_key`."""
+    return _union(_mask(family_key(sym), sym.indices[-1]) for sym in chain_symbols(side, n))
 
 
 def check_index_bounds(g: DprPolynomial, n: int, m: int) -> bool:
-    """Indices stay inside the ranges the recursion can produce:
-    classes up to their count, first markers strictly below it, and
-    second/third markers between 2 and the count."""
-    return (g.support & ~_allowed_support(n, m)) == 0
+    """Every generator of g is one of `relation_symbols(n, m)`: the mask
+    recursion (`_chain`) checked against the recurrence's tuples, read
+    through `family_key`.  Containment only: an extra generator in a tuple
+    passes here, and the tests' tightness check catches it."""
+    return not g.support & ~(_chain_support("X", n) | _chain_support("Y", m))
 
 
 def _flat_weights(p: DprPolynomial) -> set[int]:

@@ -62,7 +62,7 @@ from functools import cache
 from typing import Iterable, Mapping, Sequence, Union
 
 from .algebra import Coeff, Immutable, Polynomial, UnboundVariable, VarSymbol, poly_to_json
-from .dpr import DprPolynomial, chain_symbols, relation_values
+from .dpr import DprPolynomial, family_key, relation_symbols, relation_values
 from .operators import VerificationReport, blow_up, h_expression, last_class, run_trials
 
 __all__ = [
@@ -397,8 +397,7 @@ def claim1_case_check(case: int) -> dict:
     # the table extends to a ring morphism, so running the recursion on the
     # generators' images gives fprime_eval(build_gx(2, 1), ctx) and
     # fprime_eval(build_gy(1, 2), ctx) without expanding either
-    images = {sym: fprime_of_var(sym, ctx)
-              for sym in chain_symbols("X", 2) + chain_symbols("Y", 1)}
+    images = {sym: fprime_of_var(sym, ctx) for sym in relation_symbols(2, 1)}
     lhs, rhs = relation_values(2, 1, images)
     if case == 1:
         renames = {
@@ -416,17 +415,11 @@ def claim1_case_check(case: int) -> dict:
     return {"case": case, "lhs": _render(lhs), "rhs": _render(rhs), "equal": equal}
 
 
-def _family_key(sym: VarSymbol):
-    """Key of ALL_BAD_VALUES for a generator: "X", "Y", or (family, kind)."""
-    return sym.family if sym.family in ("X", "Y") else (sym.family, sym.indices[0])
-
-
 def all_bad_evaluation(n: int, m: int) -> dict:
     """Evaluate both sides with every divisor bad, where images are integers."""
     if n < 1 or m < 1:
         raise ValueError("class counts must be positive")
-    point = {sym: ALL_BAD_VALUES[_family_key(sym)]
-             for sym in chain_symbols("X", n) + chain_symbols("Y", m)}
+    point = {sym: ALL_BAD_VALUES[family_key(sym)] for sym in relation_symbols(n, m)}
     lhs, rhs = relation_values(n, m, point)
     return {"n": n, "m": m, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
@@ -545,8 +538,7 @@ def _mixed_trial(rng, ctx: GoodnessContext, sample_range) -> bool:
         else:
             _sample_degenerate(case, sigma, last, val)
 
-    images = {sym: _image_value(sym, ctx, point)
-              for sym in chain_symbols("X", n) + chain_symbols("Y", m)}
+    images = {sym: _image_value(sym, ctx, point) for sym in relation_symbols(n, m)}
     gx, gy = relation_values(n, m, images)
     return gx == gy
 

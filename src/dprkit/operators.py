@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .algebra import Coeff, Immutable, Polynomial, VarSymbol
-from .dpr import chain_steps, chain_symbols, chain_values, relation_values
+from .dpr import chain_steps, chain_symbols, chain_values, relation_symbols, relation_values
 
 __all__ = [
     "DegenerateSample",
@@ -243,7 +243,7 @@ def verify_full_identity(
     x_symbols, y_symbols = chain_symbols("X", n), chain_symbols("Y", m)
     x_steps, y_steps = chain_steps("X", n), chain_steps("Y", m)
     last_y = y_steps[-1][0] if y_steps else y_symbols[0]
-    symbols = x_symbols + tuple(s for s in y_symbols if s is not last_y)
+    symbols = tuple(s for s in relation_symbols(n, m) if s is not last_y)
 
     def trial(number: int, rng: random.Random) -> bool:
         point = _draw(rng, symbols, sample_range)

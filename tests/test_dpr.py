@@ -34,10 +34,12 @@ from dprkit.dpr import (
     chain_symbols,
     chain_values,
     check_index_bounds,
+    family_key,
     check_multilinear,
     dpr_to_json,
     mirror_check,
     padding_check,
+    relation_symbols,
     relation_values,
     weight_check,
 )
@@ -256,15 +258,51 @@ def test_index_bounds():
     assert not check_index_bounds(DprPolynomial(x9), 8, 8)
 
 
-def test_allowed_support_is_the_chain_generators():
-    # the mask built by arithmetic against the fold over the generator list,
-    # up to the highest index the mask form holds
-    for n in range(1, dpr._MAX_INDEX + 1):
-        for m in range(1, dpr._MAX_INDEX + 1):
-            folded = 0
-            for s in chain_symbols("X", n) + chain_symbols("Y", m):
-                folded |= bit(s)
-            assert dpr._allowed_support(n, m) == folded, (n, m)
+def test_relation_pair_support_is_tight():
+    # the bounds check tests containment, so it cannot see a generator tuple
+    # that lists one too many: the pair's own support must be all of it
+    pairs = [(n, m) for n in range(1, 9) for m in range(1, 9)] + [(9, 2), (2, 9)]
+    for n, m in pairs:
+        allowed = dpr._chain_support("X", n) | dpr._chain_support("Y", m)
+        assert allowed == sum(bit(s) for s in relation_symbols(n, m)), (n, m)
+        assert build_gx(n, m).support | build_gy(m, n).support == allowed, (n, m)
+
+
+def test_family_key_inverts_family_symbol():
+    for key in dpr._KEYS:
+        for k in range(1, dpr._MAX_INDEX + 1):
+            assert family_key(dpr._family_symbol(key, k)) == key, (key, k)
+    # the all-bad table keys every family, and nothing else
+    assert set(ALL_BAD_VALUES) == set(dpr._KEYS)
+
+
+def test_relation_symbols_are_the_two_chains_held_once():
+    for n in range(1, 10):
+        for m in range(1, 10):
+            got = relation_symbols(n, m)
+            assert got == chain_symbols("X", n) + chain_symbols("Y", m), (n, m)
+            assert relation_symbols(n, m) is got, (n, m)
+
+
+def test_bounds_read_each_generator_through_family_key(monkeypatch):
+    # a family_key that swaps marker kinds 1 and 2 places U1_k on U2's bit
+    # and U2_k on U1's, so the pair's own support leaves the held masks
+    real = dpr.family_key
+
+    def swapped(s):
+        key = real(s)
+        return (key[0], {1: 2, 2: 1}.get(key[1], key[1])) if isinstance(key, tuple) else key
+
+    gx, gy = build_gx(4, 3), build_gy(3, 4)
+    assert check_index_bounds(gx, 4, 3) and check_index_bounds(gy, 4, 3)
+    dpr._chain_support.cache_clear()
+    try:
+        monkeypatch.setattr(dpr, "family_key", swapped)
+        assert not check_index_bounds(gx, 4, 3)
+        assert not check_index_bounds(gy, 4, 3)
+    finally:
+        # no other test may read a mask made under the tampered key
+        dpr._chain_support.cache_clear()
 
 
 def test_mirror():

@@ -10,7 +10,7 @@ import pytest
 from dprkit import fixedpoint
 from dprkit.algebra import Polynomial, UnboundVariable, VarSymbol, poly_to_json
 from dprkit.dpr import (build_ex, build_ey, build_fx, build_fy, build_gx, build_gy,
-                       chain_symbols)
+                       relation_symbols)
 from dprkit.fixedpoint import (
     GoodnessContext,
     IndexOutOfRange,
@@ -370,8 +370,7 @@ def test_table_values_match_the_polynomial_images():
         for n, m in itertools.product(range(1, 6), repeat=2):
             rng = random.Random(f"{group}:{n}:{m}")
             ctx = fixedpoint._mixed_context(rng, n, m, group)
-            images = {sym: fprime_of_var(sym, ctx)
-                      for sym in chain_symbols("X", n) + chain_symbols("Y", m)}
+            images = {sym: fprime_of_var(sym, ctx) for sym in relation_symbols(n, m)}
             point = {}
             for image in images.values():
                 for s in sorted(image.symbols(), key=lambda s: s.sort_key):
