@@ -45,6 +45,10 @@ towers, `_tower_symbol`) are `functools.cache` functions of their names:
 pure, so a process-wide cache changes no output, and what they return are
 interned `VarSymbol`s, which live that long anyway.
 
+`all_bad_evaluation` merges two cached chain points, `_all_bad_chain` of
+each side, so the point of a chain is built once per class count and
+table, not once per relation pair.
+
 `claim1_case_check` runs the two-and-one base identity through every
 goodness pattern: with all three divisors good the difference of the two
 sides is exactly the blow-up defect expression (verified to vanish by the
@@ -52,7 +56,10 @@ sampled checks in `operators`), and in the four degenerate patterns the
 difference collapses to literally zero.  `verify_mixed_contexts` extends
 this to larger class counts by sampling random characters, propagating the
 chain of blow-up relations through good steps, and comparing both sides
-exactly.
+exactly.  Its residues are drawn by `rng.randrange`, its values by the
+verifiers' one sampler, `operators.randbelow`, which draws as `randint`
+does on CPython 3.10-3.13 from `getrandbits` alone, so a seed gives the
+same report on every interpreter the package supports.
 """
 
 from __future__ import annotations
@@ -62,8 +69,9 @@ from functools import cache
 from typing import Iterable, Mapping, Sequence, Union
 
 from .algebra import Coeff, Immutable, Polynomial, UnboundVariable, VarSymbol, poly_to_json
-from .dpr import DprPolynomial, family_key, relation_symbols, relation_values
-from .operators import VerificationReport, blow_up, h_expression, last_class, run_trials
+from .dpr import DprPolynomial, chain_symbols, family_key, relation_symbols, relation_values
+from .operators import (VerificationReport, blow_up, h_expression, last_class, randbelow,
+                        run_trials)
 
 __all__ = [
     "GoodnessContext",
@@ -415,11 +423,23 @@ def claim1_case_check(case: int) -> dict:
     return {"case": case, "lhs": _render(lhs), "rhs": _render(rhs), "equal": equal}
 
 
+@cache
+def _all_bad_chain(side: str, n: int, table: tuple) -> dict[VarSymbol, int]:
+    """The all-bad point of one chain: each generator of `chain_symbols(side,
+    n)` at its value in `table`, the items of `ALL_BAD_VALUES`, read through
+    `family_key`.  Made once per chain and table; the table is part of the
+    key, so a changed `ALL_BAD_VALUES` gets its own point.  Its readers
+    merge it into a new dict and never edit it."""
+    values = dict(table)
+    return {sym: values[family_key(sym)] for sym in chain_symbols(side, n)}
+
+
 def all_bad_evaluation(n: int, m: int) -> dict:
     """Evaluate both sides with every divisor bad, where images are integers."""
     if n < 1 or m < 1:
         raise ValueError("class counts must be positive")
-    point = {sym: ALL_BAD_VALUES[family_key(sym)] for sym in relation_symbols(n, m)}
+    table = tuple(ALL_BAD_VALUES.items())
+    point = {**_all_bad_chain("X", n, table), **_all_bad_chain("Y", m, table)}
     lhs, rhs = relation_values(n, m, point)
     return {"n": n, "m": m, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
@@ -507,8 +527,10 @@ def _mixed_trial(rng, ctx: GoodnessContext, sample_range) -> bool:
 
     point: dict[VarSymbol, Coeff] = {}
 
+    getrandbits, width = rng.getrandbits, 2 * sample_range + 1
+
     def fresh() -> Coeff:
-        return rng.randint(-sample_range, sample_range)
+        return randbelow(getrandbits, width) - sample_range
 
     def val(sym: VarSymbol) -> Coeff:
         if sym not in point:

@@ -19,6 +19,13 @@ means bit-equal rationals.
 retry), so reports are reproducible byte for byte, retries a degenerate
 draw up to `RESAMPLE_LIMIT` times, counts the resamples and builds the
 report.  Each verifier supplies only the trial itself.
+
+Every value draw, here and in the mixed verifier, is `randbelow(
+rng.getrandbits, 2 * sample_range + 1) - sample_range`.  `randbelow` draws
+as `randint` does on CPython 3.10-3.13, from `getrandbits` alone, so the
+stream rests on the seed string and the Mersenne Twister's output, not on
+`random.py`'s private helpers, and reports stay byte-identical on every
+interpreter the package supports.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ __all__ = [
     "DegenerateSample",
     "ResampleLimitExceeded",
     "RESAMPLE_LIMIT",
+    "randbelow",
     "run_trials",
     "VerificationReport",
     "h_expression",
@@ -74,9 +82,22 @@ def _trial_rng(seed: int, trial: int, retry: int) -> random.Random:
     return random.Random(f"{seed}:{trial}:{retry}")
 
 
+def randbelow(getrandbits: Callable[[int], int], n: int) -> int:
+    """A value in [0, n), n >= 1, drawn as `random.Random.randrange(n)`
+    draws it: `getrandbits(n.bit_length())`, drawn again while it is n or
+    more.  So `randbelow(rng.getrandbits, b - a + 1) + a` is the value
+    `rng.randint(a, b)` gives, one frame instead of three."""
+    k = n.bit_length()
+    x = getrandbits(k)
+    while x >= n:
+        x = getrandbits(k)
+    return x
+
+
 def _draw(rng: random.Random, symbols: tuple[VarSymbol, ...],
           sample_range: int) -> dict[VarSymbol, int]:
-    return {s: rng.randint(-sample_range, sample_range) for s in symbols}
+    getrandbits, width = rng.getrandbits, 2 * sample_range + 1
+    return {s: randbelow(getrandbits, width) - sample_range for s in symbols}
 
 
 def run_trials(identity: str, n: int, m: int | None, degree_bound: int | None,

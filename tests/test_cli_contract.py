@@ -165,6 +165,21 @@ PINNED = {
         (0, "f6f8a14035982a68c6432aac002730a294cd2955ae345f73e57d9afd448f43fe"),
     MIXED_ONE_GOOD + " --format text":
         (0, "2b66433e39f89bc634a3f75ee18eab827544dfc36c8e19db0d69fb14eef627a5"),
+    # the sampler's rejection edges: width 3 redraws a quarter of its draws
+    # and width 9 seven sixteenths; each command resamples degenerate points,
+    # so a changed draw stream moves its resample count
+    "verify full -n 4 -m 3 --seed 3 --trials 30 --range 1 --format json":
+        (0, "b25d8eebba8fe52b0e9f715a457630c38c94f1d7383e6a73d09017bb24f3fe0d"),
+    "verify full -n 4 -m 3 --seed 3 --trials 30 --range 1 --format text":
+        (0, "2a08c1a6823b35bccd8a34a3d91b364017dc787738f1bffa9bf1e2f264a9815f"),
+    "verify step -n 3 --seed 34 --trials 30 --range 4 --format json":
+        (0, "e172be88ada03449719824f17ab3067a7d43000a61759f14f4bd771141871915"),
+    "verify step -n 3 --seed 34 --trials 30 --range 4 --format text":
+        (0, "83dd7e8e59c2cf03308e3d3398c574474386c669fab50c2b993ca044d5c0cf92"),
+    "verify mixed -n 4 -m 3 --seed 3 --trials 30 --range 1 --format json":
+        (0, "c27c20c558f55798e2015566618abfd53cf67ae6f8c54e826d686aa51cf3d807"),
+    "verify mixed -n 4 -m 3 --seed 3 --trials 30 --range 1 --format text":
+        (0, "7ad3e33f11eec6ce36ba288f08e08776b42d74770ea2990b2faf80e8fc0ff2aa"),
     "fixedpoint claim1 --case 1 --format json":
         (0, "a1f8b625544d0bd44f4ac7b6a73f5e50bb79165e406f9288a9c42d644e37b277"),
     "fixedpoint claim1 --case 1 --format text":

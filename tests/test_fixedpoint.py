@@ -10,7 +10,7 @@ import pytest
 from dprkit import fixedpoint
 from dprkit.algebra import Polynomial, UnboundVariable, VarSymbol, poly_to_json
 from dprkit.dpr import (build_ex, build_ey, build_fx, build_fy, build_gx, build_gy,
-                       relation_symbols)
+                       chain_symbols, family_key, relation_symbols, relation_values)
 from dprkit.fixedpoint import (
     GoodnessContext,
     IndexOutOfRange,
@@ -236,6 +236,40 @@ def test_all_bad_values_frozen():
     assert all_bad_evaluation(2, 1) == {"n": 2, "m": 1, "lhs": 1, "rhs": 1, "equal": True}
     with pytest.raises(ValueError):
         all_bad_evaluation(0, 1)
+
+
+def test_all_bad_point_is_the_table_read_through_family_key(monkeypatch):
+    # each chain's point is made once per table and is a plain dict of the
+    # chain's generators, in chain order; the evaluation merges two of them
+    # and follows a patched table
+    seen = []
+
+    def recording(n, m, point):
+        seen.append(point)
+        return relation_values(n, m, point)
+
+    monkeypatch.setattr(fixedpoint, "relation_values", recording)
+    table = fixedpoint.ALL_BAD_VALUES
+    key = tuple(table.items())
+    for side in ("X", "Y"):
+        for n in range(1, 9):
+            point = fixedpoint._all_bad_chain(side, n, key)
+            assert type(point) is dict
+            assert list(point.items()) == [(sym, table[family_key(sym)])
+                                           for sym in chain_symbols(side, n)], (side, n)
+            assert fixedpoint._all_bad_chain(side, n, key) is point
+    for n, m in itertools.product(range(1, 9), repeat=2):
+        seen.clear()
+        all_bad_evaluation(n, m)
+        assert seen == [{sym: table[family_key(sym)] for sym in relation_symbols(n, m)}], (n, m)
+
+    tampered = {**table, "X": 2, ("V", 2): 5}
+    monkeypatch.setattr(fixedpoint, "ALL_BAD_VALUES", tampered)
+    for n, m in ((1, 1), (3, 2), (2, 4)):
+        report = all_bad_evaluation(n, m)
+        assert seen[-1] == {sym: tampered[family_key(sym)] for sym in relation_symbols(n, m)}
+        assert report["lhs"] == build_gx(n, m).substitute_families(tampered), (n, m)
+        assert report["rhs"] == build_gy(m, n).substitute_families(tampered), (n, m)
 
 
 def test_claim1_reads_the_all_bad_table(monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -334,16 +335,51 @@ def _verifier_runs(seed, sample_range):
 @pytest.mark.parametrize("seed", [1, 42])
 @pytest.mark.parametrize("sample_range", [1000, 2, 1])
 def test_int_draws_report_what_fraction_draws_do(monkeypatch, seed, sample_range):
-    # the slow path: every randint draw made a Fraction, as the verifiers
-    # once drew them; `_mixed_context` draws by randrange and is unchanged
+    # the slow path: every value draw made a Fraction, as the verifiers
+    # once drew them; `_mixed_context` draws residues by randrange and is
+    # unchanged.  Every dprkit module that binds the sampler gets the
+    # Fraction one, and each verifier must be seen drawing through it
     runs = _verifier_runs(seed, sample_range)
     plain = [call().to_json() for _, call in runs]
-    real = random.Random.randint
-    monkeypatch.setattr(random.Random, "randint",
-                        lambda self, a, b: Fraction(real(self, a, b)))
-    slow = [call().to_json() for _, call in runs]
-    for (label, _), fast, old in zip(runs, plain, slow):
-        assert fast == old, label
+    real, widths = operators.randbelow, []
+
+    def as_fraction(getrandbits, n):
+        widths.append(n)
+        return Fraction(real(getrandbits, n))
+
+    bound = [module for name, module in list(sys.modules.items())
+             if name.startswith("dprkit") and getattr(module, "randbelow", None) is real]
+    assert {operators, fixedpoint} <= set(bound)
+    for module in bound:
+        monkeypatch.setattr(module, "randbelow", as_fraction)
+    for (label, call), fast in zip(runs, plain):
+        before = len(widths)
+        assert call().to_json() == fast, label
+        assert len(widths) > before, label
+    assert set(widths) == {2 * sample_range + 1}
+
+
+# width 1, a power of two, neighbours of powers of two (2**k + 1 redraws
+# almost half its draws, 2**k - 1 almost none), the default range's 2001,
+# and widths past 2**32
+SAMPLER_WIDTHS = (1, 2, 3, 5, 6, 7, 9, 2001, 2**40 + 1, 2**41 - 1)
+
+
+@pytest.mark.parametrize("seed", ["0:0:0", 7, 2026])
+def test_randbelow_draws_what_randint_and_randrange_draw(seed):
+    # interleaved over every width, the sampler on one rng gives the values
+    # randint(-r, r) (odd widths 2r + 1) and randrange(width) give on a
+    # twin, and leaves the twins in one state
+    reference, ours = random.Random(seed), random.Random(seed)
+    schedule = random.Random(f"schedule:{seed}")
+    for _ in range(2000):
+        width = schedule.choice(SAMPLER_WIDTHS)
+        if width % 2 and schedule.getrandbits(1):
+            r = width // 2
+            assert operators.randbelow(ours.getrandbits, width) - r == reference.randint(-r, r)
+        else:
+            assert operators.randbelow(ours.getrandbits, width) == reference.randrange(width)
+    assert ours.getstate() == reference.getstate()
 
 
 def test_verifiers_pass_ints_until_a_solve_divides(monkeypatch):

@@ -2,7 +2,8 @@
 or allowlisted with a reason.
 
 The commands are one pinned command per leaf of the CLI in both formats
-(`selftest` included) and every error command of
+(`selftest` included; the mixed verifier has three, since no one (n, m)
+takes all of its branches) and every error command of
 `tests/test_cli_contract.py` (`ERRORS` and `USAGE_ERRORS`).  Two fresh interpreters share them out;
 each installs a call-only `sys.setprofile` hook before `import dprkit.cli`
 and runs its first command through `python -m dprkit`'s `__main__`, the
@@ -17,12 +18,17 @@ Code nested inside an allowlisted entry is covered by the entry.  An entry
 that is reached, or that names code which no longer exists, fails the gate
 too, so the list cannot go stale.
 
+A line probe checks that the mixed runs reach the mixed verifier's blocks
+that start no code object of their own (`MIXED_BLOCKS`).
+
 `selftest` alone, in both formats, is traced the same way: the library code
 it never starts is pinned in `SELFTEST_UNREACHED`, so that list cannot grow
 silently.
 """
 
 import importlib.util
+import inspect
+import itertools
 import json
 import os
 import shutil
@@ -32,13 +38,16 @@ from pathlib import Path
 
 import pytest
 
-from dprkit import cli
-from test_cli_contract import ERRORS, LEAVES, PINNED, USAGE_ERRORS
+from dprkit import cli, fixedpoint
+from test_cli_contract import (ERRORS, LEAVES, MIXED_ALL_GOOD, MIXED_ONE_GOOD, PINNED,
+                               USAGE_ERRORS)
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
 # one pinned command per leaf, each run in both formats; where a leaf has
-# several, the one that takes a path the others and `selftest` do not
+# several, the one that takes a path the others and `selftest` do not.  The
+# mixed verifier has three: no one (n, m) takes both the m == 1 branch and
+# the last-class solve (see `MIXED_BLOCKS`)
 LEAF_RUNS = [
     "fgl show --mode multiplicative --order 4",
     "fgl inverse --mode universal --order 4",
@@ -50,6 +59,8 @@ LEAF_RUNS = [
     "verify step -n 3 --seed 9 --trials 4",
     "verify full -n 2 -m 3 --seed 5 --trials 4 --range 50",
     "verify mixed -n 3 -m 2 --seed 5 --trials 4",
+    MIXED_ALL_GOOD,
+    MIXED_ONE_GOOD,
     "fixedpoint claim1 --case 1",
     "fixedpoint allbad -n 2 -m 1",
     "fixedpoint guard --group 2",
@@ -200,8 +211,53 @@ def reached():
 
 
 def test_the_commands_are_pinned_one_per_leaf_and_format():
-    assert [" ".join(run.split()[:1 if run == "selftest" else 2]) for run in LEAF_RUNS] == LEAVES
+    # every leaf in order; a leaf with several runs lists them together
+    leaves = [" ".join(run.split()[:1 if run == "selftest" else 2]) for run in LEAF_RUNS]
+    assert [leaf for leaf, _ in itertools.groupby(leaves)] == LEAVES
     assert all(command in PINNED for command in COMMANDS[:2 * len(LEAF_RUNS)])
+
+
+# blocks of the mixed verifier that start no code object of their own, so
+# the gate above counts them as run once their function starts: name ->
+# (function, the block's one line that only it runs)
+MIXED_BLOCKS = {
+    "_walk's all-good step": (fixedpoint._walk, "t = blow_up(t, c, s1, p2 - p3)"),
+    "_mixed_trial's m == 1 branch": (fixedpoint._mixed_trial,
+                                     "point[c_symbol(y_names[0])] = t"),
+    "_mixed_trial's last-class solve": (fixedpoint._mixed_trial,
+                                        "point[c_symbol(last)] = last_class(t, t_y, s1, q2 - q3)"),
+}
+
+
+def _line_of(function, text: str) -> int:
+    lines, first = inspect.getsourcelines(function)
+    found = [first + i for i, line in enumerate(lines) if line.strip() == text]
+    assert len(found) == 1, (function.__name__, text)
+    return found[0]
+
+
+def test_the_mixed_runs_reach_every_mixed_block(capsys):
+    # a line probe over the pinned mixed runs, in process
+    wanted = {name: (function.__code__, _line_of(function, text))
+              for name, (function, text) in MIXED_BLOCKS.items()}
+    codes = {code for code, _ in wanted.values()}
+    ran = set()
+
+    def lines(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code, frame.f_lineno))
+        return lines
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: lines if frame.f_code in codes else None)
+    try:
+        for run in LEAF_RUNS:
+            if run.startswith("verify mixed"):
+                assert cli.main(run.split()) == 0, run
+    finally:
+        sys.settrace(previous)
+    capsys.readouterr()
+    assert [name for name, line in wanted.items() if line not in ran] == []
 
 
 def test_every_code_object_is_reached_or_allowlisted(reached):
