@@ -65,6 +65,7 @@ same report on every interpreter the package supports.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import cache
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -463,16 +464,17 @@ def _walk(ctx, names, classes, val, fresh, towers) -> Coeff:
     The first class takes its sampled value when good and 1 when bad.  An
     all-good step is forced by the blow-up relation; a step whose combined
     class is bad pins the value to 1, and when only the combined class is
-    good the relation is vacuous so the value is free.  The value is an
-    int (a draw or the pinned 1) except after an all-good step, where
-    `blow_up` divides and returns a Fraction.  Values come from
-    the samples, never through the table reader `_image`: the recursion
-    solves the blow-up law at any generator values, so a walk read off the
-    table would let the final comparison pass whatever an all-good entry
-    said.
+    good the relation is vacuous so the value is free.  The value is
+    carried as an unreduced int pair, (draw or pinned 1, 1) after the
+    first class or a step that is not all good, and `blow_up`'s pair after
+    an all-good one; it is returned as an int when the pair's denominator
+    is 1 and as a Fraction otherwise.  Values come from the samples, never
+    through the table reader `_image`: the recursion solves the blow-up law
+    at any generator values, so a walk read off the table would let the
+    final comparison pass whatever an all-good entry said.
     """
     first = names[0]
-    t = val(c_symbol(first)) if ctx.good(first) else 1
+    p, q = (val(c_symbol(first)) if ctx.good(first) else 1), 1
     for k in range(2, classes + 1):
         case, sigma = ctx.step(names, k)
         if case == "all":
@@ -480,11 +482,11 @@ def _walk(ctx, names, classes, val, fresh, towers) -> Coeff:
             c = val(c_symbol(names[k - 1]))
             p2 = val(_tower_symbol(towers[0], k))
             p3 = val(_tower_symbol(towers[1], k))
-            t = blow_up(t, c, s1, p2 - p3)
+            p, q = blow_up(p, q, c, s1, p2 - p3)
         else:
             _sample_degenerate(case, sigma, names[k - 1], val)
-            t = fresh() if case == "full" else 1
-    return t
+            p, q = (fresh() if case == "full" else 1), 1
+    return p if q == 1 else Fraction(p, q)
 
 
 def _mixed_context(rng, n, m, group) -> GoodnessContext:
@@ -512,9 +514,11 @@ def _mixed_trial(rng, ctx: GoodnessContext, sample_range) -> bool:
     Sample the first classes and the towers, walk both chains forward by
     `_walk`, and set the last B class so that both chains meet at the
     shared total-class value t.  Samples are drawn as ints and stay ints
-    through the table and the recursion; a Fraction comes only from
-    `blow_up` and `last_class`.  The images are read off the table as
-    values (`_image_value`), so no polynomial is built.  Write R = T + t*F - t for each chain at the images; then
+    through the table and the recursion; a Fraction is made only where
+    `_walk` returns a value whose pair's denominator is not 1, and where
+    the last B class is set from `last_class`'s pair.  The images are read
+    off the table as values (`_image_value`), so no polynomial is built.
+    Write R = T + t*F - t for each chain at the images; then
 
         GX - GY = (1 - F^Y_m) * R_X - (1 - F^X_n) * R_Y,
 
@@ -556,7 +560,9 @@ def _mixed_trial(rng, ctx: GoodnessContext, sample_range) -> bool:
             s1 = val(sigma)
             q2 = val(_tower_symbol("q2", m))
             q3 = val(_tower_symbol("q3", m))
-            point[c_symbol(last)] = last_class(t, t_y, s1, q2 - q3)
+            a, b = last_class(t.numerator, t.denominator, t_y.numerator, t_y.denominator,
+                              s1, q2 - q3)
+            point[c_symbol(last)] = a if b == 1 else Fraction(a, b)
         else:
             _sample_degenerate(case, sigma, last, val)
 

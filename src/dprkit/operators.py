@@ -6,14 +6,20 @@ class sums: a two-class correction law (the H expression) and its n-class
 iteration.  Verification substitutes random integers for the free
 generators, solves the side conditions exactly (every solve is affine
 because the polynomials are multilinear), and compares both sides
-exactly.  The draws and the arithmetic on them stay in int; a Fraction
-enters only where a solve divides: `blow_up`, `last_class` and the step
-solve.  Values come from the recursion itself (`dpr.chain_values`,
-`dpr.relation_values`), not from the expanded polynomials, and the class
-values they are compared at come from the blow-up law (`blow_up`,
-`last_class`), not from the recursion.  Both read each step's class and
-markers from `dpr.chain_steps`.  Nothing is approximate: a pass
-means bit-equal rationals.
+exactly.  The draws and the arithmetic on them stay in int.  A class
+value the walks make is carried as an unreduced int pair (num, den),
+den != 0: `blow_up`, `last_class` and the step solve take and return such
+pairs, so nothing is divided or gcd-reduced along a walk.  The step
+verifier compares in ints and makes no Fraction; the full verifier makes
+at most one, where it sets the last second-family class.  Every pair's
+denominator is the plain formula's times nonzero ints, so a solve is
+degenerate at exactly the draws where the plain one is.  Values come from
+the recursion itself (`dpr.chain_values`, `dpr.relation_values`), not
+from the expanded polynomials, and the class values they are compared at
+come from the blow-up law (`blow_up`, `last_class`), not from the
+recursion.  Both read each step's class and markers from
+`dpr.chain_steps`.  Nothing is approximate: a pass means bit-equal
+rationals.
 
 `run_trials` is the one trial loop: it seeds every draw per (seed, trial,
 retry), so reports are reproducible byte for byte, retries a degenerate
@@ -34,7 +40,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .algebra import Coeff, Immutable, Polynomial, VarSymbol
+from .algebra import Immutable, Polynomial, VarSymbol
 from .dpr import chain_steps, chain_symbols, chain_values, relation_symbols, relation_values
 
 __all__ = [
@@ -185,56 +191,55 @@ def verify_step_identity(
     def trial(number: int, rng: random.Random) -> bool:
         point = _draw(rng, symbols, sample_range)
         chain = chain_values("X", n, point)
-        c_b = _walk(point, _solve_chain_value(*chain[-2]), last_step)
+        p, q = _walk(point, *_solve_chain_value(*chain[-2]), last_step)
         t_n, f_n = chain[-1]
-        return c_b == t_n + c_b * f_n
+        # cB = p/q solves cB = T_n + cB * F_n, times q
+        return p == q * t_n + p * f_n
 
     return run_trials("step", n, None, 2 * n - 1, trial, seed, trials, sample_range)
 
 
-def _solve_chain_value(t: Coeff, f: Coeff) -> Fraction:
+def _solve_chain_value(t: int, f: int) -> tuple[int, int]:
     """Value cC with  T + cC * F = cC, where T = S + E is the class sum plus
-    excess and F the correction of the chain at the point."""
+    excess and F the correction of the chain at the point, as the pair
+    (T, 1 - F)."""
     denom = 1 - f
     if denom == 0:
         raise DegenerateSample("chain denominator vanished")
-    return Fraction(t, denom)
+    return t, denom
 
 
-def blow_up(c_l: Coeff, c_m: Coeff, s1: Coeff, s23: Coeff) -> Fraction:
+def blow_up(p: int, q: int, c_m: int, s1: int, s23: int) -> tuple[int, int]:
     """Value cLM of the blown-up class: `h_expression` solved for cLM, with
-    s23 = sigma2 - sigma3.  It is worked over c_l = p/q: the numerator and
-    denominator of (c_l + c_m - c_l c_m s1) / (1 - c_l c_m s23) are taken
-    times q > 0, so one Fraction is normalised and the denominator vanishes
+    s23 = sigma2 - sigma3, at c_l = p/q (q != 0), as an unreduced pair.
+    The numerator and denominator of (c_l + c_m - c_l c_m s1) /
+    (1 - c_l c_m s23) are taken times q, so the denominator vanishes
     exactly when the plain one does."""
-    p, q = c_l.numerator, c_l.denominator
     denom = q - p * c_m * s23
     if denom == 0:
         raise DegenerateSample("blow-up denominator vanished")
-    return Fraction(p + q * c_m - p * c_m * s1, denom)
+    return p + q * c_m - p * c_m * s1, denom
 
 
-def last_class(c: Coeff, c_l: Coeff, s1: Coeff, s23: Coeff) -> Fraction:
-    """Value cM of the last class that makes the blow-up law reach c from
-    the combined class value c_l: `blow_up(c_l, cM, s1, s23) == c` solved
-    for cM, which enters affinely.  Worked over c_l = p/q like `blow_up`:
-    the numerator and denominator of (c - c_l) / (1 - c_l s1 + c c_l s23)
-    taken times q > 0."""
-    p, q = c_l.numerator, c_l.denominator
-    denom = q - p * s1 + c * p * s23
+def last_class(a: int, b: int, p: int, q: int, s1: int, s23: int) -> tuple[int, int]:
+    """Value cM of the last class that makes the blow-up law reach c = a/b
+    from the combined class value c_l = p/q (b, q != 0): `blow_up(p, q,
+    cM, s1, s23)` equal to c, solved for cM, which enters affinely.  As an
+    unreduced pair: the numerator and denominator of
+    (c - c_l) / (1 - c_l s1 + c c_l s23) taken times b q."""
+    denom = b * q - b * p * s1 + a * p * s23
     if denom == 0:
         raise DegenerateSample("last-class denominator vanished")
-    return Fraction(q * c - p, denom)
+    return q * a - p * b, denom
 
 
-def _walk(point: Mapping[VarSymbol, int], first: Coeff,
-          steps: tuple[tuple[VarSymbol, ...], ...]) -> Coeff:
+def _walk(point: Mapping[VarSymbol, int], p: int, q: int,
+          steps: tuple[tuple[VarSymbol, ...], ...]) -> tuple[int, int]:
     """Combined class value after `steps`, a run of a chain's `chain_steps`,
-    by the blow-up law from the class value `first` on."""
-    c = first
+    by the blow-up law from the class value p/q on, as an unreduced pair."""
     for x, u1, u2, u3 in steps:
-        c = blow_up(c, point[x], point[u1], point[u2] - point[u3])
-    return c
+        p, q = blow_up(p, q, point[x], point[u1], point[u2] - point[u3])
+    return p, q
 
 
 def verify_full_identity(
@@ -250,7 +255,9 @@ def verify_full_identity(
     take the total class value c from the blow-up law along the
     first-family chain, walk the second-family chain's first m - 1 classes
     the same way, and set its last class by `last_class` so that it too
-    reaches c.  Then both full relation polynomials, GX(n, m) =
+    reaches c.  The walks carry int pairs from (X_1, 1) and (Y_1, 1); the
+    last class is the trial's one Fraction, or an int when its pair's
+    denominator is 1.  Then both full relation polynomials, GX(n, m) =
     T^X_n + T^Y_m * F^X_n and its mirror GY(m, n), are evaluated by
     `relation_values` and compared exactly.  With R = T + c*F - c per chain,
 
@@ -268,13 +275,12 @@ def verify_full_identity(
 
     def trial(number: int, rng: random.Random) -> bool:
         point = _draw(rng, symbols, sample_range)
-        c = _walk(point, point[x_symbols[0]], x_steps)
-        if m == 1:
-            point[last_y] = c
-        else:
-            c_l = _walk(point, point[y_symbols[0]], y_steps[:-1])
+        a, b = _walk(point, point[x_symbols[0]], 1, x_steps)
+        if m > 1:
+            p, q = _walk(point, point[y_symbols[0]], 1, y_steps[:-1])
             _, u1, u2, u3 = y_steps[-1]
-            point[last_y] = last_class(c, c_l, point[u1], point[u2] - point[u3])
+            a, b = last_class(a, b, p, q, point[u1], point[u2] - point[u3])
+        point[last_y] = a if b == 1 else Fraction(a, b)
         gx, gy = relation_values(n, m, point)
         return gx == gy
 

@@ -180,6 +180,26 @@ PINNED = {
         (0, "c27c20c558f55798e2015566618abfd53cf67ae6f8c54e826d686aa51cf3d807"),
     "verify mixed -n 4 -m 3 --seed 3 --trials 30 --range 1 --format text":
         (0, "7ad3e33f11eec6ce36ba288f08e08776b42d74770ea2990b2faf80e8fc0ff2aa"),
+    # degenerate draws of the walks' pair kernels (9, 7, 7 and 13
+    # resamples): a step solve, blow-up steps and last-class solves at
+    # ranges 1 and 2, a second-family walk with no first-family step, and
+    # the mixed verifier's all-good steps
+    "verify step -n 6 --seed 11 --trials 40 --range 1 --format json":
+        (0, "11102510ce1a03f05525c31954683655cd0e8ca054f142cf9549f277dba58347"),
+    "verify step -n 6 --seed 11 --trials 40 --range 1 --format text":
+        (0, "351778af34d18ce9e938878d5f25e34b2914080c7e36ce3c193ca42658e3051c"),
+    "verify full -n 5 -m 5 --seed 9 --trials 40 --range 2 --format json":
+        (0, "1aea28f5964bec870bdd8b3b41c8e99e1470f14a2ab291dfd3e9f0b387f7901d"),
+    "verify full -n 5 -m 5 --seed 9 --trials 40 --range 2 --format text":
+        (0, "b45d1a82285bd639bf3fa8970d99dad159757d7adbd23bea9b079879c5a596fe"),
+    "verify full -n 1 -m 4 --seed 2 --trials 20 --range 1 --format json":
+        (0, "d7a42bd60c2cd44052e3e4c378169c422e62d02a2329a71320db7906b832ed51"),
+    "verify full -n 1 -m 4 --seed 2 --trials 20 --range 1 --format text":
+        (0, "5e04f4295a3a9eaef5cf0657535f46f3403c7f861b01d5c2e252fc23c68392af"),
+    "verify mixed -n 3 -m 3 --seed 7 --trials 200 --range 1 --format json":
+        (0, "c41579af40ed8524f74e45291662722cd31f045ec05913c1bc90fe79870920e7"),
+    "verify mixed -n 3 -m 3 --seed 7 --trials 200 --range 1 --format text":
+        (0, "e649a70f4a902c50146b15613aa478f079b83d6049e3fd03ede14ce92e951885"),
     "fixedpoint claim1 --case 1 --format json":
         (0, "a1f8b625544d0bd44f4ac7b6a73f5e50bb79165e406f9288a9c42d644e37b277"),
     "fixedpoint claim1 --case 1 --format text":

@@ -196,12 +196,14 @@ def test_both_sides_share_one_chain_run_per_side(monkeypatch, run, counts):
 
 
 def test_last_class_solves_the_blow_up_law():
-    c, c_l, s1, s23 = Fraction(3, 7), Fraction(-5, 2), Fraction(4), Fraction(-1, 3)
-    c_m = operators.last_class(c, c_l, s1, s23)
-    assert operators.blow_up(c_l, c_m, s1, s23) == c
+    # c = 3/7 and c_l = -5/2 as unreduced pairs, one with a negative
+    # denominator; cM comes back a pair too, and the law reaches c from it
+    a, b, p, q, s1, s23 = 6, 14, 5, -2, 4, -3
+    c_m = Fraction(*operators.last_class(a, b, p, q, s1, s23))
+    assert Fraction(*operators.blow_up(p, q, c_m, s1, s23)) == Fraction(a, b)
     # 1 - c_l*s1 + c*c_l*s23 = 1 - 1 + 0 at c_l = 1, s1 = 1, s23 = 0
     with pytest.raises(operators.DegenerateSample):
-        operators.last_class(Fraction(2), Fraction(1), 1, 0)
+        operators.last_class(2, 1, 1, 1, 1, 0)
 
 
 def _plain_blow_up(c_l, c_m, s1, s23):
@@ -221,33 +223,92 @@ def _plain_last_class(c, c_l, s1, s23):
 def test_blow_up_and_last_class_match_the_plain_formulas():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    # ints as the full verifier draws them, Fractions as the walks make them
-    rationals = st.integers(-50, 50) | st.fractions(-20, 20, max_denominator=12)
+    # ints as the verifiers draw them; pairs as the walks carry them,
+    # unreduced and with either sign of denominator
+    ints = st.integers(-50, 50)
+    dens = st.integers(-12, 12).filter(bool)
     outcomes = []
 
-    def same_outcome(fast, plain, *args):
+    def same_outcome(fast, plain, fast_args, plain_args):
         try:
-            expected = plain(*args)
+            expected = plain(*plain_args)
         except operators.DegenerateSample:
             with pytest.raises(operators.DegenerateSample):
-                fast(*args)
+                fast(*fast_args)
             outcomes.append("degenerate")
             return
-        assert fast(*args) == expected
+        pair = fast(*fast_args)
+        assert pair[1] != 0 and Fraction(*pair) == expected
         outcomes.append("value")
 
     @hypothesis.settings(derandomize=True, database=None, max_examples=300)
-    @hypothesis.given(rationals, rationals, rationals, rationals, rationals, st.booleans())
-    def check(c, c_l, c_m, s1, s23, degenerate):
-        # with `degenerate`, pick s23 (blow_up) or s1 (last_class) to zero
+    @hypothesis.given(ints, dens, ints, dens, ints, ints, ints, st.booleans())
+    def check(a, b, p, q, c_m, s1, s23, degenerate):
+        # with `degenerate`, pick c_l (blow_up) or c (last_class) to zero
         # the plain denominator wherever it can be
-        blow_s23 = Fraction(1) / (c_l * c_m) if degenerate and c_l * c_m else s23
-        same_outcome(operators.blow_up, _plain_blow_up, c_l, c_m, s1, blow_s23)
-        last_s1 = (1 + c * c_l * s23) / Fraction(c_l) if degenerate and c_l else s1
-        same_outcome(operators.last_class, _plain_last_class, c, c_l, last_s1, s23)
+        if degenerate and p * c_m * s23:
+            q = p * c_m * s23
+        same_outcome(operators.blow_up, _plain_blow_up,
+                     (p, q, c_m, s1, s23), (Fraction(p, q), c_m, s1, s23))
+        if degenerate and p * s23:
+            a, b = p * s1 - q, p * s23
+        same_outcome(operators.last_class, _plain_last_class,
+                     (a, b, p, q, s1, s23), (Fraction(a, b), Fraction(p, q), s1, s23))
 
     check()
     assert {"value", "degenerate"} <= set(outcomes)
+
+
+@pytest.mark.parametrize("sample_range", [1, 2, 1000])
+def test_walk_pairs_are_the_plain_fold(sample_range):
+    # every prefix of a chain's walk, from (X_1, 1): the pair is the
+    # Fraction fold of the plain blow-up law, and both degenerate at the
+    # same step
+    outcomes = set()
+    for n in range(1, 19):
+        symbols, steps = chain_symbols("X", n), dpr.chain_steps("X", n)
+        for trial in range(8):
+            rng = random.Random(f"walk:{sample_range}:{n}:{trial}")
+            point = operators._draw(rng, symbols, sample_range)
+            value = Fraction(point[symbols[0]])
+            for k, (x, u1, u2, u3) in enumerate(steps, 1):
+                try:
+                    value = _plain_blow_up(value, point[x], point[u1], point[u2] - point[u3])
+                except operators.DegenerateSample:
+                    with pytest.raises(operators.DegenerateSample):
+                        operators._walk(point, point[symbols[0]], 1, steps[:k])
+                    outcomes.add("degenerate")
+                    break
+                assert Fraction(*operators._walk(point, point[symbols[0]], 1, steps[:k])) == value
+            else:
+                outcomes.add("value")
+    assert "value" in outcomes
+    assert "degenerate" in outcomes or sample_range == 1000
+
+
+def test_walks_make_no_fraction_per_step(monkeypatch):
+    # the step verifier compares in ints; the full verifier makes at most
+    # one Fraction per accepted draw, the last second-family class
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(operators, "Fraction", counted)
+    for sample_range in (1, 2, 1000):
+        for n in range(2, 9):
+            verify_step_identity(n, trials=6, seed=3, sample_range=sample_range)
+        assert made == [], sample_range
+        for n in range(1, 7):
+            for m in range(1, 7):
+                report = verify_full_identity(n, m, trials=6, seed=3,
+                                              sample_range=sample_range)
+                assert len(made) <= report.trials, (n, m, sample_range)
+                made.clear()
+    # the stand-in is the one the full verifier calls
+    verify_full_identity(3, 3, trials=6, seed=3)
+    assert made
 
 
 def timed(call):

@@ -221,11 +221,11 @@ def test_the_commands_are_pinned_one_per_leaf_and_format():
 # the gate above counts them as run once their function starts: name ->
 # (function, the block's one line that only it runs)
 MIXED_BLOCKS = {
-    "_walk's all-good step": (fixedpoint._walk, "t = blow_up(t, c, s1, p2 - p3)"),
+    "_walk's all-good step": (fixedpoint._walk, "p, q = blow_up(p, q, c, s1, p2 - p3)"),
     "_mixed_trial's m == 1 branch": (fixedpoint._mixed_trial,
                                      "point[c_symbol(y_names[0])] = t"),
     "_mixed_trial's last-class solve": (fixedpoint._mixed_trial,
-                                        "point[c_symbol(last)] = last_class(t, t_y, s1, q2 - q3)"),
+                                        "point[c_symbol(last)] = a if b == 1 else Fraction(a, b)"),
 }
 
 
